@@ -7,7 +7,8 @@ command is deterministic under a fixed seed and configuration.  Exit codes:
     1  a verification or scan verdict failed
     2  parse, usage, or configuration error
     3  evaluation point outside the declared domain
-    4  numeric failure (singular matrix, non-convergence, resolvent, sampler)
+    4  numeric failure (singular matrix, non-convergence, resolvent, sampler,
+       non-finite result)
     5  coefficient extraction failure (offending word reported on stderr)
 """
 
@@ -34,7 +35,7 @@ from .formats import (
 )
 from .linalg import NonConvergenceError, SingularMatrixError, operator_norm
 from .ncderiv import delta_k, dk_fd, dk_multilinear
-from .ncfun import DomainViolationError
+from .ncfun import DomainViolationError, NonFiniteResultError
 from .realization import (
     NotIsometricError,
     ResolventSingularError,
@@ -305,6 +306,7 @@ def main(argv=None) -> int:
     except (
         SingularMatrixError,
         NonConvergenceError,
+        NonFiniteResultError,
         ResolventSingularError,
         SamplerStarvationError,
     ) as exc:

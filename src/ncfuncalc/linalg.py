@@ -5,11 +5,15 @@ d-variable calculus is a :class:`MatrixTuple`, a d-tuple of equal-size
 square matrices; directions live in the same type.  All operations here
 are pure and all returned tuples are immutable, so values can be shared
 freely between threads.
+
+The two numerical primitives run on numpy's LAPACK: :func:`operator_norm`
+is the largest singular value from the SVD (``gesdd``), and :func:`inverse`
+is an LU solve (``gesv``) that rejects a matrix whose reciprocal condition
+in the infinity norm is at most ``PIVOT_RTOL``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Number
 
 import numpy as np
@@ -18,29 +22,23 @@ __all__ = [
     "SingularMatrixError",
     "NonConvergenceError",
     "as_matrix",
-    "matmul",
     "inverse",
     "operator_norm",
     "kron",
-    "BlockLayout",
-    "extract_block",
     "MatrixTuple",
     "direct_sum",
     "bidiagonal_block",
 ]
 
 PIVOT_RTOL = 1e-12
-NORM_TOL = 1e-12
-NORM_RESIDUAL_TOL = 1e-10
-NORM_MAX_ITER = 10_000
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when elimination meets a pivot too small to trust."""
+    """Raised when a matrix is singular or too ill-conditioned to invert."""
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when the norm iteration exhausts its iteration budget."""
+    """Raised when the LAPACK singular value decomposition does not converge."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -53,21 +51,13 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def inverse(a) -> np.ndarray:
-    """Invert a square matrix by LU elimination with partial pivoting.
+    """Invert a square matrix with ``np.linalg.inv`` (LAPACK LU solve, ``gesv``).
 
-    A pivot whose magnitude falls below ``1e-12`` times the row-sum norm of
-    ``a`` raises :class:`SingularMatrixError`.  The elimination order is
-    fixed, so the result is deterministic.
+    Raises :class:`SingularMatrixError` for the zero matrix, for a matrix
+    LAPACK reports exactly singular, for a non-finite result, and when the
+    reciprocal condition ``1 / (||a||_inf ||a^-1||_inf)`` is at most
+    ``PIVOT_RTOL`` (1e-12).
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -75,139 +65,39 @@ def inverse(a) -> np.ndarray:
         raise ValueError(f"cannot invert a non-square {a.shape} matrix")
     if n == 0:
         return a.copy()
-    scale = float(np.max(np.sum(np.abs(a), axis=1)))
+    scale = float(np.linalg.norm(a, np.inf))
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= PIVOT_RTOL * scale:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} below {PIVOT_RTOL * scale:.3e} at column {k}"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-
-    # Solve L (U X) = P I for all right-hand sides at once.
-    x = np.eye(n, dtype=np.complex128)[perm]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
-
-
-def _top_eig_dense(g: np.ndarray) -> float:
     try:
-        top = float(np.linalg.eigvalsh(g)[-1])
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"dense eigensolve failed: {exc}") from exc
-    return float(np.sqrt(max(top, 0.0)))
+        raise SingularMatrixError(f"LAPACK: {exc}") from exc
+    if not np.all(np.isfinite(inv)):
+        raise SingularMatrixError("inverse has non-finite entries")
+    rcond = 1.0 / (scale * float(np.linalg.norm(inv, np.inf)))
+    if rcond <= PIVOT_RTOL:
+        raise SingularMatrixError(f"reciprocal condition {rcond:.3e} at most {PIVOT_RTOL:.0e}")
+    return inv
 
 
-def operator_norm(a, *, tol: float = NORM_TOL, max_iter: int = NORM_MAX_ITER) -> float:
-    """Largest singular value of ``a`` (rectangular allowed).
+def operator_norm(a) -> float:
+    """Largest singular value of ``a`` (rectangular allowed), by LAPACK SVD.
 
-    Power iteration on the smaller Gram matrix with a fixed all-ones start
-    vector; Gram dimensions up to 4 use a direct Hermitian eigensolve.  The
-    iteration stops when the Rayleigh quotient moves by less than ``tol``
-    relative AND the eigen-residual confirms the value (a quotient can stall
-    between two nearly equal top eigenvalues without being accurate).  A run
-    that exhausts the budget, or loses the start vector to the kernel, falls
-    back to the dense eigensolve; the output is deterministic either way.
+    ``np.linalg.norm(a, 2)`` takes the singular values from ``gesdd``; an
+    SVD that fails to converge raises :class:`NonConvergenceError`.
     """
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
-    if a.shape[0] < a.shape[1]:
-        g = a @ a.conj().T
-    else:
-        g = a.conj().T @ a
-    g = 0.5 * (g + g.conj().T)
-    m = g.shape[0]
-    if m <= 4:
-        return _top_eig_dense(g)
-
-    v = np.full(m, 1.0 / np.sqrt(m), dtype=np.complex128)
-    lam_prev = np.inf
-    stalled = 0
-    for _ in range(max_iter):
-        w = g @ v
-        lam = float(np.real(np.vdot(v, w)))
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            # |lam - lambda_max| is bounded by the residual for Hermitian g
-            if float(np.linalg.norm(w - lam * v)) <= NORM_RESIDUAL_TOL * max(1.0, abs(lam)):
-                return float(np.sqrt(max(lam, 0.0)))
-            # settled quotient with a loud residual means two leaders too
-            # close to separate; the dense solve answers exactly
-            stalled += 1
-            if stalled >= 50:
-                break
-        else:
-            stalled = 0
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        lam_prev = lam
-    return _top_eig_dense(g)
+    try:
+        return float(np.linalg.norm(a, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"SVD failed: {exc}") from exc
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product, ``a`` indexing slowest and ``b`` fastest."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Partition of a matrix into a grid of rectangular blocks."""
-
-    block_rows: tuple[int, ...]
-    block_cols: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_rows", tuple(int(r) for r in self.block_rows))
-        object.__setattr__(self, "block_cols", tuple(int(c) for c in self.block_cols))
-        if not self.block_rows or not self.block_cols:
-            raise ValueError("a block layout needs at least one row and one column")
-        if any(r <= 0 for r in self.block_rows) or any(c <= 0 for c in self.block_cols):
-            raise ValueError("block sizes must be positive")
-
-    @classmethod
-    def square(cls, nblocks: int, size: int) -> "BlockLayout":
-        """Uniform ``nblocks`` x ``nblocks`` grid of ``size`` x ``size`` blocks."""
-        return cls((size,) * nblocks, (size,) * nblocks)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (sum(self.block_rows), sum(self.block_cols))
-
-    def row_span(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < len(self.block_rows):
-            raise IndexError(f"block row {i} out of range")
-        start = sum(self.block_rows[:i])
-        return start, start + self.block_rows[i]
-
-    def col_span(self, j: int) -> tuple[int, int]:
-        if not 0 <= j < len(self.block_cols):
-            raise IndexError(f"block column {j} out of range")
-        start = sum(self.block_cols[:j])
-        return start, start + self.block_cols[j]
-
-
-def extract_block(a, layout: BlockLayout, i: int, j: int) -> np.ndarray:
-    """Copy out the (i, j) block of ``a`` under ``layout``."""
-    a = as_matrix(a)
-    if layout.shape != a.shape:
-        raise ValueError(f"layout {layout.shape} inconsistent with matrix {a.shape}")
-    r0, r1 = layout.row_span(i)
-    c0, c1 = layout.col_span(j)
-    return a[r0:r1, c0:c1].copy()
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

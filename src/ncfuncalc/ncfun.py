@@ -17,11 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .freepoly import FreePoly
-from .linalg import MatrixTuple, as_matrix, operator_norm
+from .linalg import MatrixTuple, operator_norm
 from .realization import PolyMatrix, Realization, eval_delta, eval_realization
 
 __all__ = [
     "DomainViolationError",
+    "NonFiniteResultError",
     "DomainDescriptor",
     "SeriesFunction",
     "NCFunctionHandle",
@@ -37,6 +38,10 @@ DEFAULT_TRUNCATION = 24
 
 class DomainViolationError(ValueError):
     """Raised when an evaluation point lies outside the declared domain."""
+
+
+class NonFiniteResultError(ArithmeticError):
+    """Raised when an evaluation overflows to non-finite output entries."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,8 @@ class NCFunctionHandle:
 
         ``unchecked=True`` skips the membership test (used for jet blocks,
         which intentionally leave the nominal ball).  Gradedness of the
-        output is always enforced.
+        output is always enforced, and a non-finite output raises
+        :class:`NonFiniteResultError`.
         """
         if x.arity != self.arity:
             raise ValueError(f"handle has arity {self.arity}, point has arity {x.arity}")
@@ -174,11 +180,13 @@ class NCFunctionHandle:
             raise DomainViolationError(
                 f"point at dimension {x.dim} lies outside the {self.domain.kind} domain"
             )
-        out = as_matrix(self._evaluator(x))
+        out = np.asarray(self._evaluator(x), dtype=np.complex128)
         if out.shape != (x.dim, x.dim):
             raise ValueError(
                 f"evaluator broke grading: input dimension {x.dim}, output shape {out.shape}"
             )
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteResultError(f"evaluation at dimension {x.dim} is not finite")
         return out
 
     __call__ = eval

@@ -60,6 +60,17 @@ def random_isometric_realization(rng, d: int, m: int) -> Realization:
     )
 
 
+def ones_orthogonal_matrix() -> np.ndarray:
+    """``3 u u* + w w*`` (6x6), norm 3, with ``u = (e0 - e1)/sqrt 2`` orthogonal
+    to the all-ones vector and ``w = ones/sqrt 6``.  Power iteration started
+    from the all-ones vector never sees ``u`` and reports norm 1."""
+    u = np.zeros(6)
+    u[0], u[1] = 1.0, -1.0
+    u /= np.sqrt(2.0)
+    w = np.ones(6) / np.sqrt(6.0)
+    return 3.0 * np.outer(u, u) + np.outer(w, w)
+
+
 def relerr(actual: np.ndarray, expected: np.ndarray) -> float:
     diff = float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)))
     return diff / max(1.0, float(np.linalg.norm(np.asarray(expected))))

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from ncfuncalc import FreePoly, MatrixTuple, from_poly, mobius_realization
+from ncfuncalc import DomainDescriptor, FreePoly, MatrixTuple, from_poly, mobius_realization
 from ncfuncalc.cli import main
 from ncfuncalc.formats import (
+    domain_to_obj,
     dump_json,
     handle_to_obj,
     matrix_from_obj,
@@ -16,7 +17,7 @@ from ncfuncalc.formats import (
     tuple_to_obj,
 )
 
-from _helpers import random_poly, random_tuple, rng_for
+from _helpers import ones_orthogonal_matrix, random_poly, random_tuple, rng_for
 
 
 @pytest.fixture
@@ -106,8 +107,6 @@ class TestEval:
         assert code == 2
 
     def test_point_outside_domain_exits_3(self, workspace, capsys, tmp_path):
-        from ncfuncalc import DomainDescriptor
-
         bounded = tmp_path / "bounded.json"
         bounded.write_text(
             dump_json(
@@ -121,6 +120,64 @@ class TestEval:
         )
         assert code == 3
         assert "domain" in err
+
+
+    def test_point_orthogonal_to_ones_exits_3(self, capsys, tmp_path):
+        # Norm 1.5, with the top singular vector orthogonal to the all-ones vector.
+        handle = tmp_path / "unit_polydisk.json"
+        handle.write_text(
+            dump_json(
+                handle_to_obj(from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0)))
+            )
+        )
+        point = tmp_path / "structured.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple([0.5 * ones_orthogonal_matrix()]))))
+        code, out, err = run(capsys, "eval", "--handle", str(handle), "--point", str(point))
+        assert code == 3
+        assert out == ""
+        assert "domain" in err
+
+
+class TestNumericFailure:
+    def test_singular_resolvent_exits_4(self, capsys, tmp_path):
+        # 1 - 0.5 x at x = diag(2, 0.5) is diag(0, 0.75); the unbounded
+        # polydisk domain lets the point through to the resolvent.
+        handle = tmp_path / "mobius_unbounded.json"
+        handle.write_text(
+            dump_json(
+                {
+                    "kind": "realization",
+                    "payload": realization_to_obj(mobius_realization(0.5)),
+                    "domain": domain_to_obj(DomainDescriptor.polydisk(float("inf"))),
+                }
+            )
+        )
+        point = tmp_path / "diag.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple([np.diag([2.0, 0.5])]))))
+        code, _, err = run(capsys, "eval", "--handle", str(handle), "--point", str(point))
+        assert code == 4
+        assert "numeric failure" in err
+
+    def test_overflowing_evaluation_exits_4(self, capsys, tmp_path):
+        handle = tmp_path / "huge_word.json"
+        handle.write_text(dump_json(handle_to_obj(from_poly(FreePoly(1, {(0,) * 100: 1e300})))))
+        point = tmp_path / "two.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple.from_scalars([2.0], 2))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "eval", "--handle", str(handle), "--point", str(point))
+        assert code == 4
+        assert "numeric failure" in err
+
+    def test_non_finite_input_exits_2(self, workspace, capsys, tmp_path):
+        obj = tuple_to_obj(MatrixTuple.from_scalars([0.5], 1))
+        obj["components"][0]["entries"][0][0]["re"] = "inf"
+        point = tmp_path / "inf_point.json"
+        point.write_text(dump_json(obj))
+        code, _, err = run(
+            capsys, "eval", "--handle", workspace["square.json"], "--point", str(point)
+        )
+        assert code == 2
+        assert "non-finite" in err
 
 
 class TestDerive:

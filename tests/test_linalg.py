@@ -4,38 +4,16 @@ import numpy as np
 import pytest
 
 from ncfuncalc import (
-    BlockLayout,
     MatrixTuple,
     SingularMatrixError,
     bidiagonal_block,
     direct_sum,
-    extract_block,
     inverse,
     kron,
-    matmul,
     operator_norm,
 )
 
-from _helpers import random_matrix, rng_for
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        np.testing.assert_allclose(matmul(np.eye(2), x), x)
-
-    def test_hand_product(self):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        b = np.array([[0, 0], [1, 0]], dtype=complex)
-        np.testing.assert_allclose(matmul(a, b), [[1, 0], [0, 0]])
-
-    def test_zero(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        np.testing.assert_allclose(matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
+from _helpers import ones_orthogonal_matrix, random_matrix, rng_for
 
 
 class TestInverse:
@@ -49,13 +27,27 @@ class TestInverse:
         a = np.array([[1, 1], [0, 1]], dtype=complex)
         inv = inverse(a)
         np.testing.assert_allclose(inv, [[1, -1], [0, 1]])
-        np.testing.assert_allclose(matmul(a, inv), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(a @ inv, np.eye(2), atol=1e-14)
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
             inverse(np.zeros((3, 3)))
+
+    def test_numerically_singular(self):
+        # Non-zero and not exactly singular in floating point, but with a
+        # reciprocal condition far below the 1e-12 threshold.
+        with pytest.raises(SingularMatrixError):
+            inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+        rng = rng_for(31)
+        q1, q2 = (
+            np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+            for _ in "12"
+        )
+        sigma = np.array([1.0, 0.8, 0.6, 0.4, 0.2, 0.0])
+        with pytest.raises(SingularMatrixError):
+            inverse(q1 @ np.diag(sigma) @ q2.conj().T)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -103,13 +95,14 @@ class TestOperatorNorm:
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-9)
 
     def test_near_degenerate_top_singular_values(self):
-        # A quotient-only stopping rule stalls between the two leaders and
-        # returns a value up to their gap off; the residual guard must push
-        # this through to the exact answer.
+        # Two leaders closer than any iterative stopping rule can separate.
         a = np.diag([1.0, 1.0 - 1e-7, 0.7, 0.5, 0.3]).astype(complex)
         assert operator_norm(a) == pytest.approx(1.0, rel=1e-10)
         b = np.diag([1.0, 1.0, 0.7, 0.5, 0.3]).astype(complex)  # exact tie
         assert operator_norm(b) == pytest.approx(1.0, rel=1e-10)
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        assert operator_norm(ones_orthogonal_matrix()) == pytest.approx(3.0, rel=1e-12)
 
     def test_submultiplicative(self):
         rng = rng_for(4)
@@ -138,27 +131,6 @@ class TestKron:
             lhs = kron(a, b) @ kron(c, d)
             rhs = kron(a @ c, b @ d)
             assert operator_norm(lhs - rhs) <= 1e-10 * max(1.0, operator_norm(rhs))
-
-
-class TestBlockLayout:
-    def test_full_matrix_block(self):
-        a = random_matrix(rng_for(6), 3)
-        layout = BlockLayout((3,), (3,))
-        np.testing.assert_allclose(extract_block(a, layout, 0, 0), a)
-
-    def test_scalar_blocks(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        layout = BlockLayout.square(2, 1)
-        np.testing.assert_allclose(extract_block(a, layout, 0, 1), [[2]])
-
-    def test_out_of_range_and_inconsistent(self):
-        a = np.eye(4)
-        with pytest.raises(IndexError):
-            extract_block(a, BlockLayout.square(2, 2), 2, 0)
-        with pytest.raises(ValueError):
-            extract_block(a, BlockLayout.square(3, 2), 0, 0)
-        with pytest.raises(ValueError):
-            BlockLayout((0, 2), (2,))
 
 
 class TestDirectSum:

@@ -106,16 +106,14 @@ class TestDeltaK:
 
     def test_superdiagonal_block_of_linear_image(self):
         # A degree-1 polynomial maps the jet to itself componentwise, so the
-        # (0, 1) block of the image is the direction, read two ways.
-        from ncfuncalc import BlockLayout, bidiagonal_block, extract_block
+        # (0, 1) block of the image is the direction.
+        from ncfuncalc import bidiagonal_block
 
         rng = rng_for(48)
         F = from_poly(FreePoly.letter(1, 0))
         x, h = random_tuple(rng, 1, 3), random_tuple(rng, 1, 3)
         img = F.eval(bidiagonal_block([x, x], [h]), unchecked=True)
-        block = extract_block(img, BlockLayout.square(2, 3), 0, 1)
-        np.testing.assert_allclose(block, img[:3, 3:])
-        np.testing.assert_allclose(block, h[0], atol=1e-14)
+        np.testing.assert_allclose(img[:3, 3:], h[0], atol=1e-14)
 
     def test_epsilon_rescale_is_exact(self, square):
         rng = rng_for(35)

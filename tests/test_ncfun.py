@@ -20,7 +20,13 @@ from ncfuncalc import (
     operator_norm,
 )
 
-from _helpers import random_matrix, random_poly, random_tuple, rng_for
+from _helpers import (
+    ones_orthogonal_matrix,
+    random_matrix,
+    random_poly,
+    random_tuple,
+    rng_for,
+)
 
 
 def geometric_series(maxdeg: int) -> SeriesFunction:
@@ -32,6 +38,11 @@ class TestDomainDescriptor:
         dom = DomainDescriptor.polydisk(1.0)
         assert dom.contains(MatrixTuple.from_scalars([0.5, 0.2], 2))
         assert not dom.contains(MatrixTuple.from_scalars([1.1, 0.0], 2))
+
+    def test_polydisk_rejects_point_orthogonal_to_ones(self):
+        # Norm 1.5, with the top singular vector orthogonal to the all-ones vector.
+        x = MatrixTuple([0.5 * ones_orthogonal_matrix()])
+        assert not DomainDescriptor.polydisk(1.0).contains(x)
 
     def test_rowball_membership(self):
         dom = DomainDescriptor.rowball(1.0)

@@ -8,6 +8,7 @@ from ncfuncalc import (
     MatrixTuple,
     NotIsometricError,
     Realization,
+    ResolventSingularError,
     check_isometry,
     contractivity_scan,
     delta_polydisk,
@@ -135,6 +136,12 @@ class TestEvalRealization:
             [[-0.5]],
             atol=1e-14,
         )
+
+    def test_singular_resolvent_raises(self):
+        # 1 - 0.5 x at x = diag(2, 0.5) is diag(0, 0.75): singular, not zero.
+        x = MatrixTuple([np.diag([2.0, 0.5])])
+        with pytest.raises(ResolventSingularError):
+            eval_realization(mobius_realization(0.5), x)
 
     def test_mobius_matrix_closed_form(self):
         rng = rng_for(63)
