@@ -36,12 +36,12 @@ from .ncfun import (
     DomainDescriptor,
     NCFunctionHandle,
     SeriesFunction,
+    control_handle,
     from_poly,
     from_realization,
     from_series,
 )
 from .realization import PolyMatrix, Realization
-from .verify import control_handle
 
 __all__ = [
     "ParseError",
@@ -309,13 +309,7 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
             raise ParseError(f"{where}: {exc}") from exc
         return from_series(series, truncation, domain)
     if kind == "realization":
-        r = realization_from_obj(payload, f"{where}: payload")
-        handle = from_realization(r)
-        if domain is not None:
-            handle = NCFunctionHandle(
-                r.arity, domain, handle._evaluator, kind="realization", payload=r
-            )
-        return handle
+        return from_realization(realization_from_obj(payload, f"{where}: payload"), domain)
     if kind == "control":
         try:
             return control_handle(payload["name"], int(payload.get("d", 1)))

@@ -4,7 +4,8 @@ A word is a tuple of letter indices in ``[0, d)``; the empty word is the
 unit.  Coefficient arithmetic is exact (complex doubles, no epsilon
 pruning): only exact zeros are dropped, so the algebra itself introduces no
 tolerances.  Words iterate in graded lexicographic order everywhere, which
-keeps serialization and tests reproducible.
+keeps serialization and tests reproducible.  ``terms`` is never written after
+construction: evaluation caches a prefix trie built from it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def grlex_key(word: Word) -> tuple[int, Word]:
 class FreePoly:
     """Finitely supported map from words in d letters to complex coefficients."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "_trie")
 
     def __init__(self, arity: int, terms=None):
         arity = int(arity)
@@ -46,6 +47,7 @@ class FreePoly:
                     del clean[w]
         self.arity = arity
         self.terms = clean
+        self._trie = None
 
     # -- constructors ------------------------------------------------------
 
@@ -171,28 +173,50 @@ class FreePoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def _prefix_trie(self) -> list:
+        """Node ``[coefficient, {letter: child}]`` for the empty word.
+
+        Built once per polynomial from the terms in graded lexicographic
+        order, so the evaluation order does not depend on dict insertion.
+        """
+        if self._trie is None:
+            root: list = [0j, {}]
+            for w, c in self.sorted_terms():
+                node = root
+                for j in w:
+                    node = node[1].setdefault(j, [0j, {}])
+                node[0] = c
+            self._trie = root
+        return self._trie
+
     def evaluate(self, x: MatrixTuple) -> np.ndarray:
         """Substitute the components of ``x`` for the letters.
 
         The empty word contributes its coefficient times the identity, so
-        the output is n-by-n for an input at dimension n.  Word products are
-        built once per shared prefix.
+        the output is n-by-n for an input at dimension n.  A depth-first
+        walk of the prefix trie forms each shared prefix product once and
+        keeps only the products along the current path.
         """
         if x.arity != self.arity:
             raise ValueError(f"polynomial in {self.arity} letters at a {x.arity}-tuple")
         n = x.dim
-        cache: dict[Word, np.ndarray] = {(): np.eye(n, dtype=np.complex128)}
-
-        def word_matrix(w: Word) -> np.ndarray:
-            m = cache.get(w)
-            if m is None:
-                m = word_matrix(w[:-1]) @ x[w[-1]]
-                cache[w] = m
-            return m
-
+        comps = x.components
+        # A word through an exactly zero component has a zero product, and so
+        # has every word below it in the trie: skip those subtrees.
+        live = [bool(c.any()) for c in comps]
         out = np.zeros((n, n), dtype=np.complex128)
-        for w, c in self.sorted_terms():
-            out += c * word_matrix(w)
+        eye = np.eye(n, dtype=np.complex128)
+        # Entries (parent product, letter, node); a node's product is formed
+        # when it is popped, so pending siblings only share their parent's.
+        stack = [(eye, None, self._prefix_trie())]
+        while stack:
+            parent, j, (coeff, children) = stack.pop()
+            prod = parent if j is None else parent @ comps[j]
+            if coeff:
+                out += coeff * prod
+            stack.extend(
+                (prod, jj, child) for jj, child in reversed(children.items()) if live[jj]
+            )
         return out
 
     __call__ = evaluate

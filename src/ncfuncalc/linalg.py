@@ -24,7 +24,6 @@ __all__ = [
     "as_matrix",
     "inverse",
     "operator_norm",
-    "kron",
     "MatrixTuple",
     "direct_sum",
     "bidiagonal_block",
@@ -93,11 +92,6 @@ def operator_norm(a) -> float:
         return float(np.linalg.norm(a, 2))
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"SVD failed: {exc}") from exc
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, ``a`` indexing slowest and ``b`` fastest."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

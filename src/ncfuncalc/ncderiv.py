@@ -141,6 +141,7 @@ def delta_k(
     *,
     epsilon: float | None = None,
     tol: float = STRUCTURE_TOL,
+    base_values=None,
 ) -> DeltaResult:
     """Order-k difference-differential of F via one jet evaluation.
 
@@ -148,6 +149,10 @@ def delta_k(
     dimension.  Raises :class:`StructureViolationError` when the jet image
     strays from block upper triangular form by more than ``tol`` relative to
     its size, which flags an evaluator that is not intertwining preserving.
+
+    ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
+    blocks are checked against; a caller that extracts many jets at the same
+    base points passes them once instead of having F re-evaluated per call.
     """
     xs = list(xs)
     hs = list(hs)
@@ -158,22 +163,31 @@ def delta_k(
         raise ValueError(f"need {k + 1} base points for order {k}, got {len(xs)}")
     _check_base_points(F, xs)
     eps = _auto_epsilon(F, xs, hs) if epsilon is None else float(epsilon)
-    img = F.eval(bidiagonal_block(xs, [eps * h for h in hs]), unchecked=True)
+    scaled = hs if eps == 1.0 else [eps * h for h in hs]
+    img = F.eval(bidiagonal_block(xs, scaled), unchecked=True)
     n = xs[0].dim
+    k1 = k + 1
 
-    # Diagonal blocks must reproduce F at the base points (evaluate each
-    # distinct point once; repeated extraction passes the same object).
-    values: dict[int, np.ndarray] = {}
-    for x in xs:
-        if id(x) not in values:
-            values[id(x)] = F.eval(x, unchecked=True)
+    if base_values is None:
+        # Evaluate each distinct point once; repeated extraction passes the
+        # same object.
+        distinct: dict[int, np.ndarray] = {}
+        for x in xs:
+            if id(x) not in distinct:
+                distinct[id(x)] = F.eval(x, unchecked=True)
+        base_values = [distinct[id(x)] for x in xs]
+    values = np.asarray(base_values, dtype=np.complex128)
+    if values.shape != (k1, n, n):
+        raise ValueError(f"need {k1} base values of shape {n}x{n}, got shape {values.shape}")
 
-    resid = 0.0
-    for i in range(k + 1):
-        di = img[i * n : (i + 1) * n, i * n : (i + 1) * n] - values[id(xs[i])]
-        resid = max(resid, float(np.linalg.norm(di)))
-        for j in range(i):
-            resid = max(resid, float(np.linalg.norm(img[i * n : (i + 1) * n, j * n : (j + 1) * n])))
+    # blocks[i, :, j, :] is the (i, j) block of the jet image.
+    blocks = img.reshape(k1, n, k1, n)
+    diag = np.arange(k1)
+    below_i, below_j = np.tril_indices(k1, -1)
+    resid = max(
+        float(np.linalg.norm(blocks[diag, :, diag, :] - values, axis=(1, 2)).max()),
+        float(np.linalg.norm(blocks[below_i, :, below_j, :], axis=(1, 2)).max()),
+    )
     scale = max(1.0, float(np.linalg.norm(img)))
     if resid > tol * scale:
         raise StructureViolationError(
@@ -181,12 +195,11 @@ def delta_k(
             f"against scale {scale:.3e}"
         )
 
-    full = np.array(img)
-    for level in range(1, k + 1):
-        factor = eps ** (-level)
-        for i in range(k + 1 - level):
-            full[i * n : (i + 1) * n, (i + level) * n : (i + level + 1) * n] *= factor
-    delta = full[0:n, k * n : (k + 1) * n].copy()
+    # Block (i, j) with j > i is (j - i)-homogeneous in the directions.
+    level_factor = np.array([eps ** (-level) for level in range(k1)])
+    factor = level_factor[np.maximum(diag[None, :] - diag[:, None], 0)]
+    full = (blocks * factor[:, None, :, None]).reshape(k1 * n, k1 * n)
+    delta = full[0:n, k * n : k1 * n].copy()
     return DeltaResult(delta=delta, full_upper=full, structure_residual=resid, epsilon=eps)
 
 

@@ -5,7 +5,9 @@ n-by-n matrix at every dimension n.  Built-in backings: a free polynomial,
 a truncated homogeneous series, or a transfer-function realization.  Domain
 membership is checked on evaluation; jet evaluations on block matrices that
 leave the nominal ball go through the explicit ``unchecked`` path and are
-rescaled exactly by homogeneity in the derivative machinery.
+rescaled exactly by homogeneity in the derivative machinery.  The negative
+control handles (deliberately broken evaluators) live here too, so the file
+formats can name them without depending on the verification suite.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
     "from_poly",
     "from_series",
     "from_realization",
+    "control_handle",
+    "CONTROL_NAMES",
     "DEFAULT_TRUNCATION",
 ]
 
@@ -233,12 +237,70 @@ def from_series(
     )
 
 
-def from_realization(r: Realization) -> NCFunctionHandle:
-    """Handle backed by the transfer function, on the ball of its delta."""
+def from_realization(r: Realization, domain: DomainDescriptor | None = None) -> NCFunctionHandle:
+    """Handle backed by the transfer function; on the ball of its delta by default."""
+    if domain is None:
+        domain = DomainDescriptor.deltaball(r.delta, 0.0)
     return NCFunctionHandle(
         r.arity,
-        DomainDescriptor.deltaball(r.delta, 0.0),
+        domain,
         lambda x: eval_realization(r, x),
         kind="realization",
         payload=r,
     )
+
+
+# -- negative controls -------------------------------------------------------
+
+
+def _control_conjugation(d: int) -> NCFunctionHandle:
+    return NCFunctionHandle(
+        d,
+        DomainDescriptor.polydisk(math.inf),
+        lambda x: np.conj(x[0]),
+        kind="control",
+        payload={"name": "entrywise-conjugation", "d": d},
+    )
+
+
+def _control_fixed_corner(d: int) -> NCFunctionHandle:
+    def evaluator(x: MatrixTuple) -> np.ndarray:
+        out = np.zeros((x.dim, x.dim), dtype=np.complex128)
+        out[0, 0] = 1.0
+        return out
+
+    return NCFunctionHandle(
+        d,
+        DomainDescriptor.polydisk(math.inf),
+        evaluator,
+        kind="control",
+        payload={"name": "fixed-corner", "d": d},
+    )
+
+
+def _control_nongraded(d: int) -> NCFunctionHandle:
+    return NCFunctionHandle(
+        d,
+        DomainDescriptor.polydisk(math.inf),
+        lambda x: np.eye(2, dtype=np.complex128),
+        kind="control",
+        payload={"name": "non-graded", "d": d},
+    )
+
+
+_CONTROL_FACTORIES = {
+    "entrywise-conjugation": _control_conjugation,
+    "fixed-corner": _control_fixed_corner,
+    "non-graded": _control_nongraded,
+}
+
+CONTROL_NAMES = tuple(sorted(_CONTROL_FACTORIES))
+
+
+def control_handle(name: str, d: int = 1) -> NCFunctionHandle:
+    """A deliberately broken handle; see CONTROL_NAMES for the choices."""
+    try:
+        factory = _CONTROL_FACTORIES[name]
+    except KeyError:
+        raise ValueError(f"unknown control {name!r}; choices: {', '.join(CONTROL_NAMES)}")
+    return factory(d)

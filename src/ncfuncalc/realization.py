@@ -28,7 +28,6 @@ from .linalg import (
     SingularMatrixError,
     as_matrix,
     inverse,
-    kron,
     operator_norm,
 )
 
@@ -205,21 +204,28 @@ def check_isometry(r: Realization) -> float:
 def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     """Transfer-function value at ``x`` under the fixed tensor ordering.
 
-    Raises :class:`ResolventSingularError` when the inner inverse fails,
-    which signals that ``x`` lies outside the natural domain.
+    The amplified products (D (x) 1)(1 (x) delta(x)), (B (x) 1)(1 (x) delta(x))
+    and R (C (x) 1) are contracted over the (mu, i, t) indices directly, so
+    no Kronecker product is formed.  Raises :class:`ResolventSingularError`
+    when the inner inverse fails, which signals that ``x`` lies outside the
+    natural domain.
     """
     if x.arity != r.arity:
         raise ValueError(f"realization has arity {r.arity}, point has arity {x.arity}")
-    n = x.dim
-    eye_n = np.eye(n, dtype=np.complex128)
-    dlt = kron(np.eye(r.m, dtype=np.complex128), eval_delta(r.delta, x))
-    d_amp = kron(r.D, eye_n)
-    res_dim = r.m * r.delta.cols * n
+    n, m = x.dim, r.m
+    rows, cols = r.delta.rows, r.delta.cols
+    # Letters: a, b index [m]; i indexes [I]; j, k index [J]; t, u index [n].
+    dlt = eval_delta(r.delta, x).reshape(rows, n, cols, n)  # [i, t, k, u]
+    d4 = r.D.reshape(m, cols, m, rows)  # [a, j, b, i]
+    res_dim = m * cols * n
+    d_dlt = np.einsum("ajbi,itku->ajtbku", d4, dlt).reshape(res_dim, res_dim)
+    b_dlt = np.einsum("bi,itku->tbku", r.B.reshape(m, rows), dlt).reshape(n, res_dim)
     try:
-        resolvent = inverse(np.eye(res_dim, dtype=np.complex128) - d_amp @ dlt)
+        resolvent = inverse(np.eye(res_dim, dtype=np.complex128) - d_dlt)
     except SingularMatrixError as exc:
         raise ResolventSingularError(str(exc)) from exc
-    return r.A * eye_n + kron(r.B, eye_n) @ dlt @ resolvent @ kron(r.C, eye_n)
+    res_c = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
+    return r.A * np.eye(n, dtype=np.complex128) + b_dlt @ res_c
 
 
 def mobius_realization(a: complex) -> Realization:

@@ -57,17 +57,44 @@ def _extraction_epsilon(F: NCFunctionHandle) -> float:
     return min(1.0, EXTRACTION_DIRECTION_SCALE * radius)
 
 
-def _extract(F: NCFunctionHandle, word: Word, dim: int) -> tuple[complex, float, float]:
-    """Return (coefficient, scalarity residual, structure residual)."""
-    d = F.arity
+def _extract(
+    F: NCFunctionHandle,
+    word: Word,
+    zero: MatrixTuple,
+    units: list[MatrixTuple],
+    scalar_tol: float,
+    value_at_zero: np.ndarray | None = None,
+) -> tuple[complex, float]:
+    """Return (coefficient, scalarity residual) of ``word`` from one jet.
+
+    ``units`` are the unit directions at the dimension of ``zero``;
+    ``value_at_zero``, when given, is the already-checked F(0).
+    """
     k = len(word)
-    zero = MatrixTuple.zeros(d, dim)
-    dirs = [MatrixTuple.unit_direction(d, j, dim) for j in word]
-    res = delta_k(F, [zero] * (k + 1), dirs, epsilon=_extraction_epsilon(F))
+    dim = zero.dim
+    base_values = None if value_at_zero is None else [value_at_zero] * (k + 1)
+    try:
+        res = delta_k(
+            F,
+            [zero] * (k + 1),
+            [units[j] for j in word],
+            epsilon=_extraction_epsilon(F),
+            base_values=base_values,
+        )
+    except StructureViolationError as exc:
+        raise ExtractionError(f"jet structure violated at word {word}: {exc}", word=word) from exc
     block = res.delta
     c = complex(np.trace(block) / dim)
     resid = float(np.abs(block - c * np.eye(dim)).max())
-    return c, resid, res.structure_residual
+    if resid > scalar_tol * max(1.0, abs(c)):
+        raise NonScalarResultError(
+            f"extraction at word {word} is not scalar (residual {resid:.3e})", word=word
+        )
+    return c, resid
+
+
+def _unit_directions(d: int, dim: int) -> list[MatrixTuple]:
+    return [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
 
 
 def word_coefficient(
@@ -88,14 +115,8 @@ def word_coefficient(
         raise ValueError("use eval at the zero tuple for the degree-0 part")
     if any(j < 0 or j >= F.arity for j in w):
         raise ValueError(f"word {w} uses letters outside [0, {F.arity})")
-    try:
-        c, resid, _ = _extract(F, w, dim)
-    except StructureViolationError as exc:
-        raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
-    if resid > scalar_tol * max(1.0, abs(c)):
-        raise NonScalarResultError(
-            f"extraction at word {w} is not scalar (residual {resid:.3e})", word=w
-        )
+    d = F.arity
+    c, _ = _extract(F, w, MatrixTuple.zeros(d, dim), _unit_directions(d, dim), scalar_tol)
     return c
 
 
@@ -162,6 +183,7 @@ def taylor_expand(
 
     residuals: dict[Word, float] = {}
     zero = MatrixTuple.zeros(d, dim)
+    units = _unit_directions(d, dim)
     v0 = F.eval(zero)
     c0 = complex(np.trace(v0) / dim)
     residuals[()] = float(np.abs(v0 - c0 * np.eye(dim)).max())
@@ -175,17 +197,7 @@ def taylor_expand(
     for k in range(1, maxdeg + 1):
         terms: dict[Word, complex] = {}
         for w in _words_of_length(d, k):
-            try:
-                c, resid, _ = _extract(F, w, dim)
-            except StructureViolationError as exc:
-                raise ExtractionError(
-                    f"jet structure violated at word {w}: {exc}", word=w
-                ) from exc
-            if resid > scalar_tol * max(1.0, abs(c)):
-                raise NonScalarResultError(
-                    f"extraction at word {w} is not scalar (residual {resid:.3e})", word=w
-                )
-            residuals[w] = resid
+            c, residuals[w] = _extract(F, w, zero, units, scalar_tol, v0)
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c
         parts.append(FreePoly(d, terms))

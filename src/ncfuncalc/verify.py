@@ -2,9 +2,9 @@
 
 Every check returns a :class:`PropertyReport` rather than raising on
 failure; :func:`run_suite` bundles the checks with seeded sampling so that
-identical configurations produce bitwise-identical reports.  Negative
-control handles (deliberately broken evaluators) ship alongside so the
-suite's ability to fail is itself testable.
+identical configurations produce bitwise-identical reports.  The negative
+control handles in :mod:`ncfuncalc.ncfun` (deliberately broken evaluators)
+make the suite's ability to fail itself testable.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "recover_klinear",
     "run_suite",
     "stack_tuples",
-    "control_handle",
-    "CONTROL_NAMES",
 ]
 
 
@@ -204,37 +202,29 @@ def check_delta_structure(
 
 
 def check_symmetry(
-    F: NCFunctionHandle, x: MatrixTuple, hs, *, threshold: float = 1e-8, max_perms: int | None = None
+    F: NCFunctionHandle, x: MatrixTuple, hs, *, threshold: float = 1e-8
 ) -> PropertyReport:
-    """The polarized derivative must not depend on the argument order.
+    """The polarized derivative must equal the sum of the ordered jet corners.
 
-    All k! orders are compared for k up to 3; k = 4 samples the first ten
-    orders (the cap can be overridden with ``max_perms``).
+    For an nc function, D^k F(x)[h_1, ..., h_k] (by polarization, from
+    diagonal derivatives only) equals the sum over all k! orders sigma of
+    delta_k(F, [x] * (k + 1), h_sigma).delta; the two routes share no
+    evaluation.  Orders up to 4 are supported (24 jets at k = 4).
     """
     hs = list(hs)
     k = len(hs)
     if k > 4:
         raise ValueError("symmetry check supports orders up to 4")
-    if max_perms is None:
-        max_perms = math.factorial(k) if k <= 3 else 10
-    base = dk_multilinear(F, x, hs)
-    scale = max(1.0, float(np.linalg.norm(base)))
-    worst = 0.0
-    count = 0
-    for sigma in permutations(range(k)):
-        if count >= max_perms:
-            break
-        count += 1
-        if sigma == tuple(range(k)):
-            continue
-        other = dk_multilinear(F, x, [hs[i] for i in sigma])
-        worst = max(worst, float(np.linalg.norm(other - base)) / scale)
+    polarized = dk_multilinear(F, x, hs)
+    orders = list(permutations(range(k)))
+    ordered = sum(delta_k(F, [x] * (k + 1), [hs[i] for i in sigma]).delta for sigma in orders)
+    resid = _relnorm(polarized - ordered, ordered)
     return PropertyReport(
         name="derivative-symmetry",
-        trials=count,
-        worst_residual=worst,
+        trials=len(orders),
+        worst_residual=resid,
         threshold=threshold,
-        passed=worst <= threshold,
+        passed=resid <= threshold,
     )
 
 
@@ -279,62 +269,6 @@ def recover_klinear(
             )
     expansion = taylor_expand(lam, k, dim=dim)
     return expansion.parts[k]
-
-
-# -- negative controls -------------------------------------------------------
-
-
-def _control_conjugation(d: int) -> NCFunctionHandle:
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        lambda x: np.conj(x[0]),
-        kind="control",
-        payload={"name": "entrywise-conjugation", "d": d},
-    )
-
-
-def _control_fixed_corner(d: int) -> NCFunctionHandle:
-    def evaluator(x: MatrixTuple) -> np.ndarray:
-        out = np.zeros((x.dim, x.dim), dtype=np.complex128)
-        out[0, 0] = 1.0
-        return out
-
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        evaluator,
-        kind="control",
-        payload={"name": "fixed-corner", "d": d},
-    )
-
-
-def _control_nongraded(d: int) -> NCFunctionHandle:
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        lambda x: np.eye(2, dtype=np.complex128),
-        kind="control",
-        payload={"name": "non-graded", "d": d},
-    )
-
-
-_CONTROL_FACTORIES = {
-    "entrywise-conjugation": _control_conjugation,
-    "fixed-corner": _control_fixed_corner,
-    "non-graded": _control_nongraded,
-}
-
-CONTROL_NAMES = tuple(sorted(_CONTROL_FACTORIES))
-
-
-def control_handle(name: str, d: int = 1) -> NCFunctionHandle:
-    """A deliberately broken handle; see CONTROL_NAMES for the choices."""
-    try:
-        factory = _CONTROL_FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown control {name!r}; choices: {', '.join(CONTROL_NAMES)}")
-    return factory(d)
 
 
 # -- the bundled suite -------------------------------------------------------

@@ -139,10 +139,12 @@ class TestHandleFormat:
     def test_realization_handle_round_trip(self):
         from ncfuncalc import from_realization
 
-        F = from_realization(mobius_realization(0.4))
-        back = handle_from_obj(handle_to_obj(F))
-        x = MatrixTuple.from_scalars([0.2], 2)
-        np.testing.assert_allclose(back.eval(x), F.eval(x), atol=1e-14)
+        r = mobius_realization(0.4)
+        for F in (from_realization(r), from_realization(r, DomainDescriptor.polydisk(0.5))):
+            back = handle_from_obj(handle_to_obj(F))
+            assert domain_to_obj(back.domain) == domain_to_obj(F.domain)
+            x = MatrixTuple.from_scalars([0.2], 2)
+            np.testing.assert_allclose(back.eval(x), F.eval(x), atol=1e-14)
 
     def test_series_handle_round_trip(self):
         from ncfuncalc import SeriesFunction, from_series

@@ -121,6 +121,32 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             FreePoly.one(2).evaluate(MatrixTuple.zeros(3, 2))
 
+    def test_matches_word_by_word_sum(self):
+        # Reference: every word's product formed from scratch.  The second
+        # point has an exactly zero component, whose subtrees the walk skips.
+        rng = rng_for(16)
+        p = random_poly(rng, 3, 4, nterms=30)
+        zero = np.zeros((3, 3))
+        for x in (
+            random_tuple(rng, 3, 3),
+            MatrixTuple([random_matrix(rng, 3), zero, random_matrix(rng, 3)]),
+        ):
+            expected = np.zeros((3, 3), dtype=complex)
+            for w, c in p.terms.items():
+                m = np.eye(3)
+                for j in w:
+                    m = m @ x[j]
+                expected += c * m
+            for _ in range(2):  # the second call reuses the cached trie
+                np.testing.assert_allclose(p.evaluate(x), expected, rtol=0, atol=1e-14)
+
+    def test_independent_of_term_insertion_order(self):
+        rng = rng_for(17)
+        p = random_poly(rng, 2, 4, nterms=20)
+        q = FreePoly(2, dict(reversed(list(p.terms.items()))))
+        x = random_tuple(rng, 2, 4)
+        assert np.array_equal(p.evaluate(x), q.evaluate(x))
+
     def test_evaluation_is_multiplicative(self):
         rng = rng_for(14)
         for _ in range(10):

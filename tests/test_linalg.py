@@ -9,7 +9,6 @@ from ncfuncalc import (
     bidiagonal_block,
     direct_sum,
     inverse,
-    kron,
     operator_norm,
 )
 
@@ -110,27 +109,6 @@ class TestOperatorNorm:
             a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) * (1 + 1e-9)
-
-
-class TestKron:
-    def test_identity_left_right(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        np.testing.assert_allclose(kron(np.eye(1), x), x)
-        np.testing.assert_allclose(kron(x, np.eye(1)), x)
-
-    def test_diag_expansion(self):
-        np.testing.assert_allclose(
-            kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0])
-        )
-
-    def test_mixed_product(self):
-        rng = rng_for(5)
-        for _ in range(20):
-            a, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in "ac")
-            b, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in "bd")
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert operator_norm(lhs - rhs) <= 1e-10 * max(1.0, operator_norm(rhs))
 
 
 class TestDirectSum:

@@ -104,6 +104,22 @@ class TestDeltaK:
             block = res.full_upper[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
             np.testing.assert_allclose(block, square.eval(x), atol=1e-12)
 
+    def test_base_values_stand_in_for_evaluation(self):
+        rng = rng_for(37)
+        F = from_poly(random_poly(rng, 2, 3))
+        xs = [random_tuple(rng, 2, 2) for _ in range(3)]
+        hs = [random_tuple(rng, 2, 2) for _ in range(2)]
+        values = [F.eval(x) for x in xs]
+        own = delta_k(F, xs, hs)
+        given = delta_k(F, xs, hs, base_values=values)
+        assert np.array_equal(given.full_upper, own.full_upper)
+        assert given.structure_residual == own.structure_residual
+        # The diagonal blocks are checked against the values given.
+        with pytest.raises(StructureViolationError):
+            delta_k(F, xs, hs, base_values=[values[0] + 1.0] + values[1:])
+        with pytest.raises(ValueError):
+            delta_k(F, xs, hs, base_values=values[:2])
+
     def test_superdiagonal_block_of_linear_image(self):
         # A degree-1 polynomial maps the jet to itself componentwise, so the
         # (0, 1) block of the image is the direction.

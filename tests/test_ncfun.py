@@ -137,6 +137,12 @@ class TestFromRealization:
         with pytest.raises(DomainViolationError):
             F.eval(MatrixTuple.from_scalars([1.5], 1))
 
+    def test_explicit_domain(self):
+        F = from_realization(mobius_realization(0.5), DomainDescriptor.polydisk(0.5))
+        assert F.domain == DomainDescriptor.polydisk(0.5)
+        with pytest.raises(DomainViolationError):
+            F.eval(MatrixTuple.from_scalars([0.7], 1))
+
 
 @pytest.fixture(params=["poly", "series", "realization"])
 def handle(request):

@@ -154,6 +154,24 @@ class TestEvalRealization:
                 )
                 np.testing.assert_allclose(eval_realization(r, x), expected, atol=1e-10)
 
+    def test_matches_kronecker_transfer_formula(self):
+        # Reference: the transfer formula with every amplification formed as
+        # an explicit Kronecker product, on square (polydisk) and
+        # non-square (row-ball) delta.
+        rng = rng_for(67)
+        q = np.linalg.qr(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))[0]
+        rowball = Realization(
+            delta=delta_rowball(2), m=3, A=q[0, 0], B=q[0:1, 1:4], C=q[1:, 0:1], D=q[1:, 1:4]
+        )
+        for r in (random_isometric_realization(rng, 2, 3), rowball):
+            for n in (1, 2, 4):
+                x = random_tuple(rng, 2, n, scale=0.3)
+                eye_n = np.eye(n)
+                dlt = np.kron(np.eye(r.m), eval_delta(r.delta, x))
+                resolvent = np.linalg.inv(np.eye(dlt.shape[1]) - np.kron(r.D, eye_n) @ dlt)
+                expected = r.A * eye_n + np.kron(r.B, eye_n) @ dlt @ resolvent @ np.kron(r.C, eye_n)
+                np.testing.assert_allclose(eval_realization(r, x), expected, rtol=0, atol=1e-14)
+
     def test_multivariable_isometric_realization_contractive_pointwise(self):
         rng = rng_for(64)
         r = random_isometric_realization(rng, d=2, m=2)

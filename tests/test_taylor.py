@@ -1,5 +1,6 @@
 """Coefficient extraction, expansion round trips, and tail bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ncfuncalc import (
     DomainDescriptor,
+    ExtractionError,
     FreePoly,
     MatrixTuple,
     NCFunctionHandle,
@@ -26,7 +28,7 @@ from ncfuncalc import (
     word_coefficient,
 )
 
-from _helpers import random_matrix, random_poly, rng_for
+from _helpers import random_isometric_realization, random_matrix, random_poly, rng_for
 
 
 class TestWordCoefficient:
@@ -136,6 +138,79 @@ class TestTaylorExpand:
         with pytest.raises(ExtractionError) as err:
             taylor_expand(F, 2, dim=2)
         assert err.value.word is not None
+
+
+def _words_through(d, maxdeg):
+    return [w for k in range(maxdeg + 1) for w in itertools.product(range(d), repeat=k)]
+
+
+def _assert_coefficients(expansion, reference, words):
+    got = expansion.as_poly()
+    for w in words:
+        ref = reference(w)
+        assert abs(got.coefficient(w) - ref) <= 1e-14 * max(1.0, abs(ref)), w
+
+
+class TestOneEvaluationPerWord:
+    def test_evaluation_count(self):
+        # F(0) once, then one jet evaluation per word.
+        p = random_poly(rng_for(56), 3, 5, nterms=40)
+        calls = []
+
+        def counting(x):
+            calls.append(x.dim)
+            return p.evaluate(x)
+
+        F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
+        taylor_expand(F, 5)
+        assert len(calls) == 1 + sum(3**k for k in range(1, 6))
+
+    def test_polynomial_coefficients(self):
+        rng = rng_for(57)
+        words = _words_through(3, 5)
+        for _ in range(3):
+            p = random_poly(rng, 3, 5, nterms=40)
+            _assert_coefficients(taylor_expand(from_poly(p), 5), p.coefficient, words)
+
+    def test_realization_coefficients_against_word_products(self):
+        # Coefficient of w is B E_{w1} D E_{w2} ... D E_{wk} C with
+        # E_j = kron(I_m, e_j e_j^T), the coefficient of x_j in the amplified delta.
+        r = random_isometric_realization(rng_for(58), 2, 3)
+        units = [np.kron(np.eye(r.m), np.diag(np.eye(2)[j])) for j in range(2)]
+
+        def reference(w):
+            if not w:
+                return r.A
+            m = r.B @ units[w[0]]
+            for j in w[1:]:
+                m = m @ r.D @ units[j]
+            return complex((m @ r.C)[0, 0])
+
+        for dim in (1, 2):
+            expansion = taylor_expand(from_realization(r), 5, dim=dim)
+            _assert_coefficients(expansion, reference, _words_through(2, 5))
+
+    def test_structure_violation_names_first_word(self):
+        # (x0 x1)^T puts the corner of the jet below the diagonal; words of
+        # length 1 and the word (0, 0) have a zero jet image.
+        F = NCFunctionHandle(
+            2, DomainDescriptor.polydisk(math.inf), lambda x: (x[0] @ x[1]).T
+        )
+        for dim in (1, 2):
+            with pytest.raises(ExtractionError) as err:
+                taylor_expand(F, 3, dim=dim)
+            assert err.value.word == (0, 1)
+            assert "structure violated" in str(err.value)
+
+    def test_non_scalar_extraction_names_word(self):
+        def rescaling(x):
+            scale = np.diag(np.arange(1.0, x.dim + 1.0))
+            return scale @ x[0] @ np.linalg.inv(scale)
+
+        F = NCFunctionHandle(1, DomainDescriptor.polydisk(math.inf), rescaling)
+        with pytest.raises(NonScalarResultError) as err:
+            taylor_expand(F, 3, dim=2)
+        assert err.value.word == (0,)
 
 
 class TestTailBound:

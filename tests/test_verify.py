@@ -145,14 +145,29 @@ class TestCheckSymmetry:
         report = check_symmetry(F, random_tuple(rng, 1, 2), [random_tuple(rng, 1, 2)])
         assert report.passed and report.worst_residual == 0.0
 
-    def test_order_four_samples_ten_permutations(self):
+    def test_order_four_sums_all_permutations(self):
         rng = rng_for(95)
         F = from_poly(random_poly(rng, 1, 4))
         x = random_tuple(rng, 1, 1)
         hs = [random_tuple(rng, 1, 1) for _ in range(4)]
         report = check_symmetry(F, x, hs)
-        assert report.trials == 10
+        assert report.trials == 24
         assert report.passed
+
+    def test_norm_weighted_square_fails(self):
+        # X -> ||X0||_F X0^2 is not an nc function.  Its polarized second
+        # derivative at 0 is symmetric by construction, so only the
+        # comparison with the ordered jet corners can reject it.
+        F = NCFunctionHandle(
+            1,
+            DomainDescriptor.polydisk(math.inf),
+            lambda x: np.linalg.norm(x[0]) * (x[0] @ x[0]),
+        )
+        rng = rng_for(2)
+        hs = [random_tuple(rng, 1, 1) for _ in range(2)]
+        report = check_symmetry(F, MatrixTuple.zeros(1, 1), hs)
+        assert not report.passed
+        assert report.worst_residual > 0.1
 
     def test_order_five_rejected(self):
         rng = rng_for(96)
