@@ -42,8 +42,6 @@ from .realization import (
     SamplerStarvationError,
     check_isometry,
     contractivity_scan,
-    eval_realization,
-    in_ball,
 )
 from .taylor import ExtractionError, taylor_expand
 from .verify import SuiteConfig, run_suite
@@ -67,15 +65,14 @@ class CliConfig:
     seed: int = 0
     fd_lambda: float = DEFAULT_FD_LAMBDA
     word_cap: int = 5000
-    truncation: int = 24
     out: str | None = None
     suite: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.fd_lambda <= 0:
             raise ValueError("fd_lambda must be positive")
-        if self.word_cap <= 0 or self.truncation < 0:
-            raise ValueError("caps must be positive")
+        if self.word_cap <= 0:
+            raise ValueError("word_cap must be positive")
         for key, value in self.suite.items():
             if key.startswith("tol_") and not value > 0:
                 raise ValueError(f"tolerance {key} must be positive")
@@ -155,7 +152,9 @@ def _cmd_derive(args) -> int:
     if args.cross_check:
         if not equal_dirs:
             raise ParseError("--cross-check needs all directions equal")
-        gap = float(np.abs(by_block() - by_fd()).max())
+        block = result if args.method == "block" else by_block()
+        fd = result if args.method == "fd" else by_fd()
+        gap = float(np.abs(block - fd).max())
         print(f"cross-check disagreement {gap:.17g}")
     _emit_matrix(result, out, norm_line=False)
     return EXIT_OK
@@ -177,16 +176,6 @@ def _cmd_expand(args) -> int:
     else:
         print(dump_json(poly_obj))
         print(dump_json(diag), file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_realize_eval(args) -> int:
-    cfg = CliConfig.load(args.config)
-    r = realization_from_obj(load_json(args.handle))
-    x = tuple_from_obj(load_json(args.point))
-    if not in_ball(r.delta, x, 0.0):
-        raise DomainViolationError("point lies outside the delta ball")
-    _emit_matrix(eval_realization(r, x), args.out or cfg.out)
     return EXIT_OK
 
 
@@ -268,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("derive", "directional derivatives of a handle", point=True, directions=True)
     expand = add("expand", "Taylor expansion at the scalar point 0")
     expand.add_argument("--maxdeg", type=int, required=True, help="highest degree extracted")
-    add("realize-eval", "evaluate a realization transfer function", point=True)
     check = add("realize-check", "isometry residual of a colligation")
     check.add_argument("--tol", type=float, default=1e-10, help="isometry tolerance")
     add("realize-scan", "sampled contractivity scan over the delta ball", scan=True)
@@ -281,7 +269,6 @@ _DISPATCH = {
     "eval": _cmd_eval,
     "derive": _cmd_derive,
     "expand": _cmd_expand,
-    "realize-eval": _cmd_realize_eval,
     "realize-check": _cmd_realize_check,
     "realize-scan": _cmd_realize_scan,
     "verify": _cmd_verify,

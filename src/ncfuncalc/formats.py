@@ -30,9 +30,10 @@ import tempfile
 
 import numpy as np
 
-from .freepoly import FreePoly, grlex_key
+from .freepoly import FreePoly
 from .linalg import MatrixTuple, as_matrix
 from .ncfun import (
+    DEFAULT_TRUNCATION,
     DomainDescriptor,
     NCFunctionHandle,
     SeriesFunction,
@@ -302,7 +303,7 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
                 poly_from_obj(p, f"{where}: part {k}") for k, p in enumerate(payload["parts"])
             ]
             series = SeriesFunction(parts, float(payload["radius"]))
-            truncation = int(payload.get("truncation", 24))
+            truncation = int(payload.get("truncation", DEFAULT_TRUNCATION))
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

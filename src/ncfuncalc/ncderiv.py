@@ -27,11 +27,8 @@ from .ncfun import DomainViolationError, NCFunctionHandle
 
 __all__ = [
     "StructureViolationError",
-    "JetResult",
     "DeltaResult",
-    "jet1",
     "delta_k",
-    "dk_diag",
     "dk_fd",
     "dk_multilinear",
 ]
@@ -44,15 +41,6 @@ FD_CANCELLATION_FLOOR = 1e-12
 
 class StructureViolationError(ArithmeticError):
     """The jet image was not block upper triangular with the expected diagonal."""
-
-
-@dataclass(frozen=True)
-class JetResult:
-    """First-order jet: value, directional derivative, shape diagnostic."""
-
-    value: np.ndarray
-    derivative: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -114,24 +102,6 @@ def _check_base_points(F: NCFunctionHandle, xs: list[MatrixTuple]) -> None:
         seen.add(id(x))
         if not F.domain.contains(x):
             raise DomainViolationError("a base point lies outside the domain")
-
-
-def jet1(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, *, epsilon: float | None = None) -> JetResult:
-    """Value and first directional derivative from one 2x2 block evaluation.
-
-    The (1, 2) block of F at [[x, eps*h], [0, x]] is eps times DF(x)[h]; the
-    bottom-left block should vanish and its relative size is returned as the
-    residual.
-    """
-    x._check_compatible(h)
-    _check_base_points(F, [x])
-    eps = _auto_epsilon(F, [x], [h]) if epsilon is None else float(epsilon)
-    img = F.eval(bidiagonal_block([x, x], [eps * h]), unchecked=True)
-    n = x.dim
-    value = img[:n, :n].copy()
-    derivative = img[:n, n:] / eps
-    residual = float(np.linalg.norm(img[n:, :n])) / max(1.0, float(np.linalg.norm(img)))
-    return JetResult(value=value, derivative=derivative, residual=residual)
 
 
 def delta_k(
@@ -203,16 +173,6 @@ def delta_k(
     return DeltaResult(delta=delta, full_upper=full, structure_residual=resid, epsilon=eps)
 
 
-def dk_diag(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int) -> np.ndarray:
-    """k-th derivative along a single direction, k! times the diagonal delta."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if k == 0:
-        return F.eval(x)
-    res = delta_k(F, [x] * (k + 1), [h] * k)
-    return math.factorial(k) * res.delta
-
-
 def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: float) -> np.ndarray:
     """Finite-difference form of the k-th derivative at step ``lam``.
 
@@ -243,9 +203,11 @@ def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: floa
 def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
     """Symmetric k-linear derivative D^k F(x)[h_1, ..., h_k] by polarization.
 
-    Uses the signed subset-sum identity over 2^k - 1 diagonal derivatives,
-    legitimate because the derivative is k-linear and symmetric.  Capped at
-    k = 6 to keep the evaluation count sane.
+    Uses the signed subset-sum identity over 2^k - 1 diagonal derivatives
+    k! delta_k(F, [x] * (k + 1), [h] * k), legitimate because the derivative
+    is k-linear and symmetric.  F(x) is evaluated once, with the domain
+    check, and shared by every jet.  Capped at k = 6 to keep the evaluation
+    count sane.
     """
     hs = list(hs)
     k = len(hs)
@@ -253,6 +215,7 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
         raise ValueError("polarization supports orders 1 through 6")
     for h in hs:
         x._check_compatible(h)
+    values = [F.eval(x)] * (k + 1)
     total = np.zeros((x.dim, x.dim), dtype=np.complex128)
     for mask in range(1, 2**k):
         members = [i for i in range(k) if mask >> i & 1]
@@ -260,5 +223,6 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
         for i in members[1:]:
             hsum = hsum + hs[i]
         sign = (-1) ** (k - len(members))
-        total = total + sign * dk_diag(F, x, hsum, k)
+        diag = math.factorial(k) * delta_k(F, [x] * (k + 1), [hsum] * k, base_values=values).delta
+        total = total + sign * diag
     return total / math.factorial(k)

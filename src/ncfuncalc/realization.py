@@ -93,6 +93,14 @@ class PolyMatrix:
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, arity={self.arity})"
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
     def max_degree(self) -> int:
         return max(p.degree() for row in self.entries for p in row)
 

@@ -10,14 +10,15 @@ make the suite's ability to fail itself testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 
 from .freepoly import FreePoly
 from .linalg import MatrixTuple, direct_sum, inverse, operator_norm
-from .ncderiv import delta_k, dk_multilinear, jet1
+from .ncderiv import delta_k, dk_multilinear
 from .ncfun import DomainDescriptor, NCFunctionHandle
 from .taylor import taylor_expand
 
@@ -175,12 +176,13 @@ def check_delta_structure(
     Block (i, j) above the diagonal is compared against an independently
     computed order-(j - i) delta of the base points x_i..x_j and directions
     h_i..h_{j-1}; diagonal blocks against F(x_i); below-diagonal blocks
-    against zero.
+    against zero.  Each F(x_i) is evaluated once and shared by every jet.
     """
     xs = list(xs)
     hs = list(hs)
     k = len(hs)
-    res = delta_k(F, xs, hs)
+    values = [F.eval(x) for x in xs]
+    res = delta_k(F, xs, hs, base_values=values)
     n = xs[0].dim
     full = res.full_upper
     scale = max(1.0, float(np.linalg.norm(full)))
@@ -190,7 +192,7 @@ def check_delta_structure(
             if i == 0 and j == k:
                 continue  # the corner block is the delta itself, by definition
             block = full[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            expected = delta_k(F, xs[i : j + 1], hs[i:j]).delta
+            expected = delta_k(F, xs[i : j + 1], hs[i:j], base_values=values[i : j + 1]).delta
             worst = max(worst, float(np.linalg.norm(block - expected)) / scale)
     return PropertyReport(
         name="delta-structure",
@@ -209,15 +211,20 @@ def check_symmetry(
     For an nc function, D^k F(x)[h_1, ..., h_k] (by polarization, from
     diagonal derivatives only) equals the sum over all k! orders sigma of
     delta_k(F, [x] * (k + 1), h_sigma).delta; the two routes share no
-    evaluation.  Orders up to 4 are supported (24 jets at k = 4).
+    evaluation, and the ordered jets share one F(x).  Orders up to 4 are
+    supported (24 jets at k = 4).
     """
     hs = list(hs)
     k = len(hs)
     if k > 4:
         raise ValueError("symmetry check supports orders up to 4")
     polarized = dk_multilinear(F, x, hs)
+    values = [F.eval(x)] * (k + 1)
     orders = list(permutations(range(k)))
-    ordered = sum(delta_k(F, [x] * (k + 1), [hs[i] for i in sigma]).delta for sigma in orders)
+    ordered = sum(
+        delta_k(F, [x] * (k + 1), [hs[i] for i in sigma], base_values=values).delta
+        for sigma in orders
+    )
     resid = _relnorm(polarized - ordered, ordered)
     return PropertyReport(
         name="derivative-symmetry",
@@ -442,16 +449,19 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         worst = 0.0
         for _ in range(cfg.trials):
             a = _sample_scalar_point(rng, F, n)
+            values = [F.eval(a)] * 2
             coeffs = []
             for r in range(d):
-                der = jet1(F, a, MatrixTuple.unit_direction(d, r, n)).derivative
+                e_r = MatrixTuple.unit_direction(d, r, n)
+                der = delta_k(F, [a, a], [e_r], base_values=values).delta
                 c = complex(np.trace(der) / n)
                 worst = max(worst, float(np.abs(der - c * np.eye(n)).max()) / max(1.0, abs(c)))
                 coeffs.append(c)
             for _ in range(d):
                 h = _sample_direction(rng, d, n)
                 predicted = sum(c * h[r] for r, c in enumerate(coeffs))
-                worst = max(worst, _relnorm(jet1(F, a, h).derivative - predicted, predicted))
+                der = delta_k(F, [a, a], [h], base_values=values).delta
+                worst = max(worst, _relnorm(der - predicted, predicted))
         return worst, cfg.trials, ""
 
     def structure(rng):
@@ -470,12 +480,13 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         for _ in range(cfg.trials):
             xs = [_sample_point(rng, F, n) for _ in range(3)]
             h1, h1b, h2 = (_sample_direction(rng, d, n) for _ in range(3))
-            base = delta_k(F, xs, [h1, h2]).delta
-            added = delta_k(F, xs, [h1 + h1b, h2]).delta
-            split = base + delta_k(F, xs, [h1b, h2]).delta
+            jet = partial(delta_k, F, xs, base_values=[F.eval(x) for x in xs])
+            base = jet([h1, h2]).delta
+            added = jet([h1 + h1b, h2]).delta
+            split = base + jet([h1b, h2]).delta
             worst = max(worst, _relnorm(added - split, split))
             c = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            scaled = delta_k(F, xs, [h1, c * h2]).delta
+            scaled = jet([h1, c * h2]).delta
             worst = max(worst, _relnorm(scaled - c * base, scaled))
         return worst, cfg.trials, ""
 

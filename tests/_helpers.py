@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ncfuncalc import (
+    DomainDescriptor,
     FreePoly,
     MatrixTuple,
+    NCFunctionHandle,
     PolyMatrix,
     Realization,
     delta_polydisk,
@@ -42,6 +46,19 @@ def random_poly(rng, d: int, maxdeg: int, nterms: int = 8) -> FreePoly:
         angle = rng.uniform(0, 2 * np.pi)
         terms[words[int(idx)]] = radius * np.exp(1j * angle)
     return FreePoly(d, terms)
+
+
+def counting_handle(p: FreePoly, domain: DomainDescriptor | None = None):
+    """Handle on ``p`` plus the list of dimensions it was evaluated at."""
+    calls: list[int] = []
+
+    def evaluator(x: MatrixTuple) -> np.ndarray:
+        calls.append(x.dim)
+        return p.evaluate(x)
+
+    if domain is None:
+        domain = DomainDescriptor.polydisk(math.inf)
+    return NCFunctionHandle(p.arity, domain, evaluator), calls
 
 
 def random_isometric_realization(rng, d: int, m: int) -> Realization:

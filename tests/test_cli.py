@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from ncfuncalc import DomainDescriptor, FreePoly, MatrixTuple, from_poly, mobius_realization
+from ncfuncalc import (
+    DomainDescriptor,
+    FreePoly,
+    MatrixTuple,
+    from_poly,
+    from_realization,
+    mobius_realization,
+)
 from ncfuncalc.cli import main
 from ncfuncalc.formats import (
     domain_to_obj,
@@ -53,6 +60,7 @@ def workspace(tmp_path):
         {"directions": [tuple_to_obj(MatrixTuple.from_scalars([1.0], 1))]},
     )
     put("mobius.json", realization_to_obj(mobius_realization(0.5)))
+    put("mobius_handle.json", handle_to_obj(from_realization(mobius_realization(0.5))))
     put("point_zero.json", tuple_to_obj(MatrixTuple.zeros(1, 1)))
     put("point_outside.json", tuple_to_obj(MatrixTuple.from_scalars([1.5], 1)))
     put("adversarial.json", {"kind": "control", "payload": {"name": "entrywise-conjugation", "d": 1}})
@@ -293,8 +301,8 @@ class TestRealize:
     def test_eval_at_zero(self, workspace, capsys):
         code, out, _ = run(
             capsys,
-            "realize-eval",
-            "--handle", workspace["mobius.json"],
+            "eval",
+            "--handle", workspace["mobius_handle.json"],
             "--point", workspace["point_zero.json"],
         )
         assert code == 0
@@ -303,8 +311,8 @@ class TestRealize:
     def test_eval_outside_ball_exits_3(self, workspace, capsys):
         code, _, err = run(
             capsys,
-            "realize-eval",
-            "--handle", workspace["mobius.json"],
+            "eval",
+            "--handle", workspace["mobius_handle.json"],
             "--point", workspace["point_outside.json"],
         )
         assert code == 3

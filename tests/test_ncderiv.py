@@ -13,16 +13,14 @@ from ncfuncalc import (
     NCFunctionHandle,
     StructureViolationError,
     delta_k,
-    dk_diag,
     dk_fd,
     dk_multilinear,
     from_poly,
-    jet1,
     operator_norm,
     variables,
 )
 
-from _helpers import random_poly, random_tuple, relerr, rng_for
+from _helpers import counting_handle, random_poly, random_tuple, relerr, rng_for
 
 
 def scalar(v: float) -> MatrixTuple:
@@ -35,48 +33,53 @@ def square():
     return from_poly(FreePoly(1, {(0, 0): 1.0}))
 
 
+def jet(F, x, h):
+    """First-order jet: delta_k at k = 1 with the base point doubled."""
+    return delta_k(F, [x, x], [h])
+
+
 class TestJet1:
     def test_square_at_scalars(self, square):
-        res = jet1(square, scalar(1.0), scalar(1.0))
-        np.testing.assert_allclose(res.derivative, [[2.0]], atol=1e-12)
-        np.testing.assert_allclose(res.value, [[1.0]], atol=1e-12)
-        assert res.residual <= 1e-12
+        res = jet(square, scalar(1.0), scalar(1.0))
+        np.testing.assert_allclose(res.delta, [[2.0]], atol=1e-12)
+        np.testing.assert_allclose(res.full_upper[:1, :1], [[1.0]], atol=1e-12)
+        assert res.structure_residual <= 1e-12
 
     def test_square_matrix_directions(self, square):
         rng = rng_for(30)
         x = random_tuple(rng, 1, 3)
         h = random_tuple(rng, 1, 3)
-        res = jet1(square, x, h)
-        np.testing.assert_allclose(res.derivative, x[0] @ h[0] + h[0] @ x[0], atol=1e-10)
+        res = jet(square, x, h)
+        np.testing.assert_allclose(res.delta, x[0] @ h[0] + h[0] @ x[0], atol=1e-10)
 
     def test_constant_has_zero_derivative(self):
         F = from_poly(FreePoly.constant(2, 3.0))
         rng = rng_for(31)
-        res = jet1(F, random_tuple(rng, 2, 2), random_tuple(rng, 2, 2))
-        np.testing.assert_allclose(res.derivative, np.zeros((2, 2)), atol=1e-14)
+        res = jet(F, random_tuple(rng, 2, 2), random_tuple(rng, 2, 2))
+        np.testing.assert_allclose(res.delta, np.zeros((2, 2)), atol=1e-14)
 
     def test_linear_returns_direction(self):
         F = from_poly(FreePoly.letter(2, 0))
         rng = rng_for(32)
         h = random_tuple(rng, 2, 2)
-        res = jet1(F, random_tuple(rng, 2, 2), h)
-        np.testing.assert_allclose(res.derivative, h[0], atol=1e-12)
+        res = jet(F, random_tuple(rng, 2, 2), h)
+        np.testing.assert_allclose(res.delta, h[0], atol=1e-12)
 
     def test_scaling_policy_rejects_boundary_points(self):
         F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
         x = MatrixTuple.from_scalars([0.95], 1)
         with pytest.raises(DomainViolationError):
-            jet1(F, x, scalar(1.0))
+            jet(F, x, scalar(1.0))
 
     def test_residual_reports_broken_triangularity(self):
         # The transpose evaluator flips the jet, leaving mass below the
-        # diagonal; jet1 surfaces that as a nonzero residual.
+        # diagonal; the structure check rejects it.
         flipped = NCFunctionHandle(
             1, DomainDescriptor.polydisk(math.inf), lambda x: x[0].T
         )
         rng = rng_for(49)
-        res = jet1(flipped, random_tuple(rng, 1, 2), random_tuple(rng, 1, 2))
-        assert res.residual > 1e-3
+        with pytest.raises(StructureViolationError):
+            jet(flipped, random_tuple(rng, 1, 2), random_tuple(rng, 1, 2))
 
 
 class TestDeltaK:
@@ -158,33 +161,29 @@ class TestDeltaK:
             delta_k(square, [scalar(0.0)] * 2, [scalar(1.0)] * 2)
 
 
-class TestDkDiag:
-    def test_agrees_with_jet1(self, square):
-        rng = rng_for(37)
-        x = random_tuple(rng, 1, 2)
-        h = random_tuple(rng, 1, 2)
-        gap = relerr(dk_diag(square, x, h, 1), jet1(square, x, h).derivative)
-        assert gap <= 1e-9
+def diagonal_derivative(F, x, h, k):
+    """k-th derivative along one direction: k! times the equal-point delta."""
+    return math.factorial(k) * delta_k(F, [x] * (k + 1), [h] * k).delta
 
+
+class TestDkDiag:
     def test_second_derivative_of_square(self, square):
         np.testing.assert_allclose(
-            dk_diag(square, scalar(0.0), scalar(1.0), 2), [[2.0]], atol=1e-12
+            diagonal_derivative(square, scalar(0.0), scalar(1.0), 2), [[2.0]], atol=1e-12
         )
         rng = rng_for(38)
         h = random_tuple(rng, 1, 3)
         np.testing.assert_allclose(
-            dk_diag(square, MatrixTuple.zeros(1, 3), h, 2), 2 * h[0] @ h[0], atol=1e-10
+            diagonal_derivative(square, MatrixTuple.zeros(1, 3), h, 2),
+            2 * h[0] @ h[0],
+            atol=1e-10,
         )
 
     def test_vanishes_past_the_degree(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
         rng = rng_for(39)
-        out = dk_diag(F, random_tuple(rng, 2, 2), random_tuple(rng, 2, 2), 3)
+        out = diagonal_derivative(F, random_tuple(rng, 2, 2), random_tuple(rng, 2, 2), 3)
         assert operator_norm(out) <= 1e-9
-
-    def test_order_zero_is_evaluation(self, square):
-        x = scalar(0.5)
-        np.testing.assert_array_equal(dk_diag(square, x, scalar(1.0), 0), square.eval(x))
 
 
 class TestDkFd:
@@ -219,7 +218,7 @@ class TestDkFd:
         # (fd(lam) + fd(-lam))/2 converges at O(lam^2) for the cubic.
         F = from_poly(FreePoly(1, {(0, 0, 0): 1.0}))
         x, h = scalar(0.7), scalar(1.0)
-        exact = dk_diag(F, x, h, 1)
+        exact = jet(F, x, h).delta
         errs = []
         for lam in (0.1, 0.05, 0.025):
             avg = 0.5 * (dk_fd(F, x, h, 1, lam) + dk_fd(F, x, h, 1, -lam))
@@ -240,7 +239,7 @@ class TestDkMultilinear:
     def test_order_one_matches_jet(self, square):
         rng = rng_for(42)
         x, h = random_tuple(rng, 1, 2), random_tuple(rng, 1, 2)
-        assert relerr(dk_multilinear(square, x, [h]), jet1(square, x, h).derivative) <= 1e-10
+        assert relerr(dk_multilinear(square, x, [h]), jet(square, x, h).delta) <= 1e-10
 
     def test_mixed_product_oracle(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
@@ -286,6 +285,35 @@ class TestDkMultilinear:
             scaled = list(hs)
             scaled[slot] = c * hs[slot]
             assert relerr(dk_multilinear(F, x, scaled), c * dk_multilinear(F, x, hs)) <= 1e-8
+
+    def test_one_base_evaluation_for_all_jets(self):
+        # F(x) once, then one jet per nonempty subset of the directions.
+        rng = rng_for(50)
+        p = random_poly(rng, 2, 3)
+        F, calls = counting_handle(p)
+        x = random_tuple(rng, 2, 2)
+        for k in (1, 2, 3):
+            hs = [random_tuple(rng, 2, 2) for _ in range(k)]
+            calls.clear()
+            out = dk_multilinear(F, x, hs)
+            assert calls == [2] + [2 * (k + 1)] * (2**k - 1)
+            # Same arithmetic as summing the diagonal derivatives, each jet
+            # evaluating F(x) itself.
+            total = np.zeros((2, 2), dtype=np.complex128)
+            for mask in range(1, 2**k):
+                members = [i for i in range(k) if mask >> i & 1]
+                hsum = hs[members[0]]
+                for i in members[1:]:
+                    hsum = hsum + hs[i]
+                diag = math.factorial(k) * delta_k(F, [x] * (k + 1), [hsum] * k).delta
+                total = total + (-1) ** (k - len(members)) * diag
+            np.testing.assert_array_equal(out, total / math.factorial(k))
+
+    def test_outside_point_raises_before_any_evaluation(self):
+        F, calls = counting_handle(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
+        with pytest.raises(DomainViolationError):
+            dk_multilinear(F, scalar(2.0), [scalar(1.0)] * 2)
+        assert calls == []
 
     def test_order_cap(self, square):
         rng = rng_for(46)

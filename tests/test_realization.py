@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncfuncalc import (
+    DomainDescriptor,
     FreePoly,
     MatrixTuple,
     NotIsometricError,
@@ -44,6 +45,15 @@ class TestDeltaConstructors:
         delta = delta_rowball(2)
         assert (delta.rows, delta.cols) == (1, 2)
         assert delta.entries[0] == (FreePoly.letter(2, 0), FreePoly.letter(2, 1))
+
+    def test_equality_by_entries(self):
+        assert delta_rowball(2) == delta_rowball(2)
+        assert hash(delta_rowball(2)) == hash(delta_rowball(2))
+        assert delta_rowball(2) != delta_polydisk(2)
+        assert delta_rowball(2) != delta_rowball(3)
+        assert DomainDescriptor.deltaball(delta_rowball(2), 0.1) == DomainDescriptor.deltaball(
+            delta_rowball(2), 0.1
+        )
 
 
 class TestEvalDelta:

@@ -32,7 +32,7 @@ from ncfuncalc import (
     stack_tuples,
 )
 
-from _helpers import random_matrix, random_poly, random_tuple, rng_for
+from _helpers import counting_handle, random_matrix, random_poly, random_tuple, rng_for
 
 
 class TestCheckDirectSum:
@@ -169,6 +169,16 @@ class TestCheckSymmetry:
         assert not report.passed
         assert report.worst_residual > 0.1
 
+    def test_evaluation_count_at_order_three(self):
+        # Polarized: F(x) and 2^3 - 1 jets; ordered: one shared F(x) and 3! jets.
+        rng = rng_for(97)
+        F, calls = counting_handle(random_poly(rng, 2, 3))
+        x = random_tuple(rng, 2, 2)
+        hs = [random_tuple(rng, 2, 2) for _ in range(3)]
+        assert check_symmetry(F, x, hs).passed
+        assert calls == [2] + [8] * 7 + [2] + [8] * 6
+        assert len(calls) == 15
+
     def test_order_five_rejected(self):
         rng = rng_for(96)
         F = from_poly(random_poly(rng, 1, 2))
@@ -191,6 +201,15 @@ class TestDeltaStructure:
         xs = [random_tuple(rng, 1, 2, scale=0.4) for _ in range(3)]
         hs = [random_tuple(rng, 1, 2) for _ in range(2)]
         assert check_delta_structure(F, xs, hs).passed
+
+    def test_each_base_point_evaluated_once(self):
+        rng = rng_for(86)
+        F, calls = counting_handle(random_poly(rng, 2, 3))
+        xs = [random_tuple(rng, 2, 2) for _ in range(3)]
+        hs = [random_tuple(rng, 2, 2) for _ in range(2)]
+        assert check_delta_structure(F, xs, hs).passed
+        # Three base values, the whole jet, and the two order-1 sub-chains.
+        assert calls == [2, 2, 2, 6, 4, 4]
 
 
 class TestRecoverKlinear:
@@ -284,6 +303,14 @@ class TestRunSuite:
         assert "gradedness" in failing["non-graded"]
         for name in CONTROL_NAMES:
             assert failing[name], f"control {name} slipped through the suite"
+
+    def test_fixed_corner_fails_scalar_point_derivative(self):
+        # The constant e_00 output has the wrong diagonal blocks on every
+        # jet, so the structure check of the first-order jet rejects it.
+        reports = {r.name: r for r in run_suite(control_handle("fixed-corner", 1))}
+        report = reports["scalar-point-derivative"]
+        assert not report.passed
+        assert report.detail.startswith("StructureViolationError")
 
     def test_deterministic_bitwise(self):
         rng = rng_for(92)
