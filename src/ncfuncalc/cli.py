@@ -73,9 +73,11 @@ class CliConfig:
             raise ValueError("fd_lambda must be positive")
         if self.word_cap <= 0:
             raise ValueError("word_cap must be positive")
-        for key, value in self.suite.items():
-            if key.startswith("tol_") and not value > 0:
-                raise ValueError(f"tolerance {key} must be positive")
+        self.suite_config()  # validates the suite section
+
+    def suite_config(self) -> SuiteConfig:
+        """The suite settings; the top-level seed is the default suite seed."""
+        return SuiteConfig.from_dict({"seed": self.seed, **self.suite})
 
     @classmethod
     def load(cls, path: str | None) -> "CliConfig":
@@ -94,30 +96,30 @@ class CliConfig:
             raise ParseError(f"{path}: {exc}") from exc
 
 
+def _emit_json(payload, out: str | None) -> None:
+    """Write ``payload`` to ``out`` and print the path, or print it to stdout."""
+    if out:
+        write_json_atomic(out, payload)
+        print(out)
+    else:
+        print(dump_json(payload))
+
+
 def _emit_matrix(result: np.ndarray, out: str | None, *, norm_line: bool = True) -> None:
     norm = operator_norm(result)
-    if out:
-        write_json_atomic(out, matrix_to_obj(result))
-        print(out)
-        if norm_line:
-            print(f"norm {norm:.17g}")
-    else:
-        print(dump_json(matrix_to_obj(result)))
-        if norm_line:
-            print(f"norm {norm:.17g}", file=sys.stderr)
+    _emit_json(matrix_to_obj(result), out)
+    if norm_line:
+        print(f"norm {norm:.17g}", file=sys.stdout if out else sys.stderr)
 
 
-def _cmd_eval(args) -> int:
-    cfg = CliConfig.load(args.config)
+def _cmd_eval(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
-    _emit_matrix(F.eval(x), args.out or cfg.out)
+    _emit_matrix(F.eval(x), out)
     return EXIT_OK
 
 
-def _cmd_derive(args) -> int:
-    cfg = CliConfig.load(args.config)
-    out = args.out or cfg.out
+def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
     k = args.k
@@ -160,58 +162,41 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _cmd_expand(args) -> int:
-    cfg = CliConfig.load(args.config)
-    out = args.out or cfg.out
+def _cmd_expand(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
     expansion = taylor_expand(F, args.maxdeg, word_cap=cfg.word_cap)
-    poly_obj = poly_to_obj(expansion.as_poly())
+    _emit_json(poly_to_obj(expansion.as_poly()), out)
     diag = expansion.diagnostics()
     if out:
-        write_json_atomic(out, poly_obj)
-        diag_path = out + ".diagnostics.json"
-        write_json_atomic(diag_path, diag)
-        print(out)
-        print(diag_path)
+        _emit_json(diag, out + ".diagnostics.json")
     else:
-        print(dump_json(poly_obj))
         print(dump_json(diag), file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_realize_check(args) -> int:
+def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
     r = realization_from_obj(load_json(args.handle))
     resid = check_isometry(r)
     passed = resid <= args.tol
-    print(dump_json({"isometry_residual": resid, "tolerance": args.tol, "passed": passed}))
+    _emit_json({"isometry_residual": resid, "tolerance": args.tol, "passed": passed}, out)
     return EXIT_OK if passed else EXIT_VERDICT
 
 
-def _cmd_realize_scan(args) -> int:
+def _cmd_realize_scan(args, cfg: CliConfig, out: str | None) -> int:
     r = realization_from_obj(load_json(args.handle))
-    report = contractivity_scan(r, args.n, args.samples, args.seed)
-    payload = report.as_dict()
-    if args.out:
-        write_json_atomic(args.out, payload)
-        print(args.out)
-    else:
-        print(dump_json(payload))
+    seed = cfg.seed if args.seed is None else args.seed
+    report = contractivity_scan(r, args.n, args.samples, seed)
+    _emit_json(report.as_dict(), out)
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
-def _cmd_verify(args) -> int:
-    cfg = CliConfig.load(args.config)
+def _cmd_verify(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
-    suite_cfg = SuiteConfig.from_dict(cfg.suite) if cfg.suite else SuiteConfig(seed=cfg.seed)
+    suite_cfg = cfg.suite_config()
     if args.seed is not None:
         suite_cfg = suite_cfg.with_seed(args.seed)
     reports = run_suite(F, suite_cfg)
-    payload = [rep.as_dict() for rep in reports]
-    if args.out:
-        write_json_atomic(args.out, payload)
-        print(args.out)
-    else:
-        print(dump_json(payload))
+    _emit_json([rep.as_dict() for rep in reports], out)
     failing = [rep.name for rep in reports if not rep.passed]
     if failing:
         print("failed: " + ", ".join(failing), file=sys.stderr)
@@ -248,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         if scan:
             p.add_argument("--n", type=int, required=True, help="matrix dimension")
             p.add_argument("--samples", type=int, required=True, help="accepted sample count")
-            p.add_argument("--seed", type=int, default=0, help="sampler seed")
+            p.add_argument("--seed", type=int, help="sampler seed (default: the config seed)")
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path (written atomically)")
         return p
@@ -282,7 +267,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        cfg = CliConfig.load(args.config)
+        return _DISPATCH[args.command](args, cfg, args.out or cfg.out)
     except ExtractionError as exc:
         word = list(exc.word) if exc.word is not None else None
         print(f"extraction failed at word {word}: {exc}", file=sys.stderr)

@@ -69,10 +69,6 @@ class FreePoly:
             raise ValueError(f"letter {j} out of range for arity {arity}")
         return cls(arity, {(j,): 1.0})
 
-    @classmethod
-    def from_word(cls, arity: int, word, coeff=1.0) -> "FreePoly":
-        return cls(arity, {tuple(word): complex(coeff)})
-
     # -- structure ---------------------------------------------------------
 
     @property

@@ -8,10 +8,11 @@ image whose diagonal blocks are the F(x_i); the distance from that shape is
 reported as a structure residual and a large residual means the evaluator
 does not preserve intertwining.
 
-Directions are scaled by an epsilon chosen to keep the jet inside the
-evaluator's comfortable region; the extracted blocks are rescaled by
-epsilon^{-level}, which is exact because the (i, i+j) block is j-homogeneous
-in the directions.
+Directions are scaled by epsilon = min(1, 0.45 (bound - g) / ||h||), with g
+the largest domain gauge of the base points (see DomainDescriptor.gauge),
+so a jet at any in-domain point stays inside; epsilon is 1 on an unbounded
+domain.  The extracted blocks are rescaled by epsilon^{-level}, which is
+exact because the (i, i+j) block is j-homogeneous in the directions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MatrixTuple, bidiagonal_block, operator_norm
-from .ncfun import DomainViolationError, NCFunctionHandle
+from .ncfun import DomainDescriptor, DomainViolationError, NCFunctionHandle
 
 __all__ = [
     "StructureViolationError",
@@ -31,11 +32,12 @@ __all__ = [
     "delta_k",
     "dk_fd",
     "dk_multilinear",
+    "jet_epsilon",
 ]
 
 MIN_EPSILON = 1e-6
 STRUCTURE_TOL = 1e-6
-DELTABALL_DIRECTION_SCALE = 0.45
+JET_SCALE = 0.45
 FD_CANCELLATION_FLOOR = 1e-12
 
 
@@ -59,49 +61,36 @@ class DeltaResult:
     epsilon: float
 
 
-def _auto_epsilon(F: NCFunctionHandle, xs: list[MatrixTuple], hs: list[MatrixTuple]) -> float:
-    """Direction scale keeping the jet block close to the declared ball.
+def _largest_gauge(domain: DomainDescriptor, xs: list[MatrixTuple]) -> float:
+    """Largest gauge of the distinct base points; raises if one lies outside."""
+    distinct = {id(x): x for x in xs}.values()
+    top = max(domain.gauge(x) for x in distinct)
+    if not domain.admits(top):
+        raise DomainViolationError("a base point lies outside the domain")
+    return top
 
-    For norm-ball domains the componentwise jet norm is held at or below 0.9
-    times the radius; delta balls are not norm-parametrized, so directions
-    are brought to a fixed fraction of a unit scale instead.
+
+def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
+    """Direction scale for a jet at base points ``xs`` with directions ``hs``.
+
+    min(1, JET_SCALE (bound - g) / ||h||), with g the largest gauge of the
+    base points and ||h|| the largest component norm of the directions; 1
+    on an unbounded domain.  Raises :class:`DomainViolationError` for a base
+    point outside the domain, and for one so close to the boundary that the
+    scale would fall below ``MIN_EPSILON``.
     """
-    hmax = 0.0
-    for h in hs:
-        for c in h.components:
-            hmax = max(hmax, operator_norm(c))
+    top = _largest_gauge(domain, xs)
+    if math.isinf(domain.bound):
+        return 1.0
+    hmax = max(operator_norm(c) for h in hs for c in h.components)
     if hmax == 0.0:
         return 1.0
-    radius = F.domain.scale_radius()
-    if math.isinf(radius):
-        return 1.0
-    if F.domain.kind == "deltaball":
-        return min(1.0, DELTABALL_DIRECTION_SCALE / hmax)
-    xmax = 0.0
-    for x in xs:
-        for c in x.components:
-            xmax = max(xmax, operator_norm(c))
-    slack = 0.9 * radius - xmax
-    if slack <= 0:
-        raise DomainViolationError(
-            "base points too close to the domain boundary for jet scaling"
-        )
-    eps = min(1.0, slack / hmax)
+    eps = min(1.0, JET_SCALE * (domain.bound - top) / hmax)
     if eps < MIN_EPSILON:
         raise DomainViolationError(
             f"no admissible jet scale of at least {MIN_EPSILON:.0e} exists"
         )
     return eps
-
-
-def _check_base_points(F: NCFunctionHandle, xs: list[MatrixTuple]) -> None:
-    seen: set[int] = set()
-    for x in xs:
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if not F.domain.contains(x):
-            raise DomainViolationError("a base point lies outside the domain")
 
 
 def delta_k(
@@ -123,6 +112,8 @@ def delta_k(
     ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
     blocks are checked against; a caller that extracts many jets at the same
     base points passes them once instead of having F re-evaluated per call.
+    ``epsilon`` defaults to :func:`jet_epsilon`; an outside base point raises
+    :class:`DomainViolationError` before any evaluation either way.
     """
     xs = list(xs)
     hs = list(hs)
@@ -131,8 +122,11 @@ def delta_k(
         raise ValueError("need at least one direction")
     if len(xs) != k + 1:
         raise ValueError(f"need {k + 1} base points for order {k}, got {len(xs)}")
-    _check_base_points(F, xs)
-    eps = _auto_epsilon(F, xs, hs) if epsilon is None else float(epsilon)
+    if epsilon is None:
+        eps = jet_epsilon(F.domain, xs, hs)
+    else:
+        _largest_gauge(F.domain, xs)
+        eps = float(epsilon)
     scaled = hs if eps == 1.0 else [eps * h for h in hs]
     img = F.eval(bidiagonal_block(xs, scaled), unchecked=True)
     n = xs[0].dim

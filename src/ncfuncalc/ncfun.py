@@ -89,33 +89,41 @@ class DomainDescriptor:
     ) -> "DomainDescriptor":
         return cls(kind="deltaball", delta=delta, margin=float(margin), norm_cap=norm_cap)
 
-    def scale_radius(self) -> float:
-        """Nominal component-norm radius used by the jet scaling policy.
+    @property
+    def bound(self) -> float:
+        """The gauge's bound: the radius, or 1 - margin for a delta ball."""
+        return 1.0 - self.margin if self.kind == "deltaball" else self.radius
 
-        Delta balls are not parametrized by component norms, so they report
-        a unit scale.
+    @property
+    def balanced(self) -> bool | None:
+        """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
+        return None if self.kind == "deltaball" else True
+
+    def gauge(self, x: MatrixTuple) -> float:
+        """The one number that membership and jet scaling read.
+
+        The largest component norm on a polydisk, the row norm
+        ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta
+        ball, and ``inf`` past the norm cap.  An unbounded ball admits every
+        point within the cap, so it reports 0 without computing a norm.
         """
-        if self.kind == "deltaball":
-            return 1.0
-        return self.radius
+        if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
+            return math.inf
+        if math.isinf(self.bound):
+            return 0.0
+        if self.kind == "polydisk":
+            return x.max_norm()
+        if self.kind == "rowball":
+            return operator_norm(np.hstack(list(x.components)))
+        return operator_norm(eval_delta(self.delta, x))
+
+    def admits(self, gauge: float) -> bool:
+        """Whether a point of this gauge is inside, with a safety margin of 1e-9."""
+        return gauge < self.bound - DOMAIN_CHECK_MARGIN
 
     def contains(self, x: MatrixTuple) -> bool:
-        """Strict membership with a fixed safety margin of 1e-9."""
-        if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
-            return False
-        if self.kind == "polydisk":
-            if math.isinf(self.radius):
-                return True
-            return x.max_norm() < self.radius - DOMAIN_CHECK_MARGIN
-        if self.kind == "rowball":
-            if math.isinf(self.radius):
-                return True
-            row = np.hstack(list(x.components))
-            return operator_norm(row) < self.radius - DOMAIN_CHECK_MARGIN
-        if self.delta.arity != x.arity:
-            raise ValueError("domain and point differ in arity")
-        norm = operator_norm(eval_delta(self.delta, x))
-        return norm < 1.0 - self.margin - DOMAIN_CHECK_MARGIN
+        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
+        return self.admits(self.gauge(x))
 
 
 class SeriesFunction:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
 from .linalg import MatrixTuple, operator_norm
-from .ncderiv import StructureViolationError, delta_k
+from .ncderiv import StructureViolationError, delta_k, jet_epsilon
 from .ncfun import NCFunctionHandle
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
 
 WORD_CAP = 5_000
 SCALAR_TOL = 1e-8
-EXTRACTION_DIRECTION_SCALE = 0.45
 COEFF_PRUNE = 1e-12
 
 
@@ -50,25 +49,20 @@ class NonScalarResultError(ExtractionError):
     """The extracted jet block was not a scalar multiple of the identity."""
 
 
-def _extraction_epsilon(F: NCFunctionHandle) -> float:
-    radius = F.domain.scale_radius()
-    if math.isinf(radius):
-        return 1.0
-    return min(1.0, EXTRACTION_DIRECTION_SCALE * radius)
-
-
 def _extract(
     F: NCFunctionHandle,
     word: Word,
     zero: MatrixTuple,
     units: list[MatrixTuple],
+    epsilon: float,
     scalar_tol: float,
     value_at_zero: np.ndarray | None = None,
 ) -> tuple[complex, float]:
     """Return (coefficient, scalarity residual) of ``word`` from one jet.
 
-    ``units`` are the unit directions at the dimension of ``zero``;
-    ``value_at_zero``, when given, is the already-checked F(0).
+    ``units`` are the unit directions at the dimension of ``zero`` and
+    ``epsilon`` their jet scale; ``value_at_zero``, when given, is the
+    already-checked F(0).
     """
     k = len(word)
     dim = zero.dim
@@ -78,7 +72,7 @@ def _extract(
             F,
             [zero] * (k + 1),
             [units[j] for j in word],
-            epsilon=_extraction_epsilon(F),
+            epsilon=epsilon,
             base_values=base_values,
         )
     except StructureViolationError as exc:
@@ -93,8 +87,14 @@ def _extract(
     return c, resid
 
 
-def _unit_directions(d: int, dim: int) -> list[MatrixTuple]:
-    return [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
+def _extraction_frame(
+    F: NCFunctionHandle, dim: int
+) -> tuple[MatrixTuple, list[MatrixTuple], float]:
+    """The zero point and the unit directions at ``dim``, and their jet scale."""
+    d = F.arity
+    zero = MatrixTuple.zeros(d, dim)
+    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
+    return zero, units, jet_epsilon(F.domain, [zero], units)
 
 
 def word_coefficient(
@@ -115,8 +115,7 @@ def word_coefficient(
         raise ValueError("use eval at the zero tuple for the degree-0 part")
     if any(j < 0 or j >= F.arity for j in w):
         raise ValueError(f"word {w} uses letters outside [0, {F.arity})")
-    d = F.arity
-    c, _ = _extract(F, w, MatrixTuple.zeros(d, dim), _unit_directions(d, dim), scalar_tol)
+    c, _ = _extract(F, w, *_extraction_frame(F, dim), scalar_tol)
     return c
 
 
@@ -182,8 +181,7 @@ def taylor_expand(
         )
 
     residuals: dict[Word, float] = {}
-    zero = MatrixTuple.zeros(d, dim)
-    units = _unit_directions(d, dim)
+    zero, units, eps = _extraction_frame(F, dim)
     v0 = F.eval(zero)
     c0 = complex(np.trace(v0) / dim)
     residuals[()] = float(np.abs(v0 - c0 * np.eye(dim)).max())
@@ -197,7 +195,7 @@ def taylor_expand(
     for k in range(1, maxdeg + 1):
         terms: dict[Word, complex] = {}
         for w in _words_of_length(d, k):
-            c, residuals[w] = _extract(F, w, zero, units, scalar_tol, v0)
+            c, residuals[w] = _extract(F, w, zero, units, eps, scalar_tol, v0)
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c
         parts.append(FreePoly(d, terms))
@@ -206,7 +204,7 @@ def taylor_expand(
         parts=parts,
         residuals=residuals,
         domain_kind=F.domain.kind,
-        balanced=True if F.domain.kind in ("polydisk", "rowball") else None,
+        balanced=F.domain.balanced,
     )
 
 

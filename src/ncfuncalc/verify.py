@@ -10,7 +10,7 @@ make the suite's ability to fail itself testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import permutations
 
@@ -281,6 +281,9 @@ def recover_klinear(
 # -- the bundled suite -------------------------------------------------------
 
 
+_DIMS_FIELDS = ("dims", "scalar_dims", "graded_dims")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Seed, sampling sizes, and per-property thresholds for run_suite."""
@@ -301,6 +304,20 @@ class SuiteConfig:
     tol_symmetry: float = 1e-8
     tol_taylor: float = 1e-6
 
+    def __post_init__(self):
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ValueError("trials must be an integer of at least 1")
+        if not isinstance(self.max_order, int) or not 2 <= self.max_order <= 3:
+            raise ValueError("max_order must be 2 or 3")
+        for name in _DIMS_FIELDS:
+            dims = getattr(self, name)
+            if not dims or not all(isinstance(n, int) and n >= 1 for n in dims):
+                raise ValueError(f"{name} must be a non-empty list of dimensions of at least 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("tol_") and not (isinstance(value, (int, float)) and value > 0):
+                raise ValueError(f"tolerance {f.name} must be positive")
+
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -308,7 +325,7 @@ class SuiteConfig:
         for key, value in data.items():
             if key not in known:
                 raise ValueError(f"unknown suite config key {key!r}")
-            if key in ("dims", "scalar_dims", "graded_dims"):
+            if key in _DIMS_FIELDS:
                 value = tuple(int(v) for v in value)
             kwargs[key] = value
         return cls(**kwargs)
@@ -341,7 +358,7 @@ def _sample_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> Matr
         return _shrink_into(
             DomainDescriptor.deltaball(domain.delta, margin=max(domain.margin, 0.35)), x
         )
-    target = 0.45 * min(domain.scale_radius(), 1.0)
+    target = 0.45 * min(domain.radius, 1.0)
     if domain.kind == "rowball":
         target /= math.sqrt(d)
     return _sample_direction(rng, d, n, scale=target * float(rng.uniform(0.5, 1.0)))
@@ -349,7 +366,7 @@ def _sample_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> Matr
 
 def _sample_scalar_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:
     d = F.arity
-    scale = 0.15 * min(F.domain.scale_radius(), 1.0)
+    scale = 0.15 if F.domain.kind == "deltaball" else 0.15 * min(F.domain.radius, 1.0)
     scalars = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2 * d)
     return _shrink_into(F.domain, MatrixTuple.from_scalars(scalars, n))
 
@@ -494,15 +511,15 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         worst = 0.0
         n = cfg.dims[0]
         d = F.arity
-        for k in range(2, min(cfg.max_order, 3) + 1):
+        for k in range(2, cfg.max_order + 1):
             x = _sample_point(rng, F, n)
             hs = [_sample_direction(rng, d, n) for _ in range(k)]
             worst = max(worst, check_symmetry(F, x, hs).worst_residual)
-        return worst, min(cfg.max_order, 3) - 1, ""
+        return worst, cfg.max_order - 1, ""
 
     def taylor_polynomiality(rng):
         d = F.arity
-        kmax = min(cfg.max_order, 3)
+        kmax = cfg.max_order
         while d**kmax > 200 and kmax > 1:
             kmax -= 1
         expansion = taylor_expand(F, kmax)

@@ -18,6 +18,7 @@ from ncfuncalc.formats import (
     domain_to_obj,
     dump_json,
     handle_to_obj,
+    load_json,
     matrix_from_obj,
     poly_from_obj,
     realization_to_obj,
@@ -86,7 +87,7 @@ class TestEval:
         )
         assert code == 0
         assert out.splitlines()[0] == out_path
-        np.testing.assert_allclose(matrix_from_obj(json.load(open(out_path))), np.eye(2))
+        np.testing.assert_allclose(matrix_from_obj(load_json(out_path)), np.eye(2))
 
     def test_commutator_oracle(self, workspace, capsys):
         code, out, err = run(
@@ -237,6 +238,33 @@ class TestDerive:
         gap = float(out.splitlines()[0].split()[-1])
         assert gap <= 1e-5
 
+    def test_point_near_the_boundary_is_differentiated(self, capsys, tmp_path):
+        # 0.95 I lies inside polydisk(1); the jet is scaled to fit, not refused.
+        handle = tmp_path / "square_polydisk.json"
+        handle.write_text(
+            dump_json(
+                handle_to_obj(
+                    from_poly(FreePoly(1, {(0, 0): 1.0}), DomainDescriptor.polydisk(1.0))
+                )
+            )
+        )
+        point = tmp_path / "x095.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple.from_scalars([0.95], 2))))
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(
+            dump_json({"directions": [tuple_to_obj(MatrixTuple.from_scalars([1.0], 2))]})
+        )
+        code, out, _ = run(
+            capsys,
+            "derive",
+            "--handle", str(handle),
+            "--point", str(point),
+            "--directions", str(dirs),
+            "--k", "1",
+        )
+        assert code == 0
+        np.testing.assert_allclose(matrix_from_obj(json.loads(out)), 1.9 * np.eye(2), atol=1e-12)
+
     def test_k_zero_is_evaluation(self, workspace, capsys):
         code, out, _ = run(
             capsys,
@@ -273,11 +301,11 @@ class TestExpand:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == out_path
-        recovered = poly_from_obj(json.load(open(out_path)))
+        recovered = poly_from_obj(load_json(out_path))
         original = FreePoly(2, {(0, 1): 1.0, (1, 0): -1.0})
         for w in set(recovered.terms) | set(original.terms):
             assert abs(recovered.coefficient(w) - original.coefficient(w)) <= 1e-8
-        diag = json.load(open(lines[1]))
+        diag = load_json(lines[1])
         assert diag["max_residual"] <= 1e-8
 
     def test_word_cap_exits_2(self, workspace, capsys):
@@ -374,6 +402,80 @@ class TestConfigFile:
         )
         assert code == 0
         assert all(r["seed"] == 11 for r in json.loads(out))
+
+    @pytest.mark.parametrize(
+        "settings, seed",
+        [
+            ({"seed": 5, "suite": {"trials": 2}}, 5),
+            ({"seed": 5, "suite": {"trials": 2, "seed": 11}}, 11),
+            ({"suite": {"trials": 2}}, 0),
+        ],
+    )
+    def test_suite_seed_defaults_to_config_seed(self, workspace, capsys, tmp_path, settings, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_json(settings))
+        args = ("verify", "--handle", workspace["commutator.json"], "--config", str(cfg))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert {r["seed"] for r in json.loads(out)} == {seed}
+        code, out, _ = run(capsys, *args, "--seed", "3")
+        assert {r["seed"] for r in json.loads(out)} == {3}
+
+    def test_suite_that_checks_nothing_exits_2(self, capsys, tmp_path):
+        control = tmp_path / "control.json"
+        control.write_text(dump_json({"kind": "control", "payload": {"name": "fixed-corner", "d": 1}}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_json({"suite": {"trials": 0, "max_order": 0}}))
+        code, out, err = run(capsys, "verify", "--handle", str(control), "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
+    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan", "verify", "expand"])
+    def test_missing_config_file_exits_2(self, workspace, capsys, verb):
+        handle = "mobius.json" if verb.startswith("realize") else "commutator.json"
+        extra = {
+            "realize-scan": ["--n", "2", "--samples", "4"],
+            "expand": ["--maxdeg", "1"],
+        }.get(verb, [])
+        code, out, _ = run(
+            capsys, verb, "--handle", workspace[handle], *extra, "--config", "/no/such/cfg.json"
+        )
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "verb, handle, extra",
+        [
+            ("realize-check", "mobius.json", []),
+            ("realize-scan", "mobius.json", ["--n", "2", "--samples", "4"]),
+            ("verify", "commutator.json", ["--seed", "4"]),
+        ],
+    )
+    def test_out_from_flag_or_config(self, workspace, capsys, tmp_path, verb, handle, extra):
+        base = [verb, "--handle", workspace[handle], *extra]
+        code, printed, _ = run(capsys, *base)
+        assert code == 0
+        flag_path = str(tmp_path / "flag.json")
+        code, out, _ = run(capsys, *base, "--out", flag_path)
+        assert (code, out) == (0, flag_path + "\n")
+        assert load_json(flag_path) == json.loads(printed)
+        cfg_path = str(tmp_path / "from_config.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_json({"out": cfg_path}))
+        code, out, _ = run(capsys, *base, "--config", str(cfg))
+        assert (code, out) == (0, cfg_path + "\n")
+        assert load_json(cfg_path) == json.loads(printed)
+
+    def test_scan_seed_from_config(self, workspace, capsys, tmp_path):
+        base = ["realize-scan", "--handle", workspace["mobius.json"], "--n", "2", "--samples", "4"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_json({"seed": 9}))
+        _, from_config, _ = run(capsys, *base, "--config", str(cfg))
+        _, from_flag, _ = run(capsys, *base, "--seed", "9")
+        _, default, _ = run(capsys, *base)
+        assert from_config == from_flag
+        assert json.loads(from_config) != json.loads(default)
 
     def test_unknown_config_key_exits_2(self, workspace, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -11,16 +11,18 @@ from ncfuncalc import (
     FreePoly,
     MatrixTuple,
     NCFunctionHandle,
+    SeriesFunction,
     StructureViolationError,
     delta_k,
     dk_fd,
     dk_multilinear,
     from_poly,
+    from_series,
     operator_norm,
     variables,
 )
 
-from _helpers import counting_handle, random_poly, random_tuple, relerr, rng_for
+from _helpers import counting_handle, random_matrix, random_poly, random_tuple, relerr, rng_for
 
 
 def scalar(v: float) -> MatrixTuple:
@@ -66,10 +68,15 @@ class TestJet1:
         np.testing.assert_allclose(res.delta, h[0], atol=1e-12)
 
     def test_scaling_policy_rejects_boundary_points(self):
+        # 0.95 is inside polydisk(1), so its jet is scaled to 0.45 of the
+        # remaining gauge; within 1e-7 of the boundary that scale would fall
+        # below MIN_EPSILON.
         F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
-        x = MatrixTuple.from_scalars([0.95], 1)
-        with pytest.raises(DomainViolationError):
-            jet(F, x, scalar(1.0))
+        res = jet(F, scalar(0.95), scalar(1.0))
+        np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
+        assert res.epsilon == pytest.approx(0.45 * 0.05)
+        with pytest.raises(DomainViolationError, match="jet scale"):
+            jet(F, scalar(1.0 - 5e-8), scalar(1.0))
 
     def test_residual_reports_broken_triangularity(self):
         # The transpose evaluator flips the jet, leaving mass below the
@@ -80,6 +87,35 @@ class TestJet1:
         rng = rng_for(49)
         with pytest.raises(StructureViolationError):
             jet(flipped, random_tuple(rng, 1, 2), random_tuple(rng, 1, 2))
+
+
+class TestGaugeScale:
+    """In-domain base points near the boundary get a smaller jet, not a refusal."""
+
+    def test_polarized_near_polydisk_boundary_matches_fd(self):
+        rng = rng_for(60)
+        series = SeriesFunction([FreePoly(1, {(0,) * k: 1.0}) for k in range(11)], 2.0)
+        F = from_series(series, truncation=10, domain=DomainDescriptor.polydisk(1.0))
+        x = MatrixTuple([random_matrix(rng, 2, 0.95)])
+        h = random_tuple(rng, 1, 2)
+        polarized = dk_multilinear(F, x, [h, h])
+        # The average of the forward differences at +-lam is second order.
+        central = 0.5 * (dk_fd(F, x, h, 2, 1e-4) + dk_fd(F, x, h, 2, -1e-4))
+        assert relerr(polarized, central) <= 1e-6
+
+    def test_derivative_near_row_ball_boundary(self):
+        # Row norm about 0.97 with one component of norm 0.95.
+        rng = rng_for(61)
+        F = from_poly(FreePoly(2, {(0, 1): 1.0}), DomainDescriptor.rowball(1.0))
+        x = MatrixTuple([random_matrix(rng, 2, 0.95), random_matrix(rng, 2, 0.2)])
+        assert F.domain.gauge(x) > 0.95
+        h = random_tuple(rng, 2, 2)
+        res = jet(F, x, h)
+        assert res.epsilon < 0.1
+        np.testing.assert_allclose(res.delta, x[0] @ h[1] + h[0] @ x[1], atol=1e-12)
+
+    def test_unbounded_domain_keeps_unit_scale(self, square):
+        assert jet(square, scalar(50.0), scalar(3.0)).epsilon == 1.0
 
 
 class TestDeltaK:

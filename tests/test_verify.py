@@ -332,3 +332,29 @@ class TestRunSuite:
         assert cfg.seed == 5 and cfg.dims == (2, 2) and cfg.trials == 2
         with pytest.raises(ValueError):
             SuiteConfig.from_dict({"unknown_key": 1})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"trials": 0},
+            {"trials": 1.5},
+            {"max_order": 0},
+            {"max_order": 1},
+            {"max_order": 4},
+            {"dims": []},
+            {"scalar_dims": [2, 0]},
+            {"graded_dims": []},
+            {"tol_symmetry": 0.0},
+            {"tol_taylor": -1e-6},
+        ],
+    )
+    def test_config_rejects_settings_that_check_nothing(self, bad):
+        with pytest.raises(ValueError):
+            SuiteConfig.from_dict(bad)
+
+    def test_order_two_runs_one_symmetry_trial(self):
+        F = from_poly(FreePoly(2, {(0, 1): 1.0}))
+        reports = {r.name: r for r in run_suite(F, SuiteConfig(max_order=2, trials=1))}
+        assert reports["derivative-symmetry"].trials == 1
+        assert reports["taylor-polynomiality"].trials == 2
+        assert all(r.passed for r in reports.values())
