@@ -9,7 +9,8 @@ command is deterministic under a fixed seed and configuration.  Exit codes:
     3  evaluation point outside the declared domain
     4  numeric failure (singular matrix, non-convergence, resolvent, sampler,
        non-finite result)
-    5  coefficient extraction failure (offending word reported on stderr)
+    5  coefficient extraction failure (offending word reported on stderr) or
+       a derivative jet that is not block upper triangular
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .formats import (
     write_json_atomic,
 )
 from .linalg import NonConvergenceError, SingularMatrixError, operator_norm
-from .ncderiv import delta_k, dk_fd, dk_multilinear
+from .ncderiv import StructureViolationError, delta_k, dk_fd, dk_multilinear
 from .ncfun import DomainViolationError, NonFiniteResultError
 from .realization import (
     NotIsometricError,
@@ -174,8 +175,19 @@ def _cmd_expand(args, cfg: CliConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+def _load_realization(path: str):
+    """The realization in a bare realization file or a realization handle file."""
+    obj = load_json(path)
+    if not (isinstance(obj, dict) and "kind" in obj):
+        return realization_from_obj(obj)
+    F = handle_from_obj(obj)
+    if F.kind != "realization":
+        raise ParseError(f"{path}: handle of kind {F.kind!r}, expected a realization")
+    return F.payload
+
+
 def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
-    r = realization_from_obj(load_json(args.handle))
+    r = _load_realization(args.handle)
     resid = check_isometry(r)
     passed = resid <= args.tol
     _emit_json({"isometry_residual": resid, "tolerance": args.tol, "passed": passed}, out)
@@ -183,7 +195,7 @@ def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
 
 
 def _cmd_realize_scan(args, cfg: CliConfig, out: str | None) -> int:
-    r = realization_from_obj(load_json(args.handle))
+    r = _load_realization(args.handle)
     seed = cfg.seed if args.seed is None else args.seed
     report = contractivity_scan(r, args.n, args.samples, seed)
     _emit_json(report.as_dict(), out)
@@ -272,6 +284,9 @@ def main(argv=None) -> int:
     except ExtractionError as exc:
         word = list(exc.word) if exc.word is not None else None
         print(f"extraction failed at word {word}: {exc}", file=sys.stderr)
+        return EXIT_EXTRACTION
+    except StructureViolationError as exc:
+        print(f"jet structure violated: {exc}", file=sys.stderr)
         return EXIT_EXTRACTION
     except DomainViolationError as exc:
         print(f"domain violation: {exc}", file=sys.stderr)

@@ -9,10 +9,12 @@ reported as a structure residual and a large residual means the evaluator
 does not preserve intertwining.
 
 Directions are scaled by epsilon = min(1, 0.45 (bound - g) / ||h||), with g
-the largest domain gauge of the base points (see DomainDescriptor.gauge),
-so a jet at any in-domain point stays inside; epsilon is 1 on an unbounded
-domain.  The extracted blocks are rescaled by epsilon^{-level}, which is
-exact because the (i, i+j) block is j-homogeneous in the directions.
+the largest domain gauge of the base points (see DomainDescriptor.gauge) and
+||h|| the largest domain norm of the directions.  So on a polydisk, a row
+ball or a delta ball whose entries are homogeneous of degree 1, a jet at
+any in-domain point stays inside; epsilon is 1 on an unbounded domain.  The
+extracted blocks are rescaled by epsilon^{-level}, which is exact because
+the (i, i+j) block is j-homogeneous in the directions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MatrixTuple, bidiagonal_block, operator_norm
+from .linalg import MatrixTuple, bidiagonal_block
 from .ncfun import DomainDescriptor, DomainViolationError, NCFunctionHandle
 
 __all__ = [
@@ -74,7 +76,7 @@ def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
     """Direction scale for a jet at base points ``xs`` with directions ``hs``.
 
     min(1, JET_SCALE (bound - g) / ||h||), with g the largest gauge of the
-    base points and ||h|| the largest component norm of the directions; 1
+    base points and ||h|| the largest ``domain.norm`` of the directions; 1
     on an unbounded domain.  Raises :class:`DomainViolationError` for a base
     point outside the domain, and for one so close to the boundary that the
     scale would fall below ``MIN_EPSILON``.
@@ -82,7 +84,7 @@ def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
     top = _largest_gauge(domain, xs)
     if math.isinf(domain.bound):
         return 1.0
-    hmax = max(operator_norm(c) for h in hs for c in h.components)
+    hmax = max(domain.norm(h) for h in hs)
     if hmax == 0.0:
         return 1.0
     eps = min(1.0, JET_SCALE * (domain.bound - top) / hmax)

@@ -13,14 +13,13 @@ formats can name them without depending on the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .freepoly import FreePoly
-from .linalg import MatrixTuple, operator_norm
-from .realization import PolyMatrix, Realization, eval_delta, eval_realization
+from .linalg import MatrixTuple
+from .realization import DomainDescriptor, Realization, eval_realization
 
 __all__ = [
     "DomainViolationError",
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_TRUNCATION",
 ]
 
-DOMAIN_CHECK_MARGIN = 1e-9
 DEFAULT_TRUNCATION = 24
 
 
@@ -46,84 +44,6 @@ class DomainViolationError(ValueError):
 
 class NonFiniteResultError(ArithmeticError):
     """Raised when an evaluation overflows to non-finite output entries."""
-
-
-@dataclass(frozen=True)
-class DomainDescriptor:
-    """One of polydisk(radius), rowball(radius), or deltaball(delta, margin).
-
-    ``norm_cap`` is an optional overall bound on the largest component norm,
-    mirroring the exhaustion sets; it defaults to no cap.
-    """
-
-    kind: str
-    radius: float = 1.0
-    margin: float = 0.0
-    delta: PolyMatrix | None = None
-    norm_cap: float = math.inf
-
-    def __post_init__(self):
-        if self.kind not in ("polydisk", "rowball", "deltaball"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "deltaball":
-            if self.delta is None:
-                raise ValueError("deltaball domain needs a polynomial matrix")
-            if not 0.0 <= self.margin < 1.0:
-                raise ValueError("margin must be in [0, 1)")
-        elif self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.norm_cap <= 0:
-            raise ValueError("norm cap must be positive")
-
-    @classmethod
-    def polydisk(cls, radius: float = 1.0, norm_cap: float = math.inf) -> "DomainDescriptor":
-        return cls(kind="polydisk", radius=float(radius), norm_cap=norm_cap)
-
-    @classmethod
-    def rowball(cls, radius: float = 1.0, norm_cap: float = math.inf) -> "DomainDescriptor":
-        return cls(kind="rowball", radius=float(radius), norm_cap=norm_cap)
-
-    @classmethod
-    def deltaball(
-        cls, delta: PolyMatrix, margin: float = 0.0, norm_cap: float = math.inf
-    ) -> "DomainDescriptor":
-        return cls(kind="deltaball", delta=delta, margin=float(margin), norm_cap=norm_cap)
-
-    @property
-    def bound(self) -> float:
-        """The gauge's bound: the radius, or 1 - margin for a delta ball."""
-        return 1.0 - self.margin if self.kind == "deltaball" else self.radius
-
-    @property
-    def balanced(self) -> bool | None:
-        """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
-        return None if self.kind == "deltaball" else True
-
-    def gauge(self, x: MatrixTuple) -> float:
-        """The one number that membership and jet scaling read.
-
-        The largest component norm on a polydisk, the row norm
-        ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta
-        ball, and ``inf`` past the norm cap.  An unbounded ball admits every
-        point within the cap, so it reports 0 without computing a norm.
-        """
-        if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
-            return math.inf
-        if math.isinf(self.bound):
-            return 0.0
-        if self.kind == "polydisk":
-            return x.max_norm()
-        if self.kind == "rowball":
-            return operator_norm(np.hstack(list(x.components)))
-        return operator_norm(eval_delta(self.delta, x))
-
-    def admits(self, gauge: float) -> bool:
-        """Whether a point of this gauge is inside, with a safety margin of 1e-9."""
-        return gauge < self.bound - DOMAIN_CHECK_MARGIN
-
-    def contains(self, x: MatrixTuple) -> bool:
-        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
-        return self.admits(self.gauge(x))
 
 
 class SeriesFunction:

@@ -13,6 +13,14 @@ indexed (mu, i, t) with the auxiliary index mu in [m] slowest, the block
 index i in [I] or [J] in the middle, and the matrix coordinate t in [n]
 fastest.  Concretely, delta(x) amplifies to kron(I_m, delta(x)) and B, C, D
 amplify to kron(., I_n).
+
+A contractivity scan rescales one complex Gaussian direction per sample to
+the norm ``(1 - SCAN_MARGIN) U^(1/(2 d n^2))``, U uniform on [0, 1): for a
+letter-linear delta, the radial law of the uniform distribution on a ball of
+real dimension 2 d n^2.  No draw is rejected, so a scan's ``draws`` equals
+its ``samples``.  A sample outside the ball is halved toward 0 until it
+enters; SamplerStarvationError means it never did, which only a ball that
+does not contain 0 can cause.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .linalg import (
 
 __all__ = [
     "PolyMatrix",
+    "DomainDescriptor",
     "delta_polydisk",
     "delta_rowball",
     "eval_delta",
@@ -52,6 +61,10 @@ __all__ = [
 
 ISOMETRY_BUILD_TOL = 1e-10
 ISOMETRY_SCAN_TOL = 1e-8
+DOMAIN_CHECK_MARGIN = 1e-9
+RESCALE_HALVINGS = 60
+SCAN_MARGIN = 0.05
+SCAN_NORM_TOL = 1e-8
 
 
 class ResolventSingularError(ArithmeticError):
@@ -59,7 +72,7 @@ class ResolventSingularError(ArithmeticError):
 
 
 class SamplerStarvationError(RuntimeError):
-    """Rejection sampling accepted too few points to fill the request."""
+    """Halving a sample toward 0 never brought it inside its domain."""
 
 
 class NotIsometricError(ValueError):
@@ -138,11 +151,103 @@ def eval_delta(delta: PolyMatrix, x: MatrixTuple) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class DomainDescriptor:
+    """One of polydisk(radius), rowball(radius), or deltaball(delta, margin).
+
+    ``norm_cap`` is an optional overall bound on the largest component norm,
+    mirroring the exhaustion sets; it defaults to no cap.
+    """
+
+    kind: str
+    radius: float = 1.0
+    margin: float = 0.0
+    delta: PolyMatrix | None = None
+    norm_cap: float = math.inf
+
+    def __post_init__(self):
+        if self.kind not in ("polydisk", "rowball", "deltaball"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "deltaball":
+            if self.delta is None:
+                raise ValueError("deltaball domain needs a polynomial matrix")
+            if not 0.0 <= self.margin < 1.0:
+                raise ValueError("margin must be in [0, 1)")
+        elif self.radius <= 0:
+            raise ValueError("radius must be positive")
+        if self.norm_cap <= 0:
+            raise ValueError("norm cap must be positive")
+
+    @classmethod
+    def polydisk(cls, radius: float = 1.0, norm_cap: float = math.inf) -> "DomainDescriptor":
+        return cls(kind="polydisk", radius=float(radius), norm_cap=norm_cap)
+
+    @classmethod
+    def rowball(cls, radius: float = 1.0, norm_cap: float = math.inf) -> "DomainDescriptor":
+        return cls(kind="rowball", radius=float(radius), norm_cap=norm_cap)
+
+    @classmethod
+    def deltaball(
+        cls, delta: PolyMatrix, margin: float = 0.0, norm_cap: float = math.inf
+    ) -> "DomainDescriptor":
+        return cls(kind="deltaball", delta=delta, margin=float(margin), norm_cap=norm_cap)
+
+    @property
+    def bound(self) -> float:
+        """The norm's bound: the radius, or 1 - margin for a delta ball."""
+        return 1.0 - self.margin if self.kind == "deltaball" else self.radius
+
+    @property
+    def balanced(self) -> bool | None:
+        """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
+        return None if self.kind == "deltaball" else True
+
+    def norm(self, x: MatrixTuple) -> float:
+        """The largest component norm on a polydisk, the row norm
+        ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta ball."""
+        if self.kind == "polydisk":
+            return x.max_norm()
+        if self.kind == "rowball":
+            return operator_norm(np.hstack(list(x.components)))
+        return operator_norm(eval_delta(self.delta, x))
+
+    def gauge(self, x: MatrixTuple) -> float:
+        """``norm(x)``, which membership and jet scaling read, with two shortcuts:
+        ``inf`` past the norm cap, and 0 without a norm on an unbounded ball."""
+        if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
+            return math.inf
+        if math.isinf(self.bound):
+            return 0.0
+        return self.norm(x)
+
+    def admits(self, gauge: float) -> bool:
+        """Whether a point of this gauge is inside, with a safety margin of 1e-9."""
+        return gauge < self.bound - DOMAIN_CHECK_MARGIN
+
+    def contains(self, x: MatrixTuple) -> bool:
+        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
+        return self.admits(self.gauge(x))
+
+    def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
+        """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
+
+        Raises :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
+        halvings, which only a domain that does not contain 0 can reach.
+        """
+        norm = self.norm(u)
+        x = u if norm == 0.0 else (size / norm) * u
+        for _ in range(RESCALE_HALVINGS):
+            if self.contains(x):
+                return x
+            x = 0.5 * x
+        raise SamplerStarvationError(
+            f"no halving of a sample of norm {size:.3e} entered the {self.kind} domain"
+        )
+
+
 def in_ball(delta: PolyMatrix, x: MatrixTuple, margin: float = 0.0) -> bool:
-    """Whether ``|| delta(x) || < 1 - margin``."""
-    if not 0.0 <= margin < 1.0:
-        raise ValueError("margin must be in [0, 1)")
-    return operator_norm(eval_delta(delta, x)) < 1.0 - margin
+    """Whether ``x`` lies in ``DomainDescriptor.deltaball(delta, margin)``."""
+    return DomainDescriptor.deltaball(delta, margin).contains(x)
 
 
 def in_exhaustion(delta: PolyMatrix, x: MatrixTuple, k: int) -> bool:
@@ -153,9 +258,7 @@ def in_exhaustion(delta: PolyMatrix, x: MatrixTuple, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("exhaustion index must be at least 1")
-    if operator_norm(eval_delta(delta, x)) > 1.0 - 1.0 / k:
-        return False
-    return x.max_norm() <= k
+    return DomainDescriptor.deltaball(delta).norm(x) <= 1.0 - 1.0 / k and x.max_norm() <= k
 
 
 @dataclass(frozen=True)
@@ -290,35 +393,14 @@ class ScanReport:
         }
 
 
-def _sample_tuple(seed: int, index: int, d: int, n: int) -> MatrixTuple:
-    # Counter-based seeding: each draw owns an independent stream, so the
-    # report does not depend on evaluation order.  Entries are standard
-    # complex Gaussians (unit second moment) scaled by 0.5/sqrt(n), which
-    # keeps the top singular value near 0.5 plus edge fluctuations.
-    rng = np.random.default_rng((seed, index))
-    s = 0.5 / math.sqrt(2.0 * n)
-    comps = [
-        s * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for _ in range(d)
-    ]
-    return MatrixTuple(comps)
-
-
-def contractivity_scan(
-    r: Realization,
-    n: int,
-    samples: int,
-    seed: int,
-    *,
-    margin: float = 0.05,
-    max_draws: int = 100_000,
-    norm_tol: float = 1e-8,
-) -> ScanReport:
+def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanReport:
     """Sample ball points and report the largest transfer-function norm.
 
     Requires the colligation to be isometric (residual at most 1e-8); an
     isometric colligation must stay contractive, so the scan passes iff the
-    sampled maximum is at most 1 + ``norm_tol``.
+    sampled maximum is at most 1 + ``SCAN_NORM_TOL``.  Sample i is drawn
+    from its own stream ``(seed, i)``, so the report does not depend on
+    evaluation order; see the module docstring for the radius law.
     """
     resid = check_isometry(r)
     if resid > ISOMETRY_SCAN_TOL:
@@ -328,27 +410,21 @@ def contractivity_scan(
     if samples < 1:
         raise ValueError("need at least one sample")
     d = r.arity
+    ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
     max_norm = 0.0
-    collected = 0
-    draws = 0
-    while collected < samples and draws < max_draws:
-        x = _sample_tuple(seed, draws, d, n)
-        draws += 1
-        if not in_ball(r.delta, x, margin):
-            continue
-        collected += 1
-        max_norm = max(max_norm, operator_norm(eval_realization(r, x)))
-    if collected < samples:
-        raise SamplerStarvationError(
-            f"accepted {collected}/{samples} after {draws} draws "
-            f"(rate {collected / max(draws, 1):.4%})"
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        u = MatrixTuple(
+            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
         )
-    threshold = 1.0 + norm_tol
+        size = ball.bound * rng.uniform() ** (1.0 / (2 * d * n * n))
+        max_norm = max(max_norm, operator_norm(eval_realization(r, ball.rescale(u, size))))
+    threshold = 1.0 + SCAN_NORM_TOL
     return ScanReport(
         dim=n,
         requested=samples,
-        collected=collected,
-        draws=draws,
+        collected=samples,
+        draws=samples,
         max_norm=max_norm,
         threshold=threshold,
         passed=max_norm <= threshold,

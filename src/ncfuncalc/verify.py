@@ -19,7 +19,7 @@ import numpy as np
 from .freepoly import FreePoly
 from .linalg import MatrixTuple, direct_sum, inverse, operator_norm
 from .ncderiv import delta_k, dk_multilinear
-from .ncfun import DomainDescriptor, NCFunctionHandle
+from .ncfun import NCFunctionHandle
 from .taylor import taylor_expand
 
 __all__ = [
@@ -59,10 +59,12 @@ class PropertyReport:
     detail: str = ""
 
     def as_dict(self) -> dict:
+        """JSON form; a non-finite residual (a check that raised) is null."""
+        worst = self.worst_residual
         return {
             "name": self.name,
             "trials": self.trials,
-            "worst_residual": self.worst_residual,
+            "worst_residual": worst if math.isfinite(worst) else None,
             "threshold": self.threshold,
             "passed": self.passed,
             "seed": self.seed,
@@ -342,33 +344,15 @@ def _sample_direction(rng: np.random.Generator, d: int, n: int, scale: float = 1
     return MatrixTuple(comps)
 
 
-def _shrink_into(domain: DomainDescriptor, x: MatrixTuple) -> MatrixTuple:
-    for _ in range(200):
-        if domain.contains(x):
-            return x
-        x = 0.8 * x
-    raise RuntimeError("could not shrink a sample into the domain")
-
-
 def _sample_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:
-    d = F.arity
-    domain = F.domain
-    if domain.kind == "deltaball":
-        x = _sample_direction(rng, d, n, scale=0.5)
-        return _shrink_into(
-            DomainDescriptor.deltaball(domain.delta, margin=max(domain.margin, 0.35)), x
-        )
-    target = 0.45 * min(domain.radius, 1.0)
-    if domain.kind == "rowball":
-        target /= math.sqrt(d)
-    return _sample_direction(rng, d, n, scale=target * float(rng.uniform(0.5, 1.0)))
+    size = 0.45 * min(F.domain.bound, 1.0) * float(rng.uniform(0.5, 1.0))
+    return F.domain.rescale(_sample_direction(rng, F.arity, n), size)
 
 
 def _sample_scalar_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:
-    d = F.arity
-    scale = 0.15 if F.domain.kind == "deltaball" else 0.15 * min(F.domain.radius, 1.0)
-    scalars = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2 * d)
-    return _shrink_into(F.domain, MatrixTuple.from_scalars(scalars, n))
+    size = 0.15 * min(F.domain.bound, 1.0) * float(rng.uniform(0.5, 1.0))
+    scalars = rng.standard_normal(F.arity) + 1j * rng.standard_normal(F.arity)
+    return F.domain.rescale(MatrixTuple.from_scalars(scalars, n), size)
 
 
 def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:

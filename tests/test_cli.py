@@ -65,6 +65,7 @@ def workspace(tmp_path):
     put("point_zero.json", tuple_to_obj(MatrixTuple.zeros(1, 1)))
     put("point_outside.json", tuple_to_obj(MatrixTuple.from_scalars([1.5], 1)))
     put("adversarial.json", {"kind": "control", "payload": {"name": "entrywise-conjugation", "d": 1}})
+    put("fixed_corner.json", {"kind": "control", "payload": {"name": "fixed-corner", "d": 1}})
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -276,6 +277,19 @@ class TestDerive:
         assert code == 0
         np.testing.assert_allclose(matrix_from_obj(json.loads(out)), [[0.25]])
 
+    def test_broken_jet_structure_exits_5(self, workspace, capsys):
+        code, out, err = run(
+            capsys,
+            "derive",
+            "--handle", workspace["fixed_corner.json"],
+            "--point", workspace["x_scalar.json"],
+            "--directions", workspace["dirs_one.json"],
+            "--k", "1",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("jet structure violated: ")
+
     def test_direction_count_mismatch_exits_2(self, workspace, capsys):
         code, _, _ = run(
             capsys,
@@ -360,6 +374,21 @@ class TestRealize:
         code, out, _ = run(capsys, "realize-check", "--handle", str(broken))
         assert code == 1
         assert not json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan"])
+    def test_handle_file_reads_like_bare_file(self, workspace, capsys, verb):
+        extra = ("--n", "2", "--samples", "10", "--seed", "1") if verb == "realize-scan" else ()
+        bare = run(capsys, verb, "--handle", workspace["mobius.json"], *extra)
+        handle = run(capsys, verb, "--handle", workspace["mobius_handle.json"], *extra)
+        assert bare[0] == 0
+        assert handle == bare
+
+    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan"])
+    def test_other_handle_kind_exits_2(self, workspace, capsys, verb):
+        extra = ("--n", "2", "--samples", "10") if verb == "realize-scan" else ()
+        code, _, err = run(capsys, verb, "--handle", workspace["commutator.json"], *extra)
+        assert code == 2
+        assert "expected a realization" in err
 
     def test_scan_deterministic(self, workspace, capsys):
         args = (
@@ -534,6 +563,14 @@ class TestVerify:
         assert "failed:" in err
         reports = json.loads(out)
         assert any(not r["passed"] for r in reports)
+
+    def test_raising_check_is_a_verdict(self, workspace, capsys):
+        # fixed-corner's derivative check raises; its report has no residual.
+        code, out, err = run(capsys, "verify", "--handle", workspace["fixed_corner.json"])
+        assert code == 1
+        assert "scalar-point-derivative" in err
+        raised = [r for r in json.loads(out) if r["worst_residual"] is None]
+        assert raised and not any(r["passed"] for r in raised)
 
     def test_deterministic_output(self, workspace, capsys):
         args = ("verify", "--handle", workspace["commutator.json"], "--seed", "8")

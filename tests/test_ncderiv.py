@@ -13,6 +13,7 @@ from ncfuncalc import (
     NCFunctionHandle,
     SeriesFunction,
     StructureViolationError,
+    bidiagonal_block,
     delta_k,
     dk_fd,
     dk_multilinear,
@@ -21,6 +22,7 @@ from ncfuncalc import (
     operator_norm,
     variables,
 )
+from ncfuncalc.ncderiv import jet_epsilon
 
 from _helpers import counting_handle, random_matrix, random_poly, random_tuple, relerr, rng_for
 
@@ -116,6 +118,18 @@ class TestGaugeScale:
 
     def test_unbounded_domain_keeps_unit_scale(self, square):
         assert jet(square, scalar(50.0), scalar(3.0)).epsilon == 1.0
+
+    def test_row_ball_jet_stays_inside(self):
+        # Every component of h is E11: each has norm 1, but the row norm of
+        # h is sqrt(5), so a scale read from component norms leaves the ball.
+        domain = DomainDescriptor.rowball(1.0)
+        x = MatrixTuple.zeros(5, 2)
+        e11 = np.zeros((2, 2))
+        e11[0, 0] = 1.0
+        h = MatrixTuple([e11] * 5)
+        eps = jet_epsilon(domain, [x, x], [h])
+        assert eps == pytest.approx(0.45 / math.sqrt(5.0))
+        assert domain.contains(bidiagonal_block([x, x], [eps * h]))
 
 
 class TestDeltaK:

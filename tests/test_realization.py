@@ -272,7 +272,7 @@ class TestEvalRealization:
 class TestContractivityScan:
     def test_mobius_scan_passes(self):
         report = contractivity_scan(mobius_realization(0.5), 4, 200, seed=5)
-        assert report.passed and report.collected == 200
+        assert report.passed and report.collected == report.draws == 200
         assert report.max_norm <= 1.0 + 1e-8
 
     def test_identity_scan_passes(self):
@@ -291,16 +291,30 @@ class TestContractivityScan:
         with pytest.raises(NotIsometricError):
             contractivity_scan(bad, 2, 10, seed=0)
 
-    def test_starved_sampler_raises(self):
-        from ncfuncalc import FreePoly, PolyMatrix, SamplerStarvationError
-
-        # A tiny ball (|50 x| < 1) rejects essentially every draw.
-        tight = PolyMatrix([[50.0 * FreePoly.letter(1, 0)]])
+    def test_rowball_scan_at_n16_passes(self):
+        # An isometric d=2, m=3 colligation over the row ball: the first
+        # 1 + m columns of a 7x7 unitary.
+        rng = rng_for(83)
+        d, m = 2, 3
+        g = rng.standard_normal((1 + m * d,) * 2) + 1j * rng.standard_normal((1 + m * d,) * 2)
+        v = np.linalg.qr(g)[0][:, : 1 + m]
         r = Realization(
-            delta=tight, m=1, A=0.0, B=np.array([[1.0]]), C=np.array([[1.0]]), D=np.array([[0.0]])
+            delta=delta_rowball(d), m=m, A=v[0, 0], B=v[0:1, 1:], C=v[1:, 0:1], D=v[1:, 1:]
+        )
+        report = contractivity_scan(r, 16, 40, seed=3)
+        assert report.passed
+        assert report.collected == report.draws == 40
+
+    def test_ball_excluding_zero_starves(self):
+        from ncfuncalc import PolyMatrix, SamplerStarvationError
+
+        # ||x0 + 2|| < 0.95 holds near -2 only; halving toward 0 never enters.
+        shifted = PolyMatrix([[FreePoly.letter(1, 0) + FreePoly.constant(1, 2.0)]])
+        r = Realization(
+            delta=shifted, m=1, A=0.0, B=np.array([[1.0]]), C=np.array([[1.0]]), D=np.array([[0.0]])
         )
         with pytest.raises(SamplerStarvationError):
-            contractivity_scan(r, 2, 10, seed=0, max_draws=300)
+            contractivity_scan(r, 2, 10, seed=0)
 
 
 class TestRealizationValidation:
