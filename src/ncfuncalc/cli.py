@@ -38,6 +38,7 @@ from .linalg import NonConvergenceError, SingularMatrixError, operator_norm
 from .ncderiv import StructureViolationError, delta_k, dk_fd, dk_multilinear
 from .ncfun import DomainViolationError, NonFiniteResultError
 from .realization import (
+    ISOMETRY_BUILD_TOL,
     NotIsometricError,
     ResolventSingularError,
     SamplerStarvationError,
@@ -189,8 +190,8 @@ def _load_realization(path: str):
 def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
     r = _load_realization(args.handle)
     resid = check_isometry(r)
-    passed = resid <= args.tol
-    _emit_json({"isometry_residual": resid, "tolerance": args.tol, "passed": passed}, out)
+    passed = resid <= ISOMETRY_BUILD_TOL
+    _emit_json({"isometry_residual": resid, "tolerance": ISOMETRY_BUILD_TOL, "passed": passed}, out)
     return EXIT_OK if passed else EXIT_VERDICT
 
 
@@ -254,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("derive", "directional derivatives of a handle", point=True, directions=True)
     expand = add("expand", "Taylor expansion at the scalar point 0")
     expand.add_argument("--maxdeg", type=int, required=True, help="highest degree extracted")
-    check = add("realize-check", "isometry residual of a colligation")
-    check.add_argument("--tol", type=float, default=1e-10, help="isometry tolerance")
+    add("realize-check", "isometry residual of a colligation")
     add("realize-scan", "sampled contractivity scan over the delta ball", scan=True)
     verify = add("verify", "run the structural property suite")
     verify.add_argument("--seed", type=int, default=None, help="override the suite seed")

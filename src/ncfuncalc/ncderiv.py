@@ -10,11 +10,12 @@ does not preserve intertwining.
 
 Directions are scaled by epsilon = min(1, 0.45 (bound - g) / ||h||), with g
 the largest domain gauge of the base points (see DomainDescriptor.gauge) and
-||h|| the largest domain norm of the directions.  So on a polydisk, a row
-ball or a delta ball whose entries are homogeneous of degree 1, a jet at
-any in-domain point stays inside; epsilon is 1 on an unbounded domain.  The
-extracted blocks are rescaled by epsilon^{-level}, which is exact because
-the (i, i+j) block is j-homogeneous in the directions.
+||h|| the largest step norm of the directions (DomainDescriptor.step_norm,
+which leaves out delta's constant term).  So on a polydisk, a row ball or a
+delta ball whose entries have degree at most 1, a jet at any in-domain point
+stays inside; epsilon is 1 on an unbounded domain.  The extracted blocks are
+rescaled by epsilon^{-level}, which is exact because the (i, i+j) block is
+j-homogeneous in the directions.
 """
 
 from __future__ import annotations
@@ -76,15 +77,16 @@ def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
     """Direction scale for a jet at base points ``xs`` with directions ``hs``.
 
     min(1, JET_SCALE (bound - g) / ||h||), with g the largest gauge of the
-    base points and ||h|| the largest ``domain.norm`` of the directions; 1
-    on an unbounded domain.  Raises :class:`DomainViolationError` for a base
-    point outside the domain, and for one so close to the boundary that the
-    scale would fall below ``MIN_EPSILON``.
+    base points and ||h|| the largest ``domain.step_norm`` of the distinct
+    directions; 1 on an unbounded domain.  Raises
+    :class:`DomainViolationError` for a base point outside the domain, and
+    for one so close to the boundary that the scale would fall below
+    ``MIN_EPSILON``.
     """
     top = _largest_gauge(domain, xs)
     if math.isinf(domain.bound):
         return 1.0
-    hmax = max(domain.norm(h) for h in hs)
+    hmax = max(domain.step_norm(h) for h in {id(h): h for h in hs}.values())
     if hmax == 0.0:
         return 1.0
     eps = min(1.0, JET_SCALE * (domain.bound - top) / hmax)
@@ -96,20 +98,15 @@ def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
 
 
 def delta_k(
-    F: NCFunctionHandle,
-    xs,
-    hs,
-    *,
-    epsilon: float | None = None,
-    tol: float = STRUCTURE_TOL,
-    base_values=None,
+    F: NCFunctionHandle, xs, hs, *, epsilon: float | None = None, base_values=None
 ) -> DeltaResult:
     """Order-k difference-differential of F via one jet evaluation.
 
     ``xs`` are k+1 base points and ``hs`` k directions, all at one
     dimension.  Raises :class:`StructureViolationError` when the jet image
-    strays from block upper triangular form by more than ``tol`` relative to
-    its size, which flags an evaluator that is not intertwining preserving.
+    strays from block upper triangular form by more than ``STRUCTURE_TOL``
+    relative to its size, which flags an evaluator that is not intertwining
+    preserving.
 
     ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
     blocks are checked against; a caller that extracts many jets at the same
@@ -155,7 +152,7 @@ def delta_k(
         float(np.linalg.norm(blocks[below_i, :, below_j, :], axis=(1, 2)).max()),
     )
     scale = max(1.0, float(np.linalg.norm(img)))
-    if resid > tol * scale:
+    if resid > STRUCTURE_TOL * scale:
         raise StructureViolationError(
             f"jet image is not block upper triangular: residual {resid:.3e} "
             f"against scale {scale:.3e}"

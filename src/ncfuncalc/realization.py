@@ -211,6 +211,17 @@ class DomainDescriptor:
             return operator_norm(np.hstack(list(x.components)))
         return operator_norm(eval_delta(self.delta, x))
 
+    def step_norm(self, h: MatrixTuple) -> float:
+        """Size of a jet direction: ``norm(h)``, except ``||delta(h) - delta(0)||``
+        on a delta ball, so that delta's constant term does not count."""
+        if self.kind != "deltaball":
+            return self.norm(h)
+        value = eval_delta(self.delta, h)
+        const = np.array([[p.coefficient(()) for p in row] for row in self.delta.entries])
+        if const.any():
+            value = value - np.kron(const, np.eye(h.dim))
+        return operator_norm(value)
+
     def gauge(self, x: MatrixTuple) -> float:
         """``norm(x)``, which membership and jet scaling read, with two shortcuts:
         ``inf`` past the norm cap, and 0 without a norm on an unbounded ball."""

@@ -35,6 +35,8 @@ __all__ = [
 WORD_CAP = 5_000
 SCALAR_TOL = 1e-8
 COEFF_PRUNE = 1e-12
+CIRCLE_SAMPLES = 64
+CIRCLE_INFLATE = 1.1
 
 
 class ExtractionError(ArithmeticError):
@@ -55,7 +57,6 @@ def _extract(
     zero: MatrixTuple,
     units: list[MatrixTuple],
     epsilon: float,
-    scalar_tol: float,
     value_at_zero: np.ndarray | None = None,
 ) -> tuple[complex, float]:
     """Return (coefficient, scalarity residual) of ``word`` from one jet.
@@ -80,7 +81,7 @@ def _extract(
     block = res.delta
     c = complex(np.trace(block) / dim)
     resid = float(np.abs(block - c * np.eye(dim)).max())
-    if resid > scalar_tol * max(1.0, abs(c)):
+    if resid > SCALAR_TOL * max(1.0, abs(c)):
         raise NonScalarResultError(
             f"extraction at word {word} is not scalar (residual {resid:.3e})", word=word
         )
@@ -97,25 +98,19 @@ def _extraction_frame(
     return zero, units, jet_epsilon(F.domain, [zero], units)
 
 
-def word_coefficient(
-    F: NCFunctionHandle,
-    word,
-    *,
-    dim: int = 1,
-    scalar_tol: float = SCALAR_TOL,
-) -> complex:
+def word_coefficient(F: NCFunctionHandle, word, *, dim: int = 1) -> complex:
     """Scalar coefficient of the monomial ``word`` in the expansion at 0.
 
     Raises :class:`NonScalarResultError` when the extracted block deviates
-    from a scalar by more than ``scalar_tol``, which signals that the handle
-    is not intertwining preserving (or the tolerance was breached).
+    from a scalar by more than ``SCALAR_TOL`` relative to its size, which
+    signals that the handle is not intertwining preserving.
     """
     w = tuple(int(j) for j in word)
     if len(w) < 1:
         raise ValueError("use eval at the zero tuple for the degree-0 part")
     if any(j < 0 or j >= F.arity for j in w):
         raise ValueError(f"word {w} uses letters outside [0, {F.arity})")
-    c, _ = _extract(F, w, *_extraction_frame(F, dim), scalar_tol)
+    c, _ = _extract(F, w, *_extraction_frame(F, dim))
     return c
 
 
@@ -159,12 +154,7 @@ class TaylorExpansion:
 
 
 def taylor_expand(
-    F: NCFunctionHandle,
-    maxdeg: int,
-    *,
-    dim: int = 1,
-    word_cap: int = WORD_CAP,
-    scalar_tol: float = SCALAR_TOL,
+    F: NCFunctionHandle, maxdeg: int, *, dim: int = 1, word_cap: int = WORD_CAP
 ) -> TaylorExpansion:
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
@@ -185,7 +175,7 @@ def taylor_expand(
     v0 = F.eval(zero)
     c0 = complex(np.trace(v0) / dim)
     residuals[()] = float(np.abs(v0 - c0 * np.eye(dim)).max())
-    if residuals[()] > scalar_tol * max(1.0, abs(c0)):
+    if residuals[()] > SCALAR_TOL * max(1.0, abs(c0)):
         raise NonScalarResultError(
             f"value at the scalar point 0 is not scalar (residual {residuals[()]:.3e})",
             word=(),
@@ -195,7 +185,7 @@ def taylor_expand(
     for k in range(1, maxdeg + 1):
         terms: dict[Word, complex] = {}
         for w in _words_of_length(d, k):
-            c, residuals[w] = _extract(F, w, zero, units, eps, scalar_tol, v0)
+            c, residuals[w] = _extract(F, w, zero, units, eps, v0)
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c
         parts.append(FreePoly(d, terms))
@@ -233,25 +223,18 @@ def tail_bound(M: float, r: float, K: int) -> float:
     return M * rho ** (K + 1) / (1.0 - rho)
 
 
-def circle_norm_estimate(
-    F: NCFunctionHandle,
-    x: MatrixTuple,
-    r: float,
-    *,
-    samples: int = 64,
-    inflate: float = 1.1,
-) -> float:
+def circle_norm_estimate(F: NCFunctionHandle, x: MatrixTuple, r: float) -> float:
     """Sampled stand-in for the supremum of ||F(zeta x)|| on |zeta| = (1+r)/2.
 
-    Takes the max over equispaced points on the circle and inflates it by a
-    safety factor; an estimate for use with :func:`tail_bound`, not a
-    certificate.
+    Takes the max over ``CIRCLE_SAMPLES`` equispaced points on the circle and
+    inflates it by the safety factor ``CIRCLE_INFLATE``; an estimate for use
+    with :func:`tail_bound`, not a certificate.
     """
     if not r > 1:
         raise ValueError("the dilation radius must exceed 1")
     radius = (1.0 + r) / 2.0
     worst = 0.0
-    for t in range(samples):
-        zeta = radius * cmath.exp(2j * math.pi * t / samples)
+    for t in range(CIRCLE_SAMPLES):
+        zeta = radius * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES)
         worst = max(worst, operator_norm(F.eval(zeta * x)))
-    return inflate * worst
+    return CIRCLE_INFLATE * worst

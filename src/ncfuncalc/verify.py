@@ -2,7 +2,9 @@
 
 Every check returns a :class:`PropertyReport` rather than raising on
 failure; :func:`run_suite` bundles the checks with seeded sampling so that
-identical configurations produce bitwise-identical reports.  The negative
+identical configurations produce bitwise-identical reports.  Every verdict
+compares a residual with the threshold that :data:`THRESHOLDS` gives for its
+report name, in the public checks and in the suite alike.  The negative
 control handles in :mod:`ncfuncalc.ncfun` (deliberately broken evaluators)
 make the suite's ability to fail itself testable.
 """
@@ -10,7 +12,7 @@ make the suite's ability to fail itself testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import permutations
 
@@ -27,6 +29,7 @@ __all__ = [
     "NonLinearInputError",
     "PropertyReport",
     "SuiteConfig",
+    "THRESHOLDS",
     "check_direct_sum",
     "check_intertwining",
     "check_unipotent_converse",
@@ -36,6 +39,24 @@ __all__ = [
     "run_suite",
     "stack_tuples",
 ]
+
+
+# The threshold of every verdict, keyed by report name.
+THRESHOLDS = {
+    "gradedness": 0.5,
+    "direct-sum": 1e-9,
+    "intertwining": 1e-7,
+    "similarity-intertwining": 1e-7,
+    "unipotent-converse": 1e-8,
+    "scalar-point-scalarity": 1e-10,
+    "scalar-point-derivative": 1e-8,
+    "delta-structure": 1e-8,
+    "delta-multilinearity": 1e-8,
+    "derivative-symmetry": 1e-8,
+    "taylor-polynomiality": 1e-6,
+}
+PRECONDITION_TOL = 1e-10
+LINEARITY_TOL = 1e-8
 
 
 class PreconditionViolationError(ValueError):
@@ -54,9 +75,13 @@ class PropertyReport:
     trials: int
     worst_residual: float
     threshold: float
-    passed: bool
     seed: int | None = None
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Whether the residual is at most the threshold; never for inf or NaN."""
+        return self.worst_residual <= self.threshold
 
     def as_dict(self) -> dict:
         """JSON form; a non-finite residual (a check that raised) is null."""
@@ -76,7 +101,14 @@ def _relnorm(diff: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(reference)))
 
 
-def check_direct_sum(F: NCFunctionHandle, xs, *, threshold: float = 1e-9) -> PropertyReport:
+def _report(
+    name: str, worst: float, trials: int = 1, seed: int | None = None, detail: str = ""
+) -> PropertyReport:
+    """A report read against the threshold that THRESHOLDS gives for ``name``."""
+    return PropertyReport(name, trials, worst, THRESHOLDS[name], seed, detail)
+
+
+def check_direct_sum(F: NCFunctionHandle, xs) -> PropertyReport:
     """Evaluation at a direct sum must be the direct sum of the evaluations."""
     xs = list(xs)
     whole = F.eval(direct_sum(xs))
@@ -85,24 +117,11 @@ def check_direct_sum(F: NCFunctionHandle, xs, *, threshold: float = 1e-9) -> Pro
     for x in xs:
         pieces[offset : offset + x.dim, offset : offset + x.dim] = F.eval(x)
         offset += x.dim
-    resid = _relnorm(whole - pieces, pieces)
-    return PropertyReport(
-        name="direct-sum",
-        trials=1,
-        worst_residual=resid,
-        threshold=threshold,
-        passed=resid <= threshold,
-    )
+    return _report("direct-sum", _relnorm(whole - pieces, pieces))
 
 
 def check_intertwining(
-    F: NCFunctionHandle,
-    x: MatrixTuple,
-    L: np.ndarray,
-    y: MatrixTuple,
-    *,
-    threshold: float = 1e-7,
-    precondition_tol: float = 1e-10,
+    F: NCFunctionHandle, x: MatrixTuple, L: np.ndarray, y: MatrixTuple
 ) -> PropertyReport:
     """If L x = y L componentwise then L F(x) = F(y) L.
 
@@ -114,29 +133,17 @@ def check_intertwining(
         raise ValueError(f"L must be {y.dim}x{x.dim}, got {L.shape}")
     lnorm = operator_norm(L)
     if lnorm == 0.0:
-        return PropertyReport("intertwining", 1, 0.0, threshold, True)
+        return _report("intertwining", 0.0)
     pre = max(operator_norm(L @ x[r] - y[r] @ L) for r in range(x.arity))
-    if pre > precondition_tol * max(1.0, lnorm):
+    if pre > PRECONDITION_TOL * max(1.0, lnorm):
         raise PreconditionViolationError(
             f"L x differs from y L by {pre:.3e}, not an intertwining pair"
         )
-    resid = operator_norm(L @ F.eval(x) - F.eval(y) @ L) / lnorm
-    return PropertyReport(
-        name="intertwining",
-        trials=1,
-        worst_residual=resid,
-        threshold=threshold,
-        passed=resid <= threshold,
-    )
+    return _report("intertwining", operator_norm(L @ F.eval(x) - F.eval(y) @ L) / lnorm)
 
 
 def check_unipotent_converse(
-    F: NCFunctionHandle,
-    x: MatrixTuple,
-    y: MatrixTuple,
-    L: np.ndarray,
-    *,
-    threshold: float = 1e-8,
+    F: NCFunctionHandle, x: MatrixTuple, y: MatrixTuple, L: np.ndarray
 ) -> PropertyReport:
     """Conjugated direct sums split: F(S^{-1} (x (+) y) S) = S^{-1} (F(x) (+) F(y)) S.
 
@@ -160,19 +167,10 @@ def check_unipotent_converse(
     s = np.block([[eye, L], [zero, eye]])
     sinv = np.block([[eye, -L], [zero, eye]])
     expected = sinv @ np.block([[F.eval(x), zero], [zero, F.eval(y)]]) @ s
-    resid = _relnorm(F.eval(z) - expected, expected)
-    return PropertyReport(
-        name="unipotent-converse",
-        trials=1,
-        worst_residual=resid,
-        threshold=threshold,
-        passed=resid <= threshold,
-    )
+    return _report("unipotent-converse", _relnorm(F.eval(z) - expected, expected))
 
 
-def check_delta_structure(
-    F: NCFunctionHandle, xs, hs, *, threshold: float = 1e-8
-) -> PropertyReport:
+def check_delta_structure(F: NCFunctionHandle, xs, hs) -> PropertyReport:
     """The jet image must match the difference-differentials of every sub-chain.
 
     Block (i, j) above the diagonal is compared against an independently
@@ -196,18 +194,10 @@ def check_delta_structure(
             block = full[i * n : (i + 1) * n, j * n : (j + 1) * n]
             expected = delta_k(F, xs[i : j + 1], hs[i:j], base_values=values[i : j + 1]).delta
             worst = max(worst, float(np.linalg.norm(block - expected)) / scale)
-    return PropertyReport(
-        name="delta-structure",
-        trials=1,
-        worst_residual=worst,
-        threshold=threshold,
-        passed=worst <= threshold,
-    )
+    return _report("delta-structure", worst)
 
 
-def check_symmetry(
-    F: NCFunctionHandle, x: MatrixTuple, hs, *, threshold: float = 1e-8
-) -> PropertyReport:
+def check_symmetry(F: NCFunctionHandle, x: MatrixTuple, hs) -> PropertyReport:
     """The polarized derivative must equal the sum of the ordered jet corners.
 
     For an nc function, D^k F(x)[h_1, ..., h_k] (by polarization, from
@@ -227,14 +217,7 @@ def check_symmetry(
         delta_k(F, [x] * (k + 1), [hs[i] for i in sigma], base_values=values).delta
         for sigma in orders
     )
-    resid = _relnorm(polarized - ordered, ordered)
-    return PropertyReport(
-        name="derivative-symmetry",
-        trials=len(orders),
-        worst_residual=resid,
-        threshold=threshold,
-        passed=resid <= threshold,
-    )
+    return _report("derivative-symmetry", _relnorm(polarized - ordered, ordered), len(orders))
 
 
 def stack_tuples(tuples) -> MatrixTuple:
@@ -246,14 +229,7 @@ def stack_tuples(tuples) -> MatrixTuple:
     return MatrixTuple(comps)
 
 
-def recover_klinear(
-    lam: NCFunctionHandle,
-    k: int,
-    probes,
-    *,
-    linearity_tol: float = 1e-8,
-    dim: int = 1,
-) -> FreePoly:
+def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> FreePoly:
     """Recover the homogeneous polynomial behind a k-linear graded map.
 
     ``lam`` is a handle in d*k variables, understood as k blocks of d; its
@@ -272,7 +248,7 @@ def recover_klinear(
         lhs = lam.eval(stack_tuples(mixed))
         rhs = lam.eval(stack_tuples(a)) + lam.eval(stack_tuples([b[0]] + a[1:]))
         resid = _relnorm(lhs - rhs, rhs)
-        if resid > linearity_tol:
+        if resid > LINEARITY_TOL:
             raise NonLinearInputError(
                 f"additivity in the first block fails by {resid:.3e}"
             )
@@ -288,7 +264,7 @@ _DIMS_FIELDS = ("dims", "scalar_dims", "graded_dims")
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seed, sampling sizes, and per-property thresholds for run_suite."""
+    """Seed and sampling sizes for run_suite; the thresholds are THRESHOLDS."""
 
     seed: int = 7
     dims: tuple[int, ...] = (2, 3)
@@ -296,15 +272,6 @@ class SuiteConfig:
     graded_dims: tuple[int, ...] = (1, 2, 3, 5)
     trials: int = 3
     max_order: int = 3
-    tol_direct_sum: float = 1e-9
-    tol_intertwining: float = 1e-7
-    tol_unipotent: float = 1e-8
-    tol_scalarity: float = 1e-10
-    tol_scalar_derivative: float = 1e-8
-    tol_structure: float = 1e-8
-    tol_multilinear: float = 1e-8
-    tol_symmetry: float = 1e-8
-    tol_taylor: float = 1e-6
 
     def __post_init__(self):
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -315,10 +282,6 @@ class SuiteConfig:
             dims = getattr(self, name)
             if not dims or not all(isinstance(n, int) and n >= 1 for n in dims):
                 raise ValueError(f"{name} must be a non-empty list of dimensions of at least 1")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.startswith("tol_") and not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"tolerance {f.name} must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -373,30 +336,13 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
     cfg = config or SuiteConfig()
     reports: list[PropertyReport] = []
 
-    def run(index: int, name: str, threshold: float, body) -> None:
+    def run(index: int, name: str, body) -> None:
         rng = np.random.default_rng((cfg.seed, index))
         try:
             worst, trials, detail = body(rng)
-            report = PropertyReport(
-                name=name,
-                trials=trials,
-                worst_residual=float(worst),
-                threshold=threshold,
-                passed=worst <= threshold,
-                seed=cfg.seed,
-                detail=detail,
-            )
         except Exception as exc:  # verdict, not crash
-            report = PropertyReport(
-                name=name,
-                trials=0,
-                worst_residual=math.inf,
-                threshold=threshold,
-                passed=False,
-                seed=cfg.seed,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        reports.append(report)
+            worst, trials, detail = math.inf, 0, f"{type(exc).__name__}: {exc}"
+        reports.append(_report(name, float(worst), trials, cfg.seed, detail))
 
     def graded(rng):
         for n in cfg.graded_dims:
@@ -417,7 +363,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
             x = _sample_point(rng, F, n)
             s, cond = _sample_similarity(rng, n)
             y = x.conjugate_by(s)
-            rep = check_intertwining(F, x, s, y, threshold=cfg.tol_intertwining)
+            rep = check_intertwining(F, x, s, y)
             worst = max(worst, rep.worst_residual / cond)
         return worst, cfg.trials, "residual divided by cond(S)"
 
@@ -525,14 +471,14 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
                 worst = max(worst, _relnorm(lhs - rhs, rhs))
         return worst, cfg.trials * kmax, ""
 
-    run(0, "gradedness", 0.5, graded)
-    run(1, "direct-sum", cfg.tol_direct_sum, dsum)
-    run(2, "similarity-intertwining", cfg.tol_intertwining, similarity)
-    run(3, "unipotent-converse", cfg.tol_unipotent, unipotent)
-    run(4, "scalar-point-scalarity", cfg.tol_scalarity, scalarity)
-    run(5, "scalar-point-derivative", cfg.tol_scalar_derivative, scalar_derivative)
-    run(6, "delta-structure", cfg.tol_structure, structure)
-    run(7, "delta-multilinearity", cfg.tol_multilinear, multilinear)
-    run(8, "derivative-symmetry", cfg.tol_symmetry, symmetry)
-    run(9, "taylor-polynomiality", cfg.tol_taylor, taylor_polynomiality)
+    run(0, "gradedness", graded)
+    run(1, "direct-sum", dsum)
+    run(2, "similarity-intertwining", similarity)
+    run(3, "unipotent-converse", unipotent)
+    run(4, "scalar-point-scalarity", scalarity)
+    run(5, "scalar-point-derivative", scalar_derivative)
+    run(6, "delta-structure", structure)
+    run(7, "delta-multilinearity", multilinear)
+    run(8, "derivative-symmetry", symmetry)
+    run(9, "taylor-polynomiality", taylor_polynomiality)
     return reports

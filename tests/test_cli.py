@@ -365,6 +365,7 @@ class TestRealize:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] and payload["isometry_residual"] <= 1e-12
+        assert payload["tolerance"] == 1e-10
 
     def test_check_detects_broken(self, workspace, capsys, tmp_path):
         obj = realization_to_obj(mobius_realization(0.5))
@@ -374,6 +375,13 @@ class TestRealize:
         code, out, _ = run(capsys, "realize-check", "--handle", str(broken))
         assert code == 1
         assert not json.loads(out)["passed"]
+
+    def test_check_takes_no_tolerance(self, workspace, capsys):
+        code, out, _ = run(
+            capsys, "realize-check", "--handle", workspace["mobius.json"], "--tol", "1e-3"
+        )
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("verb", ["realize-check", "realize-scan"])
     def test_handle_file_reads_like_bare_file(self, workspace, capsys, verb):
@@ -505,6 +513,17 @@ class TestConfigFile:
         _, default, _ = run(capsys, *base)
         assert from_config == from_flag
         assert json.loads(from_config) != json.loads(default)
+
+    def test_suite_tolerance_key_exits_2(self, workspace, capsys, tmp_path):
+        # Thresholds are fixed (verify.THRESHOLDS); a config cannot set one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dump_json({"suite": {"tol_direct_sum": 1e-3}}))
+        code, out, err = run(
+            capsys, "verify", "--handle", workspace["commutator.json"], "--config", str(cfg)
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol_direct_sum" in err
 
     def test_unknown_config_key_exits_2(self, workspace, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

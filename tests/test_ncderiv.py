@@ -11,6 +11,7 @@ from ncfuncalc import (
     FreePoly,
     MatrixTuple,
     NCFunctionHandle,
+    PolyMatrix,
     SeriesFunction,
     StructureViolationError,
     bidiagonal_block,
@@ -130,6 +131,40 @@ class TestGaugeScale:
         eps = jet_epsilon(domain, [x, x], [h])
         assert eps == pytest.approx(0.45 / math.sqrt(5.0))
         assert domain.contains(bidiagonal_block([x, x], [eps * h]))
+
+    def test_affine_delta_ball_jet_stays_inside(self):
+        # delta = x0 + 0.5: the direction -0.5 has ||delta(h)|| = 0, but a
+        # step of that size moves delta by 0.5, so it is sized without the
+        # constant term.
+        domain = DomainDescriptor.deltaball(PolyMatrix([[FreePoly(1, {(0,): 1.0, (): 0.5})]]))
+        x, h = scalar(0.45), scalar(-0.5)
+        assert domain.gauge(x) == pytest.approx(0.95)
+        assert domain.step_norm(h) == 0.5
+        eps = jet_epsilon(domain, [x, x], [h])
+        assert eps == pytest.approx(0.045)
+        assert domain.contains(bidiagonal_block([x, x], [eps * h]))
+
+    def test_letter_linear_step_norm_is_the_norm(self):
+        rng = rng_for(62)
+        domain = DomainDescriptor.deltaball(PolyMatrix([[variables(2)[0], variables(2)[1]]]))
+        h = random_tuple(rng, 2, 3)
+        assert domain.step_norm(h) == domain.norm(h)
+
+    def test_each_distinct_direction_sized_once(self, monkeypatch):
+        # dk_multilinear hands each subset sum k times to one jet.
+        sized = []
+        step_norm = DomainDescriptor.step_norm
+
+        def counting(self, h):
+            sized.append(h)
+            return step_norm(self, h)
+
+        monkeypatch.setattr(DomainDescriptor, "step_norm", counting)
+        rng = rng_for(63)
+        F = from_poly(random_poly(rng, 2, 3), DomainDescriptor.polydisk(1.0))
+        hs = [random_tuple(rng, 2, 2) for _ in range(3)]
+        dk_multilinear(F, random_tuple(rng, 2, 2), hs)
+        assert len(sized) == 7
 
 
 class TestDeltaK:

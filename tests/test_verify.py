@@ -14,6 +14,7 @@ from ncfuncalc import (
     NCFunctionHandle,
     NonLinearInputError,
     PreconditionViolationError,
+    PropertyReport,
     SuiteConfig,
     check_direct_sum,
     check_delta_structure,
@@ -31,6 +32,7 @@ from ncfuncalc import (
     run_suite,
     stack_tuples,
 )
+from ncfuncalc.verify import THRESHOLDS
 
 from _helpers import counting_handle, random_matrix, random_poly, random_tuple, rng_for
 
@@ -73,8 +75,8 @@ class TestCheckIntertwining:
         x2 = random_tuple(rng, 2, 3)
         big = direct_sum([x1, x2])
         proj = np.hstack([np.eye(2), np.zeros((2, 3))])
-        report = check_intertwining(F, big, proj, x1, threshold=1e-9)
-        assert report.passed
+        report = check_intertwining(F, big, proj, x1)
+        assert report.worst_residual <= 1e-9
 
     def test_zero_intertwiner(self):
         rng = rng_for(75)
@@ -344,8 +346,6 @@ class TestRunSuite:
             {"dims": []},
             {"scalar_dims": [2, 0]},
             {"graded_dims": []},
-            {"tol_symmetry": 0.0},
-            {"tol_taylor": -1e-6},
         ],
     )
     def test_config_rejects_settings_that_check_nothing(self, bad):
@@ -358,3 +358,36 @@ class TestRunSuite:
         assert reports["derivative-symmetry"].trials == 1
         assert reports["taylor-polynomiality"].trials == 2
         assert all(r.passed for r in reports.values())
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("worst", [math.inf, math.nan])
+    def test_non_finite_residual_fails(self, worst):
+        report = PropertyReport("direct-sum", 0, worst, THRESHOLDS["direct-sum"])
+        assert not report.passed
+        assert report.as_dict()["worst_residual"] is None
+        assert report.as_dict()["passed"] is False
+
+    @pytest.fixture(scope="class")
+    def suite_reports(self):
+        F = from_poly(FreePoly(2, {(0, 1): 1.0}))
+        return {r.name: r for r in run_suite(F, SuiteConfig(max_order=2, trials=1))}
+
+    @pytest.mark.parametrize(
+        "check, suite_name",
+        [
+            (lambda F, x, h: check_direct_sum(F, [x, x]), "direct-sum"),
+            (lambda F, x, h: check_intertwining(F, x, np.eye(2), x), "similarity-intertwining"),
+            (lambda F, x, h: check_unipotent_converse(F, x, x, h[0]), "unipotent-converse"),
+            (lambda F, x, h: check_delta_structure(F, [x] * 3, [h, h]), "delta-structure"),
+            (lambda F, x, h: check_symmetry(F, x, [h, h]), "derivative-symmetry"),
+        ],
+    )
+    def test_check_threshold_matches_suite(self, suite_reports, check, suite_name):
+        rng = rng_for(98)
+        F = from_poly(FreePoly(2, {(0, 1): 1.0}))
+        x, h = random_tuple(rng, 2, 2), random_tuple(rng, 2, 2)
+        report = check(F, x, h)
+        assert report.passed
+        assert report.threshold == suite_reports[suite_name].threshold
+        assert report.threshold == THRESHOLDS[report.name]
