@@ -191,7 +191,8 @@ def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
     r = _load_realization(args.handle)
     resid = check_isometry(r)
     passed = resid <= ISOMETRY_BUILD_TOL
-    _emit_json({"isometry_residual": resid, "tolerance": ISOMETRY_BUILD_TOL, "passed": passed}, out)
+    shown = resid if math.isfinite(resid) else None
+    _emit_json({"isometry_residual": shown, "tolerance": ISOMETRY_BUILD_TOL, "passed": passed}, out)
     return EXIT_OK if passed else EXIT_VERDICT
 
 

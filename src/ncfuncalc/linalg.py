@@ -7,7 +7,8 @@ are pure and all returned tuples are immutable, so values can be shared
 freely between threads.
 
 The two numerical primitives run on numpy's LAPACK: :func:`operator_norm`
-is the largest singular value from the SVD (``gesdd``), and :func:`inverse`
+is the largest singular value from ``np.linalg.svd(a, compute_uv=False)``
+(``gesdd``, singular values only), and :func:`inverse`
 is an LU solve (``gesv``) that rejects a matrix whose reciprocal condition
 in the infinity norm is at most ``PIVOT_RTOL``.
 """
@@ -82,14 +83,15 @@ def inverse(a) -> np.ndarray:
 def operator_norm(a) -> float:
     """Largest singular value of ``a`` (rectangular allowed), by LAPACK SVD.
 
-    ``np.linalg.norm(a, 2)`` takes the singular values from ``gesdd``; an
-    SVD that fails to converge raises :class:`NonConvergenceError`.
+    The leading value of ``np.linalg.svd(a, compute_uv=False)`` (``gesdd``),
+    the number ``np.linalg.norm(a, 2)`` returns, without its axis handling;
+    an SVD that fails to converge raises :class:`NonConvergenceError`.
     """
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
     try:
-        return float(np.linalg.norm(a, 2))
+        return float(np.linalg.svd(a, compute_uv=False)[0])
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"SVD failed: {exc}") from exc
 

@@ -14,6 +14,21 @@ index i in [I] or [J] in the middle, and the matrix coordinate t in [n]
 fastest.  Concretely, delta(x) amplifies to kron(I_m, delta(x)) and B, C, D
 amplify to kron(., I_n).
 
+The resolvent certificate.  With ``q = ||D|| ||delta(x)||`` (``||D||`` cached
+once per :class:`Realization`) the amplified product K = (D (x) 1)(1 (x) delta(x))
+has ``||K|| <= q``, so when q < 1 a Neumann series makes ``1 - K`` invertible
+with ``kappa_2 <= (1 + q) / (1 - q)``.  Since ``kappa_inf <= N kappa_2`` at
+resolvent dimension N = m J n, the reciprocal-condition test of
+:func:`~ncfuncalc.linalg.inverse` (``rcond_inf > PIVOT_RTOL``) provably passes
+whenever ``1 - q > 2 N PIVOT_RTOL (1 + q)``; the factor 2 absorbs roundoff in
+q.  There the resolvent is applied to the n columns of C (x) 1 by one LU
+solve instead of being inverted, and :class:`ResolventSingularError` is
+raised only if LAPACK reports exact singularity or the solution is not
+finite.  Elsewhere the full inverse and its condition test run as before, so
+the error keeps one rule: it fires where the condition test fails.  An
+isometric colligation has ``||D|| <= 1``, so every scan sample (``q <= 0.95``)
+takes the solve.
+
 A contractivity scan rescales one complex Gaussian direction per sample to
 the norm ``(1 - SCAN_MARGIN) U^(1/(2 d n^2))``, U uniform on [0, 1): for a
 letter-linear delta, the radial law of the uniform distribution on a ball of
@@ -27,11 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .freepoly import FreePoly
 from .linalg import (
+    PIVOT_RTOL,
     MatrixTuple,
     SingularMatrixError,
     as_matrix,
@@ -311,42 +328,70 @@ class Realization:
     def arity(self) -> int:
         return self.delta.arity
 
+    @cached_property
+    def _d_norm(self) -> float:
+        """``||D||_2``, computed on first use by :func:`eval_realization`."""
+        return operator_norm(self.D)
+
     def colligation(self) -> np.ndarray:
         """The (1 + m*J) x (1 + m*I) block matrix [[A, B], [C, D]]."""
         return np.block([[np.array([[self.A]], dtype=np.complex128), self.B], [self.C, self.D]])
 
 
 def check_isometry(r: Realization) -> float:
-    """Residual ``|| V* V - I ||`` of the colligation; 0 for an exact isometry."""
+    """Residual ``|| V* V - I ||`` of the colligation; 0 for an exact isometry.
+
+    ``inf`` when the Gram matrix V* V overflows, without a numpy warning.
+    """
     v = r.colligation()
-    gram = v.conj().T @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = v.conj().T @ v
+    if not np.all(np.isfinite(gram)):
+        return math.inf
     return operator_norm(gram - np.eye(gram.shape[0], dtype=np.complex128))
 
 
 def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     """Transfer-function value at ``x`` under the fixed tensor ordering.
 
-    The amplified products (D (x) 1)(1 (x) delta(x)), (B (x) 1)(1 (x) delta(x))
-    and R (C (x) 1) are contracted over the (mu, i, t) indices directly, so
-    no Kronecker product is formed.  Raises :class:`ResolventSingularError`
-    when the inner inverse fails, which signals that ``x`` lies outside the
-    natural domain.
+    The amplified products (D (x) 1)(1 (x) delta(x)) and (B (x) 1)(1 (x) delta(x))
+    are contracted over the (mu, i, t) indices directly, so no Kronecker
+    product of delta is formed.  With ``q = ||D|| ||delta(x)||`` and resolvent
+    dimension ``N = m J n``, when ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the
+    factor 2 absorbs roundoff in q) the resolvent is applied to C (x) 1 by
+    one LU solve; otherwise it is formed by :func:`~ncfuncalc.linalg.inverse`.
+    The certificate (module docstring) guarantees that the inverse's
+    condition test would pass wherever the solve runs, so the rule for
+    :class:`ResolventSingularError` is unchanged: it is raised when the
+    resolvent is singular or too ill-conditioned to invert, which signals
+    that ``x`` lies outside the natural domain.
     """
     if x.arity != r.arity:
         raise ValueError(f"realization has arity {r.arity}, point has arity {x.arity}")
     n, m = x.dim, r.m
     rows, cols = r.delta.rows, r.delta.cols
+    delta_x = eval_delta(r.delta, x)
+    q = r._d_norm * operator_norm(delta_x)
     # Letters: a, b index [m]; i indexes [I]; j, k index [J]; t, u index [n].
-    dlt = eval_delta(r.delta, x).reshape(rows, n, cols, n)  # [i, t, k, u]
+    dlt = delta_x.reshape(rows, n, cols, n)  # [i, t, k, u]
     d4 = r.D.reshape(m, cols, m, rows)  # [a, j, b, i]
     res_dim = m * cols * n
     d_dlt = np.einsum("ajbi,itku->ajtbku", d4, dlt).reshape(res_dim, res_dim)
     b_dlt = np.einsum("bi,itku->tbku", r.B.reshape(m, rows), dlt).reshape(n, res_dim)
-    try:
-        resolvent = inverse(np.eye(res_dim, dtype=np.complex128) - d_dlt)
-    except SingularMatrixError as exc:
-        raise ResolventSingularError(str(exc)) from exc
-    res_c = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
+    eye = np.eye(res_dim, dtype=np.complex128)
+    if 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q):
+        try:
+            res_c = np.linalg.solve(eye - d_dlt, np.kron(r.C, np.eye(n)))
+        except np.linalg.LinAlgError as exc:
+            raise ResolventSingularError(f"LAPACK: {exc}") from exc
+        if not np.all(np.isfinite(res_c)):
+            raise ResolventSingularError("resolvent solve has non-finite entries")
+    else:
+        try:
+            resolvent = inverse(eye - d_dlt)
+        except SingularMatrixError as exc:
+            raise ResolventSingularError(str(exc)) from exc
+        res_c = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
     return r.A * np.eye(n, dtype=np.complex128) + b_dlt @ res_c
 
 

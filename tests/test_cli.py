@@ -376,6 +376,23 @@ class TestRealize:
         assert code == 1
         assert not json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan"])
+    def test_overflowing_colligation_fails_verdict(self, capsys, tmp_path, verb):
+        # B = 1e200 overflows the Gram matrix V* V: a failed verdict, not a
+        # usage error, and no numpy warning on the way.
+        obj = realization_to_obj(mobius_realization(0.5))
+        obj["B"]["entries"][0][0]["re"] = 1e200
+        huge = tmp_path / "huge.json"
+        huge.write_text(dump_json(obj))
+        extra = ("--n", "2", "--samples", "5") if verb == "realize-scan" else ()
+        code, out, err = run(capsys, verb, "--handle", str(huge), *extra)
+        assert code == 1
+        if verb == "realize-check":
+            payload = json.loads(out)
+            assert payload["isometry_residual"] is None and not payload["passed"]
+        else:
+            assert out == "" and "not isometric" in err
+
     def test_check_takes_no_tolerance(self, workspace, capsys):
         code, out, _ = run(
             capsys, "realize-check", "--handle", workspace["mobius.json"], "--tol", "1e-3"

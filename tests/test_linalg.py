@@ -103,6 +103,18 @@ class TestOperatorNorm:
     def test_top_singular_vector_orthogonal_to_ones(self):
         assert operator_norm(ones_orthogonal_matrix()) == pytest.approx(3.0, rel=1e-12)
 
+    def test_bit_identical_to_numpy_norm(self):
+        # operator_norm works on the complex128 form of its argument, so the
+        # reference is np.linalg.norm of that same form.
+        rng = rng_for(5)
+        cases = [ones_orthogonal_matrix()]
+        for shape in ((1, 1), (4, 4), (16, 16), (32, 32), (3, 7), (7, 3), (16, 32)):
+            real = rng.standard_normal(shape)
+            cases += [real, real + 1j * rng.standard_normal(shape)]
+        for a in cases:
+            expected = float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
+            assert operator_norm(a) == expected
+
     def test_submultiplicative(self):
         rng = rng_for(4)
         for _ in range(50):

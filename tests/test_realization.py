@@ -1,5 +1,7 @@
 """Delta balls, colligations, transfer functions, and contractivity scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from ncfuncalc import (
     inverse,
     mobius_realization,
     operator_norm,
+    realization,
     taylor_expand,
 )
 
@@ -267,6 +270,66 @@ class TestEvalRealization:
             recovered = expansion.as_poly()
             for w in set(symbolic.terms) | set(recovered.terms):
                 assert abs(symbolic.coefficient(w) - recovered.coefficient(w)) <= 1e-8
+
+
+class TestResolventCertificate:
+    """The solve route runs only where ``||D|| ||delta(x)||`` certifies that
+    the full inverse would pass its condition test."""
+
+    @pytest.fixture
+    def inverse_calls(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return inverse(a)
+
+        monkeypatch.setattr(realization, "inverse", counted)
+        return calls
+
+    @pytest.mark.parametrize("scale, inverted", [(0.5, 0), (2.5, 1)])
+    def test_mobius_closed_form_on_both_routes(self, inverse_calls, scale, inverted):
+        # q = 0.5 * scale: 0.25 takes the solve, 1.25 the inverse.
+        a = 0.5
+        x = MatrixTuple.from_scalars([scale], 2)
+        expected = (x[0] - a * np.eye(2)) @ np.linalg.inv(np.eye(2) - np.conj(a) * x[0])
+        np.testing.assert_allclose(
+            eval_realization(mobius_realization(a), x), expected, rtol=1e-14, atol=1e-14
+        )
+        assert len(inverse_calls) == inverted
+
+    @pytest.mark.parametrize(
+        "diagonal", [(2 * (1 - 1e-13), 0.5), (2 * (1 - 1.5e-12), -2 * (1 - 1.5e-12))]
+    )
+    def test_near_singular_below_q_one_still_raises(self, inverse_calls, diagonal):
+        # q = 1 - 1e-13 and 1 - 1.5e-12, both below 1, yet the resolvents
+        # diag(1e-13, 0.75) and diag(1.5e-12, 2 - 1.5e-12) have reciprocal
+        # condition ~1.3e-13 and ~7.5e-13, at most 1e-12.  A bare q < 1 rule,
+        # or 1 - q > 1e-12, would solve them and return a huge value.
+        x = MatrixTuple([np.diag(diagonal)])
+        with pytest.raises(ResolventSingularError):
+            eval_realization(mobius_realization(0.5), x)
+        assert len(inverse_calls) == 1
+
+    def test_isometric_scan_never_inverts(self, inverse_calls):
+        r = random_isometric_realization(rng_for(91), 2, 3)
+        assert contractivity_scan(r, 4, 20, seed=4).passed
+        assert inverse_calls == []
+        eval_realization(r, MatrixTuple.from_scalars([2.5, 2.5], 4))
+        assert inverse_calls == [(24, 24)]
+
+    def test_scan_memory_stays_per_sample(self):
+        # One resolvent at a time: a scan that stacked its 40 samples' 96x96
+        # resolvents would peak near 15 MB.
+        r = random_isometric_realization(rng_for(92), 2, 3)
+        contractivity_scan(r, 16, 2, seed=1)  # warm numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            contractivity_scan(r, 16, 40, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestContractivityScan:
