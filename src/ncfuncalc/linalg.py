@@ -25,6 +25,7 @@ __all__ = [
     "as_matrix",
     "inverse",
     "operator_norm",
+    "scalar_part",
     "MatrixTuple",
     "direct_sum",
     "bidiagonal_block",
@@ -96,6 +97,12 @@ def operator_norm(a) -> float:
         raise NonConvergenceError(f"SVD failed: {exc}") from exc
 
 
+def scalar_part(v: np.ndarray) -> tuple[complex, float]:
+    """``(c, residual)`` for a square ``v``: c = trace(v) / n, residual = max |v - c I|."""
+    c = complex(np.trace(v) / v.shape[0])
+    return c, float(np.abs(v - c * np.eye(v.shape[0])).max())
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128, copy=True)
     out.setflags(write=False)
@@ -148,11 +155,11 @@ class MatrixTuple:
         return self.components[r]
 
     def __add__(self, other: "MatrixTuple") -> "MatrixTuple":
-        self._check_compatible(other)
+        self.check_compatible(other)
         return MatrixTuple([a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "MatrixTuple") -> "MatrixTuple":
-        self._check_compatible(other)
+        self.check_compatible(other)
         return MatrixTuple([a - b for a, b in zip(self.components, other.components)])
 
     def __mul__(self, scalar) -> "MatrixTuple":
@@ -165,7 +172,8 @@ class MatrixTuple:
     def __neg__(self) -> "MatrixTuple":
         return MatrixTuple([-c for c in self.components])
 
-    def _check_compatible(self, other: "MatrixTuple") -> None:
+    def check_compatible(self, other: "MatrixTuple") -> None:
+        """Raise unless ``other`` is a MatrixTuple of the same arity and dimension."""
         if not isinstance(other, MatrixTuple):
             raise TypeError("expected a MatrixTuple")
         if other.arity != self.arity or other.dim != self.dim:

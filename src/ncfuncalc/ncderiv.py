@@ -8,14 +8,18 @@ image whose diagonal blocks are the F(x_i); the distance from that shape is
 reported as a structure residual and a large residual means the evaluator
 does not preserve intertwining.
 
-Directions are scaled by epsilon = min(1, 0.45 (bound - g) / ||h||), with g
-the largest domain gauge of the base points (see DomainDescriptor.gauge) and
-||h|| the largest step norm of the directions (DomainDescriptor.step_norm,
-which leaves out delta's constant term).  So on a polydisk, a row ball or a
-delta ball whose entries have degree at most 1, a jet at any in-domain point
-stays inside; epsilon is 1 on an unbounded domain.  The extracted blocks are
-rescaled by epsilon^{-level}, which is exact because the (i, i+j) block is
-j-homogeneous in the directions.
+The directions are scaled by eps = epsilon / 2^j, where epsilon is the
+starting scale (1 by default) and j the smallest count for which the jet
+itself lies in F's domain; the jet is then evaluated without a second
+membership test.  delta(jet) is block upper triangular with diagonal blocks
+delta(x_i), and compressing it to one diagonal block cannot raise its norm,
+so a jet inside a polydisk, a row ball, a delta ball or a norm cap has every
+base point inside too.  A base point outside the domain, or one so close to
+its boundary that eps would fall below MIN_EPSILON, raises
+DomainViolationError before any evaluation.  The extracted blocks are
+rescaled by eps^{-level}, which is right because the (i, i+j) block is
+j-homogeneous in the directions; with a power-of-two epsilon, as the default
+is, both the scaling and the rescale are exact in floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import MatrixTuple, bidiagonal_block
-from .ncfun import DomainDescriptor, DomainViolationError, NCFunctionHandle
+from .ncfun import DomainViolationError, NCFunctionHandle
 
 __all__ = [
     "StructureViolationError",
@@ -35,12 +39,10 @@ __all__ = [
     "delta_k",
     "dk_fd",
     "dk_multilinear",
-    "jet_epsilon",
 ]
 
 MIN_EPSILON = 1e-6
 STRUCTURE_TOL = 1e-6
-JET_SCALE = 0.45
 FD_CANCELLATION_FLOOR = 1e-12
 
 
@@ -64,41 +66,8 @@ class DeltaResult:
     epsilon: float
 
 
-def _largest_gauge(domain: DomainDescriptor, xs: list[MatrixTuple]) -> float:
-    """Largest gauge of the distinct base points; raises if one lies outside."""
-    distinct = {id(x): x for x in xs}.values()
-    top = max(domain.gauge(x) for x in distinct)
-    if not domain.admits(top):
-        raise DomainViolationError("a base point lies outside the domain")
-    return top
-
-
-def jet_epsilon(domain: DomainDescriptor, xs: list[MatrixTuple], hs) -> float:
-    """Direction scale for a jet at base points ``xs`` with directions ``hs``.
-
-    min(1, JET_SCALE (bound - g) / ||h||), with g the largest gauge of the
-    base points and ||h|| the largest ``domain.step_norm`` of the distinct
-    directions; 1 on an unbounded domain.  Raises
-    :class:`DomainViolationError` for a base point outside the domain, and
-    for one so close to the boundary that the scale would fall below
-    ``MIN_EPSILON``.
-    """
-    top = _largest_gauge(domain, xs)
-    if math.isinf(domain.bound):
-        return 1.0
-    hmax = max(domain.step_norm(h) for h in {id(h): h for h in hs}.values())
-    if hmax == 0.0:
-        return 1.0
-    eps = min(1.0, JET_SCALE * (domain.bound - top) / hmax)
-    if eps < MIN_EPSILON:
-        raise DomainViolationError(
-            f"no admissible jet scale of at least {MIN_EPSILON:.0e} exists"
-        )
-    return eps
-
-
 def delta_k(
-    F: NCFunctionHandle, xs, hs, *, epsilon: float | None = None, base_values=None
+    F: NCFunctionHandle, xs, hs, *, epsilon: float = 1.0, base_values=None
 ) -> DeltaResult:
     """Order-k difference-differential of F via one jet evaluation.
 
@@ -111,8 +80,9 @@ def delta_k(
     ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
     blocks are checked against; a caller that extracts many jets at the same
     base points passes them once instead of having F re-evaluated per call.
-    ``epsilon`` defaults to :func:`jet_epsilon`; an outside base point raises
-    :class:`DomainViolationError` before any evaluation either way.
+    ``epsilon`` is the starting scale, halved until the jet lies in the
+    domain (module docstring); an outside base point raises
+    :class:`DomainViolationError` before any evaluation.
     """
     xs = list(xs)
     hs = list(hs)
@@ -121,13 +91,16 @@ def delta_k(
         raise ValueError("need at least one direction")
     if len(xs) != k + 1:
         raise ValueError(f"need {k + 1} base points for order {k}, got {len(xs)}")
-    if epsilon is None:
-        eps = jet_epsilon(F.domain, xs, hs)
-    else:
-        _largest_gauge(F.domain, xs)
-        eps = float(epsilon)
-    scaled = hs if eps == 1.0 else [eps * h for h in hs]
-    img = F.eval(bidiagonal_block(xs, scaled), unchecked=True)
+    eps = float(epsilon)
+    jet = bidiagonal_block(xs, hs if eps == 1.0 else [eps * h for h in hs])
+    while not F.domain.contains(jet):
+        eps *= 0.5
+        if eps < MIN_EPSILON:
+            raise DomainViolationError(
+                f"no jet scale of at least {MIN_EPSILON:.0e} keeps the jet in the domain"
+            )
+        jet = bidiagonal_block(xs, [eps * h for h in hs])
+    img = F.eval(jet, unchecked=True)
     n = xs[0].dim
     k1 = k + 1
 
@@ -186,7 +159,7 @@ def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: floa
             RuntimeWarning,
             stacklevel=2,
         )
-    x._check_compatible(h)
+    x.check_compatible(h)
     acc = np.zeros((x.dim, x.dim), dtype=np.complex128)
     for j in range(k + 1):
         acc += ((-1) ** j * math.comb(k, j)) * F.eval(x + (j * lam) * h)
@@ -207,7 +180,7 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
     if not 1 <= k <= 6:
         raise ValueError("polarization supports orders 1 through 6")
     for h in hs:
-        x._check_compatible(h)
+        x.check_compatible(h)
     values = [F.eval(x)] * (k + 1)
     total = np.zeros((x.dim, x.dim), dtype=np.complex128)
     for mask in range(1, 2**k):

@@ -3,11 +3,12 @@
 An :class:`NCFunctionHandle` evaluates a d-tuple of n-by-n matrices to an
 n-by-n matrix at every dimension n.  Built-in backings: a free polynomial,
 a truncated homogeneous series, or a transfer-function realization.  Domain
-membership is checked on evaluation; jet evaluations on block matrices that
-leave the nominal ball go through the explicit ``unchecked`` path and are
-rescaled exactly by homogeneity in the derivative machinery.  The negative
-control handles (deliberately broken evaluators) live here too, so the file
-formats can name them without depending on the verification suite.
+membership is checked on evaluation.  The explicit ``unchecked`` path is
+used only on a jet whose membership :func:`~ncfuncalc.ncderiv.delta_k` has
+tested, and on that jet's base points, which lie inside whenever the jet
+does.  The negative control handles (deliberately broken evaluators) live
+here too, so the file formats can name them without depending on the
+verification suite.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ class NCFunctionHandle:
     def eval(self, x: MatrixTuple, *, unchecked: bool = False) -> np.ndarray:
         """Evaluate at ``x``; raises DomainViolationError outside the domain.
 
-        ``unchecked=True`` skips the membership test (used for jet blocks,
-        which intentionally leave the nominal ball).  Gradedness of the
-        output is always enforced, and a non-finite output raises
-        :class:`NonFiniteResultError`.
+        ``unchecked=True`` skips the membership test; it is used only on a
+        jet whose membership ``delta_k`` has tested, and on that jet's base
+        points.  Gradedness of the output is always enforced, and a
+        non-finite output raises :class:`NonFiniteResultError`.
         """
         if x.arity != self.arity:
             raise ValueError(f"handle has arity {self.arity}, point has arity {x.arity}")

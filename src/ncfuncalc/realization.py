@@ -228,33 +228,18 @@ class DomainDescriptor:
             return operator_norm(np.hstack(list(x.components)))
         return operator_norm(eval_delta(self.delta, x))
 
-    def step_norm(self, h: MatrixTuple) -> float:
-        """Size of a jet direction: ``norm(h)``, except ``||delta(h) - delta(0)||``
-        on a delta ball, so that delta's constant term does not count."""
-        if self.kind != "deltaball":
-            return self.norm(h)
-        value = eval_delta(self.delta, h)
-        const = np.array([[p.coefficient(()) for p in row] for row in self.delta.entries])
-        if const.any():
-            value = value - np.kron(const, np.eye(h.dim))
-        return operator_norm(value)
-
     def gauge(self, x: MatrixTuple) -> float:
-        """``norm(x)``, which membership and jet scaling read, with two shortcuts:
-        ``inf`` past the norm cap, and 0 without a norm on an unbounded ball."""
+        """``norm(x)``, which membership reads, with two shortcuts: ``inf``
+        past the norm cap, and 0 without a norm on an unbounded ball."""
         if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
             return math.inf
         if math.isinf(self.bound):
             return 0.0
         return self.norm(x)
 
-    def admits(self, gauge: float) -> bool:
-        """Whether a point of this gauge is inside, with a safety margin of 1e-9."""
-        return gauge < self.bound - DOMAIN_CHECK_MARGIN
-
     def contains(self, x: MatrixTuple) -> bool:
         """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
-        return self.admits(self.gauge(x))
+        return self.gauge(x) < self.bound - DOMAIN_CHECK_MARGIN
 
     def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
         """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
@@ -425,16 +410,26 @@ def identity_realization() -> Realization:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a contractivity scan over sampled ball points."""
+    """Outcome of a contractivity scan over sampled ball points.
+
+    No draw is rejected, so the requested, collected and drawn counts are
+    all ``samples``; the scan passes iff ``max_norm`` is at most ``threshold``.
+    """
 
     dim: int
-    requested: int
-    collected: int
-    draws: int
+    samples: int
     max_norm: float
-    threshold: float
-    passed: bool
     seed: int
+
+    requested = collected = draws = property(lambda self: self.samples)
+
+    @property
+    def threshold(self) -> float:
+        return 1.0 + SCAN_NORM_TOL
+
+    @property
+    def passed(self) -> bool:
+        return self.max_norm <= self.threshold
 
     def as_dict(self) -> dict:
         return {
@@ -475,14 +470,4 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         )
         size = ball.bound * rng.uniform() ** (1.0 / (2 * d * n * n))
         max_norm = max(max_norm, operator_norm(eval_realization(r, ball.rescale(u, size))))
-    threshold = 1.0 + SCAN_NORM_TOL
-    return ScanReport(
-        dim=n,
-        requested=samples,
-        collected=samples,
-        draws=samples,
-        max_norm=max_norm,
-        threshold=threshold,
-        passed=max_norm <= threshold,
-        seed=seed,
-    )
+    return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, operator_norm
-from .ncderiv import StructureViolationError, delta_k, jet_epsilon
+from .linalg import MatrixTuple, operator_norm, scalar_part
+from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
 __all__ = [
@@ -56,17 +56,16 @@ def _extract(
     word: Word,
     zero: MatrixTuple,
     units: list[MatrixTuple],
-    epsilon: float,
+    epsilon: float = 1.0,
     value_at_zero: np.ndarray | None = None,
-) -> tuple[complex, float]:
-    """Return (coefficient, scalarity residual) of ``word`` from one jet.
+) -> tuple[complex, float, float]:
+    """Return (coefficient, scalarity residual, jet scale) of ``word`` from one jet.
 
     ``units`` are the unit directions at the dimension of ``zero`` and
-    ``epsilon`` their jet scale; ``value_at_zero``, when given, is the
-    already-checked F(0).
+    ``epsilon`` the starting jet scale; ``value_at_zero``, when given, is
+    the already-checked F(0).
     """
     k = len(word)
-    dim = zero.dim
     base_values = None if value_at_zero is None else [value_at_zero] * (k + 1)
     try:
         res = delta_k(
@@ -78,24 +77,19 @@ def _extract(
         )
     except StructureViolationError as exc:
         raise ExtractionError(f"jet structure violated at word {word}: {exc}", word=word) from exc
-    block = res.delta
-    c = complex(np.trace(block) / dim)
-    resid = float(np.abs(block - c * np.eye(dim)).max())
+    c, resid = scalar_part(res.delta)
     if resid > SCALAR_TOL * max(1.0, abs(c)):
         raise NonScalarResultError(
             f"extraction at word {word} is not scalar (residual {resid:.3e})", word=word
         )
-    return c, resid
+    return c, resid, res.epsilon
 
 
-def _extraction_frame(
-    F: NCFunctionHandle, dim: int
-) -> tuple[MatrixTuple, list[MatrixTuple], float]:
-    """The zero point and the unit directions at ``dim``, and their jet scale."""
+def _extraction_frame(F: NCFunctionHandle, dim: int) -> tuple[MatrixTuple, list[MatrixTuple]]:
+    """The zero point and the unit directions at ``dim``."""
     d = F.arity
     zero = MatrixTuple.zeros(d, dim)
-    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
-    return zero, units, jet_epsilon(F.domain, [zero], units)
+    return zero, [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
 
 
 def word_coefficient(F: NCFunctionHandle, word, *, dim: int = 1) -> complex:
@@ -110,7 +104,7 @@ def word_coefficient(F: NCFunctionHandle, word, *, dim: int = 1) -> complex:
         raise ValueError("use eval at the zero tuple for the degree-0 part")
     if any(j < 0 or j >= F.arity for j in w):
         raise ValueError(f"word {w} uses letters outside [0, {F.arity})")
-    c, _ = _extract(F, w, *_extraction_frame(F, dim))
+    c, _, _ = _extract(F, w, *_extraction_frame(F, dim))
     return c
 
 
@@ -159,7 +153,9 @@ def taylor_expand(
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
     Coefficients below 1e-12 in magnitude are dropped as extraction noise;
-    the algebra itself never prunes, this is purely a numeric cutoff.
+    the algebra itself never prunes, this is purely a numeric cutoff.  Each
+    word's jet starts from the scale the previous word settled on, so the
+    halving toward the domain is paid about once per expansion.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
@@ -171,10 +167,9 @@ def taylor_expand(
         )
 
     residuals: dict[Word, float] = {}
-    zero, units, eps = _extraction_frame(F, dim)
+    zero, units = _extraction_frame(F, dim)
     v0 = F.eval(zero)
-    c0 = complex(np.trace(v0) / dim)
-    residuals[()] = float(np.abs(v0 - c0 * np.eye(dim)).max())
+    c0, residuals[()] = scalar_part(v0)
     if residuals[()] > SCALAR_TOL * max(1.0, abs(c0)):
         raise NonScalarResultError(
             f"value at the scalar point 0 is not scalar (residual {residuals[()]:.3e})",
@@ -182,10 +177,11 @@ def taylor_expand(
         )
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
 
+    eps = 1.0
     for k in range(1, maxdeg + 1):
         terms: dict[Word, complex] = {}
         for w in _words_of_length(d, k):
-            c, residuals[w] = _extract(F, w, zero, units, eps, v0)
+            c, residuals[w], eps = _extract(F, w, zero, units, eps, v0)
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c
         parts.append(FreePoly(d, terms))

@@ -239,8 +239,9 @@ class TestDerive:
         gap = float(out.splitlines()[0].split()[-1])
         assert gap <= 1e-5
 
-    def test_point_near_the_boundary_is_differentiated(self, capsys, tmp_path):
-        # 0.95 I lies inside polydisk(1); the jet is scaled to fit, not refused.
+    @staticmethod
+    def derive_square_in_polydisk(capsys, tmp_path):
+        """``derive`` of x0^2 in polydisk(1) at 0.95 I along I (2x2)."""
         handle = tmp_path / "square_polydisk.json"
         handle.write_text(
             dump_json(
@@ -255,7 +256,7 @@ class TestDerive:
         dirs.write_text(
             dump_json({"directions": [tuple_to_obj(MatrixTuple.from_scalars([1.0], 2))]})
         )
-        code, out, _ = run(
+        return run(
             capsys,
             "derive",
             "--handle", str(handle),
@@ -263,8 +264,18 @@ class TestDerive:
             "--directions", str(dirs),
             "--k", "1",
         )
+
+    def test_point_near_the_boundary_is_differentiated(self, capsys, tmp_path):
+        # 0.95 I lies inside polydisk(1); the jet is scaled to fit, not refused.
+        code, out, _ = self.derive_square_in_polydisk(capsys, tmp_path)
         assert code == 0
         np.testing.assert_allclose(matrix_from_obj(json.loads(out)), 1.9 * np.eye(2), atol=1e-12)
+
+    def test_power_of_two_jet_scale_is_exact(self, capsys, tmp_path):
+        # The jet scale is 1/16, so scaling and rescaling lose no bits.
+        code, out, _ = self.derive_square_in_polydisk(capsys, tmp_path)
+        assert code == 0
+        assert np.array_equal(matrix_from_obj(json.loads(out)), 1.9 * np.eye(2))
 
     def test_k_zero_is_evaluation(self, workspace, capsys):
         code, out, _ = run(

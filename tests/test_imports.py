@@ -1,5 +1,7 @@
-"""Every package module imports on its own in a fresh interpreter."""
+"""Every package module imports on its own in a fresh interpreter, and every
+name a module exports exists."""
 
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -29,3 +31,10 @@ def test_module_imports_in_fresh_interpreter(module):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["ncfuncalc"] + [f"ncfuncalc.{m}" for m in MODULES])
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing

@@ -21,9 +21,7 @@ from ncfuncalc import (
     from_poly,
     from_series,
     operator_norm,
-    variables,
 )
-from ncfuncalc.ncderiv import jet_epsilon
 
 from _helpers import counting_handle, random_matrix, random_poly, random_tuple, relerr, rng_for
 
@@ -71,13 +69,13 @@ class TestJet1:
         np.testing.assert_allclose(res.delta, h[0], atol=1e-12)
 
     def test_scaling_policy_rejects_boundary_points(self):
-        # 0.95 is inside polydisk(1), so its jet is scaled to 0.45 of the
-        # remaining gauge; within 1e-7 of the boundary that scale would fall
-        # below MIN_EPSILON.
+        # 0.95 is inside polydisk(1), so the direction is halved until the
+        # jet [[0.95, eps], [0, 0.95]] is inside too; within 1e-7 of the
+        # boundary that scale would fall below MIN_EPSILON.
         F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
         res = jet(F, scalar(0.95), scalar(1.0))
         np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
-        assert res.epsilon == pytest.approx(0.45 * 0.05)
+        assert res.epsilon == 0.0625
         with pytest.raises(DomainViolationError, match="jet scale"):
             jet(F, scalar(1.0 - 5e-8), scalar(1.0))
 
@@ -114,7 +112,7 @@ class TestGaugeScale:
         assert F.domain.gauge(x) > 0.95
         h = random_tuple(rng, 2, 2)
         res = jet(F, x, h)
-        assert res.epsilon < 0.1
+        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
         np.testing.assert_allclose(res.delta, x[0] @ h[1] + h[0] @ x[1], atol=1e-12)
 
     def test_unbounded_domain_keeps_unit_scale(self, square):
@@ -124,12 +122,13 @@ class TestGaugeScale:
         # Every component of h is E11: each has norm 1, but the row norm of
         # h is sqrt(5), so a scale read from component norms leaves the ball.
         domain = DomainDescriptor.rowball(1.0)
+        F = from_poly(FreePoly.letter(5, 0), domain)
         x = MatrixTuple.zeros(5, 2)
         e11 = np.zeros((2, 2))
         e11[0, 0] = 1.0
         h = MatrixTuple([e11] * 5)
-        eps = jet_epsilon(domain, [x, x], [h])
-        assert eps == pytest.approx(0.45 / math.sqrt(5.0))
+        eps = jet(F, x, h).epsilon
+        assert eps == 0.25
         assert domain.contains(bidiagonal_block([x, x], [eps * h]))
 
     def test_affine_delta_ball_jet_stays_inside(self):
@@ -137,34 +136,51 @@ class TestGaugeScale:
         # step of that size moves delta by 0.5, so it is sized without the
         # constant term.
         domain = DomainDescriptor.deltaball(PolyMatrix([[FreePoly(1, {(0,): 1.0, (): 0.5})]]))
+        F = from_poly(FreePoly.letter(1, 0), domain)
         x, h = scalar(0.45), scalar(-0.5)
         assert domain.gauge(x) == pytest.approx(0.95)
-        assert domain.step_norm(h) == 0.5
-        eps = jet_epsilon(domain, [x, x], [h])
-        assert eps == pytest.approx(0.045)
+        eps = jet(F, x, h).epsilon
+        assert eps == 0.125
         assert domain.contains(bidiagonal_block([x, x], [eps * h]))
 
-    def test_letter_linear_step_norm_is_the_norm(self):
-        rng = rng_for(62)
-        domain = DomainDescriptor.deltaball(PolyMatrix([[variables(2)[0], variables(2)[1]]]))
-        h = random_tuple(rng, 2, 3)
-        assert domain.step_norm(h) == domain.norm(h)
+    def test_quadratic_delta_ball_jet_stays_inside(self):
+        # delta = x0^2 at x = 0.9 (gauge 0.81): a scale read from
+        # ||delta(h)|| = 0.09 lets ||delta(jet)|| reach 1.106; the jet that
+        # is tested itself stays inside.
+        domain = DomainDescriptor.deltaball(PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]]))
+        F = from_poly(FreePoly(1, {(0, 0, 0): 1.0}), domain)
+        x, h = scalar(0.9), scalar(0.3)
+        res = jet(F, x, h)
+        assert domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
+        np.testing.assert_allclose(res.delta, [[3 * 0.81 * 0.3]], rtol=1e-14)
 
-    def test_each_distinct_direction_sized_once(self, monkeypatch):
-        # dk_multilinear hands each subset sum k times to one jet.
-        sized = []
-        step_norm = DomainDescriptor.step_norm
+    def test_norm_capped_jet_stays_inside(self):
+        # An unbounded polydisk with a norm cap: the jet at 0.9 along 1 has
+        # component norm 1.53 at scale 1, past the cap.
+        F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(math.inf, norm_cap=1.0))
+        x, h = scalar(0.9), scalar(1.0)
+        res = jet(F, x, h)
+        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
+        np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
 
-        def counting(self, h):
-            sized.append(h)
-            return step_norm(self, h)
+    def test_checked_base_points_are_not_tested_again(self, monkeypatch):
+        # With base values given, the only membership test is the jet's.
+        dims = []
+        gauge = DomainDescriptor.gauge
 
-        monkeypatch.setattr(DomainDescriptor, "step_norm", counting)
+        def counting(self, x):
+            dims.append(x.dim)
+            return gauge(self, x)
+
+        monkeypatch.setattr(DomainDescriptor, "gauge", counting)
         rng = rng_for(63)
         F = from_poly(random_poly(rng, 2, 3), DomainDescriptor.polydisk(1.0))
-        hs = [random_tuple(rng, 2, 2) for _ in range(3)]
-        dk_multilinear(F, random_tuple(rng, 2, 2), hs)
-        assert len(sized) == 7
+        xs = [MatrixTuple([random_matrix(rng, 2, 0.5) for _ in range(2)]) for _ in range(3)]
+        hs = [random_tuple(rng, 2, 2) for _ in range(2)]
+        values = [F.eval(x) for x in xs]
+        dims.clear()
+        delta_k(F, xs, hs, base_values=values)
+        assert dims and set(dims) == {6}
 
 
 class TestDeltaK:
