@@ -195,13 +195,22 @@ class FreePoly:
         """
         if x.arity != self.arity:
             raise ValueError(f"polynomial in {self.arity} letters at a {x.arity}-tuple")
-        n = x.dim
-        comps = x.components
+        return self._evaluate(x.components)
+
+    def _evaluate(self, comps) -> np.ndarray:
+        """``evaluate`` on components that may carry leading sample axes.
+
+        ``comps[j]`` is letter j's array, of one shape ``(..., n, n)`` for
+        every letter; the output has that shape.  Matmul broadcasts over the
+        leading axes, so each sample's value is the one ``evaluate`` gives
+        that sample alone.
+        """
+        shape = comps[0].shape
         # A word through an exactly zero component has a zero product, and so
         # has every word below it in the trie: skip those subtrees.
         live = [bool(c.any()) for c in comps]
-        out = np.zeros((n, n), dtype=np.complex128)
-        eye = np.eye(n, dtype=np.complex128)
+        out = np.zeros(shape, dtype=np.complex128)
+        eye = np.eye(shape[-1], dtype=np.complex128)
         # Entries (parent product, letter, node); a node's product is formed
         # when it is popped, so pending siblings only share their parent's.
         stack = [(eye, None, self._prefix_trie())]

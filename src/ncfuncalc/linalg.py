@@ -8,7 +8,8 @@ freely between threads.
 
 The two numerical primitives run on numpy's LAPACK: :func:`operator_norm`
 is the largest singular value from ``np.linalg.svd(a, compute_uv=False)``
-(``gesdd``, singular values only), and :func:`inverse`
+(``gesdd``, singular values only), of one matrix or of each matrix in a
+stack, and :func:`inverse`
 is an LU solve (``gesv``) that rejects a matrix whose reciprocal condition
 in the infinity norm is at most ``PIVOT_RTOL``.
 """
@@ -81,20 +82,30 @@ def inverse(a) -> np.ndarray:
     return inv
 
 
-def operator_norm(a) -> float:
+def operator_norm(a):
     """Largest singular value of ``a`` (rectangular allowed), by LAPACK SVD.
 
     The leading value of ``np.linalg.svd(a, compute_uv=False)`` (``gesdd``),
-    the number ``np.linalg.norm(a, 2)`` returns, without its axis handling;
-    an SVD that fails to converge raises :class:`NonConvergenceError`.
+    the number ``np.linalg.norm(a, 2)`` returns, without its axis handling.
+    A 2-d ``a`` gives a float; a stack of shape ``(..., p, q)`` gives the
+    array of its matrices' norms, each the number the 2-d call returns, from
+    one LAPACK call per matrix and one numpy call in all.  Non-finite
+    entries raise ``ValueError``; an SVD that fails to converge raises
+    :class:`NonConvergenceError`.
     """
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if a.size == 0:
-        return 0.0
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"SVD failed: {exc}") from exc
+        norms = np.zeros(a.shape[:-2])
+    else:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains non-finite entries")
+        try:
+            norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"SVD failed: {exc}") from exc
+    return float(norms) if a.ndim == 2 else norms
 
 
 def scalar_part(v: np.ndarray) -> tuple[complex, float]:
@@ -178,10 +189,6 @@ class MatrixTuple:
             raise TypeError("expected a MatrixTuple")
         if other.arity != self.arity or other.dim != self.dim:
             raise ValueError("matrix tuples differ in arity or dimension")
-
-    def max_norm(self) -> float:
-        """Largest component operator norm; the natural size of the point."""
-        return max(operator_norm(c) for c in self.components)
 
     def conjugate_by(self, s: np.ndarray) -> "MatrixTuple":
         """Componentwise similarity s x s^{-1}."""

@@ -21,13 +21,15 @@ with ``kappa_2 <= (1 + q) / (1 - q)``.  Since ``kappa_inf <= N kappa_2`` at
 resolvent dimension N = m J n, the reciprocal-condition test of
 :func:`~ncfuncalc.linalg.inverse` (``rcond_inf > PIVOT_RTOL``) provably passes
 whenever ``1 - q > 2 N PIVOT_RTOL (1 + q)``; the factor 2 absorbs roundoff in
-q.  There the resolvent is applied to the n columns of C (x) 1 by one LU
+q.  There the resolvent is applied to the n columns of C (x) 1 by an LU
 solve instead of being inverted, and :class:`ResolventSingularError` is
 raised only if LAPACK reports exact singularity or the solution is not
-finite.  Elsewhere the full inverse and its condition test run as before, so
-the error keeps one rule: it fires where the condition test fails.  An
-isometric colligation has ``||D|| <= 1``, so every scan sample (``q <= 0.95``)
-takes the solve.
+finite.  Elsewhere the full inverse and its condition test run, so
+the error keeps one rule: it fires where the condition test fails.  The
+certificate is read per point: on a stack of points, every certified one is
+solved in one batched LAPACK call and the others are inverted one at a time.
+An isometric colligation has ``||D|| <= 1``, so every scan sample
+(``q <= 0.95``) takes the solve.
 
 A contractivity scan rescales one complex Gaussian direction per sample to
 the norm ``(1 - SCAN_MARGIN) U^(1/(2 d n^2))``, U uniform on [0, 1): for a
@@ -35,7 +37,15 @@ letter-linear delta, the radial law of the uniform distribution on a ball of
 real dimension 2 d n^2.  No draw is rejected, so a scan's ``draws`` equals
 its ``samples``.  A sample outside the ball is halved toward 0 until it
 enters; SamplerStarvationError means it never did, which only a ball that
-does not contain 0 can cause.
+does not contain 0 can cause.  Sample i is drawn from its own stream
+``(seed, i)``, and the samples are processed in blocks stacked along a
+leading axis, as many per block as keep the block's resolvents within
+``SCAN_BLOCK_BYTES`` (at least one).  Per block, one stacked norm of
+``delta(u)`` gives the scale, and one stacked ``delta(x)`` and its norms
+serve the membership comparison, the certificate's q and the transfer
+formula; only the samples outside are halved and measured again.  Each sample's value and norm are
+the ones :func:`eval_realization` and :func:`~ncfuncalc.linalg.operator_norm`
+give it alone, so the report does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -82,6 +92,7 @@ DOMAIN_CHECK_MARGIN = 1e-9
 RESCALE_HALVINGS = 60
 SCAN_MARGIN = 0.05
 SCAN_NORM_TOL = 1e-8
+SCAN_BLOCK_BYTES = 640 * 2**10
 
 
 class ResolventSingularError(ArithmeticError):
@@ -158,13 +169,20 @@ def eval_delta(delta: PolyMatrix, x: MatrixTuple) -> np.ndarray:
     """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x)."""
     if delta.arity != x.arity:
         raise ValueError(f"delta has arity {delta.arity}, point has arity {x.arity}")
-    n = x.dim
-    out = np.zeros((delta.rows * n, delta.cols * n), dtype=np.complex128)
+    return _eval_delta(delta, x.components)
+
+
+def _eval_delta(delta: PolyMatrix, comps) -> np.ndarray:
+    """``eval_delta`` on components ``comps[j]`` of shape ``(..., n, n)``;
+    the output has shape ``(..., I*n, J*n)``."""
+    shape = comps[0].shape
+    n = shape[-1]
+    out = np.zeros(shape[:-2] + (delta.rows * n, delta.cols * n), dtype=np.complex128)
     for i in range(delta.rows):
         for j in range(delta.cols):
             p = delta.entries[i][j]
             if not p.is_zero:
-                out[i * n : (i + 1) * n, j * n : (j + 1) * n] = p.evaluate(x)
+                out[..., i * n : (i + 1) * n, j * n : (j + 1) * n] = p._evaluate(comps)
     return out
 
 
@@ -222,24 +240,16 @@ class DomainDescriptor:
     def norm(self, x: MatrixTuple) -> float:
         """The largest component norm on a polydisk, the row norm
         ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta ball."""
-        if self.kind == "polydisk":
-            return x.max_norm()
-        if self.kind == "rowball":
-            return operator_norm(np.hstack(list(x.components)))
-        return operator_norm(eval_delta(self.delta, x))
+        return float(self._norms(_one_sample(x))[0])
 
     def gauge(self, x: MatrixTuple) -> float:
         """``norm(x)``, which membership reads, with two shortcuts: ``inf``
-        past the norm cap, and 0 without a norm on an unbounded ball."""
-        if math.isfinite(self.norm_cap) and x.max_norm() > self.norm_cap:
-            return math.inf
-        if math.isinf(self.bound):
-            return 0.0
-        return self.norm(x)
+        past the norm cap, and 0 without computing a norm on an unbounded ball."""
+        return float(self._gauges(_one_sample(x))[0][0])
 
     def contains(self, x: MatrixTuple) -> bool:
         """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
-        return self.gauge(x) < self.bound - DOMAIN_CHECK_MARGIN
+        return self._inside(self.gauge(x))
 
     def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
         """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
@@ -247,15 +257,72 @@ class DomainDescriptor:
         Raises :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
         halvings, which only a domain that does not contain 0 can reach.
         """
-        norm = self.norm(u)
-        x = u if norm == 0.0 else (size / norm) * u
+        return MatrixTuple(self._rescale(_one_sample(u), np.array([size]))[0][:, 0])
+
+    # A stack holds its samples' components in an array of shape (d, B, n, n):
+    # letter first, sample second.  The public methods above are the B = 1 case.
+
+    def _norms(self, comps: np.ndarray) -> np.ndarray:
+        return self._measure(comps)[0]
+
+    def _measure(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The norms of a stack and, on a delta ball, the ``delta(x)`` stack
+        they are the operator norms of (None on the other kinds)."""
+        if self.kind == "polydisk":
+            return np.max(operator_norm(comps), axis=0), None
+        if self.kind == "rowball":
+            return operator_norm(np.concatenate(tuple(comps), axis=-1)), None
+        values = _eval_delta(self.delta, comps)
+        return operator_norm(values), values
+
+    def _gauges(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The gauges of a stack, with the ``delta(x)`` stack of ``_measure``
+        (rows past the norm cap left 0)."""
+        gauges = np.zeros(comps.shape[1])
+        uncapped = slice(None)
+        if math.isfinite(self.norm_cap):
+            uncapped = np.max(operator_norm(comps), axis=0) <= self.norm_cap
+            gauges[~uncapped] = math.inf
+        if math.isinf(self.bound):
+            return gauges, None
+        gauges[uncapped], measured = self._measure(comps[:, uncapped])
+        if measured is None or isinstance(uncapped, slice):
+            return gauges, measured
+        values = np.zeros(gauges.shape + measured.shape[1:], dtype=np.complex128)
+        values[uncapped] = measured
+        return gauges, values
+
+    def _inside(self, gauge):
+        """The one membership comparison, on one gauge or an array of them."""
+        return gauge < self.bound - DOMAIN_CHECK_MARGIN
+
+    def _rescale(
+        self, u: np.ndarray, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Each sample of ``u`` scaled to its norm in ``sizes``, then halved
+        toward 0 until it is inside; returns the stack, its gauges and, on a
+        delta ball, its ``delta(x)`` stack.  A halving measures again only the
+        samples it halved."""
+        norms = self._norms(u)
+        factors = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
+        x = factors[:, None, None] * u
+        gauges, values = self._gauges(x)
         for _ in range(RESCALE_HALVINGS):
-            if self.contains(x):
-                return x
-            x = 0.5 * x
+            out = ~self._inside(gauges)
+            if not out.any():
+                return x, gauges, values
+            x[:, out] *= 0.5
+            gauges[out], halved = self._gauges(x[:, out])
+            if values is not None:
+                values[out] = halved
         raise SamplerStarvationError(
-            f"no halving of a sample of norm {size:.3e} entered the {self.kind} domain"
+            f"no halving of a sample of norm {sizes[out][0]:.3e} entered the {self.kind} domain"
         )
+
+
+def _one_sample(x: MatrixTuple) -> np.ndarray:
+    """The stack of the single sample ``x``: shape (d, 1, n, n)."""
+    return np.array(x.components)[:, None]
 
 
 def in_ball(delta: PolyMatrix, x: MatrixTuple, margin: float = 0.0) -> bool:
@@ -271,7 +338,10 @@ def in_exhaustion(delta: PolyMatrix, x: MatrixTuple, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("exhaustion index must be at least 1")
-    return DomainDescriptor.deltaball(delta).norm(x) <= 1.0 - 1.0 / k and x.max_norm() <= k
+    return (
+        DomainDescriptor.deltaball(delta).norm(x) <= 1.0 - 1.0 / k
+        and DomainDescriptor.polydisk().norm(x) <= k
+    )
 
 
 @dataclass(frozen=True)
@@ -339,45 +409,62 @@ def check_isometry(r: Realization) -> float:
 def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     """Transfer-function value at ``x`` under the fixed tensor ordering.
 
-    The amplified products (D (x) 1)(1 (x) delta(x)) and (B (x) 1)(1 (x) delta(x))
-    are contracted over the (mu, i, t) indices directly, so no Kronecker
-    product of delta is formed.  With ``q = ||D|| ||delta(x)||`` and resolvent
-    dimension ``N = m J n``, when ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the
-    factor 2 absorbs roundoff in q) the resolvent is applied to C (x) 1 by
-    one LU solve; otherwise it is formed by :func:`~ncfuncalc.linalg.inverse`.
-    The certificate (module docstring) guarantees that the inverse's
-    condition test would pass wherever the solve runs, so the rule for
-    :class:`ResolventSingularError` is unchanged: it is raised when the
-    resolvent is singular or too ill-conditioned to invert, which signals
-    that ``x`` lies outside the natural domain.
+    The one-sample case of the transfer step the scan runs on its blocks:
+    the amplified products (D (x) 1)(1 (x) delta(x)) and
+    (B (x) 1)(1 (x) delta(x)) are contracted over the (mu, i, t) indices
+    directly, so no Kronecker product of delta is formed.  With
+    ``q = ||D|| ||delta(x)||`` and resolvent dimension ``N = m J n``, when
+    ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the factor 2 absorbs roundoff in q)
+    the resolvent is applied to C (x) 1 by one LU solve; otherwise it is
+    formed by :func:`~ncfuncalc.linalg.inverse`.  The certificate (module
+    docstring) guarantees that the inverse's condition test would pass
+    wherever the solve runs, so the rule for :class:`ResolventSingularError`
+    is unchanged: it is raised when the resolvent is singular or too
+    ill-conditioned to invert, which signals that ``x`` lies outside the
+    natural domain.
     """
     if x.arity != r.arity:
         raise ValueError(f"realization has arity {r.arity}, point has arity {x.arity}")
-    n, m = x.dim, r.m
-    rows, cols = r.delta.rows, r.delta.cols
-    delta_x = eval_delta(r.delta, x)
-    q = r._d_norm * operator_norm(delta_x)
-    # Letters: a, b index [m]; i indexes [I]; j, k index [J]; t, u index [n].
-    dlt = delta_x.reshape(rows, n, cols, n)  # [i, t, k, u]
-    d4 = r.D.reshape(m, cols, m, rows)  # [a, j, b, i]
+    delta_x = eval_delta(r.delta, x)[None]
+    return _transfer(r, delta_x, operator_norm(delta_x))[0]
+
+
+def _transfer(r: Realization, delta_x: np.ndarray, delta_norms: np.ndarray) -> np.ndarray:
+    """Transfer-function values at a stack of points, from ``delta(x)`` of
+    shape (B, I*n, J*n) and its norms ``||delta(x)||`` of shape (B,).
+
+    Every certified sample is solved in one batched LAPACK call; the others
+    go through :func:`~ncfuncalc.linalg.inverse` one at a time.
+    """
+    m, rows, cols = r.m, r.delta.rows, r.delta.cols
+    batch, n = delta_x.shape[0], delta_x.shape[-1] // cols
     res_dim = m * cols * n
-    d_dlt = np.einsum("ajbi,itku->ajtbku", d4, dlt).reshape(res_dim, res_dim)
-    b_dlt = np.einsum("bi,itku->tbku", r.B.reshape(m, rows), dlt).reshape(n, res_dim)
-    eye = np.eye(res_dim, dtype=np.complex128)
-    if 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q):
+    # Letters: s indexes samples; a, b index [m]; i indexes [I]; j, k index [J];
+    # t, u index [n].  order="C" lets the reshapes view the products, not copy them.
+    dlt = delta_x.reshape(batch, rows, n, cols, n)  # [s, i, t, k, u]
+    d4 = r.D.reshape(m, cols, m, rows)  # [a, j, b, i]
+    lhs = np.einsum("ajbi,sitku->sajtbku", d4, dlt, order="C").reshape(batch, res_dim, res_dim)
+    b_dlt = np.einsum("bi,sitku->stbku", r.B.reshape(m, rows), dlt, order="C")
+    np.subtract(np.eye(res_dim, dtype=np.complex128), lhs, out=lhs)  # 1 - K, in place
+    q = r._d_norm * delta_norms
+    solved = 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q)
+    res_c = np.empty((batch, res_dim, n), dtype=np.complex128)
+    if solved.any():
         try:
-            res_c = np.linalg.solve(eye - d_dlt, np.kron(r.C, np.eye(n)))
+            res_c[solved] = np.linalg.solve(
+                lhs if solved.all() else lhs[solved], np.kron(r.C, np.eye(n))[None]
+            )
         except np.linalg.LinAlgError as exc:
             raise ResolventSingularError(f"LAPACK: {exc}") from exc
-        if not np.all(np.isfinite(res_c)):
+        if not np.all(np.isfinite(res_c[solved])):
             raise ResolventSingularError("resolvent solve has non-finite entries")
-    else:
+    for s in np.flatnonzero(~solved):
         try:
-            resolvent = inverse(eye - d_dlt)
+            resolvent = inverse(lhs[s])
         except SingularMatrixError as exc:
             raise ResolventSingularError(str(exc)) from exc
-        res_c = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
-    return r.A * np.eye(n, dtype=np.complex128) + b_dlt @ res_c
+        res_c[s] = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
+    return r.A * np.eye(n, dtype=np.complex128) + b_dlt.reshape(batch, n, res_dim) @ res_c
 
 
 def mobius_realization(a: complex) -> Realization:
@@ -462,12 +549,21 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         raise ValueError("need at least one sample")
     d = r.arity
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
+    block = max(1, SCAN_BLOCK_BYTES // (16 * (r.m * r.delta.cols * n) ** 2))
     max_norm = 0.0
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        u = MatrixTuple(
-            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
-        )
-        size = ball.bound * rng.uniform() ** (1.0 / (2 * d * n * n))
-        max_norm = max(max_norm, operator_norm(eval_realization(r, ball.rescale(u, size))))
+    for start in range(0, samples, block):
+        indices = range(start, min(start + block, samples))
+        u = np.empty((d, len(indices), n, n), dtype=np.complex128)
+        sizes = np.empty(len(indices))
+        for k, i in enumerate(indices):
+            rng = np.random.default_rng((seed, i))
+            for j in range(d):
+                u[j, k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            sizes[k] = ball.bound * rng.uniform() ** (1.0 / (2 * d * n * n))
+        # Without a norm cap the ball's gauge is ||delta(x)||: the delta(x)
+        # stack and norms that admitted the samples are the ones the
+        # transfer step and its certificate read.
+        _, delta_norms, delta_x = ball._rescale(u, sizes)
+        values = _transfer(r, delta_x, delta_norms)
+        max_norm = max(max_norm, float(np.max(operator_norm(values))))
     return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed)

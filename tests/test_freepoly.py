@@ -140,6 +140,19 @@ class TestEvaluation:
             for _ in range(2):  # the second call reuses the cached trie
                 np.testing.assert_allclose(p.evaluate(x), expected, rtol=0, atol=1e-14)
 
+    def test_stacked_components_give_each_sample_its_value(self):
+        # Samples stacked on a leading axis, one with an exactly zero
+        # component that the others do not share.
+        rng = rng_for(18)
+        p = random_poly(rng, 3, 4, nterms=30)
+        points = [random_tuple(rng, 3, 4) for _ in range(3)]
+        points.append(MatrixTuple([random_matrix(rng, 4), np.zeros((4, 4)), random_matrix(rng, 4)]))
+        stack = np.stack([np.stack(x.components) for x in points], axis=1)  # (d, B, n, n)
+        values = p._evaluate(stack)
+        assert values.shape == (4, 4, 4)
+        for value, x in zip(values, points):
+            assert np.array_equal(value, p.evaluate(x))
+
     def test_independent_of_term_insertion_order(self):
         rng = rng_for(17)
         p = random_poly(rng, 2, 4, nterms=20)

@@ -115,6 +115,25 @@ class TestOperatorNorm:
             expected = float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
             assert operator_norm(a) == expected
 
+    def test_stack_gives_each_matrix_norm(self):
+        rng = rng_for(6)
+        for shape in ((5, 4, 4), (2, 3, 6, 4), (3, 1, 1)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            norms = operator_norm(a)
+            assert norms.shape == shape[:-2]
+            for idx in np.ndindex(shape[:-2]):
+                assert norms[idx] == operator_norm(a[idx])
+        assert type(operator_norm(a[0])) is float
+        assert operator_norm(np.zeros((3, 0, 4))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_stack_rejects_non_finite_and_vectors(self):
+        a = np.zeros((3, 2, 2))
+        a[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            operator_norm(a)
+        with pytest.raises(ValueError):
+            operator_norm(np.ones(3))
+
     def test_submultiplicative(self):
         rng = rng_for(4)
         for _ in range(50):

@@ -10,8 +10,10 @@ from ncfuncalc import (
     FreePoly,
     MatrixTuple,
     NotIsometricError,
+    PolyMatrix,
     Realization,
     ResolventSingularError,
+    ScanReport,
     check_isometry,
     contractivity_scan,
     delta_polydisk,
@@ -28,6 +30,7 @@ from ncfuncalc import (
     realization,
     taylor_expand,
 )
+from ncfuncalc.realization import DOMAIN_CHECK_MARGIN, SCAN_BLOCK_BYTES, SCAN_MARGIN
 
 from _helpers import random_isometric_realization, random_matrix, random_tuple, rng_for
 
@@ -106,6 +109,15 @@ class TestBallAndExhaustion:
         assert not in_ball(delta, x, 0.2)
         with pytest.raises(ValueError):
             in_ball(delta, x, 1.0)
+
+    def test_norm_cap_comes_before_the_delta_norm(self):
+        # Past the cap the gauge is inf without evaluating delta, which
+        # would overflow here.
+        square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
+        ball = DomainDescriptor.deltaball(square, 0.05, norm_cap=2.0)
+        assert ball.gauge(MatrixTuple.from_scalars([1e200], 2)) == float("inf")
+        assert ball.gauge(MatrixTuple.from_scalars([0.5], 2)) == pytest.approx(0.25)
+        assert not ball.contains(MatrixTuple.from_scalars([1e200], 2))
 
     def test_exhaustion_closed_under_direct_sums(self):
         from ncfuncalc import direct_sum
@@ -298,6 +310,34 @@ class TestResolventCertificate:
         )
         assert len(inverse_calls) == inverted
 
+    def test_mobius_closed_form_at_a_non_normal_point(self, inverse_calls):
+        # The resolvent 1 - conj(a) x is neither symmetric nor normal, so a
+        # solve against the rows of C (x) 1 instead of its columns would
+        # return a transposed value.
+        a = 0.3 - 0.6j
+        x = MatrixTuple([np.array([[0.1, 0.4 + 0.2j], [-0.05j, 0.2]])])
+        expected = (x[0] - a * np.eye(2)) @ np.linalg.inv(np.eye(2) - np.conj(a) * x[0])
+        np.testing.assert_allclose(
+            eval_realization(mobius_realization(a), x), expected, rtol=1e-14, atol=1e-14
+        )
+        assert inverse_calls == []
+
+    def test_solve_reads_the_columns_of_c_on_every_numpy(self, monkeypatch):
+        # numpy 1.x reads a right-hand side with one axis fewer than the
+        # stack of matrices as a stack of vectors; equal ranks mean matrices
+        # on every numpy version.
+        solve = np.linalg.solve
+        ranks = []
+
+        def checked(a, b):
+            ranks.append((np.ndim(a), np.ndim(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        eval_realization(mobius_realization(0.5), MatrixTuple.from_scalars([0.5], 2))
+        contractivity_scan(SCAN_CASES["polydisk"](), 2, 5, seed=3)
+        assert ranks and all(ra == rb for ra, rb in ranks)
+
     @pytest.mark.parametrize(
         "diagonal", [(2 * (1 - 1e-13), 0.5), (2 * (1 - 1.5e-12), -2 * (1 - 1.5e-12))]
     )
@@ -319,8 +359,8 @@ class TestResolventCertificate:
         assert inverse_calls == [(24, 24)]
 
     def test_scan_memory_stays_per_sample(self):
-        # One resolvent at a time: a scan that stacked its 40 samples' 96x96
-        # resolvents would peak near 15 MB.
+        # One block of resolvents at a time, within SCAN_BLOCK_BYTES: a scan
+        # that stacked all 40 samples' 96x96 resolvents would peak near 15 MB.
         r = random_isometric_realization(rng_for(92), 2, 3)
         contractivity_scan(r, 16, 2, seed=1)  # warm numpy's lazy set-up
         tracemalloc.start()
@@ -330,6 +370,148 @@ class TestResolventCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def kronecker_transfer(r, x):
+    """The transfer formula with every Kronecker product formed and one 2-d
+    solve: A + (B (x) 1)(1 (x) delta(x)) (1 - (D (x) 1)(1 (x) delta(x)))^{-1} (C (x) 1)."""
+    n = x.dim
+    lifted = np.kron(np.eye(r.m), eval_delta(r.delta, x))
+    k = np.kron(r.D, np.eye(n)) @ lifted
+    resolvent_c = np.linalg.solve(np.eye(k.shape[0]) - k, np.kron(r.C, np.eye(n)))
+    return r.A * np.eye(n) + np.kron(r.B, np.eye(n)) @ lifted @ resolvent_c
+
+
+def reference_scan(r, n, samples, seed):
+    """The scan one sample at a time, on 2-d numpy calls only: scale the
+    direction to its size, halve it until ``||delta(x)||`` is inside the
+    ball, evaluate the Kronecker formula, take the norm.  Returns the report
+    and the number of samples that needed a halving."""
+    bound = 1.0 - SCAN_MARGIN
+    d = r.arity
+    max_norm, halved = 0.0, 0
+
+    def delta_norm(x):
+        return float(np.linalg.norm(eval_delta(r.delta, x), 2))
+
+    for i in range(samples):
+        rng = np.random.default_rng((seed, i))
+        u = MatrixTuple(
+            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
+        )
+        size = bound * rng.uniform() ** (1.0 / (2 * d * n * n))
+        x = (size / delta_norm(u)) * u
+        halved += not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN
+        while not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN:
+            x = 0.5 * x
+        ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
+        assert all(np.array_equal(a, b) for a, b in zip(ball.rescale(u, size), x))
+        max_norm = max(max_norm, np.linalg.norm(kronecker_transfer(r, x), 2))
+    return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed), halved
+
+
+def assert_same_report(report, expected):
+    """Equal reports up to roundoff in ``max_norm``."""
+    assert report.as_dict() == {**expected.as_dict(), "max_norm": report.max_norm}
+    assert report.max_norm == pytest.approx(expected.max_norm, rel=1e-13)
+
+
+def quadratic_realization():
+    """x -> x0^2 over the ball ||x0^2|| < 1 (permutation colligation)."""
+    square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
+    return Realization(
+        delta=square, m=1, A=0.0, B=np.array([[1.0]]), C=np.array([[1.0]]), D=np.array([[0.0]])
+    )
+
+
+def rowball_realization(rng, d=2, m=3):
+    """An isometric colligation over the row ball: the first 1 + m columns
+    of a (1 + m d)-square unitary."""
+    g = rng.standard_normal((1 + m * d,) * 2) + 1j * rng.standard_normal((1 + m * d,) * 2)
+    v = np.linalg.qr(g)[0][:, : 1 + m]
+    return Realization(
+        delta=delta_rowball(d), m=m, A=v[0, 0], B=v[0:1, 1:], C=v[1:, 0:1], D=v[1:, 1:]
+    )
+
+
+SCAN_CASES = {
+    "polydisk": lambda: random_isometric_realization(rng_for(94), 2, 3),
+    "rowball": lambda: rowball_realization(rng_for(95)),
+    "mobius": lambda: mobius_realization(0.3 - 0.6j),
+    "identity": identity_realization,
+    "quadratic": quadratic_realization,
+}
+
+
+class TestStackedScan:
+    """The scan in blocks gives the report of a scan one sample at a time."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        sizes = []
+        transfer = realization._transfer
+
+        def recording(r, delta_x, delta_norms):
+            sizes.append(delta_x.shape[0])
+            return transfer(r, delta_x, delta_norms)
+
+        monkeypatch.setattr(realization, "_transfer", recording)
+        return sizes
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    @pytest.mark.parametrize("n, samples", [(1, 2), (1, 41), (16, 2), (16, 41)])
+    def test_matches_per_sample_reference(self, name, n, samples):
+        r = SCAN_CASES[name]()
+        expected, _ = reference_scan(r, n, samples, seed=n + samples)
+        assert_same_report(contractivity_scan(r, n, samples, seed=n + samples), expected)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_blocks_of_one_give_the_same_bits(self, name, monkeypatch, batches):
+        r = SCAN_CASES[name]()
+        blocked = contractivity_scan(r, 16, 9, seed=8)
+        assert max(batches) > 1
+        monkeypatch.setattr(realization, "SCAN_BLOCK_BYTES", 0)
+        batches.clear()
+        assert contractivity_scan(r, 16, 9, seed=8).as_dict() == blocked.as_dict()
+        assert batches == [1] * 9
+
+    def test_delta_is_evaluated_twice_per_block(self, monkeypatch, batches):
+        # Once on the directions for the scale, once on the scaled samples for
+        # both the membership test and the transfer step.
+        calls = []
+        eval_stack = realization._eval_delta
+
+        def counted(delta, comps):
+            calls.append(comps.shape[1])
+            return eval_stack(delta, comps)
+
+        monkeypatch.setattr(realization, "_eval_delta", counted)
+        contractivity_scan(SCAN_CASES["polydisk"](), 16, 41, seed=1)
+        assert len(calls) == 2 * len(batches)
+
+    def test_quadratic_delta_halves_inside_a_block(self, batches):
+        # ||delta|| = ||x0||^2 is not 1-homogeneous, so a sample scaled to
+        # size s lands at s^2 / ||u||^2, outside the ball for small ||u||.
+        r = quadratic_realization()
+        expected, halved = reference_scan(r, 1, 41, seed=5)
+        assert halved > 0
+        assert_same_report(contractivity_scan(r, 1, 41, seed=5), expected)
+        assert batches == [41]
+
+    def test_blocks_split_at_the_byte_budget(self, batches):
+        # N = m J n = 96: four 96x96 resolvents per block, and a last block of 1.
+        r = SCAN_CASES["polydisk"]()
+        contractivity_scan(r, 16, 41, seed=1)
+        block = SCAN_BLOCK_BYTES // (16 * 96**2)
+        assert batches == [block] * (41 // block) + [41 % block]
+
+    def test_resolvent_above_the_budget_scans_one_sample_per_block(self, batches):
+        r = SCAN_CASES["polydisk"]()
+        n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 16)
+        assert 16 * (r.m * r.delta.cols * n) ** 2 > SCAN_BLOCK_BYTES
+        expected, _ = reference_scan(r, n, 3, seed=2)
+        assert_same_report(contractivity_scan(r, n, 3, seed=2), expected)
+        assert batches == [1, 1, 1]
 
 
 class TestContractivityScan:
@@ -355,16 +537,7 @@ class TestContractivityScan:
             contractivity_scan(bad, 2, 10, seed=0)
 
     def test_rowball_scan_at_n16_passes(self):
-        # An isometric d=2, m=3 colligation over the row ball: the first
-        # 1 + m columns of a 7x7 unitary.
-        rng = rng_for(83)
-        d, m = 2, 3
-        g = rng.standard_normal((1 + m * d,) * 2) + 1j * rng.standard_normal((1 + m * d,) * 2)
-        v = np.linalg.qr(g)[0][:, : 1 + m]
-        r = Realization(
-            delta=delta_rowball(d), m=m, A=v[0, 0], B=v[0:1, 1:], C=v[1:, 0:1], D=v[1:, 1:]
-        )
-        report = contractivity_scan(r, 16, 40, seed=3)
+        report = contractivity_scan(rowball_realization(rng_for(83)), 16, 40, seed=3)
         assert report.passed
         assert report.collected == report.draws == 40
 

@@ -34,7 +34,14 @@ from ncfuncalc import (
 )
 from ncfuncalc.verify import THRESHOLDS
 
-from _helpers import counting_handle, random_matrix, random_poly, random_tuple, rng_for
+from _helpers import (
+    counting_handle,
+    random_isometric_realization,
+    random_matrix,
+    random_poly,
+    random_tuple,
+    rng_for,
+)
 
 
 class TestCheckDirectSum:
@@ -351,6 +358,30 @@ class TestRunSuite:
     def test_config_rejects_settings_that_check_nothing(self, bad):
         with pytest.raises(ValueError):
             SuiteConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("kind", ["realization", "polynomial"])
+    def test_suite_jets_fit_the_domain_at_first_try(self, monkeypatch, kind):
+        # On a bound-1 domain, directions of norm 1 at points of norm at most
+        # 0.45 put nearly every jet outside at scale 1: about 90 rejected
+        # membership tests per run on these handles, each one SVD at the jet
+        # dimension.  Directions of norm 0.5 leave about 12: unit-direction
+        # jets at scalar points and a few higher-order jets.
+        rng = rng_for(3)
+        if kind == "realization":
+            F = from_realization(random_isometric_realization(rng, 2, 3))
+        else:
+            F = from_poly(random_poly(rng, 2, 3), DomainDescriptor.polydisk(1.0))
+        verdicts = []
+        contains = DomainDescriptor.contains
+
+        def recording(self, x):
+            verdicts.append(contains(self, x))
+            return verdicts[-1]
+
+        monkeypatch.setattr(DomainDescriptor, "contains", recording)
+        reports = run_suite(F, SuiteConfig(seed=3))
+        assert all(r.passed for r in reports)
+        assert verdicts.count(False) <= 15
 
     def test_order_two_runs_one_symmetry_trial(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
