@@ -185,26 +185,19 @@ class FreePoly:
             self._trie = root
         return self._trie
 
-    def evaluate(self, x: MatrixTuple) -> np.ndarray:
+    def evaluate(self, x) -> np.ndarray:
         """Substitute the components of ``x`` for the letters.
 
-        The empty word contributes its coefficient times the identity, so
-        the output is n-by-n for an input at dimension n.  A depth-first
-        walk of the prefix trie forms each shared prefix product once and
-        keeps only the products along the current path.
+        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
+        ``(..., n, n)``; the output has that shape, each sample on the leading
+        axes getting the value of its own tuple.  The empty word contributes
+        its coefficient times the identity.  A depth-first walk of the prefix
+        trie forms each shared prefix product once and keeps only the
+        products along the current path.
         """
-        if x.arity != self.arity:
-            raise ValueError(f"polynomial in {self.arity} letters at a {x.arity}-tuple")
-        return self._evaluate(x.components)
-
-    def _evaluate(self, comps) -> np.ndarray:
-        """``evaluate`` on components that may carry leading sample axes.
-
-        ``comps[j]`` is letter j's array, of one shape ``(..., n, n)`` for
-        every letter; the output has that shape.  Matmul broadcasts over the
-        leading axes, so each sample's value is the one ``evaluate`` gives
-        that sample alone.
-        """
+        comps = x.components if isinstance(x, MatrixTuple) else x
+        if len(comps) != self.arity:
+            raise ValueError(f"polynomial in {self.arity} letters at a {len(comps)}-tuple")
         shape = comps[0].shape
         # A word through an exactly zero component has a zero product, and so
         # has every word below it in the trie: skip those subtrees.

@@ -32,10 +32,12 @@ An isometric colligation has ``||D|| <= 1``, so every scan sample
 (``q <= 0.95``) takes the solve.
 
 A contractivity scan rescales one complex Gaussian direction per sample to
-the norm ``(1 - SCAN_MARGIN) U^(1/(2 d n^2))``, U uniform on [0, 1): for a
-letter-linear delta, the radial law of the uniform distribution on a ball of
-real dimension 2 d n^2.  No draw is rejected, so a scan's ``draws`` equals
-its ``samples``.  A sample outside the ball is halved toward 0 until it
+the norm ``(1 - SCAN_MARGIN) U^(p/(2 d n^2))``, U uniform on [0, 1), with p
+the degree of every entry of a homogeneous delta (:meth:`PolyMatrix.degree`):
+the radial law of the uniform distribution on a ball of real dimension
+2 d n^2.  A delta that is not homogeneous reads p = 1, and its samples can
+land inside the requested norm.  No draw is rejected, so a scan's ``draws``
+equals its ``samples``.  A sample outside the ball is halved toward 0 until it
 enters; SamplerStarvationError means it never did, which only a ball that
 does not contain 0 can cause.  Sample i is drawn from its own stream
 ``(seed, i)``, and the samples are processed in blocks stacked along a
@@ -73,7 +75,6 @@ __all__ = [
     "delta_rowball",
     "eval_delta",
     "in_ball",
-    "in_exhaustion",
     "Realization",
     "check_isometry",
     "eval_realization",
@@ -142,8 +143,11 @@ class PolyMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def max_degree(self) -> int:
-        return max(p.degree() for row in self.entries for p in row)
+    def degree(self) -> int:
+        """p when every nonzero entry is homogeneous of one degree p >= 1, so
+        that ``||delta(t x)|| = t^p ||delta(x)||`` for t >= 0; 1 otherwise."""
+        lengths = {len(w) for row in self.entries for p in row for w in p.terms}
+        return lengths.pop() if len(lengths) == 1 and 0 not in lengths else 1
 
 
 def delta_polydisk(d: int) -> PolyMatrix:
@@ -165,16 +169,13 @@ def delta_rowball(d: int) -> PolyMatrix:
     return PolyMatrix([[FreePoly.letter(d, j) for j in range(d)]])
 
 
-def eval_delta(delta: PolyMatrix, x: MatrixTuple) -> np.ndarray:
-    """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x)."""
-    if delta.arity != x.arity:
-        raise ValueError(f"delta has arity {delta.arity}, point has arity {x.arity}")
-    return _eval_delta(delta, x.components)
-
-
-def _eval_delta(delta: PolyMatrix, comps) -> np.ndarray:
-    """``eval_delta`` on components ``comps[j]`` of shape ``(..., n, n)``;
-    the output has shape ``(..., I*n, J*n)``."""
+def eval_delta(delta: PolyMatrix, x) -> np.ndarray:
+    """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x); on d
+    component arrays of one shape ``(..., n, n)`` in place of a
+    :class:`MatrixTuple`, the stack of them, of shape ``(..., I*n, J*n)``."""
+    comps = x.components if isinstance(x, MatrixTuple) else x
+    if len(comps) != delta.arity:
+        raise ValueError(f"delta has arity {delta.arity}, point has arity {len(comps)}")
     shape = comps[0].shape
     n = shape[-1]
     out = np.zeros(shape[:-2] + (delta.rows * n, delta.cols * n), dtype=np.complex128)
@@ -182,7 +183,7 @@ def _eval_delta(delta: PolyMatrix, comps) -> np.ndarray:
         for j in range(delta.cols):
             p = delta.entries[i][j]
             if not p.is_zero:
-                out[..., i * n : (i + 1) * n, j * n : (j + 1) * n] = p._evaluate(comps)
+                out[..., i * n : (i + 1) * n, j * n : (j + 1) * n] = p.evaluate(comps)
     return out
 
 
@@ -190,8 +191,8 @@ def _eval_delta(delta: PolyMatrix, comps) -> np.ndarray:
 class DomainDescriptor:
     """One of polydisk(radius), rowball(radius), or deltaball(delta, margin).
 
-    ``norm_cap`` is an optional overall bound on the largest component norm,
-    mirroring the exhaustion sets; it defaults to no cap.
+    ``norm_cap`` is an optional overall bound on the largest component norm;
+    it defaults to no cap.
     """
 
     kind: str
@@ -237,19 +238,9 @@ class DomainDescriptor:
         """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
         return None if self.kind == "deltaball" else True
 
-    def norm(self, x: MatrixTuple) -> float:
-        """The largest component norm on a polydisk, the row norm
-        ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta ball."""
-        return float(self._norms(_one_sample(x))[0])
-
-    def gauge(self, x: MatrixTuple) -> float:
-        """``norm(x)``, which membership reads, with two shortcuts: ``inf``
-        past the norm cap, and 0 without computing a norm on an unbounded ball."""
-        return float(self._gauges(_one_sample(x))[0][0])
-
     def contains(self, x: MatrixTuple) -> bool:
         """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
-        return self._inside(self.gauge(x))
+        return bool(self._inside(self._gauges(_one_sample(x))[0][0]))
 
     def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
         """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
@@ -262,35 +253,29 @@ class DomainDescriptor:
     # A stack holds its samples' components in an array of shape (d, B, n, n):
     # letter first, sample second.  The public methods above are the B = 1 case.
 
-    def _norms(self, comps: np.ndarray) -> np.ndarray:
-        return self._measure(comps)[0]
-
-    def _measure(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The norms of a stack and, on a delta ball, the ``delta(x)`` stack
-        they are the operator norms of (None on the other kinds)."""
+    def _norms(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The norms of a stack: the largest component norm on a polydisk, the row
+        norm ``||[x_1 ... x_d]||`` on a row ball, ``||delta(x)||`` on a delta
+        ball with that ``delta(x)`` stack (None on the other kinds)."""
         if self.kind == "polydisk":
             return np.max(operator_norm(comps), axis=0), None
         if self.kind == "rowball":
             return operator_norm(np.concatenate(tuple(comps), axis=-1)), None
-        values = _eval_delta(self.delta, comps)
+        values = eval_delta(self.delta, comps)
         return operator_norm(values), values
 
     def _gauges(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The gauges of a stack, with the ``delta(x)`` stack of ``_measure``
-        (rows past the norm cap left 0)."""
+        """The gauges of a stack, which membership reads: its norms, with
+        ``inf`` past the norm cap and 0 without a norm on an unbounded ball.
+        Without a cap, the ``delta(x)`` stack of ``_norms`` comes along."""
         gauges = np.zeros(comps.shape[1])
-        uncapped = slice(None)
         if math.isfinite(self.norm_cap):
             uncapped = np.max(operator_norm(comps), axis=0) <= self.norm_cap
             gauges[~uncapped] = math.inf
-        if math.isinf(self.bound):
+            if math.isfinite(self.bound):
+                gauges[uncapped] = self._norms(comps[:, uncapped])[0]
             return gauges, None
-        gauges[uncapped], measured = self._measure(comps[:, uncapped])
-        if measured is None or isinstance(uncapped, slice):
-            return gauges, measured
-        values = np.zeros(gauges.shape + measured.shape[1:], dtype=np.complex128)
-        values[uncapped] = measured
-        return gauges, values
+        return (gauges, None) if math.isinf(self.bound) else self._norms(comps)
 
     def _inside(self, gauge):
         """The one membership comparison, on one gauge or an array of them."""
@@ -300,11 +285,15 @@ class DomainDescriptor:
         self, u: np.ndarray, sizes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Each sample of ``u`` scaled to its norm in ``sizes``, then halved
-        toward 0 until it is inside; returns the stack, its gauges and, on a
-        delta ball, its ``delta(x)`` stack.  A halving measures again only the
-        samples it halved."""
-        norms = self._norms(u)
+        toward 0 until it is inside (the factor is ``(size / norm)^(1/p)`` on
+        a delta ball of degree p); returns the stack, its gauges and, on an
+        uncapped delta ball, its ``delta(x)`` stack.  A halving measures
+        again only the samples it halved."""
+        norms = self._norms(u)[0]
         factors = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
+        p = self.delta.degree() if self.kind == "deltaball" else 1
+        if p != 1:
+            factors **= 1.0 / p
         x = factors[:, None, None] * u
         gauges, values = self._gauges(x)
         for _ in range(RESCALE_HALVINGS):
@@ -328,20 +317,6 @@ def _one_sample(x: MatrixTuple) -> np.ndarray:
 def in_ball(delta: PolyMatrix, x: MatrixTuple, margin: float = 0.0) -> bool:
     """Whether ``x`` lies in ``DomainDescriptor.deltaball(delta, margin)``."""
     return DomainDescriptor.deltaball(delta, margin).contains(x)
-
-
-def in_exhaustion(delta: PolyMatrix, x: MatrixTuple, k: int) -> bool:
-    """Membership in the k-th exhaustion set.
-
-    Requires ``|| delta(x) || <= 1 - 1/k`` and ``|| x || <= k`` with the
-    tuple norm taken as the largest component norm.
-    """
-    if k < 1:
-        raise ValueError("exhaustion index must be at least 1")
-    return (
-        DomainDescriptor.deltaball(delta).norm(x) <= 1.0 - 1.0 / k
-        and DomainDescriptor.polydisk().norm(x) <= k
-    )
 
 
 @dataclass(frozen=True)
@@ -547,7 +522,9 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         )
     if samples < 1:
         raise ValueError("need at least one sample")
-    d = r.arity
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    d, p = r.arity, r.delta.degree()
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
     block = max(1, SCAN_BLOCK_BYTES // (16 * (r.m * r.delta.cols * n) ** 2))
     max_norm = 0.0
@@ -559,7 +536,7 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
             rng = np.random.default_rng((seed, i))
             for j in range(d):
                 u[j, k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            sizes[k] = ball.bound * rng.uniform() ** (1.0 / (2 * d * n * n))
+            sizes[k] = ball.bound * rng.uniform() ** (p / (2 * d * n * n))
         # Without a norm cap the ball's gauge is ||delta(x)||: the delta(x)
         # stack and norms that admitted the samples are the ones the
         # transfer step and its certificate read.

@@ -11,6 +11,7 @@ really is scalar.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +26,6 @@ __all__ = [
     "ExtractionError",
     "NonScalarResultError",
     "TaylorExpansion",
-    "word_coefficient",
     "taylor_expand",
     "tail_bound",
     "circle_norm_estimate",
@@ -51,61 +51,15 @@ class NonScalarResultError(ExtractionError):
     """The extracted jet block was not a scalar multiple of the identity."""
 
 
-def _extract(
-    F: NCFunctionHandle,
-    word: Word,
-    zero: MatrixTuple,
-    units: list[MatrixTuple],
-    epsilon: float = 1.0,
-    value_at_zero: np.ndarray | None = None,
-) -> tuple[complex, float, float]:
-    """Return (coefficient, scalarity residual, jet scale) of ``word`` from one jet.
-
-    ``units`` are the unit directions at the dimension of ``zero`` and
-    ``epsilon`` the starting jet scale; ``value_at_zero``, when given, is
-    the already-checked F(0).
-    """
-    k = len(word)
-    base_values = None if value_at_zero is None else [value_at_zero] * (k + 1)
-    try:
-        res = delta_k(
-            F,
-            [zero] * (k + 1),
-            [units[j] for j in word],
-            epsilon=epsilon,
-            base_values=base_values,
-        )
-    except StructureViolationError as exc:
-        raise ExtractionError(f"jet structure violated at word {word}: {exc}", word=word) from exc
-    c, resid = scalar_part(res.delta)
+def _scalar(block: np.ndarray, word: Word) -> tuple[complex, float]:
+    """The scalar c and residual of ``block`` as c times the identity, read
+    for ``word`` (F(0) for the empty word); raises :class:`NonScalarResultError`
+    when the residual exceeds ``SCALAR_TOL`` relative to ``max(1, |c|)``."""
+    c, resid = scalar_part(block)
     if resid > SCALAR_TOL * max(1.0, abs(c)):
-        raise NonScalarResultError(
-            f"extraction at word {word} is not scalar (residual {resid:.3e})", word=word
-        )
-    return c, resid, res.epsilon
-
-
-def _extraction_frame(F: NCFunctionHandle, dim: int) -> tuple[MatrixTuple, list[MatrixTuple]]:
-    """The zero point and the unit directions at ``dim``."""
-    d = F.arity
-    zero = MatrixTuple.zeros(d, dim)
-    return zero, [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
-
-
-def word_coefficient(F: NCFunctionHandle, word, *, dim: int = 1) -> complex:
-    """Scalar coefficient of the monomial ``word`` in the expansion at 0.
-
-    Raises :class:`NonScalarResultError` when the extracted block deviates
-    from a scalar by more than ``SCALAR_TOL`` relative to its size, which
-    signals that the handle is not intertwining preserving.
-    """
-    w = tuple(int(j) for j in word)
-    if len(w) < 1:
-        raise ValueError("use eval at the zero tuple for the degree-0 part")
-    if any(j < 0 or j >= F.arity for j in w):
-        raise ValueError(f"word {w} uses letters outside [0, {F.arity})")
-    c, _, _ = _extract(F, w, *_extraction_frame(F, dim))
-    return c
+        where = f"extraction at word {word}" if word else "value at the scalar point 0"
+        raise NonScalarResultError(f"{where} is not scalar (residual {resid:.3e})", word=word)
+    return c, resid
 
 
 @dataclass
@@ -129,9 +83,6 @@ class TaylorExpansion:
             out = out + p
         return out
 
-    def evaluate(self, x: MatrixTuple) -> np.ndarray:
-        return self.as_poly().evaluate(x)
-
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
@@ -152,10 +103,13 @@ def taylor_expand(
 ) -> TaylorExpansion:
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
-    Coefficients below 1e-12 in magnitude are dropped as extraction noise;
-    the algebra itself never prunes, this is purely a numeric cutoff.  Each
-    word's jet starts from the scale the previous word settled on, so the
-    halving toward the domain is paid about once per expansion.
+    The zero point, the unit directions and the checked F(0) are built
+    once; each word, in graded lexicographic order, then costs one
+    :func:`~ncfuncalc.ncderiv.delta_k` call.  Coefficients below 1e-12 in
+    magnitude are dropped as extraction noise; the algebra itself never
+    prunes, this is purely a numeric cutoff.  Each word's jet starts from
+    the scale the previous word settled on, so the halving toward the domain
+    is paid about once per expansion.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
@@ -167,21 +121,23 @@ def taylor_expand(
         )
 
     residuals: dict[Word, float] = {}
-    zero, units = _extraction_frame(F, dim)
+    zero = MatrixTuple.zeros(d, dim)
+    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
     v0 = F.eval(zero)
-    c0, residuals[()] = scalar_part(v0)
-    if residuals[()] > SCALAR_TOL * max(1.0, abs(c0)):
-        raise NonScalarResultError(
-            f"value at the scalar point 0 is not scalar (residual {residuals[()]:.3e})",
-            word=(),
-        )
+    c0, residuals[()] = _scalar(v0, ())
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
 
     eps = 1.0
     for k in range(1, maxdeg + 1):
         terms: dict[Word, complex] = {}
-        for w in _words_of_length(d, k):
-            c, residuals[w], eps = _extract(F, w, zero, units, eps, v0)
+        bases, base_values = [zero] * (k + 1), [v0] * (k + 1)
+        for w in itertools.product(range(d), repeat=k):
+            try:
+                res = delta_k(F, bases, [units[j] for j in w], epsilon=eps, base_values=base_values)
+            except StructureViolationError as exc:
+                raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
+            c, residuals[w] = _scalar(res.delta, w)
+            eps = res.epsilon
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c
         parts.append(FreePoly(d, terms))
@@ -192,15 +148,6 @@ def taylor_expand(
         domain_kind=F.domain.kind,
         balanced=F.domain.balanced,
     )
-
-
-def _words_of_length(d: int, k: int):
-    if k == 0:
-        yield ()
-        return
-    for prefix in _words_of_length(d, k - 1):
-        for j in range(d):
-            yield prefix + (j,)
 
 
 def tail_bound(M: float, r: float, K: int) -> float:

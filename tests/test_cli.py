@@ -440,6 +440,14 @@ class TestRealize:
         assert out1 == out2
         assert json.loads(out1)["passed"]
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_scan_dimension_below_one_exits_2(self, workspace, capsys, n):
+        code, out, err = run(
+            capsys, "realize-scan", "--handle", workspace["mobius.json"], "--n", n, "--samples", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: dimension must be at least 1\n"
+
 
 class TestConfigFile:
     def test_fd_lambda_from_config(self, workspace, capsys, tmp_path):

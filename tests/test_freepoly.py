@@ -148,7 +148,7 @@ class TestEvaluation:
         points = [random_tuple(rng, 3, 4) for _ in range(3)]
         points.append(MatrixTuple([random_matrix(rng, 4), np.zeros((4, 4)), random_matrix(rng, 4)]))
         stack = np.stack([np.stack(x.components) for x in points], axis=1)  # (d, B, n, n)
-        values = p._evaluate(stack)
+        values = p.evaluate(stack)
         assert values.shape == (4, 4, 4)
         for value, x in zip(values, points):
             assert np.array_equal(value, p.evaluate(x))

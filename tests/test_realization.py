@@ -1,6 +1,7 @@
 """Delta balls, colligations, transfer functions, and contractivity scans."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,12 @@ from ncfuncalc import (
     contractivity_scan,
     delta_polydisk,
     delta_rowball,
+    direct_sum,
     eval_delta,
     eval_realization,
     from_realization,
     identity_realization,
     in_ball,
-    in_exhaustion,
     inverse,
     mobius_realization,
     operator_norm,
@@ -51,6 +52,18 @@ class TestDeltaConstructors:
         delta = delta_rowball(2)
         assert (delta.rows, delta.cols) == (1, 2)
         assert delta.entries[0] == (FreePoly.letter(2, 0), FreePoly.letter(2, 1))
+
+    def test_degree_of_a_homogeneous_delta(self):
+        x0, x1 = FreePoly.letter(2, 0), FreePoly.letter(2, 1)
+        zero = FreePoly.zero(2)
+        assert delta_polydisk(3).degree() == delta_rowball(3).degree() == 1
+        assert PolyMatrix([[x0 * x1, zero], [zero, x1 * x1 - x0 * x1]]).degree() == 2
+        assert PolyMatrix([[x0 * x0 * x1]]).degree() == 3
+        # Mixed degrees, a constant term, or no nonzero entry: 1.
+        assert PolyMatrix([[x0, x1 * x1]]).degree() == 1
+        assert PolyMatrix([[x0 * x0 + 0.5]]).degree() == 1
+        assert PolyMatrix([[FreePoly.constant(2, 0.5)]]).degree() == 1
+        assert PolyMatrix([[zero]]).degree() == 1
 
     def test_equality_by_entries(self):
         assert delta_rowball(2) == delta_rowball(2)
@@ -94,13 +107,8 @@ class TestBallAndExhaustion:
         delta = delta_polydisk(1)
         zero = MatrixTuple.zeros(1, 2)
         assert in_ball(delta, zero)
-        for k in (1, 2, 5):
-            assert in_exhaustion(delta, zero, k)
-
-    def test_exhaustion_arithmetic(self):
-        delta = delta_polydisk(1)
-        assert in_exhaustion(delta, MatrixTuple.from_scalars([0.5], 1), 2)
-        assert not in_exhaustion(delta, MatrixTuple.from_scalars([0.99], 1), 2)
+        for k in (2, 5):
+            assert DomainDescriptor.deltaball(delta, 1 / k, norm_cap=k).contains(zero)
 
     def test_margin(self):
         delta = delta_polydisk(1)
@@ -111,27 +119,36 @@ class TestBallAndExhaustion:
             in_ball(delta, x, 1.0)
 
     def test_norm_cap_comes_before_the_delta_norm(self):
-        # Past the cap the gauge is inf without evaluating delta, which
+        # Past the cap the point is outside without evaluating delta, which
         # would overflow here.
         square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
         ball = DomainDescriptor.deltaball(square, 0.05, norm_cap=2.0)
-        assert ball.gauge(MatrixTuple.from_scalars([1e200], 2)) == float("inf")
-        assert ball.gauge(MatrixTuple.from_scalars([0.5], 2)) == pytest.approx(0.25)
-        assert not ball.contains(MatrixTuple.from_scalars([1e200], 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ball.contains(MatrixTuple.from_scalars([1e200], 2)) is False
+        assert ball.contains(MatrixTuple.from_scalars([0.5], 2)) is True
 
     def test_exhaustion_closed_under_direct_sums(self):
-        from ncfuncalc import direct_sum
-
         rng = rng_for(67)
-        delta = delta_polydisk(2)
         k = 3
+        exhaustion = DomainDescriptor.deltaball(delta_polydisk(2), 1 / k, norm_cap=k)
         points = []
         for _ in range(6):
             x = random_tuple(rng, 2, 2, scale=0.5)
-            if in_exhaustion(delta, x, k):
+            if exhaustion.contains(x):
                 points.append(x)
         assert len(points) >= 2
-        assert in_exhaustion(delta, direct_sum(points), k)
+        assert exhaustion.contains(direct_sum(points))
+
+    def test_homogeneous_delta_rescales_to_the_requested_norm(self):
+        # ||delta(t u)|| = t^2 ||delta(u)|| for delta = x0^2: a factor read as
+        # if it were t^1 lands the sample far inside the requested norm.
+        square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
+        ball = DomainDescriptor.deltaball(square, 0.05)
+        rng = rng_for(68)
+        for _ in range(200):
+            x = ball.rescale(random_tuple(rng, 1, 4), 0.9)
+            assert operator_norm(eval_delta(square, x)) == pytest.approx(0.9, rel=1e-12)
 
 
 class TestIsometry:
@@ -384,11 +401,12 @@ def kronecker_transfer(r, x):
 
 def reference_scan(r, n, samples, seed):
     """The scan one sample at a time, on 2-d numpy calls only: scale the
-    direction to its size, halve it until ``||delta(x)||`` is inside the
-    ball, evaluate the Kronecker formula, take the norm.  Returns the report
-    and the number of samples that needed a halving."""
+    direction to its size (the p-th root of the ratio, for a delta of degree
+    p), halve it until ``||delta(x)||`` is inside the ball, evaluate the
+    Kronecker formula, take the norm.  Returns the report and the number of
+    samples that needed a halving."""
     bound = 1.0 - SCAN_MARGIN
-    d = r.arity
+    d, p = r.arity, r.delta.degree()
     max_norm, halved = 0.0, 0
 
     def delta_norm(x):
@@ -399,8 +417,8 @@ def reference_scan(r, n, samples, seed):
         u = MatrixTuple(
             [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
         )
-        size = bound * rng.uniform() ** (1.0 / (2 * d * n * n))
-        x = (size / delta_norm(u)) * u
+        size = bound * rng.uniform() ** (p / (2 * d * n * n))
+        x = (size / delta_norm(u)) ** (1.0 / p) * u
         halved += not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN
         while not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN:
             x = 0.5 * x
@@ -416,12 +434,23 @@ def assert_same_report(report, expected):
     assert report.max_norm == pytest.approx(expected.max_norm, rel=1e-13)
 
 
-def quadratic_realization():
-    """x -> x0^2 over the ball ||x0^2|| < 1 (permutation colligation)."""
-    square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
+def scalar_delta_realization(terms):
+    """x -> delta(x) over the ball ||delta(x)|| < 1, for the 1 x 1 delta with
+    these terms (permutation colligation)."""
+    delta = PolyMatrix([[FreePoly(1, terms)]])
     return Realization(
-        delta=square, m=1, A=0.0, B=np.array([[1.0]]), C=np.array([[1.0]]), D=np.array([[0.0]])
+        delta=delta, m=1, A=0.0, B=np.array([[1.0]]), C=np.array([[1.0]]), D=np.array([[0.0]])
     )
+
+
+def quadratic_realization():
+    """x -> x0^2 over the ball ||x0^2|| < 1: delta of degree 2."""
+    return scalar_delta_realization({(0, 0): 1.0})
+
+
+def affine_realization():
+    """x -> x0 + 0.5 over the ball ||x0 + 0.5|| < 1: not homogeneous."""
+    return scalar_delta_realization({(0,): 1.0, (): 0.5})
 
 
 def rowball_realization(rng, d=2, m=3):
@@ -440,6 +469,7 @@ SCAN_CASES = {
     "mobius": lambda: mobius_realization(0.3 - 0.6j),
     "identity": identity_realization,
     "quadratic": quadratic_realization,
+    "affine": affine_realization,
 }
 
 
@@ -479,20 +509,20 @@ class TestStackedScan:
         # Once on the directions for the scale, once on the scaled samples for
         # both the membership test and the transfer step.
         calls = []
-        eval_stack = realization._eval_delta
+        eval_stack = realization.eval_delta
 
         def counted(delta, comps):
             calls.append(comps.shape[1])
             return eval_stack(delta, comps)
 
-        monkeypatch.setattr(realization, "_eval_delta", counted)
+        monkeypatch.setattr(realization, "eval_delta", counted)
         contractivity_scan(SCAN_CASES["polydisk"](), 16, 41, seed=1)
         assert len(calls) == 2 * len(batches)
 
-    def test_quadratic_delta_halves_inside_a_block(self, batches):
-        # ||delta|| = ||x0||^2 is not 1-homogeneous, so a sample scaled to
-        # size s lands at s^2 / ||u||^2, outside the ball for small ||u||.
-        r = quadratic_realization()
+    def test_affine_delta_halves_inside_a_block(self, batches):
+        # ||delta(t u)|| = ||t u + 0.5|| is not t ||delta(u)||, so a sample
+        # scaled by size / ||delta(u)|| can land outside the ball.
+        r = affine_realization()
         expected, halved = reference_scan(r, 1, 41, seed=5)
         assert halved > 0
         assert_same_report(contractivity_scan(r, 1, 41, seed=5), expected)
@@ -540,6 +570,18 @@ class TestContractivityScan:
         report = contractivity_scan(rowball_realization(rng_for(83)), 16, 40, seed=3)
         assert report.passed
         assert report.collected == report.draws == 40
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_quadratic_scan_reaches_the_boundary(self, n):
+        # Samples follow the radial law of ||delta|| = ||x0||^2 itself, so the
+        # largest of 200 comes near the bound 0.95 at every dimension.
+        report = contractivity_scan(quadratic_realization(), n, 200, seed=3)
+        assert 0.9 < report.max_norm < 1 - SCAN_MARGIN
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            contractivity_scan(mobius_realization(0.5), n, 10, seed=0)
 
     def test_ball_excluding_zero_starves(self):
         from ncfuncalc import PolyMatrix, SamplerStarvationError
