@@ -42,12 +42,17 @@ enters; SamplerStarvationError means it never did, which only a ball that
 does not contain 0 can cause.  Sample i is drawn from its own stream
 ``(seed, i)``, and the samples are processed in blocks stacked along a
 leading axis, as many per block as keep the block's resolvents within
-``SCAN_BLOCK_BYTES`` (at least one).  Per block, one stacked norm of
-``delta(u)`` gives the scale, and one stacked ``delta(x)`` and its norms
-serve the membership comparison, the certificate's q and the transfer
-formula; only the samples outside are halved and measured again.  Each sample's value and norm are
-the ones :func:`eval_realization` and :func:`~ncfuncalc.linalg.operator_norm`
-give it alone, so the report does not depend on the block size.
+``SCAN_BLOCK_BYTES`` (at least one).  Per block, one stacked ``delta(u)`` and
+its norms give the scale t.  On a homogeneous delta of degree p that is also
+the measurement: ``t^p ||delta(u)||`` and ``t^p delta(u)`` serve the
+membership comparison, the certificate's q and the transfer formula, and a
+halving multiplies both by ``0.5^p``.  A delta that is not homogeneous
+measures the scaled samples once more, and again only the samples a halving
+moved.  The transfer step is one BLAS product per sample, written straight
+into the block's stacked resolvents, and one batched LU solve per block.  Each sample's value and norm are the ones
+:func:`eval_realization` and :func:`~ncfuncalc.linalg.operator_norm` give it
+alone, up to roundoff in ``delta(x)`` for p > 1, so the report does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -143,11 +148,12 @@ class PolyMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def degree(self) -> int:
+    def degree(self) -> int | None:
         """p when every nonzero entry is homogeneous of one degree p >= 1, so
-        that ``||delta(t x)|| = t^p ||delta(x)||`` for t >= 0; 1 otherwise."""
+        that ``delta(t x) = t^p delta(x)`` for t >= 0; None otherwise (mixed
+        degrees, a constant term, or no nonzero entry)."""
         lengths = {len(w) for row in self.entries for p in row for w in p.terms}
-        return lengths.pop() if len(lengths) == 1 and 0 not in lengths else 1
+        return lengths.pop() if len(lengths) == 1 and 0 not in lengths else None
 
 
 def delta_polydisk(d: int) -> PolyMatrix:
@@ -285,25 +291,41 @@ class DomainDescriptor:
         self, u: np.ndarray, sizes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Each sample of ``u`` scaled to its norm in ``sizes``, then halved
-        toward 0 until it is inside (the factor is ``(size / norm)^(1/p)`` on
-        a delta ball of degree p); returns the stack, its gauges and, on an
-        uncapped delta ball, its ``delta(x)`` stack.  A halving measures
-        again only the samples it halved."""
-        norms = self._norms(u)[0]
-        factors = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
+        toward 0 until it is inside; returns the stack, its gauges and, on an
+        uncapped delta ball, its ``delta(x)`` stack.
+
+        The domain's norm ``||u||`` is p-homogeneous, with p = 1 on a
+        polydisk or row ball and p = :meth:`PolyMatrix.degree` on a delta
+        ball, and the factor is ``t = (size / ||u||)^(1/p)``.  Without a norm
+        cap such a sample is measured once, on ``u``: its gauge is
+        ``t^p ||u||`` and its ``delta(x)`` is ``t^p delta(u)``, and a halving
+        multiplies both by ``0.5^p``.  A delta that is not homogeneous reads
+        p = 1; it and a capped domain measure ``x``, and a halving then
+        measures again only the samples it halved."""
+        norms, values = self._norms(u)
+        ratios = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
         p = self.delta.degree() if self.kind == "deltaball" else 1
-        if p != 1:
-            factors **= 1.0 / p
-        x = factors[:, None, None] * u
-        gauges, values = self._gauges(x)
+        x = (ratios if p in (1, None) else ratios ** (1.0 / p))[:, None, None] * u
+        homogeneous = p is not None and math.isinf(self.norm_cap)
+        if homogeneous:
+            gauges = ratios * norms
+            if values is not None:
+                values *= ratios[:, None, None]
+        else:
+            gauges, values = self._gauges(x)
         for _ in range(RESCALE_HALVINGS):
             out = ~self._inside(gauges)
             if not out.any():
                 return x, gauges, values
             x[:, out] *= 0.5
-            gauges[out], halved = self._gauges(x[:, out])
-            if values is not None:
-                values[out] = halved
+            if homogeneous:
+                gauges[out] *= 0.5**p
+                if values is not None:
+                    values[out] *= 0.5**p
+            else:
+                gauges[out], halved = self._gauges(x[:, out])
+                if values is not None:
+                    values[out] = halved
         raise SamplerStarvationError(
             f"no halving of a sample of norm {sizes[out][0]:.3e} entered the {self.kind} domain"
         )
@@ -386,12 +408,12 @@ def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
 
     The one-sample case of the transfer step the scan runs on its blocks:
     the amplified products (D (x) 1)(1 (x) delta(x)) and
-    (B (x) 1)(1 (x) delta(x)) are contracted over the (mu, i, t) indices
-    directly, so no Kronecker product of delta is formed.  With
-    ``q = ||D|| ||delta(x)||`` and resolvent dimension ``N = m J n``, when
-    ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the factor 2 absorbs roundoff in q)
-    the resolvent is applied to C (x) 1 by one LU solve; otherwise it is
-    formed by :func:`~ncfuncalc.linalg.inverse`.  The certificate (module
+    (B (x) 1)(1 (x) delta(x)) come from one BLAS product of the stacked D
+    and B with ``delta(x)``, so no Kronecker product of delta is formed.
+    With ``q = ||D|| ||delta(x)||`` and resolvent dimension ``N = m J n``,
+    when ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the factor 2 absorbs roundoff
+    in q) the resolvent is applied to C (x) 1 by one LU solve; otherwise it
+    is formed by :func:`~ncfuncalc.linalg.inverse`.  The certificate (module
     docstring) guarantees that the inverse's condition test would pass
     wherever the solve runs, so the rule for :class:`ResolventSingularError`
     is unchanged: it is raised when the resolvent is singular or too
@@ -408,38 +430,47 @@ def _transfer(r: Realization, delta_x: np.ndarray, delta_norms: np.ndarray) -> n
     """Transfer-function values at a stack of points, from ``delta(x)`` of
     shape (B, I*n, J*n) and its norms ``||delta(x)||`` of shape (B,).
 
+    Both amplified products come from one 2-d BLAS product per sample: D
+    reshaped to rows (a, j, b) and B to rows b, stacked, times ``delta(x)``
+    reshaped to rows i and columns (t, k, u).  The D rows are written through
+    a transposed view straight into the stacked resolvents, rows (a, j, t)
+    and columns (b, k, u), so the block holds no second product of its size.
     Every certified sample is solved in one batched LAPACK call; the others
     go through :func:`~ncfuncalc.linalg.inverse` one at a time.
     """
     m, rows, cols = r.m, r.delta.rows, r.delta.cols
     batch, n = delta_x.shape[0], delta_x.shape[-1] // cols
-    res_dim = m * cols * n
-    # Letters: s indexes samples; a, b index [m]; i indexes [I]; j, k index [J];
-    # t, u index [n].  order="C" lets the reshapes view the products, not copy them.
-    dlt = delta_x.reshape(batch, rows, n, cols, n)  # [s, i, t, k, u]
-    d4 = r.D.reshape(m, cols, m, rows)  # [a, j, b, i]
-    lhs = np.einsum("ajbi,sitku->sajtbku", d4, dlt, order="C").reshape(batch, res_dim, res_dim)
-    b_dlt = np.einsum("bi,sitku->stbku", r.B.reshape(m, rows), dlt, order="C")
+    res_dim, d_rows = m * cols * n, m * cols * m
+    lhs = np.empty((batch, res_dim, res_dim), dtype=np.complex128)
+    b_dlt = np.empty((batch, n, res_dim), dtype=np.complex128)
+    # Letters: s indexes samples; a, b index [m]; i indexes [I]; j indexes [J];
+    # t indexes [n]; v indexes the pairs (k, u) of [J] x [n].
+    coeffs = np.concatenate((r.D.reshape(d_rows, rows), r.B.reshape(m, rows)))  # [ajb | b, i]
+    lhs_view = lhs.reshape(batch, m, cols, n, m, cols * n)  # [s, a, j, t, b, v]
+    lhs_view = lhs_view.transpose(0, 1, 2, 4, 3, 5)  # [s, a, j, b, t, v]
+    b_view = b_dlt.reshape(batch, n, m, cols * n).transpose(0, 2, 1, 3)  # [s, b, t, v]
+    for s in range(batch):
+        prod = coeffs @ delta_x[s].reshape(rows, n * cols * n)  # [ajb | b, tv]
+        lhs_view[s] = prod[:d_rows].reshape(m, cols, m, n, cols * n)
+        b_view[s] = prod[d_rows:].reshape(m, n, cols * n)
     np.subtract(np.eye(res_dim, dtype=np.complex128), lhs, out=lhs)  # 1 - K, in place
     q = r._d_norm * delta_norms
     solved = 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q)
+    c_lift = np.kron(r.C, np.eye(n))
     res_c = np.empty((batch, res_dim, n), dtype=np.complex128)
     if solved.any():
         try:
-            res_c[solved] = np.linalg.solve(
-                lhs if solved.all() else lhs[solved], np.kron(r.C, np.eye(n))[None]
-            )
+            res_c[solved] = np.linalg.solve(lhs if solved.all() else lhs[solved], c_lift[None])
         except np.linalg.LinAlgError as exc:
             raise ResolventSingularError(f"LAPACK: {exc}") from exc
         if not np.all(np.isfinite(res_c[solved])):
             raise ResolventSingularError("resolvent solve has non-finite entries")
     for s in np.flatnonzero(~solved):
         try:
-            resolvent = inverse(lhs[s])
+            res_c[s] = inverse(lhs[s]) @ c_lift
         except SingularMatrixError as exc:
             raise ResolventSingularError(str(exc)) from exc
-        res_c[s] = np.einsum("rcu,c->ru", resolvent.reshape(res_dim, m * cols, n), r.C[:, 0])
-    return r.A * np.eye(n, dtype=np.complex128) + b_dlt.reshape(batch, n, res_dim) @ res_c
+    return r.A * np.eye(n, dtype=np.complex128) + b_dlt @ res_c
 
 
 def mobius_realization(a: complex) -> Realization:
@@ -524,7 +555,7 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         raise ValueError("need at least one sample")
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    d, p = r.arity, r.delta.degree()
+    d, p = r.arity, r.delta.degree() or 1
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
     block = max(1, SCAN_BLOCK_BYTES // (16 * (r.m * r.delta.cols * n) ** 2))
     max_norm = 0.0
@@ -534,12 +565,13 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         sizes = np.empty(len(indices))
         for k, i in enumerate(indices):
             rng = np.random.default_rng((seed, i))
-            for j in range(d):
-                u[j, k] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
+            u[:, k] = g[:, 0] + 1j * g[:, 1]
             sizes[k] = ball.bound * rng.uniform() ** (p / (2 * d * n * n))
-        # Without a norm cap the ball's gauge is ||delta(x)||: the delta(x)
-        # stack and norms that admitted the samples are the ones the
-        # transfer step and its certificate read.
+        # Without a norm cap the ball's gauge is ||delta(x)||, read off
+        # ||delta(u)|| when delta is homogeneous: the delta(x) stack and norms
+        # that admitted the samples are the ones the transfer step and its
+        # certificate read.
         _, delta_norms, delta_x = ball._rescale(u, sizes)
         values = _transfer(r, delta_x, delta_norms)
         max_norm = max(max_norm, float(np.max(operator_norm(values))))

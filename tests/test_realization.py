@@ -59,11 +59,11 @@ class TestDeltaConstructors:
         assert delta_polydisk(3).degree() == delta_rowball(3).degree() == 1
         assert PolyMatrix([[x0 * x1, zero], [zero, x1 * x1 - x0 * x1]]).degree() == 2
         assert PolyMatrix([[x0 * x0 * x1]]).degree() == 3
-        # Mixed degrees, a constant term, or no nonzero entry: 1.
-        assert PolyMatrix([[x0, x1 * x1]]).degree() == 1
-        assert PolyMatrix([[x0 * x0 + 0.5]]).degree() == 1
-        assert PolyMatrix([[FreePoly.constant(2, 0.5)]]).degree() == 1
-        assert PolyMatrix([[zero]]).degree() == 1
+        # Mixed degrees, a constant term, or no nonzero entry: not homogeneous.
+        assert PolyMatrix([[x0, x1 * x1]]).degree() is None
+        assert PolyMatrix([[x0 * x0 + 0.5]]).degree() is None
+        assert PolyMatrix([[FreePoly.constant(2, 0.5)]]).degree() is None
+        assert PolyMatrix([[zero]]).degree() is None
 
     def test_equality_by_entries(self):
         assert delta_rowball(2) == delta_rowball(2)
@@ -406,7 +406,7 @@ def reference_scan(r, n, samples, seed):
     Kronecker formula, take the norm.  Returns the report and the number of
     samples that needed a halving."""
     bound = 1.0 - SCAN_MARGIN
-    d, p = r.arity, r.delta.degree()
+    d, p = r.arity, r.delta.degree() or 1
     max_norm, halved = 0.0, 0
 
     def delta_norm(x):
@@ -463,9 +463,18 @@ def rowball_realization(rng, d=2, m=3):
     )
 
 
+def repeated_letter_realization():
+    """An isometric colligation over the ball ||[x0 x0]|| < 1: the row-ball
+    colligation with both entries of delta read as x0 (degree 1, d = 1)."""
+    r = rowball_realization(rng_for(96))
+    x0 = FreePoly.letter(1, 0)
+    return Realization(delta=PolyMatrix([[x0, x0]]), m=r.m, A=r.A, B=r.B, C=r.C, D=r.D)
+
+
 SCAN_CASES = {
     "polydisk": lambda: random_isometric_realization(rng_for(94), 2, 3),
     "rowball": lambda: rowball_realization(rng_for(95)),
+    "repeated": repeated_letter_realization,
     "mobius": lambda: mobius_realization(0.3 - 0.6j),
     "identity": identity_realization,
     "quadratic": quadratic_realization,
@@ -505,9 +514,9 @@ class TestStackedScan:
         assert contractivity_scan(r, 16, 9, seed=8).as_dict() == blocked.as_dict()
         assert batches == [1] * 9
 
-    def test_delta_is_evaluated_twice_per_block(self, monkeypatch, batches):
-        # Once on the directions for the scale, once on the scaled samples for
-        # both the membership test and the transfer step.
+    @pytest.fixture
+    def delta_calls(self, monkeypatch):
+        """The number of samples in each stack that ``eval_delta`` measures."""
         calls = []
         eval_stack = realization.eval_delta
 
@@ -516,17 +525,74 @@ class TestStackedScan:
             return eval_stack(delta, comps)
 
         monkeypatch.setattr(realization, "eval_delta", counted)
-        contractivity_scan(SCAN_CASES["polydisk"](), 16, 41, seed=1)
-        assert len(calls) == 2 * len(batches)
+        return calls
 
-    def test_affine_delta_halves_inside_a_block(self, batches):
+    @pytest.mark.parametrize("name", ["polydisk", "rowball", "repeated"])
+    def test_delta_is_evaluated_once_per_block(self, name, batches, delta_calls):
+        # On the directions only: a homogeneous ball reads ||delta(x)|| and
+        # delta(x) off ||delta(u)|| and delta(u) for the membership test, the
+        # certificate and the transfer step alike.
+        contractivity_scan(SCAN_CASES[name](), 16, 41, seed=1)
+        assert delta_calls == batches
+
+    @pytest.mark.parametrize("name", ["polydisk", "rowball", "repeated"])
+    def test_two_norm_passes_per_block(self, name, monkeypatch, batches):
+        # Per block, ||delta(u)|| and the values' norms; per scan, the
+        # isometry residual and ||D||.
+        r = SCAN_CASES[name]()
+        calls = []
+        norm = realization.operator_norm
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return norm(a)
+
+        monkeypatch.setattr(realization, "operator_norm", counted)
+        contractivity_scan(r, 16, 41, seed=1)
+        assert len(calls) == 2 * len(batches) + 2
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("case", ["polydisk", "rowball", "repeated", "quadratic", "norm-balls"])
+    def test_rescale_reads_the_gauge_off_the_direction(self, case, n):
+        # The gauges and delta(x) that a homogeneous ball derives from u are
+        # the ones x itself gives, through halvings too (sizes up to 3 bound).
+        if case == "norm-balls":
+            domains = [DomainDescriptor.polydisk(0.9), DomainDescriptor.rowball(0.9)]
+            d = 2
+        else:
+            r = SCAN_CASES[case]()
+            domains = [DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)]
+            d = r.arity
+        rng = rng_for(97)
+        for ball in domains:
+            u = rng.standard_normal((d, 7, n, n)) + 1j * rng.standard_normal((d, 7, n, n))
+            sizes = ball.bound * np.array([0.1, 0.5, 0.9, 0.999, 1.2, 2.0, 3.0])
+            x, gauges, values = ball._rescale(u, sizes)
+            measured, measured_values = ball._gauges(x)
+            np.testing.assert_allclose(gauges, measured, rtol=1e-14, atol=0)
+            assert np.all(ball._inside(measured))
+            if ball.kind != "deltaball":
+                assert values is None and measured_values is None
+            elif ball.delta.degree() == 1:
+                assert np.array_equal(values, eval_delta(ball.delta, x))
+            else:
+                expected = eval_delta(ball.delta, x)
+                np.testing.assert_allclose(
+                    values, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected))
+                )
+
+    def test_affine_delta_halves_inside_a_block(self, batches, delta_calls):
         # ||delta(t u)|| = ||t u + 0.5|| is not t ||delta(u)||, so a sample
-        # scaled by size / ||delta(u)|| can land outside the ball.
+        # scaled by size / ||delta(u)|| can land outside the ball: the scaled
+        # samples are measured, and the first halving measures again exactly
+        # the samples that the per-sample reference halves.
         r = affine_realization()
         expected, halved = reference_scan(r, 1, 41, seed=5)
         assert halved > 0
+        delta_calls.clear()
         assert_same_report(contractivity_scan(r, 1, 41, seed=5), expected)
         assert batches == [41]
+        assert delta_calls[:3] == [41, 41, halved]
 
     def test_blocks_split_at_the_byte_budget(self, batches):
         # N = m J n = 96: four 96x96 resolvents per block, and a last block of 1.
