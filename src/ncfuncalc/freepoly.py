@@ -5,11 +5,12 @@ unit.  Coefficient arithmetic is exact (complex doubles, no epsilon
 pruning): only exact zeros are dropped, so the algebra itself introduces no
 tolerances.  Words iterate in graded lexicographic order everywhere, which
 keeps serialization and tests reproducible.  ``terms`` is never written after
-construction: evaluation caches a prefix trie built from it.
+construction: evaluation caches a table of its prefixes built from it.
 """
 
 from __future__ import annotations
 
+import math
 from numbers import Number
 
 import numpy as np
@@ -169,53 +170,52 @@ class FreePoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def _prefix_trie(self) -> list:
-        """Node ``[coefficient, {letter: child}]`` for the empty word.
-
-        Built once per polynomial from the terms in graded lexicographic
-        order, so the evaluation order does not depend on dict insertion.
-        """
+    def _level_table(self) -> tuple[list[int], list[tuple]]:
+        """Built once: the letters in use and, per word length k, arrays over the
+        length-k prefixes in grlex order: parent, last letter, terms, coefficients."""
         if self._trie is None:
-            root: list = [0j, {}]
-            for w, c in self.sorted_terms():
-                node = root
-                for j in w:
-                    node = node[1].setdefault(j, [0j, {}])
-                node[0] = c
-            self._trie = root
+            used = sorted({j for w in self.terms for j in w})
+            levels, index = [], {}
+            for k in range(1, self.degree() + 1):
+                above, prefixes = index, sorted({w[:k] for w in self.terms if len(w) >= k})
+                index = {w: i for i, w in enumerate(prefixes)}
+                hits = np.flatnonzero([w in self.terms for w in prefixes])
+                levels.append((None if k == 1 else np.array([above[w[:-1]] for w in prefixes]),
+                               np.array([used.index(w[-1]) for w in prefixes]), hits,
+                               np.array([self.terms[prefixes[i]] for i in hits])))
+            self._trie = (used, levels)
         return self._trie
 
     def evaluate(self, x) -> np.ndarray:
         """Substitute the components of ``x`` for the letters.
 
         ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
-        ``(..., n, n)``; the output has that shape, each sample on the leading
-        axes getting the value of its own tuple.  The empty word contributes
-        its coefficient times the identity.  A depth-first walk of the prefix
-        trie forms each shared prefix product once and keeps only the
-        products along the current path.
+        ``(..., n, n)``, the output's shape; each sample on the leading axes gets,
+        bit for bit, the value of its own tuple.  Word length k takes one batched
+        product, prefix products of length k-1 by components, and adds its terms.
+        A prefix through an exactly zero component contributes exactly 0, even
+        past an overflowed product.
         """
         comps = x.components if isinstance(x, MatrixTuple) else x
         if len(comps) != self.arity:
             raise ValueError(f"polynomial in {self.arity} letters at a {len(comps)}-tuple")
-        shape = comps[0].shape
-        # A word through an exactly zero component has a zero product, and so
-        # has every word below it in the trie: skip those subtrees.
-        live = [bool(c.any()) for c in comps]
-        out = np.zeros(shape, dtype=np.complex128)
-        eye = np.eye(shape[-1], dtype=np.complex128)
-        # Entries (parent product, letter, node); a node's product is formed
-        # when it is popped, so pending siblings only share their parent's.
-        stack = [(eye, None, self._prefix_trie())]
-        while stack:
-            parent, j, (coeff, children) = stack.pop()
-            prod = parent if j is None else parent @ comps[j]
-            if coeff:
-                out += coeff * prod
-            stack.extend(
-                (prod, jj, child) for jj, child in reversed(children.items()) if live[jj]
-            )
-        return out
+        n, samples = comps[0].shape[-1], math.prod(comps[0].shape[:-2])
+        used, levels = self._level_table()
+        # (samples, letters, n, n), gathered C-ordered: a lone tuple gets a sample's calls.
+        stacked = np.asarray(comps)[used].reshape(len(used), samples, n, n).swapaxes(0, 1)
+        zero = ~stacked.any(axis=(-2, -1))
+        out = np.zeros((samples, n * n), dtype=np.complex128)
+        out[:, :: n + 1] = self.terms.get((), 0)  # the empty word, on the diagonal
+        for parents, letters, hits, coeffs in levels:
+            prods = stacked.take(letters, axis=1)
+            if parents is not None:
+                prods = above.take(parents, axis=1) @ prods
+            if zero.any():  # zero each sample's products through a zero component
+                dead = zero[:, letters] | (parents is not None and dead[:, parents])
+                prods[dead] = 0
+            out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
+            above = prods
+        return out.reshape(comps[0].shape)
 
     __call__ = evaluate
 

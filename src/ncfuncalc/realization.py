@@ -35,15 +35,16 @@ A contractivity scan rescales one complex Gaussian direction per sample to
 the norm ``(1 - SCAN_MARGIN) U^(p/(2 d n^2))``, U uniform on [0, 1), with p
 the degree of every entry of a homogeneous delta (:meth:`PolyMatrix.degree`):
 the radial law of the uniform distribution on a ball of real dimension
-2 d n^2.  A delta that is not homogeneous reads p = 1, and its samples can
-land inside the requested norm.  No draw is rejected, so a scan's ``draws``
-equals its ``samples``.  A sample outside the ball is halved toward 0 until it
-enters; SamplerStarvationError means it never did, which only a ball that
-does not contain 0 can cause.  Sample i is drawn from its own stream
-``(seed, i)``, and the samples are processed in blocks stacked along a
-leading axis, as many per block as keep the block's resolvents within
-``SCAN_BLOCK_BYTES`` (at least one).  Per block, one stacked ``delta(u)`` and
-its norms give the scale t.  On a homogeneous delta of degree p that is also
+2 d n^2.  A delta that is not homogeneous reads p = 1 in that law, and a
+sample's scale t solves ``||delta(t u)|| = size`` by bisection wherever 0
+lies below the size (:meth:`DomainDescriptor._bisect`).  No draw is
+rejected, so a scan's ``draws`` equals its ``samples``.  A sample outside the
+ball is halved toward 0 until it enters; SamplerStarvationError means it
+never did, which only a ball that does not contain 0 can cause.  Sample i is
+drawn from its own stream ``(seed, i)``, and the samples are processed in
+blocks stacked along a leading axis, as many per block as keep the block's
+resolvents within ``SCAN_BLOCK_BYTES`` (at least one).  Per block, one
+stacked ``delta(u)`` and its norms give the scale t.  On a homogeneous delta of degree p that is also
 the measurement: ``t^p ||delta(u)||`` and ``t^p delta(u)`` serve the
 membership comparison, the certificate's q and the transfer formula, and a
 halving multiplies both by ``0.5^p``.  A delta that is not homogeneous
@@ -96,6 +97,7 @@ ISOMETRY_BUILD_TOL = 1e-10
 ISOMETRY_SCAN_TOL = 1e-8
 DOMAIN_CHECK_MARGIN = 1e-9
 RESCALE_HALVINGS = 60
+RESCALE_BISECTIONS = 50
 SCAN_MARGIN = 0.05
 SCAN_NORM_TOL = 1e-8
 SCAN_BLOCK_BYTES = 640 * 2**10
@@ -299,12 +301,14 @@ class DomainDescriptor:
         ball, and the factor is ``t = (size / ||u||)^(1/p)``.  Without a norm
         cap such a sample is measured once, on ``u``: its gauge is
         ``t^p ||u||`` and its ``delta(x)`` is ``t^p delta(u)``, and a halving
-        multiplies both by ``0.5^p``.  A delta that is not homogeneous reads
-        p = 1; it and a capped domain measure ``x``, and a halving then
-        measures again only the samples it halved."""
+        multiplies both by ``0.5^p``.  A delta that is not homogeneous takes
+        t from :meth:`_bisect`; it and a capped domain measure ``x``, and a
+        halving then measures again only the samples it halved."""
         norms, values = self._norms(u)
         ratios = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
         p = self.delta.degree() if self.kind == "deltaball" else 1
+        if p is None:
+            ratios = self._bisect(u, sizes, ratios)
         x = (ratios if p in (1, None) else ratios ** (1.0 / p))[:, None, None] * u
         homogeneous = p is not None and math.isinf(self.norm_cap)
         if homogeneous:
@@ -329,6 +333,31 @@ class DomainDescriptor:
         raise SamplerStarvationError(
             f"no halving of a sample of norm {sizes[out][0]:.3e} entered the {self.kind} domain"
         )
+
+    def _bisect(self, u: np.ndarray, sizes: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        """Each sample's factor t, with ``||delta(t u)||`` at most its size, from
+        ``RESCALE_BISECTIONS`` bisection steps on a bracket: 0, whose norm
+        must lie below the size, and ``guess``, doubled at most
+        ``RESCALE_HALVINGS`` times until its norm reaches the size.  A sample
+        without that bracket keeps ``guess``."""
+
+        def norms(t):
+            return self._norms(t[:, None, None] * u)[0]
+
+        lo, hi = np.zeros_like(guess), guess.copy()
+        bracketed, reached = norms(lo) < sizes, norms(hi) >= sizes
+        for _ in range(RESCALE_HALVINGS):
+            grow = bracketed & ~reached
+            if not grow.any():
+                break
+            hi[grow] *= 2.0
+            reached = norms(hi) >= sizes
+        bracketed &= reached
+        for _ in range(RESCALE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = norms(mid) <= sizes
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.where(bracketed, lo, guess)
 
 
 def _one_sample(x: MatrixTuple) -> np.ndarray:

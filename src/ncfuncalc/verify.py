@@ -300,11 +300,9 @@ class SuiteConfig:
 
 
 def _sample_direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> MatrixTuple:
-    comps = []
-    for _ in range(d):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        comps.append(scale * g / max(operator_norm(g), 1e-12))
-    return MatrixTuple(comps)
+    g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
+    g = g[:, 0] + 1j * g[:, 1]
+    return MatrixTuple(scale * g / np.maximum(operator_norm(g), 1e-12)[:, None, None])
 
 
 def _sample_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:

@@ -121,24 +121,54 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             FreePoly.one(2).evaluate(MatrixTuple.zeros(3, 2))
 
+    @staticmethod
+    def word_by_word(p, comps):
+        """Reference: every word's product formed from scratch, sample by sample."""
+        shape = comps[0].shape
+        expected = np.zeros(shape, dtype=complex)
+        for index in np.ndindex(shape[:-2]):
+            for w, c in p.terms.items():
+                m = np.eye(shape[-1])
+                for j in w:
+                    m = m @ comps[j][index]
+                expected[index] += c * m
+        return expected
+
     def test_matches_word_by_word_sum(self):
-        # Reference: every word's product formed from scratch.  The second
-        # point has an exactly zero component, whose subtrees the walk skips.
+        # The second point has an exactly zero component, whose products the
+        # evaluation zeroes; then two leading axes, an empty stack, the zero
+        # polynomial and a constant-only polynomial.
         rng = rng_for(16)
         p = random_poly(rng, 3, 4, nterms=30)
         zero = np.zeros((3, 3))
-        for x in (
-            random_tuple(rng, 3, 3),
-            MatrixTuple([random_matrix(rng, 3), zero, random_matrix(rng, 3)]),
-        ):
-            expected = np.zeros((3, 3), dtype=complex)
-            for w, c in p.terms.items():
-                m = np.eye(3)
-                for j in w:
-                    m = m @ x[j]
-                expected += c * m
-            for _ in range(2):  # the second call reuses the cached trie
-                np.testing.assert_allclose(p.evaluate(x), expected, rtol=0, atol=1e-14)
+        cases = [
+            (p, random_tuple(rng, 3, 3)),
+            (p, MatrixTuple([random_matrix(rng, 3), zero, random_matrix(rng, 3)])),
+            (p, 0.45 * rng.standard_normal((3, 2, 3, 3, 3)) + 0j),
+            (p, np.zeros((3, 0, 3, 3), dtype=complex)),
+            (FreePoly.zero(3), 0.45 * rng.standard_normal((3, 2, 3, 3))),
+            (FreePoly.constant(3, 2 - 1j), 0.45 * rng.standard_normal((3, 2, 3, 3))),
+        ]
+        for q, x in cases:
+            comps = x.components if isinstance(x, MatrixTuple) else x
+            expected = self.word_by_word(q, comps)
+            for _ in range(2):  # the second call reuses the cached level table
+                value = q.evaluate(x)
+                assert value.shape == comps[0].shape
+                np.testing.assert_allclose(value, expected, rtol=0, atol=1e-14)
+
+    def test_zero_component_beats_an_overflowed_prefix(self):
+        # x1^300 overflows, so an unmasked product by x0 = 0 would be inf * 0,
+        # NaN; the word through x0 = 0 contributes exactly 0.
+        p = FreePoly(2, {(1,) * 300 + (0,): 1})
+        x = MatrixTuple([np.zeros((2, 2)), 100 * np.eye(2)])
+        stack = np.stack([x.components, [np.eye(2), 100 * np.eye(2)]], axis=1)  # (d, B, n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(p.evaluate(x), np.zeros((2, 2)))
+            values = p.evaluate(stack)
+            assert np.array_equal(values[0], np.zeros((2, 2)))
+            assert np.array_equal(values[1], p.evaluate(stack[:, 1]), equal_nan=True)
+            assert not np.all(np.isfinite(values[1]))
 
     def test_stacked_components_give_each_sample_its_value(self):
         # Samples stacked on a leading axis, one with an exactly zero

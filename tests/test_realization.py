@@ -31,7 +31,13 @@ from ncfuncalc import (
     realization,
     taylor_expand,
 )
-from ncfuncalc.realization import DOMAIN_CHECK_MARGIN, SCAN_BLOCK_BYTES, SCAN_MARGIN
+from ncfuncalc.realization import (
+    DOMAIN_CHECK_MARGIN,
+    RESCALE_BISECTIONS,
+    RESCALE_HALVINGS,
+    SCAN_BLOCK_BYTES,
+    SCAN_MARGIN,
+)
 
 from _helpers import random_isometric_realization, random_matrix, random_tuple, rng_for
 
@@ -149,6 +155,17 @@ class TestBallAndExhaustion:
         for _ in range(200):
             x = ball.rescale(random_tuple(rng, 1, 4), 0.9)
             assert operator_norm(eval_delta(square, x)) == pytest.approx(0.9, rel=1e-12)
+
+    def test_affine_delta_rescales_to_the_requested_norm(self):
+        # ||delta(t u)|| = ||t u + 0.5 I||: bisection on t lands a sample whose
+        # norm at 0 lies below the size at that size, where the factor
+        # size / ||delta(u)|| does not.
+        affine = PolyMatrix([[FreePoly(1, {(0,): 1.0, (): 0.5})]])
+        ball = DomainDescriptor.deltaball(affine, 0.05)
+        rng = rng_for(69)
+        for _ in range(50):
+            x = ball.rescale(random_tuple(rng, 1, 4), 0.9)
+            assert operator_norm(eval_delta(affine, x)) == pytest.approx(0.9, rel=1e-12)
 
 
 class TestIsometry:
@@ -401,24 +418,46 @@ def kronecker_transfer(r, x):
 
 def reference_scan(r, n, samples, seed):
     """The scan one sample at a time, on 2-d numpy calls only: scale the
-    direction to its size (the p-th root of the ratio, for a delta of degree
-    p), halve it until ``||delta(x)||`` is inside the ball, evaluate the
-    Kronecker formula, take the norm.  Returns the report and the number of
-    samples that needed a halving."""
+    direction to its size, halve it until ``||delta(x)||`` is inside the
+    ball, evaluate the Kronecker formula, take the norm.  Returns the report
+    and the number of samples that needed a halving.
+
+    The scale is the p-th root of the ratio for a delta of degree p.  For a
+    delta that is not homogeneous it is the bisection of ``||delta(t u)|| =
+    size`` between 0 and the ratio, doubled until its norm reaches the size;
+    a sample whose norm at 0 is not below the size keeps the ratio."""
     bound = 1.0 - SCAN_MARGIN
-    d, p = r.arity, r.delta.degree() or 1
-    max_norm, halved = 0.0, 0
+    d, p = r.arity, r.delta.degree()
 
     def delta_norm(x):
         return float(np.linalg.norm(eval_delta(r.delta, x), 2))
 
+    def scale(u, size):
+        ratio = size / delta_norm(u)
+        if p is not None:
+            return ratio ** (1.0 / p)
+        if not delta_norm(0.0 * u) < size:
+            return ratio
+        lo, hi = 0.0, ratio
+        for _ in range(RESCALE_HALVINGS):
+            if delta_norm(hi * u) >= size:
+                break
+            hi *= 2.0
+        if delta_norm(hi * u) < size:
+            return ratio
+        for _ in range(RESCALE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if delta_norm(mid * u) <= size else (lo, mid)
+        return lo
+
+    max_norm, halved = 0.0, 0
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
         u = MatrixTuple(
             [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
         )
-        size = bound * rng.uniform() ** (p / (2 * d * n * n))
-        x = (size / delta_norm(u)) ** (1.0 / p) * u
+        size = bound * rng.uniform() ** ((p or 1) / (2 * d * n * n))
+        x = scale(u, size) * u
         halved += not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN
         while not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN:
             x = 0.5 * x
@@ -453,6 +492,12 @@ def affine_realization():
     return scalar_delta_realization({(0,): 1.0, (): 0.5})
 
 
+def offset_realization():
+    """x -> x0 + 0.9 over the ball ||x0 + 0.9|| < 1: not homogeneous, and 0
+    lies close to the boundary of the scan's ball."""
+    return scalar_delta_realization({(0,): 1.0, (): 0.9})
+
+
 def rowball_realization(rng, d=2, m=3):
     """An isometric colligation over the row ball: the first 1 + m columns
     of a (1 + m d)-square unitary."""
@@ -479,6 +524,7 @@ SCAN_CASES = {
     "identity": identity_realization,
     "quadratic": quadratic_realization,
     "affine": affine_realization,
+    "offset": offset_realization,
 }
 
 
@@ -582,17 +628,22 @@ class TestStackedScan:
                 )
 
     def test_affine_delta_halves_inside_a_block(self, batches, delta_calls):
-        # ||delta(t u)|| = ||t u + 0.5|| is not t ||delta(u)||, so a sample
-        # scaled by size / ||delta(u)|| can land outside the ball: the scaled
-        # samples are measured, and the first halving measures again exactly
-        # the samples that the per-sample reference halves.
-        r = affine_realization()
-        expected, halved = reference_scan(r, 1, 41, seed=5)
-        assert halved > 0
-        delta_calls.clear()
-        assert_same_report(contractivity_scan(r, 1, 41, seed=5), expected)
-        assert batches == [41]
-        assert delta_calls[:3] == [41, 41, halved]
+        # ||delta(t u)|| = ||t u + c|| is not t ||delta(u)||.  A sample whose
+        # norm at 0 lies below its size is sized by bisection and lands inside:
+        # on x0 + 0.5 no sample of 41 is halved.  The others keep the factor
+        # size / ||delta(u)||; on x0 + 0.9 some land outside, and the first
+        # halving measures again exactly the samples that the per-sample
+        # reference halves.
+        for r, halvings in ((affine_realization(), False), (offset_realization(), True)):
+            expected, halved = reference_scan(r, 1, 41, seed=5)
+            assert (halved > 0) == halvings
+            delta_calls.clear()
+            batches.clear()
+            assert_same_report(contractivity_scan(r, 1, 41, seed=5), expected)
+            assert batches == [41]
+            # The last full-block call measures x; a halving comes right after it.
+            after_x = len(delta_calls) - delta_calls[::-1].index(41)
+            assert delta_calls[after_x:after_x + 1] == ([halved] if halvings else [])
 
     def test_blocks_split_at_the_byte_budget(self, batches):
         # N = m J n = 96: four 96x96 resolvents per block, and a last block of 1.
