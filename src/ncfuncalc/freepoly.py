@@ -38,7 +38,11 @@ class FreePoly:
             raise ValueError("arity must be at least 1")
         clean: dict[Word, complex] = {}
         for word, coeff in (terms or {}).items():
-            w = tuple(int(j) for j in word)
+            # A key that already is a tuple of ints is kept, so polynomials
+            # built from shared word tuples share their keys.
+            w = word
+            if type(word) is not tuple or not all(type(j) is int for j in word):
+                w = tuple(int(j) for j in word)
             if any(j < 0 or j >= arity for j in w):
                 raise ValueError(f"word {w} uses letters outside [0, {arity})")
             c = complex(coeff)
@@ -194,7 +198,8 @@ class FreePoly:
         bit for bit, the value of its own tuple.  Word length k takes one batched
         product, prefix products of length k-1 by components, and adds its terms.
         A prefix through an exactly zero component contributes exactly 0, even
-        past an overflowed product.
+        past an overflowed product: its products are zeroed at a word length
+        whose products are not all finite (elsewhere they already are zeros).
         """
         comps = x.components if isinstance(x, MatrixTuple) else x
         if len(comps) != self.arity:
@@ -210,9 +215,10 @@ class FreePoly:
             prods = stacked.take(letters, axis=1)
             if parents is not None:
                 prods = above.take(parents, axis=1) @ prods
-            if zero.any():  # zero each sample's products through a zero component
+            if zero.any():  # each sample's products through a zero component
                 dead = zero[:, letters] | (parents is not None and dead[:, parents])
-                prods[dead] = 0
+                if not np.isfinite(prods).all():
+                    prods[dead] = 0
             out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
             above = prods
         return out.reshape(comps[0].shape)

@@ -20,6 +20,14 @@ DomainViolationError before any evaluation.  The extracted blocks are
 rescaled by eps^{-level}, which is right because the (i, i+j) block is
 j-homogeneous in the directions; with a power-of-two epsilon, as the default
 is, both the scaling and the rescale are exact in floating point.
+
+Jets come in stacks.  Directions given as component arrays of shape
+(d, B, n, n) make B jets at the same base points, one per sample: one
+stacked membership test per halving, each sample halved on its own, one
+evaluation of F on the whole stack, and a structure residual per sample.  So
+a caller with many jets, such as the Taylor extraction or the polarization
+of :func:`dk_multilinear`, pays one evaluation per block of jets, not one per
+jet; a lone call with MatrixTuple directions is the case B = 1.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .linalg import MatrixTuple, bidiagonal_block
+from .linalg import MatrixTuple
 from .ncfun import DomainViolationError, NCFunctionHandle
 
 __all__ = [
@@ -47,7 +56,15 @@ FD_CANCELLATION_FLOOR = 1e-12
 
 
 class StructureViolationError(ArithmeticError):
-    """The jet image was not block upper triangular with the expected diagonal."""
+    """The jet image was not block upper triangular with the expected diagonal.
+
+    ``sample`` is the index of the first offending jet of a stack (0 for a
+    lone call).
+    """
+
+    def __init__(self, message: str, sample: int = 0):
+        super().__init__(message)
+        self.sample = sample
 
 
 @dataclass(frozen=True)
@@ -58,12 +75,23 @@ class DeltaResult:
     every superdiagonal level rescaled back to unit directions, and
     ``structure_residual`` the absolute Frobenius size of the parts that
     should vanish (below-diagonal blocks and diagonal deviation from F(x_i)).
+    For stacked directions each field has a leading axis over the B samples.
     """
 
     delta: np.ndarray
     full_upper: np.ndarray
-    structure_residual: float
-    epsilon: float
+    structure_residual: float | np.ndarray
+    epsilon: float | np.ndarray
+
+
+@cache
+def _below(k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block row and column indices below the diagonal of a k1 x k1 grid,
+    read-only because every call shares them."""
+    rows, cols = np.tril_indices(k1, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def delta_k(
@@ -72,37 +100,56 @@ def delta_k(
     """Order-k difference-differential of F via one jet evaluation.
 
     ``xs`` are k+1 base points and ``hs`` k directions, all at one
-    dimension.  Raises :class:`StructureViolationError` when the jet image
-    strays from block upper triangular form by more than ``STRUCTURE_TOL``
-    relative to its size, which flags an evaluator that is not intertwining
-    preserving.
+    dimension n: MatrixTuples, or for the directions component stacks of
+    shape (d, B, n, n), which make B jets in one call (module docstring)
+    and give every field of the result a leading sample axis.  Raises
+    :class:`StructureViolationError` when a jet image strays from block
+    upper triangular form by more than ``STRUCTURE_TOL`` relative to its
+    size, which flags an evaluator that is not intertwining preserving.
 
     ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
     blocks are checked against; a caller that extracts many jets at the same
     base points passes them once instead of having F re-evaluated per call.
-    ``epsilon`` is the starting scale, halved until the jet lies in the
-    domain (module docstring); an outside base point raises
+    ``epsilon`` is the starting scale of every jet, each halved until it lies
+    in the domain (module docstring); an outside base point raises
     :class:`DomainViolationError` before any evaluation.
     """
     xs = list(xs)
-    hs = list(hs)
+    hs = hs if isinstance(hs, np.ndarray) else list(hs)
     k = len(hs)
     if k < 1:
         raise ValueError("need at least one direction")
     if len(xs) != k + 1:
         raise ValueError(f"need {k + 1} base points for order {k}, got {len(xs)}")
-    eps = float(epsilon)
-    jet = bidiagonal_block(xs, hs if eps == 1.0 else [eps * h for h in hs])
-    while not F.domain.contains(jet):
-        eps *= 0.5
-        if eps < MIN_EPSILON:
+    d, n = xs[0].arity, xs[0].dim
+    lone = isinstance(hs[0], MatrixTuple)
+    if lone:
+        dirs = np.array([h.components for h in hs])[:, :, None]
+    else:
+        dirs = np.asarray(hs, dtype=np.complex128)
+    if any(x.arity != d or x.dim != n for x in xs) or (
+        dirs.ndim != 5 or dirs.shape[1] != d or dirs.shape[3:] != (n, n)
+    ):
+        raise ValueError("all points and directions must share arity and dimension")
+    k1, batch = k + 1, dirs.shape[2]
+    levels = np.arange(k1)
+
+    # jet[r, s, i, :, j, :] is block (i, j) of component r of sample s.
+    jet = np.zeros((d, batch, k1, n, k1, n), dtype=np.complex128)
+    jet[:, :, levels, :, levels, :] = np.array([x.components for x in xs])[:, :, None]
+    stack = jet.reshape(d, batch, k1 * n, k1 * n)
+    eps = np.full(batch, float(epsilon))
+    jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
+    inside = F.domain.contains(stack)
+    while not inside.all():
+        eps[~inside] *= 0.5
+        if eps.min() < MIN_EPSILON:
             raise DomainViolationError(
                 f"no jet scale of at least {MIN_EPSILON:.0e} keeps the jet in the domain"
             )
-        jet = bidiagonal_block(xs, [eps * h for h in hs])
-    img = F.eval(jet, unchecked=True)
-    n = xs[0].dim
-    k1 = k + 1
+        jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
+        inside[~inside] = F.domain.contains(stack[:, ~inside])
+    img = F.eval(stack, unchecked=True)
 
     if base_values is None:
         # Evaluate each distinct point once; repeated extraction passes the
@@ -116,26 +163,29 @@ def delta_k(
     if values.shape != (k1, n, n):
         raise ValueError(f"need {k1} base values of shape {n}x{n}, got shape {values.shape}")
 
-    # blocks[i, :, j, :] is the (i, j) block of the jet image.
-    blocks = img.reshape(k1, n, k1, n)
-    diag = np.arange(k1)
-    below_i, below_j = np.tril_indices(k1, -1)
-    resid = max(
-        float(np.linalg.norm(blocks[diag, :, diag, :] - values, axis=(1, 2)).max()),
-        float(np.linalg.norm(blocks[below_i, :, below_j, :], axis=(1, 2)).max()),
+    # blocks[s, i, :, j, :] is the (i, j) block of sample s's jet image.
+    blocks = img.reshape(batch, k1, n, k1, n)
+    below_i, below_j = _below(k1)
+    resid = np.maximum(
+        np.linalg.norm(blocks[:, levels, :, levels, :] - values[:, None], axis=(-2, -1)).max(0),
+        np.linalg.norm(blocks[:, below_i, :, below_j, :], axis=(-2, -1)).max(0),
     )
-    scale = max(1.0, float(np.linalg.norm(img)))
-    if resid > STRUCTURE_TOL * scale:
+    scale = np.maximum(1.0, np.linalg.norm(img.reshape(batch, -1), axis=1))
+    bad = np.flatnonzero(resid > STRUCTURE_TOL * scale)
+    if bad.size:
+        s = int(bad[0])
         raise StructureViolationError(
-            f"jet image is not block upper triangular: residual {resid:.3e} "
-            f"against scale {scale:.3e}"
+            f"jet image is not block upper triangular: residual {resid[s]:.3e} "
+            f"against scale {scale[s]:.3e}",
+            sample=s,
         )
 
     # Block (i, j) with j > i is (j - i)-homogeneous in the directions.
-    level_factor = np.array([eps ** (-level) for level in range(k1)])
-    factor = level_factor[np.maximum(diag[None, :] - diag[:, None], 0)]
-    full = (blocks * factor[:, None, :, None]).reshape(k1 * n, k1 * n)
-    delta = full[0:n, k * n : k1 * n].copy()
+    factor = (eps[:, None] ** -levels)[:, np.maximum(levels[None, :] - levels[:, None], 0)]
+    full = (blocks * factor[:, :, None, :, None]).reshape(batch, k1 * n, k1 * n)
+    delta = full[:, :n, k * n :].copy()
+    if lone:
+        return DeltaResult(delta[0], full[0], float(resid[0]), float(eps[0]))
     return DeltaResult(delta=delta, full_upper=full, structure_residual=resid, epsilon=eps)
 
 
@@ -172,8 +222,8 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
     Uses the signed subset-sum identity over 2^k - 1 diagonal derivatives
     k! delta_k(F, [x] * (k + 1), [h] * k), legitimate because the derivative
     is k-linear and symmetric.  F(x) is evaluated once, with the domain
-    check, and shared by every jet.  Capped at k = 6 to keep the evaluation
-    count sane.
+    check, and the 2^k - 1 jets are one stacked :func:`delta_k` call.
+    Capped at k = 6 to keep the jet count sane.
     """
     hs = list(hs)
     k = len(hs)
@@ -182,13 +232,18 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
     for h in hs:
         x.check_compatible(h)
     values = [F.eval(x)] * (k + 1)
-    total = np.zeros((x.dim, x.dim), dtype=np.complex128)
+    comps = [np.array(h.components) for h in hs]
+    sums, signs = [], []
     for mask in range(1, 2**k):
         members = [i for i in range(k) if mask >> i & 1]
-        hsum = hs[members[0]]
+        hsum = comps[members[0]]
         for i in members[1:]:
-            hsum = hsum + hs[i]
-        sign = (-1) ** (k - len(members))
-        diag = math.factorial(k) * delta_k(F, [x] * (k + 1), [hsum] * k, base_values=values).delta
-        total = total + sign * diag
+            hsum = hsum + comps[i]
+        sums.append(hsum)
+        signs.append((-1) ** (k - len(members)))
+    dirs = np.stack(sums, axis=1)  # (d, 2^k - 1, n, n)
+    deltas = delta_k(F, [x] * (k + 1), [dirs] * k, base_values=values).delta
+    total = np.zeros((x.dim, x.dim), dtype=np.complex128)
+    for sign, delta in zip(signs, deltas):
+        total = total + sign * (math.factorial(k) * delta)
     return total / math.factorial(k)

@@ -1,14 +1,18 @@
 """Graded black-box functions over matrix tuples.
 
 An :class:`NCFunctionHandle` evaluates a d-tuple of n-by-n matrices to an
-n-by-n matrix at every dimension n.  Built-in backings: a free polynomial,
-a truncated homogeneous series, or a transfer-function realization.  Domain
-membership is checked on evaluation.  The explicit ``unchecked`` path is
-used only on a jet whose membership :func:`~ncfuncalc.ncderiv.delta_k` has
-tested, and on that jet's base points, which lie inside whenever the jet
-does.  The negative control handles (deliberately broken evaluators) live
-here too, so the file formats can name them without depending on the
-verification suite.
+n-by-n matrix at every dimension n, and a stack of such tuples, d component
+arrays of one shape ``(..., n, n)``, to the stack of their values.  Built-in
+backings: a free polynomial, a truncated homogeneous series, or a
+transfer-function realization; each evaluates a whole stack in one call, so
+:func:`~ncfuncalc.ncderiv.delta_k` and :func:`~ncfuncalc.taylor.taylor_expand`
+pay one evaluation per block of jets, not one per jet.  An opaque evaluator
+must accept both forms.  Domain membership is checked on evaluation.  The
+explicit ``unchecked`` path is used only on jets whose membership
+:func:`~ncfuncalc.ncderiv.delta_k` has tested, and on their base points,
+which lie inside whenever a jet does.  The negative control handles
+(deliberately broken evaluators) live here too, so the file formats can name
+them without depending on the verification suite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .freepoly import FreePoly
 from .linalg import MatrixTuple
-from .realization import DomainDescriptor, Realization, eval_realization
+from .realization import DomainDescriptor, Realization
 
 __all__ = [
     "DomainViolationError",
@@ -87,7 +91,7 @@ class NCFunctionHandle:
         self,
         arity: int,
         domain: DomainDescriptor,
-        evaluator: Callable[[MatrixTuple], np.ndarray],
+        evaluator: Callable[..., np.ndarray],
         kind: str = "opaque",
         payload=None,
     ):
@@ -99,27 +103,33 @@ class NCFunctionHandle:
         self.payload = payload
         self._evaluator = evaluator
 
-    def eval(self, x: MatrixTuple, *, unchecked: bool = False) -> np.ndarray:
+    def eval(self, x, *, unchecked: bool = False) -> np.ndarray:
         """Evaluate at ``x``; raises DomainViolationError outside the domain.
 
-        ``unchecked=True`` skips the membership test; it is used only on a
-        jet whose membership ``delta_k`` has tested, and on that jet's base
-        points.  Gradedness of the output is always enforced, and a
+        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
+        ``(..., n, n)``, which is handed to the evaluator as it is; the
+        output must have that shape.  On a stack every sample must lie in
+        the domain.  ``unchecked=True`` skips the membership test; it is used
+        only on jets whose membership ``delta_k`` has tested, and on their
+        base points.  Gradedness of the output is always enforced, and a
         non-finite output raises :class:`NonFiniteResultError`.
         """
-        if x.arity != self.arity:
-            raise ValueError(f"handle has arity {self.arity}, point has arity {x.arity}")
-        if not unchecked and not self.domain.contains(x):
+        comps = x.components if isinstance(x, MatrixTuple) else x
+        if len(comps) != self.arity:
+            raise ValueError(f"handle has arity {self.arity}, point has arity {len(comps)}")
+        shape = np.shape(comps[0])
+        n = shape[-1]
+        if not unchecked and not np.all(self.domain.contains(x)):
             raise DomainViolationError(
-                f"point at dimension {x.dim} lies outside the {self.domain.kind} domain"
+                f"point at dimension {n} lies outside the {self.domain.kind} domain"
             )
         out = np.asarray(self._evaluator(x), dtype=np.complex128)
-        if out.shape != (x.dim, x.dim):
+        if out.shape != shape:
             raise ValueError(
-                f"evaluator broke grading: input dimension {x.dim}, output shape {out.shape}"
+                f"evaluator broke grading: input dimension {n}, output shape {out.shape}"
             )
         if not np.all(np.isfinite(out)):
-            raise NonFiniteResultError(f"evaluation at dimension {x.dim} is not finite")
+            raise NonFiniteResultError(f"evaluation at dimension {n} is not finite")
         return out
 
     __call__ = eval
@@ -173,7 +183,7 @@ def from_realization(r: Realization, domain: DomainDescriptor | None = None) -> 
     return NCFunctionHandle(
         r.arity,
         domain,
-        lambda x: eval_realization(r, x),
+        r.evaluate,
         kind="realization",
         payload=r,
     )
@@ -193,9 +203,9 @@ def _control_conjugation(d: int) -> NCFunctionHandle:
 
 
 def _control_fixed_corner(d: int) -> NCFunctionHandle:
-    def evaluator(x: MatrixTuple) -> np.ndarray:
-        out = np.zeros((x.dim, x.dim), dtype=np.complex128)
-        out[0, 0] = 1.0
+    def evaluator(x) -> np.ndarray:
+        out = np.zeros(np.shape(x[0]), dtype=np.complex128)
+        out[..., 0, 0] = 1.0
         return out
 
     return NCFunctionHandle(

@@ -246,9 +246,16 @@ class DomainDescriptor:
         """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
         return None if self.kind == "deltaball" else True
 
-    def contains(self, x: MatrixTuple) -> bool:
-        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9."""
-        return bool(self._inside(self._gauges(_one_sample(x))[0][0]))
+    def contains(self, x):
+        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9.
+
+        ``x`` is a :class:`MatrixTuple`, answered by a bool, or d component
+        arrays of one shape ``(..., n, n)``, answered by a boolean array of
+        shape ``...``: each sample by the comparison its own tuple gets.
+        """
+        comps, lead = _stack(x)
+        inside = self._inside(self._gauges(comps)[0])
+        return bool(inside[0]) if isinstance(x, MatrixTuple) else inside.reshape(lead)
 
     def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
         """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
@@ -256,7 +263,7 @@ class DomainDescriptor:
         Raises :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
         halvings, which only a domain that does not contain 0 can reach.
         """
-        return MatrixTuple(self._rescale(_one_sample(u), np.array([size]))[0][:, 0])
+        return MatrixTuple(self._rescale(_stack(u)[0], np.array([size]))[0][:, 0])
 
     # A stack holds its samples' components in an array of shape (d, B, n, n):
     # letter first, sample second.  The public methods above are the B = 1 case.
@@ -360,9 +367,12 @@ class DomainDescriptor:
         return np.where(bracketed, lo, guess)
 
 
-def _one_sample(x: MatrixTuple) -> np.ndarray:
-    """The stack of the single sample ``x``: shape (d, 1, n, n)."""
-    return np.array(x.components)[:, None]
+def _stack(x) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The stack of shape (d, B, n, n) holding ``x``, a :class:`MatrixTuple`
+    (B = 1) or d component arrays of one shape ``(..., n, n)``, with the
+    leading shape ``...`` of the latter."""
+    comps = np.asarray(x.components if isinstance(x, MatrixTuple) else x, dtype=np.complex128)
+    return comps.reshape(len(comps), -1, *comps.shape[-2:]), comps.shape[1:-2]
 
 
 def in_ball(delta: PolyMatrix, x: MatrixTuple, margin: float = 0.0) -> bool:
@@ -409,9 +419,24 @@ class Realization:
     def arity(self) -> int:
         return self.delta.arity
 
+    def evaluate(self, x) -> np.ndarray:
+        """The transfer function at ``x``; see :func:`eval_realization`.
+
+        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
+        ``(..., n, n)``, the output's shape; each sample on the leading axes
+        gets, bit for bit, the value of its own tuple, from one transfer step
+        on the whole stack.
+        """
+        comps = x.components if isinstance(x, MatrixTuple) else x
+        if len(comps) != self.arity:
+            raise ValueError(f"realization has arity {self.arity}, point has arity {len(comps)}")
+        delta_x = eval_delta(self.delta, comps)
+        flat = delta_x.reshape(-1, *delta_x.shape[-2:])
+        return _transfer(self, flat, operator_norm(flat)).reshape(np.shape(comps[0]))
+
     @cached_property
     def _d_norm(self) -> float:
-        """``||D||_2``, computed on first use by :func:`eval_realization`."""
+        """``||D||_2``, computed on first use by the transfer step."""
         return operator_norm(self.D)
 
     def colligation(self) -> np.ndarray:
@@ -435,8 +460,9 @@ def check_isometry(r: Realization) -> float:
 def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     """Transfer-function value at ``x`` under the fixed tensor ordering.
 
-    The one-sample case of the transfer step the scan runs on its blocks:
-    the amplified products (D (x) 1)(1 (x) delta(x)) and
+    The one-sample case of :meth:`Realization.evaluate`, which a realization
+    handle evaluates its stacks with, and of the transfer step the scan runs
+    on its blocks: the amplified products (D (x) 1)(1 (x) delta(x)) and
     (B (x) 1)(1 (x) delta(x)) come from one BLAS product of the stacked D
     and B with ``delta(x)``, so no Kronecker product of delta is formed.
     With ``q = ||D|| ||delta(x)||`` and resolvent dimension ``N = m J n``,
@@ -449,10 +475,7 @@ def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     ill-conditioned to invert, which signals that ``x`` lies outside the
     natural domain.
     """
-    if x.arity != r.arity:
-        raise ValueError(f"realization has arity {r.arity}, point has arity {x.arity}")
-    delta_x = eval_delta(r.delta, x)[None]
-    return _transfer(r, delta_x, operator_norm(delta_x))[0]
+    return r.evaluate(x)
 
 
 def _transfer(r: Realization, delta_x: np.ndarray, delta_norms: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Taylor expansion at the scalar point 0 and Cauchy-type tail bounds.
 
 The coefficient of a word w = (j_1, ..., j_k) is read off one
-difference-differential evaluation: at zero base points with the unit
-directions e_{j_1}, ..., e_{j_k}, the (1, k+1) jet block is the scalar
-coefficient times the identity.  Extractions run at base dimension 1 by
-default; re-running at a larger dimension cross-checks that the block
-really is scalar.
+difference-differential jet: at zero base points with the unit directions
+e_{j_1}, ..., e_{j_k}, the (1, k+1) jet block is the scalar coefficient
+times the identity.  The words of one length are extracted in blocks, each
+one stacked :func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation
+of F per block, not one per word; a block holds as many words as keep its
+jet components within ``JET_BLOCK_BYTES`` (at least one).  Extractions run
+at base dimension 1 by default; re-running at a larger dimension
+cross-checks that the block really is scalar.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, operator_norm, scalar_part
+from .linalg import MatrixTuple, operator_norm
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -37,6 +41,7 @@ SCALAR_TOL = 1e-8
 COEFF_PRUNE = 1e-12
 CIRCLE_SAMPLES = 64
 CIRCLE_INFLATE = 1.1
+JET_BLOCK_BYTES = 16 * 2**10
 
 
 class ExtractionError(ArithmeticError):
@@ -51,15 +56,32 @@ class NonScalarResultError(ExtractionError):
     """The extracted jet block was not a scalar multiple of the identity."""
 
 
-def _scalar(block: np.ndarray, word: Word) -> tuple[complex, float]:
-    """The scalar c and residual of ``block`` as c times the identity, read
-    for ``word`` (F(0) for the empty word); raises :class:`NonScalarResultError`
-    when the residual exceeds ``SCALAR_TOL`` relative to ``max(1, |c|)``."""
-    c, resid = scalar_part(block)
-    if resid > SCALAR_TOL * max(1.0, abs(c)):
+def _scalars(blocks: np.ndarray, words) -> tuple[np.ndarray, np.ndarray]:
+    """The scalars c and residuals of a stack of square ``blocks``, each read
+    as c times the identity (the numbers :func:`~ncfuncalc.linalg.scalar_part`
+    gives), for ``words`` (F(0) for the empty word).  Raises
+    :class:`NonScalarResultError` at the first word whose residual exceeds
+    ``SCALAR_TOL`` relative to ``max(1, |c|)``."""
+    n = blocks.shape[-1]
+    c = np.trace(blocks, axis1=-2, axis2=-1) / n
+    resid = np.abs(blocks - c[:, None, None] * np.eye(n)).max(axis=(-2, -1))
+    bad = np.flatnonzero(resid > SCALAR_TOL * np.maximum(1.0, np.abs(c)))
+    if bad.size:
+        word, r = words[bad[0]], resid[bad[0]]
         where = f"extraction at word {word}" if word else "value at the scalar point 0"
-        raise NonScalarResultError(f"{where} is not scalar (residual {resid:.3e})", word=word)
+        raise NonScalarResultError(f"{where} is not scalar (residual {r:.3e})", word=word)
     return c, resid
+
+
+@cache
+def _words(d: int, k: int) -> tuple[tuple[Word, ...], np.ndarray]:
+    """The words of length k in d letters, in graded lexicographic order, and
+    their letters as a read-only array of shape (d^k, k).  Built once per
+    (d, k), so every expansion keys its terms with the same word tuples."""
+    words = tuple(itertools.product(range(d), repeat=k))
+    letters = np.array(words, dtype=np.intp).reshape(len(words), k)
+    letters.setflags(write=False)
+    return words, letters
 
 
 @dataclass
@@ -78,10 +100,11 @@ class TaylorExpansion:
     balanced: bool | None = True
 
     def as_poly(self) -> FreePoly:
-        out = FreePoly.zero(self.parts[0].arity)
+        terms: dict[Word, complex] = {}
         for p in self.parts:
-            out = out + p
-        return out
+            for w, c in p.terms.items():
+                terms[w] = terms.get(w, 0) + c
+        return FreePoly(self.parts[0].arity, terms)
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -104,12 +127,13 @@ def taylor_expand(
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
     The zero point, the unit directions and the checked F(0) are built
-    once; each word, in graded lexicographic order, then costs one
-    :func:`~ncfuncalc.ncderiv.delta_k` call.  Coefficients below 1e-12 in
-    magnitude are dropped as extraction noise; the algebra itself never
-    prunes, this is purely a numeric cutoff.  Each word's jet starts from
-    the scale the previous word settled on, so the halving toward the domain
-    is paid about once per expansion.
+    once; the words of each length, in graded lexicographic order, then cost
+    one stacked :func:`~ncfuncalc.ncderiv.delta_k` call per block (module
+    docstring), so F must evaluate stacked components.  Coefficients below
+    1e-12 in magnitude are dropped as extraction noise; the algebra itself
+    never prunes, this is purely a numeric cutoff.  Each block's jets start
+    from the scale the last word of the block before settled on, so the
+    halving toward the domain is paid about once per expansion.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
@@ -120,26 +144,34 @@ def taylor_expand(
             f"expansion needs {total_words} word extractions, above the cap {word_cap}"
         )
 
-    residuals: dict[Word, float] = {}
     zero = MatrixTuple.zeros(d, dim)
-    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
+    units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
     v0 = F.eval(zero)
-    c0, residuals[()] = _scalar(v0, ())
+    (c0,), (r0,) = _scalars(v0[None], [()])
+    residuals: dict[Word, float] = {(): float(r0)}
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
 
     eps = 1.0
     for k in range(1, maxdeg + 1):
-        terms: dict[Word, complex] = {}
+        words, letters = _words(d, k)
         bases, base_values = [zero] * (k + 1), [v0] * (k + 1)
-        for w in itertools.product(range(d), repeat=k):
+        block = max(1, JET_BLOCK_BYTES // (16 * d * ((k + 1) * dim) ** 2))
+        terms: dict[Word, complex] = {}
+        for start in range(0, len(words), block):
+            chunk = words[start : start + block]
+            # hs[i] holds the i-th direction of every word: shape (d, B, dim, dim).
+            hs = units[letters[start : start + block].T].transpose(0, 2, 1, 3, 4)
             try:
-                res = delta_k(F, bases, [units[j] for j in w], epsilon=eps, base_values=base_values)
+                res = delta_k(F, bases, hs, epsilon=eps, base_values=base_values)
             except StructureViolationError as exc:
+                w = chunk[exc.sample]
                 raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
-            c, residuals[w] = _scalar(res.delta, w)
-            eps = res.epsilon
-            if abs(c) > COEFF_PRUNE:
-                terms[w] = c
+            cs, resids = _scalars(res.delta, chunk)
+            eps = float(res.epsilon[-1])
+            for w, c, r in zip(chunk, cs.tolist(), resids.tolist()):
+                residuals[w] = r
+                if abs(c) > COEFF_PRUNE:
+                    terms[w] = c
         parts.append(FreePoly(d, terms))
 
     return TaylorExpansion(

@@ -234,8 +234,9 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> F
 
     ``lam`` is a handle in d*k variables, understood as k blocks of d; its
     diagonal k-th derivative at 0 is k! times the map itself, so the
-    degree-k Taylor part reproduces it.  Linearity in the first block is
-    spot-checked on the first two probes before extraction.
+    degree-k Taylor part reproduces it, so ``lam`` must evaluate stacked
+    components (:func:`~ncfuncalc.taylor.taylor_expand`).  Linearity in the
+    first block is spot-checked on the first two probes before extraction.
     """
     if k < 1:
         raise ValueError("order must be at least 1")

@@ -14,6 +14,7 @@ from ncfuncalc import (
     PolyMatrix,
     Realization,
     delta_polydisk,
+    delta_rowball,
     operator_norm,
 )
 
@@ -49,11 +50,12 @@ def random_poly(rng, d: int, maxdeg: int, nterms: int = 8) -> FreePoly:
 
 
 def counting_handle(p: FreePoly, domain: DomainDescriptor | None = None):
-    """Handle on ``p`` plus the list of dimensions it was evaluated at."""
+    """Handle on ``p`` plus the list of dimensions it was evaluated at, one
+    entry per call, whether at one tuple or at a stack of them."""
     calls: list[int] = []
 
-    def evaluator(x: MatrixTuple) -> np.ndarray:
-        calls.append(x.dim)
+    def evaluator(x) -> np.ndarray:
+        calls.append(np.shape(x[0])[-1])
         return p.evaluate(x)
 
     if domain is None:
@@ -74,6 +76,15 @@ def random_isometric_realization(rng, d: int, m: int) -> Realization:
         B=q[0:1, 1:],
         C=q[1:, 0:1],
         D=q[1:, 1:],
+    )
+
+
+def random_rowball_realization(rng, d: int, m: int) -> Realization:
+    """Isometric colligation over the d-variable row-ball delta (I = 1, J = d)."""
+    g = rng.standard_normal((1 + m * d, 1 + m)) + 1j * rng.standard_normal((1 + m * d, 1 + m))
+    q, _ = np.linalg.qr(g)  # orthonormal columns
+    return Realization(
+        delta=delta_rowball(d), m=m, A=q[0, 0], B=q[0:1, 1:], C=q[1:, 0:1], D=q[1:, 1:]
     )
 
 

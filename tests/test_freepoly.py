@@ -89,6 +89,13 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             FreePoly(0, {})
 
+    def test_int_tuple_keys_are_kept(self):
+        word = (0, 1, 1)
+        assert next(iter(FreePoly(2, {word: 2.0}).terms)) is word
+        for alias in ((np.int64(0), 1, 1), (False, True, True)):
+            (key,) = FreePoly(2, {alias: 2.0}).terms
+            assert key == word and all(type(j) is int for j in key)
+
 
 class TestEvaluation:
     def test_unit_gives_identity(self):

@@ -20,11 +20,21 @@ from ncfuncalc import (
     dk_multilinear,
     eval_delta,
     from_poly,
+    from_realization,
     from_series,
     operator_norm,
 )
 
-from _helpers import counting_handle, random_matrix, random_poly, random_tuple, relerr, rng_for
+from _helpers import (
+    counting_handle,
+    random_isometric_realization,
+    random_matrix,
+    random_poly,
+    random_rowball_realization,
+    random_tuple,
+    relerr,
+    rng_for,
+)
 
 
 def scalar(v: float) -> MatrixTuple:
@@ -84,7 +94,7 @@ class TestJet1:
         # The transpose evaluator flips the jet, leaving mass below the
         # diagonal; the structure check rejects it.
         flipped = NCFunctionHandle(
-            1, DomainDescriptor.polydisk(math.inf), lambda x: x[0].T
+            1, DomainDescriptor.polydisk(math.inf), lambda x: np.swapaxes(x[0], -1, -2)
         )
         rng = rng_for(49)
         with pytest.raises(StructureViolationError):
@@ -170,7 +180,7 @@ class TestGaugeScale:
         contains = DomainDescriptor.contains
 
         def counting(self, x):
-            dims.append(x.dim)
+            dims.append(np.shape(x[0])[-1])
             return contains(self, x)
 
         monkeypatch.setattr(DomainDescriptor, "contains", counting)
@@ -249,7 +259,7 @@ class TestDeltaK:
         broken = NCFunctionHandle(
             1,
             DomainDescriptor.polydisk(math.inf),
-            lambda x: x[0] @ x[0].T.conj(),
+            lambda x: x[0] @ np.swapaxes(x[0], -1, -2).conj(),
         )
         rng = rng_for(36)
         xs = [random_tuple(rng, 1, 2) for _ in range(2)]
@@ -266,6 +276,79 @@ class TestDeltaK:
 def diagonal_derivative(F, x, h, k):
     """k-th derivative along one direction: k! times the equal-point delta."""
     return math.factorial(k) * delta_k(F, [x] * (k + 1), [h] * k).delta
+
+
+class TestStackedJets:
+    """Directions stacked as (d, B, n, n): each sample gets its lone call's bits."""
+
+    @staticmethod
+    def stacked_and_lone(F, xs, hs_per_sample, **kw):
+        # hs_per_sample[s][i] is direction i of sample s.
+        dirs = [np.stack([np.array(h[i].components) for h in hs_per_sample], axis=1)
+                for i in range(len(hs_per_sample[0]))]
+        return delta_k(F, xs, dirs, **kw), [delta_k(F, xs, hs, **kw) for hs in hs_per_sample]
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            from_poly(random_poly(rng_for(70), 2, 4, nterms=16)),
+            from_poly(random_poly(rng_for(71), 2, 4, nterms=16), DomainDescriptor.polydisk(1.0)),
+            from_poly(random_poly(rng_for(72), 2, 4, nterms=16), DomainDescriptor.rowball(1.0)),
+            from_realization(random_isometric_realization(rng_for(73), 2, 2)),
+            from_realization(random_rowball_realization(rng_for(74), 2, 2)),
+        ],
+        ids=["unbounded", "polydisk", "rowball", "polydisk realization", "rowball realization"],
+    )
+    def test_each_sample_matches_its_lone_call(self, F):
+        rng = rng_for(75)
+        xs = [random_tuple(rng, 2, 2, scale=0.3) for _ in range(3)]
+        # Direction sizes from small to large: on a bounded domain the large
+        # ones are halved, and not all by the same count.
+        hs_per_sample = [[random_tuple(rng, 2, 2, scale=s) for _ in range(2)]
+                         for s in (0.05, 0.2, 0.6, 1.0, 2.0, 8.0)]
+        values = [F.eval(x) for x in xs]
+        for kw in ({}, {"base_values": values}, {"epsilon": 0.75}):
+            stacked, lone = self.stacked_and_lone(F, xs, hs_per_sample, **kw)
+            assert stacked.delta.shape == (6, 2, 2) and stacked.full_upper.shape == (6, 6, 6)
+            for s, res in enumerate(lone):
+                np.testing.assert_array_equal(stacked.delta[s], res.delta)
+                np.testing.assert_array_equal(stacked.full_upper[s], res.full_upper)
+                assert stacked.structure_residual[s] == res.structure_residual
+                assert stacked.epsilon[s] == res.epsilon
+        if math.isfinite(F.domain.bound):
+            assert len(set(stacked.epsilon.tolist())) > 1
+
+    def test_structure_violation_names_first_bad_sample(self):
+        # (x0 x1)^T is zero on jets whose directions have no x1 component.
+        F = NCFunctionHandle(
+            2, DomainDescriptor.polydisk(math.inf), lambda x: np.swapaxes(x[0] @ x[1], -1, -2)
+        )
+        rng = rng_for(76)
+        xs = [MatrixTuple.zeros(2, 2)] * 3
+        only_x0 = MatrixTuple([random_matrix(rng, 2), np.zeros((2, 2))])
+        hs_per_sample = [[only_x0] * 2, [only_x0] * 2] + [
+            [random_tuple(rng, 2, 2) for _ in range(2)] for _ in range(2)
+        ]
+        with pytest.raises(StructureViolationError) as err:
+            self.stacked_and_lone(F, xs, hs_per_sample)
+        assert err.value.sample == 2
+
+    def test_one_membership_test_per_halving(self, monkeypatch):
+        calls = []
+        contains = DomainDescriptor.contains
+
+        def counting(self, x):
+            calls.append(np.shape(x[0])[:-2])
+            return contains(self, x)
+
+        monkeypatch.setattr(DomainDescriptor, "contains", counting)
+        F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
+        x = MatrixTuple.zeros(1, 1)
+        dirs = np.array([0.5, 1.5, 3.0]).reshape(1, 3, 1, 1)  # settle at 1, 1/2, 1/4
+        res = delta_k(F, [x, x], [dirs])
+        np.testing.assert_array_equal(res.epsilon, [1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(res.delta[:, 0, 0], [0.5, 1.5, 3.0])
+        assert calls == [(3,), (2,), (1,)]
 
 
 class TestDkDiag:
@@ -389,7 +472,8 @@ class TestDkMultilinear:
             assert relerr(dk_multilinear(F, x, scaled), c * dk_multilinear(F, x, hs)) <= 1e-8
 
     def test_one_base_evaluation_for_all_jets(self):
-        # F(x) once, then one jet per nonempty subset of the directions.
+        # F(x) once, then one stacked call for the jets of the nonempty
+        # subsets of the directions.
         rng = rng_for(50)
         p = random_poly(rng, 2, 3)
         F, calls = counting_handle(p)
@@ -398,7 +482,7 @@ class TestDkMultilinear:
             hs = [random_tuple(rng, 2, 2) for _ in range(k)]
             calls.clear()
             out = dk_multilinear(F, x, hs)
-            assert calls == [2] + [2 * (k + 1)] * (2**k - 1)
+            assert calls == [2, 2 * (k + 1)]
             # Same arithmetic as summing the diagonal derivatives, each jet
             # evaluating F(x) itself.
             total = np.zeros((2, 2), dtype=np.complex128)

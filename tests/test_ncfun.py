@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from ncfuncalc import (
+    CONTROL_NAMES,
     DomainDescriptor,
     DomainViolationError,
     FreePoly,
     MatrixTuple,
+    NonFiniteResultError,
+    PolyMatrix,
     SeriesFunction,
+    control_handle,
     direct_sum,
     from_poly,
     from_realization,
@@ -22,8 +26,10 @@ from ncfuncalc import (
 
 from _helpers import (
     ones_orthogonal_matrix,
+    random_isometric_realization,
     random_matrix,
     random_poly,
+    random_rowball_realization,
     random_tuple,
     rng_for,
 )
@@ -193,3 +199,83 @@ class TestHandleAxioms:
             v = handle.eval(a)
             c = np.trace(v) / n
             assert np.abs(v - c * np.eye(n)).max() <= 1e-10
+
+
+def stack_of(points) -> np.ndarray:
+    """The component stack (d, B, n, n) of equal-size tuples."""
+    return np.stack([np.array(x.components) for x in points], axis=1)
+
+
+class TestStacks:
+    """A stack of tuples gets, per sample, what each tuple gets alone."""
+
+    DOMAINS = [
+        DomainDescriptor.polydisk(1.0),
+        DomainDescriptor.rowball(1.0),
+        DomainDescriptor.deltaball(PolyMatrix([[FreePoly(2, {(0, 1): 1.0, (1,): 0.5})]]), 0.1),
+        DomainDescriptor.polydisk(math.inf, norm_cap=0.6),
+        DomainDescriptor.polydisk(math.inf),
+    ]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=lambda dom: dom.kind)
+    def test_contains_answers_each_sample(self, domain):
+        rng = rng_for(60)
+        points = [random_tuple(rng, 2, 3, scale=s) for s in np.linspace(0.1, 1.2, 12)]
+        expected = [domain.contains(x) for x in points]
+        assert all(type(v) is bool for v in expected)
+        got = domain.contains(stack_of(points).reshape(2, 3, 4, 3, 3))
+        assert got.shape == (3, 4) and got.dtype == bool
+        assert got.ravel().tolist() == expected
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            from_poly(random_poly(rng_for(61), 2, 4, nterms=12)),
+            from_series(
+                SeriesFunction([FreePoly(2, {(0,) * k: 0.5, (1,) * k: 1j}) for k in range(5)], 2.0),
+                truncation=4,
+                domain=DomainDescriptor.rowball(1.0),
+            ),
+            from_realization(random_isometric_realization(rng_for(62), 2, 3)),
+            from_realization(random_rowball_realization(rng_for(63), 2, 2)),
+        ],
+        ids=["poly", "series", "polydisk realization", "rowball realization"],
+    )
+    def test_eval_gives_each_sample_its_value(self, F):
+        rng = rng_for(64)
+        points = [random_tuple(rng, 2, 3, scale=0.3) for _ in range(5)]
+        values = F.eval(stack_of(points))
+        assert values.shape == (5, 3, 3)
+        for value, x in zip(values, points):
+            np.testing.assert_array_equal(value, F.eval(x))
+
+    def test_checked_stack_needs_every_sample_inside(self):
+        F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
+        inside, outside = MatrixTuple.from_scalars([0.5], 2), MatrixTuple.from_scalars([1.5], 2)
+        np.testing.assert_array_equal(F.eval(stack_of([inside, inside]))[1], 0.5 * np.eye(2))
+        with pytest.raises(DomainViolationError):
+            F.eval(stack_of([inside, outside]))
+        assert F.eval(stack_of([inside, outside]), unchecked=True).shape == (2, 2, 2)
+
+    def test_grading_and_finiteness_checked_on_the_stack(self):
+        F = from_poly(FreePoly(1, {(0,) * 300: 1.0}))
+        big = MatrixTuple.from_scalars([100.0], 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResultError):
+                F.eval(stack_of([MatrixTuple.zeros(1, 2), big]))
+        nongraded = control_handle("non-graded", 1)
+        with pytest.raises(ValueError, match="broke grading"):
+            nongraded.eval(stack_of([MatrixTuple.zeros(1, 2)] * 3))
+
+    @pytest.mark.parametrize("name", CONTROL_NAMES)
+    def test_controls_broadcast(self, name):
+        F = control_handle(name, 2)
+        rng = rng_for(65)
+        points = [random_tuple(rng, 2, 3) for _ in range(4)]
+        if name == "non-graded":
+            with pytest.raises(ValueError, match="broke grading"):
+                F.eval(stack_of(points))
+            return
+        values = F.eval(stack_of(points))
+        for value, x in zip(values, points):
+            np.testing.assert_array_equal(value, F.eval(x))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ncfuncalc import (
     SeriesFunction,
     circle_norm_estimate,
     control_handle,
+    delta_k,
     from_poly,
     from_realization,
     from_series,
@@ -27,7 +29,17 @@ from ncfuncalc import (
     taylor_expand,
 )
 
-from _helpers import random_isometric_realization, random_matrix, random_poly, rng_for
+import ncfuncalc.taylor
+from ncfuncalc.linalg import scalar_part
+from ncfuncalc.taylor import JET_BLOCK_BYTES
+
+from _helpers import (
+    random_isometric_realization,
+    random_matrix,
+    random_poly,
+    random_rowball_realization,
+    rng_for,
+)
 
 
 def word_coefficient(F, word, *, dim=1):
@@ -142,17 +154,20 @@ def _assert_coefficients(expansion, reference, words):
 
 class TestOneEvaluationPerWord:
     def test_evaluation_count(self):
-        # F(0) once, then one jet evaluation per word.
+        # F(0) once, then one stacked jet evaluation per block of words.
         p = random_poly(rng_for(56), 3, 5, nterms=40)
         calls = []
 
         def counting(x):
-            calls.append(x.dim)
+            calls.append(np.shape(x[0])[:-2])  # the stack's leading shape
             return p.evaluate(x)
 
         F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
         taylor_expand(F, 5)
-        assert len(calls) == 1 + sum(3**k for k in range(1, 6))
+        per_block = [max(1, JET_BLOCK_BYTES // (16 * 3 * (k + 1) ** 2)) for k in range(1, 6)]
+        blocks = sum(-(-(3**k) // b) for k, b in zip(range(1, 6), per_block))
+        assert len(calls) == 1 + blocks <= 41
+        assert calls[0] == () and sum(b for (b,) in calls[1:]) == sum(3**k for k in range(1, 6))
 
     def test_polynomial_coefficients(self):
         rng = rng_for(57)
@@ -183,7 +198,7 @@ class TestOneEvaluationPerWord:
         # (x0 x1)^T puts the corner of the jet below the diagonal; words of
         # length 1 and the word (0, 0) have a zero jet image.
         F = NCFunctionHandle(
-            2, DomainDescriptor.polydisk(math.inf), lambda x: (x[0] @ x[1]).T
+            2, DomainDescriptor.polydisk(math.inf), lambda x: np.swapaxes(x[0] @ x[1], -1, -2)
         )
         for dim in (1, 2):
             with pytest.raises(ExtractionError) as err:
@@ -195,13 +210,102 @@ class TestOneEvaluationPerWord:
         # Rescaling the basis per dimension keeps the jet upper triangular at
         # zero base points but makes the extracted block non-scalar.
         def rescaling(x):
-            scale = np.diag(np.arange(1.0, x.dim + 1.0))
+            scale = np.diag(np.arange(1.0, np.shape(x[0])[-1] + 1.0))
             return scale @ x[0] @ np.linalg.inv(scale)
 
         F = NCFunctionHandle(1, DomainDescriptor.polydisk(math.inf), rescaling)
         with pytest.raises(NonScalarResultError) as err:
             taylor_expand(F, 3, dim=2)
         assert err.value.word == (0,)
+
+
+def per_word_reference(F, maxdeg, dim=1):
+    """Coefficient and residual of every word through ``maxdeg``, one lone
+    delta_k call per word, each starting from the scale the last one settled on."""
+    d = F.arity
+    zero = MatrixTuple.zeros(d, dim)
+    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
+    v0 = F.eval(zero)
+    out = {(): scalar_part(v0)}
+    eps = 1.0
+    for k in range(1, maxdeg + 1):
+        for w in itertools.product(range(d), repeat=k):
+            bases, dirs = [zero] * (k + 1), [units[j] for j in w]
+            res = delta_k(F, bases, dirs, epsilon=eps, base_values=[v0] * (k + 1))
+            eps = res.epsilon
+            out[w] = scalar_part(res.delta)
+    return out
+
+
+class TestBlockedExtraction:
+    """Blocks of words give what one lone jet per word gives."""
+
+    def test_polynomials_bit_for_bit(self):
+        rng = rng_for(90)
+        for d, maxdeg, dim in ((3, 5, 1), (2, 4, 2), (1, 6, 3)):
+            F = from_poly(random_poly(rng, d, maxdeg, nterms=30))
+            expansion = taylor_expand(F, maxdeg, dim=dim)
+            got = expansion.as_poly()
+            for w, (c, resid) in per_word_reference(F, maxdeg, dim).items():
+                assert expansion.residuals[w] == resid, w
+                assert got.coefficient(w) == (c if abs(c) > 1e-12 else 0), w
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            from_realization(random_isometric_realization(rng_for(91), 2, 3)),
+            from_realization(random_rowball_realization(rng_for(92), 2, 2)),
+            from_series(
+                SeriesFunction(
+                    [
+                        FreePoly(2, {w: (1 + 1j) ** k / (1 + sum(w))
+                                     for w in itertools.product(range(2), repeat=k)})
+                        for k in range(5)
+                    ],
+                    2.0,
+                ),
+                truncation=4,
+                domain=DomainDescriptor.rowball(0.7),
+            ),
+        ],
+        ids=["polydisk realization", "rowball realization", "rowball series"],
+    )
+    def test_bounded_domains_to_roundoff(self, F):
+        for dim in (1, 2):
+            got = taylor_expand(F, 4, dim=dim).as_poly()
+            for w, (c, _) in per_word_reference(F, 4, dim).items():
+                if abs(c) > 1e-12:
+                    assert abs(got.coefficient(w) - c) <= 1e-15 * abs(c), w
+
+    def test_blocks_of_one_word_give_the_same_bits(self, monkeypatch):
+        F = from_realization(random_isometric_realization(rng_for(93), 2, 2))
+        p = from_poly(random_poly(rng_for(94), 3, 4, nterms=30))
+        default = [taylor_expand(G, 4) for G in (F, p)]
+        monkeypatch.setattr(ncfuncalc.taylor, "JET_BLOCK_BYTES", 1)
+        for G, expected in zip((F, p), default):
+            single = taylor_expand(G, 4)
+            assert single.as_poly().terms == expected.as_poly().terms
+            assert single.residuals == expected.residuals
+
+    def test_memory_of_one_expansion(self):
+        # One d=3, degree-5, 40-term expansion: blocks of words keep the jets
+        # small; whole word lengths at once would take about 12 MiB.
+        F = from_poly(random_poly(rng_for(95), 3, 5, nterms=40))
+        tracemalloc.start()
+        try:
+            taylor_expand(F, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_expansions_share_word_keys(self):
+        rng = rng_for(96)
+        a, b = (taylor_expand(from_poly(random_poly(rng, 2, 3, nterms=14)), 3) for _ in range(2))
+        a, b = a.as_poly(), b.as_poly()
+        keys_a = {w: w for w in a.terms}
+        shared = [w for w in b.terms if w in keys_a]
+        assert shared and all(keys_a[w] is w for w in shared)
 
 
 class TestTailBound:
