@@ -6,6 +6,9 @@ pruning): only exact zeros are dropped, so the algebra itself introduces no
 tolerances.  Words iterate in graded lexicographic order everywhere, which
 keeps serialization and tests reproducible.  ``terms`` is never written after
 construction: evaluation caches a table of its prefixes built from it.
+Once some component has an all-zero diagonal, evaluation forms no product
+whose prefix product or component is exactly zero, so on a Taylor jet at 0 it
+multiplies out only the substrings of the jet's word.
 """
 
 from __future__ import annotations
@@ -90,19 +93,8 @@ class FreePoly:
     def coefficient(self, word) -> complex:
         return self.terms.get(tuple(word), 0j)
 
-    def homogeneous_component(self, k: int) -> "FreePoly":
-        """Restriction to words of length exactly k."""
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return FreePoly(self.arity, {w: c for w, c in self.terms.items() if len(w) == k})
-
     def is_homogeneous(self, k: int) -> bool:
         return all(len(w) == k for w in self.terms)
-
-    def scale_vars(self, s) -> "FreePoly":
-        """Substitute x -> s*x: each degree-k coefficient picks up s**k."""
-        s = complex(s)
-        return FreePoly(self.arity, {w: c * s ** len(w) for w, c in self.terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -195,11 +187,15 @@ class FreePoly:
 
         ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
         ``(..., n, n)``, the output's shape; each sample on the leading axes gets,
-        bit for bit, the value of its own tuple.  Word length k takes one batched
-        product, prefix products of length k-1 by components, and adds its terms.
-        A prefix through an exactly zero component contributes exactly 0, even
-        past an overflowed product: its products are zeroed at a word length
-        whose products are not all finite (elsewhere they already are zeros).
+        bit for bit, the value of its own tuple.  Word length k multiplies prefix
+        products of length k-1 by components and adds its terms.  Where some
+        component has an all-zero diagonal (an exactly zero component, or a
+        nilpotent shift like each component of a Taylor jet at 0), a product whose
+        prefix product or component is exactly zero is never formed but left
+        exactly 0: a word through a zero component contributes exactly 0, even
+        past an overflowed prefix, and a Taylor jet at 0 forms only the substrings
+        of its word.  Elsewhere, or where every product is live, word length k is
+        one batched product.
         """
         comps = x.components if isinstance(x, MatrixTuple) else x
         if len(comps) != self.arity:
@@ -208,17 +204,22 @@ class FreePoly:
         used, levels = self._level_table()
         # (samples, letters, n, n), gathered C-ordered: a lone tuple gets a sample's calls.
         stacked = np.asarray(comps)[used].reshape(len(used), samples, n, n).swapaxes(0, 1)
-        zero = ~stacked.any(axis=(-2, -1))
+        track = not stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all()
+        nonzero = track and stacked.any(axis=(-2, -1))
         out = np.zeros((samples, n * n), dtype=np.complex128)
         out[:, :: n + 1] = self.terms.get((), 0)  # the empty word, on the diagonal
         for parents, letters, hits, coeffs in levels:
-            prods = stacked.take(letters, axis=1)
-            if parents is not None:
-                prods = above.take(parents, axis=1) @ prods
-            if zero.any():  # each sample's products through a zero component
-                dead = zero[:, letters] | (parents is not None and dead[:, parents])
-                if not np.isfinite(prods).all():
-                    prods[dead] = 0
+            if track and parents is not None:
+                live = above.any(axis=(-2, -1)).take(parents, axis=1)
+                live &= nonzero.take(letters, axis=1)
+            if not track or parents is None or live.all():
+                prods = stacked.take(letters, axis=1)
+                if parents is not None:
+                    prods = above.take(parents, axis=1) @ prods
+            else:
+                rows, cols = np.nonzero(live)
+                prods = np.zeros((samples, letters.size, n, n), dtype=np.complex128)
+                prods[rows, cols] = above[rows, parents[cols]] @ stacked[rows, letters[cols]]
             out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
             above = prods
         return out.reshape(comps[0].shape)

@@ -352,9 +352,10 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return 0.0, len(cfg.graded_dims), ""
 
     def dsum(rng):
+        # A 1x1 point in every sum: F at dimension 1 must agree with F above it.
         worst = 0.0
         for _ in range(cfg.trials):
-            xs = [_sample_point(rng, F, n) for n in cfg.dims]
+            xs = [_sample_point(rng, F, n) for n in (1, *cfg.dims)]
             worst = max(worst, check_direct_sum(F, xs).worst_residual)
         return worst, cfg.trials, ""
 
@@ -380,10 +381,14 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return worst, cfg.trials, ""
 
     def scalarity(rng):
+        # F(a I_n) = F(a) I_n, with F(a) evaluated at dimension 1: a I_n is the
+        # direct sum of n copies of the scalar point a.
         worst = 0.0
         for n in cfg.scalar_dims:
             for _ in range(cfg.trials):
-                c, resid = scalar_part(F.eval(_sample_scalar_point(rng, F, n)))
+                x = _sample_scalar_point(rng, F, n)
+                c = F.eval(MatrixTuple.from_scalars([x_r[0, 0] for x_r in x], 1))[0, 0]
+                resid = float(np.abs(F.eval(x) - c * np.eye(n)).max())
                 worst = max(worst, resid / max(1.0, abs(c)))
         return worst, len(cfg.scalar_dims) * cfg.trials, ""
 

@@ -49,6 +49,19 @@ def random_poly(rng, d: int, maxdeg: int, nterms: int = 8) -> FreePoly:
     return FreePoly(d, terms)
 
 
+def homogeneous_component(p: FreePoly, k: int) -> FreePoly:
+    """Restriction of ``p`` to words of length exactly k."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    return FreePoly(p.arity, {w: c for w, c in p.terms.items() if len(w) == k})
+
+
+def scale_vars(p: FreePoly, s) -> FreePoly:
+    """Substitute x -> s*x: each degree-k coefficient picks up s**k."""
+    s = complex(s)
+    return FreePoly(p.arity, {w: c * s ** len(w) for w, c in p.terms.items()})
+
+
 def counting_handle(p: FreePoly, domain: DomainDescriptor | None = None):
     """Handle on ``p`` plus the list of dimensions it was evaluated at, one
     entry per call, whether at one tuple or at a stack of them."""

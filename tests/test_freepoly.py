@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from ncfuncalc import FreePoly, MatrixTuple, direct_sum, inverse, operator_norm, variables
 
-from _helpers import random_matrix, random_poly, random_tuple, rng_for
+from _helpers import (
+    homogeneous_component,
+    random_matrix,
+    random_poly,
+    random_tuple,
+    rng_for,
+    scale_vars,
+)
 
 
 def polys(max_arity=3, max_deg=3):
@@ -70,18 +77,18 @@ class TestAlgebra:
 
     def test_homogeneous_components(self):
         p = FreePoly(2, {(): 3.0, (0,): 1.0, (0, 1): 5.0})
-        assert p.homogeneous_component(0).terms == {(): 3.0}
-        assert p.homogeneous_component(2).terms == {(0, 1): 5.0}
+        assert homogeneous_component(p, 0).terms == {(): 3.0}
+        assert homogeneous_component(p, 2).terms == {(0, 1): 5.0}
         total = FreePoly.zero(2)
         for k in range(p.degree() + 1):
-            total = total + p.homogeneous_component(k)
+            total = total + homogeneous_component(p, k)
         assert total == p
 
     def test_scale_vars(self):
         p = FreePoly(2, {(): 3.0, (0, 1): 1.0})
-        assert p.scale_vars(1.0) == p
-        assert p.scale_vars(0.0).terms == {(): 3.0}
-        assert p.scale_vars(2.0).coefficient((0, 1)) == 4.0
+        assert scale_vars(p, 1.0) == p
+        assert scale_vars(p, 0.0).terms == {(): 3.0}
+        assert scale_vars(p, 2.0).coefficient((0, 1)) == 4.0
 
     def test_word_validation(self):
         with pytest.raises(ValueError):
@@ -143,7 +150,7 @@ class TestEvaluation:
 
     def test_matches_word_by_word_sum(self):
         # The second point has an exactly zero component, whose products the
-        # evaluation zeroes; then two leading axes, an empty stack, the zero
+        # evaluation never forms; then two leading axes, an empty stack, the zero
         # polynomial and a constant-only polynomial.
         rng = rng_for(16)
         p = random_poly(rng, 3, 4, nterms=30)
@@ -165,7 +172,7 @@ class TestEvaluation:
                 np.testing.assert_allclose(value, expected, rtol=0, atol=1e-14)
 
     def test_zero_component_beats_an_overflowed_prefix(self):
-        # x1^300 overflows, so an unmasked product by x0 = 0 would be inf * 0,
+        # x1^300 overflows, so a formed product by x0 = 0 would be inf * 0,
         # NaN; the word through x0 = 0 contributes exactly 0.
         p = FreePoly(2, {(1,) * 300 + (0,): 1})
         x = MatrixTuple([np.zeros((2, 2)), 100 * np.eye(2)])
@@ -189,6 +196,43 @@ class TestEvaluation:
         assert values.shape == (4, 4, 4)
         for value, x in zip(values, points):
             assert np.array_equal(value, p.evaluate(x))
+
+    def assert_stack_matches(self, p, stack):
+        """Each sample of ``stack`` (d, B, n, n) matches the word-by-word sum
+        and, bit for bit, its own lone evaluation."""
+        values = p.evaluate(stack)
+        np.testing.assert_allclose(values, self.word_by_word(p, stack), rtol=0, atol=1e-14)
+        for b, value in enumerate(values):
+            assert np.array_equal(value, p.evaluate(stack[:, b]))
+        return values
+
+    def test_stacked_taylor_jets_at_zero(self):
+        # The jet of word w is the tuple of shifts X_j = sum of E_{i, i+1} over
+        # the positions i with w_i = j: its prefix products vanish except on
+        # the substrings of w, so each sample has its own live prefixes.  Two
+        # words miss a letter, so their jets have an exactly zero component.
+        rng = rng_for(19)
+        words = [(0, 1, 2, 0), (2, 2, 1, 1), (0, 0, 0, 0), (1, 0, 1, 0), (2, 1, 0, 2)]
+        p = random_poly(rng, 3, 5, nterms=60) + FreePoly(3, dict.fromkeys(words, 0.5))
+        stack = np.zeros((3, len(words), 5, 5))
+        for b, w in enumerate(words):
+            for i, j in enumerate(w):
+                stack[j, b, i, i + 1] = 1.0
+        values = self.assert_stack_matches(p, stack)
+        for value, w in zip(values, words):
+            assert value[0, -1] == p.coefficient(w)  # the corner reads off c_w
+
+    def test_strictly_upper_triangular_components(self):
+        # Nilpotent components at n = 6: band offsets of at least 1, 2 and 3
+        # make products of length 6, 3 and 2 vanish; the last sample also
+        # has an exactly zero component.
+        rng = rng_for(20)
+        p = random_poly(rng, 3, 5, nterms=60)
+        g = rng.standard_normal((3, 4, 6, 6)) + 1j * rng.standard_normal((3, 4, 6, 6))
+        offsets = (1, 2, 3, 1)
+        stack = np.stack([np.triu(g[:, b], k) for b, k in enumerate(offsets)], axis=1)
+        stack[1, 3] = 0
+        self.assert_stack_matches(p, stack)
 
     def test_independent_of_term_insertion_order(self):
         rng = rng_for(17)

@@ -39,7 +39,13 @@ from ncfuncalc.realization import (
     SCAN_MARGIN,
 )
 
-from _helpers import random_isometric_realization, random_matrix, random_tuple, rng_for
+from _helpers import (
+    homogeneous_component,
+    random_isometric_realization,
+    random_matrix,
+    random_tuple,
+    rng_for,
+)
 
 
 class TestDeltaConstructors:
@@ -310,7 +316,7 @@ class TestEvalRealization:
 
             expansion = taylor_expand(from_realization(r), maxdeg)
             symbolic = sum(
-                (total.homogeneous_component(k) for k in range(maxdeg + 1)),
+                (homogeneous_component(total, k) for k in range(maxdeg + 1)),
                 FreePoly.zero(d),
             )
             recovered = expansion.as_poly()

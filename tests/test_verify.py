@@ -280,6 +280,18 @@ class TestRecoverKlinear:
             recover_klinear(lam, 2, self.probes_for(rng, 1, 2))
 
 
+def doubled_above_one(x):
+    """Mutant: x0 x1 at dimension 1, 2 x0 x1 above it."""
+    product = x[0] @ x[1]
+    return product if np.shape(x[0])[-1] == 1 else 2 * product
+
+
+def shifted_at_one(x):
+    """Mutant: the commutator x0 x1 - x1 x0, plus 5 x0 at dimension 1 only."""
+    commutator = x[0] @ x[1] - x[1] @ x[0]
+    return commutator + 5 * x[0] if np.shape(x[0])[-1] == 1 else commutator
+
+
 class TestRunSuite:
     def test_polynomial_handle_all_pass(self):
         rng = rng_for(91)
@@ -318,6 +330,16 @@ class TestRunSuite:
         assert "gradedness" in failing["non-graded"]
         for name in CONTROL_NAMES:
             assert failing[name], f"control {name} slipped through the suite"
+
+    @pytest.mark.parametrize("evaluator", [doubled_above_one, shifted_at_one])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dimension_one_mutants_fail(self, evaluator, seed):
+        # Neither is an nc function: F(a (+) b) differs from F(a) (+) F(b) for
+        # 1x1 points a and b, and F(a I_n) from F(a) I_n.  Both agree with an
+        # nc function at every point the other eight checks evaluate.
+        F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), evaluator)
+        failing = {r.name for r in run_suite(F, SuiteConfig(seed=seed)) if not r.passed}
+        assert failing == {"direct-sum", "scalar-point-scalarity"}
 
     def test_fixed_corner_fails_scalar_point_derivative(self):
         # The constant e_00 output has the wrong diagonal blocks on every
