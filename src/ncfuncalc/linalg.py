@@ -29,7 +29,6 @@ __all__ = [
     "scalar_part",
     "MatrixTuple",
     "direct_sum",
-    "bidiagonal_block",
 ]
 
 PIVOT_RTOL = 1e-12
@@ -216,35 +215,5 @@ def direct_sum(tuples) -> MatrixTuple:
         for t in tuples:
             big[off : off + t.dim, off : off + t.dim] = t[r]
             off += t.dim
-        comps.append(big)
-    return MatrixTuple(comps)
-
-
-def bidiagonal_block(xs, hs) -> MatrixTuple:
-    """Assemble the block-bidiagonal jet tuple.
-
-    ``xs`` (k+1 points) go on the block diagonal and ``hs`` (k directions) on
-    the block superdiagonal, componentwise, giving a tuple at dimension
-    (k+1) * n.  With ``hs`` empty this is just ``xs[0]``.
-    """
-    xs = list(xs)
-    hs = list(hs)
-    if len(xs) != len(hs) + 1:
-        raise ValueError(f"need one more point than direction, got {len(xs)} and {len(hs)}")
-    d = xs[0].arity
-    n = xs[0].dim
-    for t in xs + hs:
-        if t.arity != d or t.dim != n:
-            raise ValueError("all points and directions must share arity and dimension")
-    if not hs:
-        return xs[0]
-    k1 = len(xs)
-    comps = []
-    for r in range(d):
-        big = np.zeros((k1 * n, k1 * n), dtype=np.complex128)
-        for i, x in enumerate(xs):
-            big[i * n : (i + 1) * n, i * n : (i + 1) * n] = x[r]
-        for i, h in enumerate(hs):
-            big[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = h[r]
         comps.append(big)
     return MatrixTuple(comps)

@@ -461,18 +461,9 @@ def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     """Transfer-function value at ``x`` under the fixed tensor ordering.
 
     The one-sample case of :meth:`Realization.evaluate`, which a realization
-    handle evaluates its stacks with, and of the transfer step the scan runs
-    on its blocks: the amplified products (D (x) 1)(1 (x) delta(x)) and
-    (B (x) 1)(1 (x) delta(x)) come from one BLAS product of the stacked D
-    and B with ``delta(x)``, so no Kronecker product of delta is formed.
-    With ``q = ||D|| ||delta(x)||`` and resolvent dimension ``N = m J n``,
-    when ``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the factor 2 absorbs roundoff
-    in q) the resolvent is applied to C (x) 1 by one LU solve; otherwise it
-    is formed by :func:`~ncfuncalc.linalg.inverse`.  The certificate (module
-    docstring) guarantees that the inverse's condition test would pass
-    wherever the solve runs, so the rule for :class:`ResolventSingularError`
-    is unchanged: it is raised when the resolvent is singular or too
-    ill-conditioned to invert, which signals that ``x`` lies outside the
+    handle evaluates its stacks with.  The resolvent is solved or inverted as
+    the certificate in the module docstring says, and
+    :class:`ResolventSingularError` signals that ``x`` lies outside the
     natural domain.
     """
     return r.evaluate(x)

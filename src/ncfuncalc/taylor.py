@@ -1,14 +1,20 @@
 """Taylor expansion at the scalar point 0 and Cauchy-type tail bounds.
 
-The coefficient of a word w = (j_1, ..., j_k) is read off one
-difference-differential jet: at zero base points with the unit directions
-e_{j_1}, ..., e_{j_k}, the (1, k+1) jet block is the scalar coefficient
-times the identity.  The words of one length are extracted in blocks, each
-one stacked :func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation
-of F per block, not one per word; a block holds as many words as keep its
-jet components within ``JET_BLOCK_BYTES`` (at least one).  Extractions run
-at base dimension 1 by default; re-running at a larger dimension
-cross-checks that the block really is scalar.
+At zero base points with the unit directions e_{j_1}, ..., e_{j_k}, block
+(0, i) of F on the jet is the i-th difference-differential in the first i
+directions (the block upper triangular formula of Kaliuzhnyi-Verbovetskyi
+and Vinnikov): the coefficient of the prefix (j_1, ..., j_i) times the
+identity.  So one jet of a word gives the coefficients of all its prefixes,
+and only the d^K words of the top length K = ``maxdeg`` get jets.  A word u
+of length i < K is read off the jet of ``u + (0,) * (K - i)``, the first
+top-length word in graded lexicographic order that it prefixes: a word w
+owns the prefixes w[:i] whose rest w[i:] is all zeros.  The top-length
+words are extracted in blocks, each one stacked
+:func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation of F per
+block, not one per word; a block holds as many words as keep its jet
+components within ``JET_BLOCK_BYTES`` (at least one).  Extractions run at
+base dimension 1 by default; re-running at a larger dimension
+cross-checks that the blocks really are scalar.
 """
 
 from __future__ import annotations
@@ -84,6 +90,30 @@ def _words(d: int, k: int) -> tuple[tuple[Word, ...], np.ndarray]:
     return words, letters
 
 
+@cache
+def _owned(d: int, k: int):
+    """The prefixes each word of length k owns (module docstring), as pairs
+    (owning word, prefix length j) running word by word, each word's
+    prefixes shorter first.  Returns ``first``, where the pairs of the word
+    at each index start (one extra entry for the end); over the pairs, the
+    owning word's index, j, and the prefix's slot among all words of
+    lengths 1..k in graded lexicographic order, as read-only arrays; and the
+    prefixes as the word tuples of :func:`_words`.  Built once per (d, k).
+    """
+    top = np.arange(d**k)
+    lengths = np.arange(1, k + 1)
+    span = d ** (k - lengths)  # a length-j prefix is shared by d^(k-j) top words
+    owners, cols = np.nonzero(top[:, None] % span == 0)
+    levels = lengths[cols]
+    index = owners // span[cols]
+    slots = np.cumsum([0, *(d**j for j in range(1, k))])[cols] + index
+    first = np.searchsorted(owners, np.arange(d**k + 1))
+    names = tuple(_words(d, j)[0][i] for j, i in zip(levels.tolist(), index.tolist()))
+    for a in (first, owners, levels, slots):
+        a.setflags(write=False)
+    return first, owners, levels, slots, names
+
+
 @dataclass
 class TaylorExpansion:
     """Homogeneous parts of the expansion plus per-word extraction residuals.
@@ -127,13 +157,20 @@ def taylor_expand(
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
     The zero point, the unit directions and the checked F(0) are built
-    once; the words of each length, in graded lexicographic order, then cost
-    one stacked :func:`~ncfuncalc.ncderiv.delta_k` call per block (module
-    docstring), so F must evaluate stacked components.  Coefficients below
-    1e-12 in magnitude are dropped as extraction noise; the algebra itself
-    never prunes, this is purely a numeric cutoff.  Each block's jets start
-    from the scale the last word of the block before settled on, so the
-    halving toward the domain is paid about once per expansion.
+    once; only the words of length ``maxdeg``, in graded lexicographic
+    order, get jets, one stacked :func:`~ncfuncalc.ncderiv.delta_k` call per
+    block, so F must evaluate stacked components.  Every shorter word is
+    read off block (0, j) of the jet of the first top-length word it
+    prefixes (module docstring).  Coefficients below 1e-12 in magnitude are
+    dropped as extraction noise; the algebra itself never prunes, this is
+    purely a numeric cutoff.  The first block holds one word and every later
+    block starts from the scale that word settled on, so the halving toward
+    the domain is paid about once per expansion.
+
+    An :class:`ExtractionError` from a jet that breaks block upper
+    triangular form names the top-length word of that jet; a
+    :class:`NonScalarResultError` names the first non-scalar word in reading
+    order: block by block, each word's prefixes shorter first.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
@@ -145,41 +182,52 @@ def taylor_expand(
         )
 
     zero = MatrixTuple.zeros(d, dim)
-    units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
     v0 = F.eval(zero)
     (c0,), (r0,) = _scalars(v0[None], [()])
     residuals: dict[Word, float] = {(): float(r0)}
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
+    if maxdeg == 0:
+        return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 
+    k1 = maxdeg + 1
+    top, letters = _words(d, maxdeg)
+    first, samples, levels, slots, names = _owned(d, maxdeg)
+    units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
+    bases, base_values = [zero] * k1, [v0] * k1
+    block = max(1, JET_BLOCK_BYTES // (16 * d * (k1 * dim) ** 2))
+    starts = [0, *range(1, len(top), block)]
+    coeffs = np.empty(total_words, dtype=np.complex128)
+    resids = np.empty(total_words)
     eps = 1.0
-    for k in range(1, maxdeg + 1):
-        words, letters = _words(d, k)
-        bases, base_values = [zero] * (k + 1), [v0] * (k + 1)
-        block = max(1, JET_BLOCK_BYTES // (16 * d * ((k + 1) * dim) ** 2))
+    for start, stop in zip(starts, [*starts[1:], len(top)]):
+        # hs[i] holds the i-th direction of every word: shape (d, B, dim, dim).
+        hs = units[letters[start:stop].T].transpose(0, 2, 1, 3, 4)
+        try:
+            res = delta_k(F, bases, hs, epsilon=eps, base_values=base_values)
+        except StructureViolationError as exc:
+            w = top[start + exc.sample]
+            raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
+        if start == 0:
+            eps = float(res.epsilon[0])
+        lo, hi = first[start], first[stop]
+        jets = res.full_upper.reshape(stop - start, k1, dim, k1, dim)
+        cs, rs = _scalars(jets[samples[lo:hi] - start, 0, :, levels[lo:hi], :], names[lo:hi])
+        coeffs[slots[lo:hi]] = cs
+        resids[slots[lo:hi]] = rs
+
+    cs, rs = coeffs.tolist(), resids.tolist()
+    end = 0
+    for k in range(1, k1):
+        words = _words(d, k)[0]
+        end, at = end + len(words), end
         terms: dict[Word, complex] = {}
-        for start in range(0, len(words), block):
-            chunk = words[start : start + block]
-            # hs[i] holds the i-th direction of every word: shape (d, B, dim, dim).
-            hs = units[letters[start : start + block].T].transpose(0, 2, 1, 3, 4)
-            try:
-                res = delta_k(F, bases, hs, epsilon=eps, base_values=base_values)
-            except StructureViolationError as exc:
-                w = chunk[exc.sample]
-                raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
-            cs, resids = _scalars(res.delta, chunk)
-            eps = float(res.epsilon[-1])
-            for w, c, r in zip(chunk, cs.tolist(), resids.tolist()):
-                residuals[w] = r
-                if abs(c) > COEFF_PRUNE:
-                    terms[w] = c
+        for w, c, r in zip(words, cs[at:end], rs[at:end]):
+            residuals[w] = r
+            if abs(c) > COEFF_PRUNE:
+                terms[w] = c
         parts.append(FreePoly(d, terms))
 
-    return TaylorExpansion(
-        parts=parts,
-        residuals=residuals,
-        domain_kind=F.domain.kind,
-        balanced=F.domain.balanced,
-    )
+    return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 
 
 def tail_bound(M: float, r: float, K: int) -> float:

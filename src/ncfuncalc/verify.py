@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -203,8 +202,8 @@ def check_symmetry(F: NCFunctionHandle, x: MatrixTuple, hs) -> PropertyReport:
     For an nc function, D^k F(x)[h_1, ..., h_k] (by polarization, from
     diagonal derivatives only) equals the sum over all k! orders sigma of
     delta_k(F, [x] * (k + 1), h_sigma).delta; the two routes share no
-    evaluation, and the ordered jets share one F(x).  Orders up to 4 are
-    supported (24 jets at k = 4).
+    evaluation, and the ordered jets are one stacked :func:`delta_k` call
+    sharing one F(x).  Orders up to 4 are supported (24 jets at k = 4).
     """
     hs = list(hs)
     k = len(hs)
@@ -213,10 +212,9 @@ def check_symmetry(F: NCFunctionHandle, x: MatrixTuple, hs) -> PropertyReport:
     polarized = dk_multilinear(F, x, hs)
     values = [F.eval(x)] * (k + 1)
     orders = list(permutations(range(k)))
-    ordered = sum(
-        delta_k(F, [x] * (k + 1), [hs[i] for i in sigma], base_values=values).delta
-        for sigma in orders
-    )
+    # dirs[i] holds the i-th direction of every order: shape (d, k!, n, n).
+    dirs = np.array([h.components for h in hs])[np.array(orders).T].swapaxes(1, 2)
+    ordered = sum(delta_k(F, [x] * (k + 1), dirs, base_values=values).delta)
     return _report("derivative-symmetry", _relnorm(polarized - ordered, ordered), len(orders))
 
 
@@ -382,13 +380,19 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
 
     def scalarity(rng):
         # F(a I_n) = F(a) I_n, with F(a) evaluated at dimension 1: a I_n is the
-        # direct sum of n copies of the scalar point a.
+        # direct sum of n copies of the scalar point a.  All points are drawn
+        # first; the 1x1 points are one stacked evaluation, the n x n points
+        # one per n.
+        points = [
+            [_sample_scalar_point(rng, F, n) for _ in range(cfg.trials)] for n in cfg.scalar_dims
+        ]
+        scalars = np.array([[x_r[0, 0] for x_r in x] for xs in points for x in xs])
+        cs = iter(F.eval(scalars.T[:, :, None, None])[:, 0, 0])
         worst = 0.0
-        for n in cfg.scalar_dims:
-            for _ in range(cfg.trials):
-                x = _sample_scalar_point(rng, F, n)
-                c = F.eval(MatrixTuple.from_scalars([x_r[0, 0] for x_r in x], 1))[0, 0]
-                resid = float(np.abs(F.eval(x) - c * np.eye(n)).max())
+        for n, xs in zip(cfg.scalar_dims, points):
+            for value in F.eval(np.stack([x.components for x in xs], axis=1)):
+                c = next(cs)
+                resid = float(np.abs(value - c * np.eye(n)).max())
                 worst = max(worst, resid / max(1.0, abs(c)))
         return worst, len(cfg.scalar_dims) * cfg.trials, ""
 
@@ -423,19 +427,21 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return worst, cfg.trials, ""
 
     def multilinear(rng):
+        # Per trial, one stacked call makes the four jets in directions
+        # (h1, h2), (h1 + h1b, h2), (h1b, h2) and (h1, c h2).
         worst = 0.0
         n = cfg.dims[0]
         d = F.arity
         for _ in range(cfg.trials):
             xs = [_sample_point(rng, F, n) for _ in range(3)]
             h1, h1b, h2 = (_sample_direction(rng, d, n, jet_scale) for _ in range(3))
-            jet = partial(delta_k, F, xs, base_values=[F.eval(x) for x in xs])
-            base = jet([h1, h2]).delta
-            added = jet([h1 + h1b, h2]).delta
-            split = base + jet([h1b, h2]).delta
-            worst = max(worst, _relnorm(added - split, split))
             c = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            scaled = jet([h1, c * h2]).delta
+            firsts, seconds = [h1, h1 + h1b, h1b, h1], [h2, h2, h2, c * h2]
+            dirs = [np.stack([h.components for h in hs], axis=1) for hs in (firsts, seconds)]
+            values = [F.eval(x) for x in xs]
+            base, added, other, scaled = delta_k(F, xs, dirs, base_values=values).delta
+            split = base + other
+            worst = max(worst, _relnorm(added - split, split))
             worst = max(worst, _relnorm(scaled - c * base, scaled))
         return worst, cfg.trials, ""
 

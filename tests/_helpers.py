@@ -62,6 +62,37 @@ def scale_vars(p: FreePoly, s) -> FreePoly:
     return FreePoly(p.arity, {w: c * s ** len(w) for w, c in p.terms.items()})
 
 
+def bidiagonal_block(xs, hs) -> MatrixTuple:
+    """The block-bidiagonal jet tuple, assembled one block at a time: a
+    reference for the jets that ``delta_k`` builds.
+
+    ``xs`` (k+1 points) go on the block diagonal and ``hs`` (k directions) on
+    the block superdiagonal, componentwise, giving a tuple at dimension
+    (k+1) * n.  With ``hs`` empty this is just ``xs[0]``.
+    """
+    xs = list(xs)
+    hs = list(hs)
+    if len(xs) != len(hs) + 1:
+        raise ValueError(f"need one more point than direction, got {len(xs)} and {len(hs)}")
+    d = xs[0].arity
+    n = xs[0].dim
+    for t in xs + hs:
+        if t.arity != d or t.dim != n:
+            raise ValueError("all points and directions must share arity and dimension")
+    if not hs:
+        return xs[0]
+    k1 = len(xs)
+    comps = []
+    for r in range(d):
+        big = np.zeros((k1 * n, k1 * n), dtype=np.complex128)
+        for i, x in enumerate(xs):
+            big[i * n : (i + 1) * n, i * n : (i + 1) * n] = x[r]
+        for i, h in enumerate(hs):
+            big[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = h[r]
+        comps.append(big)
+    return MatrixTuple(comps)
+
+
 def counting_handle(p: FreePoly, domain: DomainDescriptor | None = None):
     """Handle on ``p`` plus the list of dimensions it was evaluated at, one
     entry per call, whether at one tuple or at a stack of them."""

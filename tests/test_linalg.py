@@ -6,13 +6,12 @@ import pytest
 from ncfuncalc import (
     MatrixTuple,
     SingularMatrixError,
-    bidiagonal_block,
     direct_sum,
     inverse,
     operator_norm,
 )
 
-from _helpers import ones_orthogonal_matrix, random_matrix, rng_for
+from _helpers import bidiagonal_block, ones_orthogonal_matrix, random_matrix, rng_for
 
 
 class TestInverse:

@@ -14,7 +14,6 @@ from ncfuncalc import (
     PolyMatrix,
     SeriesFunction,
     StructureViolationError,
-    bidiagonal_block,
     delta_k,
     dk_fd,
     dk_multilinear,
@@ -26,6 +25,7 @@ from ncfuncalc import (
 )
 
 from _helpers import (
+    bidiagonal_block,
     counting_handle,
     random_isometric_realization,
     random_matrix,
@@ -238,8 +238,6 @@ class TestDeltaK:
     def test_superdiagonal_block_of_linear_image(self):
         # A degree-1 polynomial maps the jet to itself componentwise, so the
         # (0, 1) block of the image is the direction.
-        from ncfuncalc import bidiagonal_block
-
         rng = rng_for(48)
         F = from_poly(FreePoly.letter(1, 0))
         x, h = random_tuple(rng, 1, 3), random_tuple(rng, 1, 3)

@@ -34,6 +34,7 @@ from ncfuncalc.linalg import scalar_part
 from ncfuncalc.taylor import JET_BLOCK_BYTES
 
 from _helpers import (
+    counting_handle,
     random_isometric_realization,
     random_matrix,
     random_poly,
@@ -45,6 +46,42 @@ from _helpers import (
 def word_coefficient(F, word, *, dim=1):
     """The coefficient of ``word`` in the expansion of F at 0."""
     return taylor_expand(F, len(word), dim=dim).parts[len(word)].coefficient(word)
+
+
+def closed_form(r):
+    """The coefficient of w in r's expansion, ``B E_{w1} D E_{w2} ... D E_{wk} C``,
+    for a letter-linear delta: E_j = kron(I_m, coefficient of x_j in delta)."""
+    d = r.delta.arity
+    units = [
+        np.kron(np.eye(r.m), [[p.coefficient((j,)) for p in row] for row in r.delta.entries])
+        for j in range(d)
+    ]
+
+    def coefficient(w):
+        if not w:
+            return complex(r.A)
+        m = r.B @ units[w[0]]
+        for j in w[1:]:
+            m = m @ r.D @ units[j]
+        return complex((m @ r.C)[0, 0])
+
+    return coefficient
+
+
+def closed_form_case(r):
+    return from_realization(r), closed_form(r)
+
+
+def rowball_series_case():
+    series = SeriesFunction(
+        [
+            FreePoly(2, {w: (1 + 1j) ** k / (1 + sum(w)) for w in itertools.product(range(2), repeat=k)})
+            for k in range(5)
+        ],
+        2.0,
+    )
+    F = from_series(series, truncation=4, domain=DomainDescriptor.rowball(0.7))
+    return F, lambda w: series.parts[len(w)].coefficient(w)
 
 
 class TestWordCoefficient:
@@ -154,7 +191,8 @@ def _assert_coefficients(expansion, reference, words):
 
 class TestOneEvaluationPerWord:
     def test_evaluation_count(self):
-        # F(0) once, then one stacked jet evaluation per block of words.
+        # F(0) once, then one stacked jet evaluation per block of the 3^5 top
+        # words: a first block of one word, then blocks of 9.
         p = random_poly(rng_for(56), 3, 5, nterms=40)
         calls = []
 
@@ -164,10 +202,17 @@ class TestOneEvaluationPerWord:
 
         F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
         taylor_expand(F, 5)
-        per_block = [max(1, JET_BLOCK_BYTES // (16 * 3 * (k + 1) ** 2)) for k in range(1, 6)]
-        blocks = sum(-(-(3**k) // b) for k, b in zip(range(1, 6), per_block))
-        assert len(calls) == 1 + blocks <= 41
-        assert calls[0] == () and sum(b for (b,) in calls[1:]) == sum(3**k for k in range(1, 6))
+        assert JET_BLOCK_BYTES // (16 * 3 * 6**2) == 9
+        assert len(calls) == 1 + 1 + -(-(3**5 - 1) // 9) == 29
+        assert calls[0] == () and calls[1] == (1,)
+        assert sum(b for (b,) in calls[1:]) == 3**5
+
+    def test_one_variable_takes_one_jet(self):
+        # d = 1: the word x0^12 owns every shorter word, so F(0) and one jet.
+        F, calls = counting_handle(random_poly(rng_for(59), 1, 12, nterms=10))
+        expansion = taylor_expand(F, 12)
+        assert len(calls) == 2
+        assert len(expansion.residuals) == 13
 
     def test_polynomial_coefficients(self):
         rng = rng_for(57)
@@ -177,33 +222,22 @@ class TestOneEvaluationPerWord:
             _assert_coefficients(taylor_expand(from_poly(p), 5), p.coefficient, words)
 
     def test_realization_coefficients_against_word_products(self):
-        # Coefficient of w is B E_{w1} D E_{w2} ... D E_{wk} C with
-        # E_j = kron(I_m, e_j e_j^T), the coefficient of x_j in the amplified delta.
         r = random_isometric_realization(rng_for(58), 2, 3)
-        units = [np.kron(np.eye(r.m), np.diag(np.eye(2)[j])) for j in range(2)]
-
-        def reference(w):
-            if not w:
-                return r.A
-            m = r.B @ units[w[0]]
-            for j in w[1:]:
-                m = m @ r.D @ units[j]
-            return complex((m @ r.C)[0, 0])
-
         for dim in (1, 2):
             expansion = taylor_expand(from_realization(r), 5, dim=dim)
-            _assert_coefficients(expansion, reference, _words_through(2, 5))
+            _assert_coefficients(expansion, closed_form(r), _words_through(2, 5))
 
     def test_structure_violation_names_first_word(self):
-        # (x0 x1)^T puts the corner of the jet below the diagonal; words of
-        # length 1 and the word (0, 0) have a zero jet image.
+        # (x0 x1)^T puts block (1, 3) of the jet of (0, 0, 1) below the
+        # diagonal; the jet of (0, 0, 0) has a zero image.  The error names
+        # the top-length word whose jet broke.
         F = NCFunctionHandle(
             2, DomainDescriptor.polydisk(math.inf), lambda x: np.swapaxes(x[0] @ x[1], -1, -2)
         )
         for dim in (1, 2):
             with pytest.raises(ExtractionError) as err:
                 taylor_expand(F, 3, dim=dim)
-            assert err.value.word == (0, 1)
+            assert err.value.word == (0, 0, 1)
             assert "structure violated" in str(err.value)
 
     def test_non_scalar_extraction_names_word(self):
@@ -251,31 +285,28 @@ class TestBlockedExtraction:
                 assert got.coefficient(w) == (c if abs(c) > 1e-12 else 0), w
 
     @pytest.mark.parametrize(
-        "F",
-        [
-            from_realization(random_isometric_realization(rng_for(91), 2, 3)),
-            from_realization(random_rowball_realization(rng_for(92), 2, 2)),
-            from_series(
-                SeriesFunction(
-                    [
-                        FreePoly(2, {w: (1 + 1j) ** k / (1 + sum(w))
-                                     for w in itertools.product(range(2), repeat=k)})
-                        for k in range(5)
-                    ],
-                    2.0,
-                ),
-                truncation=4,
-                domain=DomainDescriptor.rowball(0.7),
-            ),
-        ],
+        "F, reference",
+        [closed_form_case(random_isometric_realization(rng_for(91), 2, 3)),
+         closed_form_case(random_rowball_realization(rng_for(92), 2, 2)),
+         rowball_series_case()],
         ids=["polydisk realization", "rowball realization", "rowball series"],
     )
-    def test_bounded_domains_to_roundoff(self, F):
+    def test_bounded_domains_to_roundoff(self, F, reference):
         for dim in (1, 2):
-            got = taylor_expand(F, 4, dim=dim).as_poly()
-            for w, (c, _) in per_word_reference(F, 4, dim).items():
-                if abs(c) > 1e-12:
-                    assert abs(got.coefficient(w) - c) <= 1e-15 * abs(c), w
+            expansion = taylor_expand(F, 4, dim=dim)
+            got = expansion.as_poly()
+            for w in _words_through(2, 4):
+                c = reference(w)
+                assert abs(got.coefficient(w) - c) <= 1e-15 * max(1.0, abs(c)), w
+
+    @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 4)])
+    def test_every_shorter_word_has_one_owner(self, d, k):
+        first, owners, levels, slots, names = ncfuncalc.taylor._owned(d, k)
+        top = list(itertools.product(range(d), repeat=k))
+        assert sorted(slots.tolist()) == list(range(sum(d**j for j in range(1, k + 1))))
+        assert first[0] == 0 and first[-1] == len(names) and first[1] == k
+        for t, j, w in zip(owners.tolist(), levels.tolist(), names):
+            assert top[t][:j] == w and not any(top[t][j:])
 
     def test_blocks_of_one_word_give_the_same_bits(self, monkeypatch):
         F = from_realization(random_isometric_realization(rng_for(93), 2, 2))

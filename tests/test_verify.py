@@ -180,13 +180,20 @@ class TestCheckSymmetry:
 
     def test_evaluation_count_at_order_three(self):
         # Polarized: F(x) and one stack of 2^3 - 1 jets; ordered: one shared
-        # F(x) and 3! jets.
+        # F(x) and one stack of 3! jets.
         rng = rng_for(97)
-        F, calls = counting_handle(random_poly(rng, 2, 3))
+        p = random_poly(rng, 2, 3)
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x[0]))
+            return p.evaluate(x)
+
+        F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), counting)
         x = random_tuple(rng, 2, 2)
         hs = [random_tuple(rng, 2, 2) for _ in range(3)]
         assert check_symmetry(F, x, hs).passed
-        assert calls == [2, 8, 2] + [8] * 6
+        assert calls == [(2, 2), (7, 8, 8), (2, 2), (6, 8, 8)]
 
     def test_order_five_rejected(self):
         rng = rng_for(96)
@@ -411,6 +418,22 @@ class TestRunSuite:
         reports = run_suite(F, SuiteConfig(seed=3))
         assert all(r.passed for r in reports)
         assert verdicts.count(False) <= 15
+
+    def test_scalar_points_and_multilinearity_jets_are_stacked(self):
+        # scalar-point-scalarity: its six 1x1 points in one evaluation and its
+        # three n x n points in one per n; delta-multilinearity: one stack of
+        # four jets (three base points at n = 2) per trial.
+        p = FreePoly(2, {(0, 1): 1.0, (1,): 0.5})
+        shapes = []
+
+        def recording(x):
+            shapes.append(np.shape(x[0]))
+            return p.evaluate(x)
+
+        F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), recording)
+        assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
+        assert shapes.count((6, 1, 1)) == shapes.count((3, 2, 2)) == shapes.count((3, 4, 4)) == 1
+        assert shapes.count((4, 6, 6)) == 3
 
     def test_order_two_runs_one_symmetry_trial(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
