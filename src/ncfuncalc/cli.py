@@ -71,8 +71,8 @@ class CliConfig:
     suite: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fd_lambda <= 0:
-            raise ValueError("fd_lambda must be positive")
+        if not 0 < self.fd_lambda < math.inf:
+            raise ValueError("fd_lambda must be positive and finite")
         if self.word_cap <= 0:
             raise ValueError("word_cap must be positive")
         self.suite_config()  # validates the suite section
@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     except NotIsometricError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -71,6 +72,18 @@ class ParseError(ValueError):
     """A document did not match its schema; the message carries positions."""
 
 
+@contextmanager
+def _parsing(where: str):
+    """Re-raise a KeyError, TypeError or ValueError from the body as
+    ``ParseError(f"{where}: {exc}")``; a ParseError passes through as it is."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _complex_to_obj(c: complex) -> dict:
     return {"re": float(c.real), "im": float(c.imag)}
 
@@ -78,10 +91,8 @@ def _complex_to_obj(c: complex) -> dict:
 def _complex_from_obj(obj, where: str) -> complex:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ParseError(f"{where}: expected an object with 're' and 'im'")
-    try:
+    with _parsing(where):
         return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def matrix_to_obj(a) -> dict:
@@ -126,10 +137,8 @@ def tuple_from_obj(obj, where: str = "tuple") -> MatrixTuple:
     comps = [
         matrix_from_obj(c, f"{where}: component {r}") for r, c in enumerate(obj["components"])
     ]
-    try:
+    with _parsing(where):
         x = MatrixTuple(comps)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
     if "d" in obj and int(obj["d"]) != x.arity:
         raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
     if "dim" in obj and int(obj["dim"]) != x.dim:
@@ -158,17 +167,13 @@ def poly_to_obj(p: FreePoly) -> dict:
 def poly_from_obj(obj, where: str = "polynomial") -> FreePoly:
     if not isinstance(obj, dict) or "d" not in obj or "terms" not in obj:
         raise ParseError(f"{where}: expected an object with 'd' and 'terms'")
-    try:
+    with _parsing(where):
         d = int(obj["d"])
         terms = {}
-        for i, t in enumerate(obj["terms"]):
+        for t in obj["terms"]:
             word = tuple(int(j) for j in t["word"])
             terms[word] = terms.get(word, 0) + complex(float(t["re"]), float(t["im"]))
         return FreePoly(d, terms)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def polymatrix_to_obj(pm: PolyMatrix) -> dict:
@@ -186,10 +191,8 @@ def polymatrix_from_obj(obj, where: str = "polymatrix") -> PolyMatrix:
         [poly_from_obj(p, f"{where}: entry ({i},{j})") for j, p in enumerate(row)]
         for i, row in enumerate(obj["entries"])
     ]
-    try:
+    with _parsing(where):
         pm = PolyMatrix(rows)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
     if "I" in obj and int(obj["I"]) != pm.rows:
         raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
     if "J" in obj and int(obj["J"]) != pm.cols:
@@ -211,7 +214,7 @@ def realization_to_obj(r: Realization) -> dict:
 def realization_from_obj(obj, where: str = "realization") -> Realization:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
-    try:
+    with _parsing(where):
         return Realization(
             delta=polymatrix_from_obj(obj["delta"], f"{where}: delta"),
             m=int(obj["m"]),
@@ -220,10 +223,6 @@ def realization_from_obj(obj, where: str = "realization") -> Realization:
             C=matrix_from_obj(obj["C"], f"{where}: C"),
             D=matrix_from_obj(obj["D"], f"{where}: D"),
         )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _cap_to_obj(value: float):
@@ -251,7 +250,7 @@ def domain_from_obj(obj, where: str = "domain") -> DomainDescriptor:
     kind = obj["kind"]
     cap = obj.get("norm_cap")
     cap = math.inf if cap is None else float(cap)
-    try:
+    with _parsing(where):
         if kind == "deltaball":
             return DomainDescriptor.deltaball(
                 polymatrix_from_obj(obj["delta"], f"{where}: delta"),
@@ -263,10 +262,6 @@ def domain_from_obj(obj, where: str = "domain") -> DomainDescriptor:
             radius = math.inf if radius is None else float(radius)
             factory = DomainDescriptor.polydisk if kind == "polydisk" else DomainDescriptor.rowball
             return factory(radius, norm_cap=cap)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown domain kind {kind!r}")
 
 
@@ -298,24 +293,18 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
     if kind == "poly":
         return from_poly(poly_from_obj(payload, f"{where}: payload"), domain)
     if kind == "series":
-        try:
+        with _parsing(where):
             parts = [
                 poly_from_obj(p, f"{where}: part {k}") for k, p in enumerate(payload["parts"])
             ]
             series = SeriesFunction(parts, float(payload["radius"]))
             truncation = int(payload.get("truncation", DEFAULT_TRUNCATION))
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
         return from_series(series, truncation, domain)
     if kind == "realization":
         return from_realization(realization_from_obj(payload, f"{where}: payload"), domain)
     if kind == "control":
-        try:
+        with _parsing(where):
             return control_handle(payload["name"], int(payload.get("d", 1)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown handle kind {kind!r}")
 
 

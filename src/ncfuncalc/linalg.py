@@ -107,10 +107,16 @@ def operator_norm(a):
     return float(norms) if a.ndim == 2 else norms
 
 
-def scalar_part(v: np.ndarray) -> tuple[complex, float]:
-    """``(c, residual)`` for a square ``v``: c = trace(v) / n, residual = max |v - c I|."""
-    c = complex(np.trace(v) / v.shape[0])
-    return c, float(np.abs(v - c * np.eye(v.shape[0])).max())
+def scalar_part(v: np.ndarray):
+    """``(c, residual)`` for a square ``v``: c = trace(v) / n, residual = max |v - c I|.
+
+    A 2-d ``v`` gives a complex and a float; a stack of shape ``(..., n, n)``
+    gives two arrays of shape ``...``, each entry the numbers of its matrix.
+    """
+    n = v.shape[-1]
+    c = np.trace(v, axis1=-2, axis2=-1) / n
+    resid = np.abs(v - c[..., None, None] * np.eye(n)).max(axis=(-2, -1))
+    return (complex(c), float(resid)) if v.ndim == 2 else (c, resid)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -76,10 +76,7 @@ class SeriesFunction:
 
     def truncate(self, maxdeg: int) -> FreePoly:
         """Sum of the parts through degree ``maxdeg`` as one polynomial."""
-        out = FreePoly.zero(self.arity)
-        for p in self.parts[: maxdeg + 1]:
-            out = out + p
-        return out
+        return sum(self.parts[: maxdeg + 1], FreePoly.zero(self.arity))
 
 
 class NCFunctionHandle:
@@ -192,54 +189,29 @@ def from_realization(r: Realization, domain: DomainDescriptor | None = None) -> 
 # -- negative controls -------------------------------------------------------
 
 
-def _control_conjugation(d: int) -> NCFunctionHandle:
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        lambda x: np.conj(x[0]),
-        kind="control",
-        payload={"name": "entrywise-conjugation", "d": d},
-    )
+def _fixed_corner(x) -> np.ndarray:
+    out = np.zeros(np.shape(x[0]), dtype=np.complex128)
+    out[..., 0, 0] = 1.0
+    return out
 
 
-def _control_fixed_corner(d: int) -> NCFunctionHandle:
-    def evaluator(x) -> np.ndarray:
-        out = np.zeros(np.shape(x[0]), dtype=np.complex128)
-        out[..., 0, 0] = 1.0
-        return out
-
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        evaluator,
-        kind="control",
-        payload={"name": "fixed-corner", "d": d},
-    )
-
-
-def _control_nongraded(d: int) -> NCFunctionHandle:
-    return NCFunctionHandle(
-        d,
-        DomainDescriptor.polydisk(math.inf),
-        lambda x: np.eye(2, dtype=np.complex128),
-        kind="control",
-        payload={"name": "non-graded", "d": d},
-    )
-
-
-_CONTROL_FACTORIES = {
-    "entrywise-conjugation": _control_conjugation,
-    "fixed-corner": _control_fixed_corner,
-    "non-graded": _control_nongraded,
+_CONTROLS = {
+    "entrywise-conjugation": lambda x: np.conj(x[0]),
+    "fixed-corner": _fixed_corner,
+    "non-graded": lambda x: np.eye(2, dtype=np.complex128),
 }
 
-CONTROL_NAMES = tuple(sorted(_CONTROL_FACTORIES))
+CONTROL_NAMES = tuple(sorted(_CONTROLS))
 
 
 def control_handle(name: str, d: int = 1) -> NCFunctionHandle:
     """A deliberately broken handle; see CONTROL_NAMES for the choices."""
-    try:
-        factory = _CONTROL_FACTORIES[name]
-    except KeyError:
+    if name not in _CONTROLS:
         raise ValueError(f"unknown control {name!r}; choices: {', '.join(CONTROL_NAMES)}")
-    return factory(d)
+    return NCFunctionHandle(
+        d,
+        DomainDescriptor.polydisk(math.inf),
+        _CONTROLS[name],
+        kind="control",
+        payload={"name": name, "d": d},
+    )

@@ -217,9 +217,9 @@ class DomainDescriptor:
                 raise ValueError("deltaball domain needs a polynomial matrix")
             if not 0.0 <= self.margin < 1.0:
                 raise ValueError("margin must be in [0, 1)")
-        elif self.radius <= 0:
+        elif not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.norm_cap <= 0:
+        if not self.norm_cap > 0:
             raise ValueError("norm cap must be positive")
 
     @classmethod

@@ -6,12 +6,14 @@ directions (the block upper triangular formula of Kaliuzhnyi-Verbovetskyi
 and Vinnikov): the coefficient of the prefix (j_1, ..., j_i) times the
 identity.  So one jet of a word gives the coefficients of all its prefixes,
 and only the d^K words of the top length K = ``maxdeg`` get jets.  A word u
-of length i < K is read off the jet of ``u + (0,) * (K - i)``, the first
-top-length word in graded lexicographic order that it prefixes: a word w
-owns the prefixes w[:i] whose rest w[i:] is all zeros.  The top-length
-words are extracted in blocks, each one stacked
-:func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation of F per
-block, not one per word; a block holds as many words as keep its jet
+of length j < K is read off the jet of ``u + (0,) * (K - j)``, the first
+top-length word in graded lexicographic order that it prefixes: top-length
+word t owns its length-j prefix exactly when its last K - j letters are 0.
+A cached boolean mask of shape (d^K, K) records that ownership; the owners
+of length j are every d^(K-j)-th top-length word, in the order of the
+length-j words.  The top-length words are extracted in blocks, each one
+stacked :func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation of F
+per block, not one per word; a block holds as many words as keep its jet
 components within ``JET_BLOCK_BYTES`` (at least one).  Extractions run at
 base dimension 1 by default; re-running at a larger dimension
 cross-checks that the blocks really are scalar.
@@ -28,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, operator_norm
+from .linalg import MatrixTuple, operator_norm, scalar_part
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -62,18 +64,17 @@ class NonScalarResultError(ExtractionError):
     """The extracted jet block was not a scalar multiple of the identity."""
 
 
-def _scalars(blocks: np.ndarray, words) -> tuple[np.ndarray, np.ndarray]:
-    """The scalars c and residuals of a stack of square ``blocks``, each read
-    as c times the identity (the numbers :func:`~ncfuncalc.linalg.scalar_part`
-    gives), for ``words`` (F(0) for the empty word).  Raises
-    :class:`NonScalarResultError` at the first word whose residual exceeds
-    ``SCALAR_TOL`` relative to ``max(1, |c|)``."""
-    n = blocks.shape[-1]
-    c = np.trace(blocks, axis1=-2, axis2=-1) / n
-    resid = np.abs(blocks - c[:, None, None] * np.eye(n)).max(axis=(-2, -1))
+def _scalars(blocks: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers :func:`~ncfuncalc.linalg.scalar_part` gives for a stack of
+    square ``blocks``, each read as c times the identity: F(0), or the blocks
+    (0, j) of the prefixes a block of jets owns.  Raises
+    :class:`NonScalarResultError` at the first block whose residual exceeds
+    ``SCALAR_TOL`` relative to ``max(1, |c|)``, naming its word ``name(i)``
+    (the empty word for F(0))."""
+    c, resid = scalar_part(blocks)
     bad = np.flatnonzero(resid > SCALAR_TOL * np.maximum(1.0, np.abs(c)))
     if bad.size:
-        word, r = words[bad[0]], resid[bad[0]]
+        word, r = name(bad[0]), resid[bad[0]]
         where = f"extraction at word {word}" if word else "value at the scalar point 0"
         raise NonScalarResultError(f"{where} is not scalar (residual {r:.3e})", word=word)
     return c, resid
@@ -91,27 +92,13 @@ def _words(d: int, k: int) -> tuple[tuple[Word, ...], np.ndarray]:
 
 
 @cache
-def _owned(d: int, k: int):
-    """The prefixes each word of length k owns (module docstring), as pairs
-    (owning word, prefix length j) running word by word, each word's
-    prefixes shorter first.  Returns ``first``, where the pairs of the word
-    at each index start (one extra entry for the end); over the pairs, the
-    owning word's index, j, and the prefix's slot among all words of
-    lengths 1..k in graded lexicographic order, as read-only arrays; and the
-    prefixes as the word tuples of :func:`_words`.  Built once per (d, k).
-    """
-    top = np.arange(d**k)
-    lengths = np.arange(1, k + 1)
-    span = d ** (k - lengths)  # a length-j prefix is shared by d^(k-j) top words
-    owners, cols = np.nonzero(top[:, None] % span == 0)
-    levels = lengths[cols]
-    index = owners // span[cols]
-    slots = np.cumsum([0, *(d**j for j in range(1, k))])[cols] + index
-    first = np.searchsorted(owners, np.arange(d**k + 1))
-    names = tuple(_words(d, j)[0][i] for j, i in zip(levels.tolist(), index.tolist()))
-    for a in (first, owners, levels, slots):
-        a.setflags(write=False)
-    return first, owners, levels, slots, names
+def _owners(d: int, k: int) -> np.ndarray:
+    """The ownership mask of the words of length k (module docstring): entry
+    (t, j - 1) says top-length word t owns its length-j prefix, that is, t is
+    a multiple of d^(k - j).  Read-only, built once per (d, k)."""
+    mask = np.arange(d**k)[:, None] % d ** (k - np.arange(1, k + 1)) == 0
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass
@@ -130,11 +117,7 @@ class TaylorExpansion:
     balanced: bool | None = True
 
     def as_poly(self) -> FreePoly:
-        terms: dict[Word, complex] = {}
-        for p in self.parts:
-            for w, c in p.terms.items():
-                terms[w] = terms.get(w, 0) + c
-        return FreePoly(self.parts[0].arity, terms)
+        return sum(self.parts, FreePoly.zero(self.parts[0].arity))
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -183,7 +166,7 @@ def taylor_expand(
 
     zero = MatrixTuple.zeros(d, dim)
     v0 = F.eval(zero)
-    (c0,), (r0,) = _scalars(v0[None], [()])
+    (c0,), (r0,) = _scalars(v0[None], lambda i: ())
     residuals: dict[Word, float] = {(): float(r0)}
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
     if maxdeg == 0:
@@ -191,13 +174,15 @@ def taylor_expand(
 
     k1 = maxdeg + 1
     top, letters = _words(d, maxdeg)
-    first, samples, levels, slots, names = _owned(d, maxdeg)
+    owners = _owners(d, maxdeg)
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
     bases, base_values = [zero] * k1, [v0] * k1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (k1 * dim) ** 2))
     starts = [0, *range(1, len(top), block)]
-    coeffs = np.empty(total_words, dtype=np.complex128)
-    resids = np.empty(total_words)
+    # Entry (t, j - 1) holds the coefficient and residual of the length-j
+    # prefix of top-length word t, where t owns it.
+    coeffs = np.empty(owners.shape, dtype=np.complex128)
+    resids = np.empty(owners.shape)
     eps = 1.0
     for start, stop in zip(starts, [*starts[1:], len(top)]):
         # hs[i] holds the i-th direction of every word: shape (d, B, dim, dim).
@@ -209,19 +194,17 @@ def taylor_expand(
             raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
         if start == 0:
             eps = float(res.epsilon[0])
-        lo, hi = first[start], first[stop]
+        owned = owners[start:stop]
+        ts, js = np.nonzero(owned)  # word by word, each word's shorter prefixes first
         jets = res.full_upper.reshape(stop - start, k1, dim, k1, dim)
-        cs, rs = _scalars(jets[samples[lo:hi] - start, 0, :, levels[lo:hi], :], names[lo:hi])
-        coeffs[slots[lo:hi]] = cs
-        resids[slots[lo:hi]] = rs
+        cs, rs = _scalars(jets[ts, 0, :, js + 1, :], lambda i: top[start + ts[i]][: js[i] + 1])
+        coeffs[start:stop][owned], resids[start:stop][owned] = cs, rs
 
-    cs, rs = coeffs.tolist(), resids.tolist()
-    end = 0
     for k in range(1, k1):
-        words = _words(d, k)[0]
-        end, at = end + len(words), end
+        step = d ** (maxdeg - k)
+        cs, rs = coeffs[::step, k - 1].tolist(), resids[::step, k - 1].tolist()
         terms: dict[Word, complex] = {}
-        for w, c, r in zip(words, cs[at:end], rs[at:end]):
+        for w, c, r in zip(_words(d, k)[0], cs, rs):
             residuals[w] = r
             if abs(c) > COEFF_PRUNE:
                 terms[w] = c

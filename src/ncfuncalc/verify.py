@@ -36,7 +36,6 @@ __all__ = [
     "check_symmetry",
     "recover_klinear",
     "run_suite",
-    "stack_tuples",
 ]
 
 
@@ -111,11 +110,7 @@ def check_direct_sum(F: NCFunctionHandle, xs) -> PropertyReport:
     """Evaluation at a direct sum must be the direct sum of the evaluations."""
     xs = list(xs)
     whole = F.eval(direct_sum(xs))
-    offset = 0
-    pieces = np.zeros_like(whole)
-    for x in xs:
-        pieces[offset : offset + x.dim, offset : offset + x.dim] = F.eval(x)
-        offset += x.dim
+    pieces = direct_sum([MatrixTuple([F.eval(x)]) for x in xs])[0]
     return _report("direct-sum", _relnorm(whole - pieces, pieces))
 
 
@@ -218,15 +213,6 @@ def check_symmetry(F: NCFunctionHandle, x: MatrixTuple, hs) -> PropertyReport:
     return _report("derivative-symmetry", _relnorm(polarized - ordered, ordered), len(orders))
 
 
-def stack_tuples(tuples) -> MatrixTuple:
-    """Concatenate k d-tuples into one (d*k)-tuple at the same dimension."""
-    tuples = list(tuples)
-    comps = []
-    for t in tuples:
-        comps.extend(t.components)
-    return MatrixTuple(comps)
-
-
 def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> FreePoly:
     """Recover the homogeneous polynomial behind a k-linear graded map.
 
@@ -243,9 +229,12 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> F
     probes = [list(p) for p in probes]
     if len(probes) >= 2:
         a, b = probes[0], probes[1]
-        mixed = [a[0] + b[0]] + a[1:]
-        lhs = lam.eval(stack_tuples(mixed))
-        rhs = lam.eval(stack_tuples(a)) + lam.eval(stack_tuples([b[0]] + a[1:]))
+
+        def point(tuples):  # k d-tuples, concatenated: one point of lam
+            return MatrixTuple(np.concatenate([t.components for t in tuples]))
+
+        lhs = lam.eval(point([a[0] + b[0]] + a[1:]))
+        rhs = lam.eval(point(a)) + lam.eval(point([b[0]] + a[1:]))
         resid = _relnorm(lhs - rhs, rhs)
         if resid > LINEARITY_TOL:
             raise NonLinearInputError(
@@ -397,23 +386,22 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return worst, len(cfg.scalar_dims) * cfg.trials, ""
 
     def scalar_derivative(rng):
-        # Coefficients from the unit directions, validated on fresh ones.
+        # Coefficients from the unit directions, validated on fresh ones: per
+        # trial, one stacked call makes the d unit jets, then the d sampled.
         n = cfg.dims[0]
         d = F.arity
+        units = np.eye(d)[:, :, None, None] * np.eye(n)  # units[r] is e_r: (d, n, n)
         worst = 0.0
         for _ in range(cfg.trials):
             a = _sample_scalar_point(rng, F, n)
-            values = [F.eval(a)] * 2
-            coeffs = []
-            for r in range(d):
-                e_r = MatrixTuple.unit_direction(d, r, n)
-                c, resid = scalar_part(delta_k(F, [a, a], [e_r], base_values=values).delta)
+            hs = [_sample_direction(rng, d, n, jet_scale) for _ in range(d)]
+            dirs = np.concatenate([units, np.stack([h.components for h in hs], axis=1)], axis=1)
+            ders = delta_k(F, [a, a], [dirs], base_values=[F.eval(a)] * 2).delta
+            coeffs, resids = (v.tolist() for v in scalar_part(ders[:d]))
+            for c, resid in zip(coeffs, resids):
                 worst = max(worst, resid / max(1.0, abs(c)))
-                coeffs.append(c)
-            for _ in range(d):
-                h = _sample_direction(rng, d, n, jet_scale)
+            for h, der in zip(hs, ders[d:]):
                 predicted = sum(c * h[r] for r, c in enumerate(coeffs))
-                der = delta_k(F, [a, a], [h], base_values=values).delta
                 worst = max(worst, _relnorm(der - predicted, predicted))
         return worst, cfg.trials, ""
 

@@ -93,6 +93,14 @@ def bidiagonal_block(xs, hs) -> MatrixTuple:
     return MatrixTuple(comps)
 
 
+def stack_tuples(tuples) -> MatrixTuple:
+    """Concatenate k d-tuples into one (d*k)-tuple at the same dimension."""
+    comps = []
+    for t in tuples:
+        comps.extend(t.components)
+    return MatrixTuple(comps)
+
+
 def counting_handle(p: FreePoly, domain: DomainDescriptor | None = None):
     """Handle on ``p`` plus the list of dimensions it was evaluated at, one
     entry per call, whether at one tuple or at a stack of them."""

@@ -35,7 +35,6 @@ from ncfuncalc import (
     operator_norm,
     recover_klinear,
     run_suite,
-    stack_tuples,
     tail_bound,
     taylor_expand,
 )
@@ -46,6 +45,7 @@ from _helpers import (
     random_poly,
     random_tuple,
     rng_for,
+    stack_tuples,
 )
 
 

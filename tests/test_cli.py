@@ -131,6 +131,20 @@ class TestEval:
         assert code == 3
         assert "domain" in err
 
+    @pytest.mark.parametrize("field, name", [("radius", "radius"), ("norm_cap", "norm cap")])
+    def test_nan_domain_bound_exits_2(self, workspace, capsys, tmp_path, field, name):
+        # json reads the NaN literal, and NaN fails every comparison: a NaN
+        # radius would put every point outside, a NaN cap would read as no cap.
+        obj = handle_to_obj(from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0)))
+        obj["domain"][field] = float("nan")
+        handle = tmp_path / "nan_bound.json"
+        handle.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "eval", "--handle", str(handle), "--point", workspace["x_scalar.json"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: handle: domain: {name} must be positive\n"
+
 
     def test_point_orthogonal_to_ones_exits_3(self, capsys, tmp_path):
         # Norm 1.5, with the top singular vector orthogonal to the all-ones vector.
@@ -466,6 +480,23 @@ class TestConfigFile:
         assert code == 0
         # forward difference of x^2 at 0.5 with step 0.5: (1 - 0.25) / 0.5
         np.testing.assert_allclose(matrix_from_obj(json.loads(out)), [[1.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["block", "fd"])
+    def test_nan_fd_lambda_exits_2(self, workspace, capsys, tmp_path, method):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"fd_lambda": NaN}')
+        code, out, err = run(
+            capsys,
+            "derive",
+            "--handle", workspace["square.json"],
+            "--point", workspace["x_scalar.json"],
+            "--directions", workspace["dirs_one.json"],
+            "--k", "1",
+            "--method", method,
+            "--config", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: fd_lambda must be positive and finite\n"
 
     def test_suite_settings_from_config(self, workspace, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

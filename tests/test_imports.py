@@ -1,7 +1,8 @@
 """Every package module imports on its own in a fresh interpreter, every
 name a module exports exists, and so does every name the benchmark's
-per-layer tracer wraps."""
+per-layer tracer wraps.  No module reads another module's private names."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -61,3 +62,46 @@ def test_traced_names_resolve(span, module, path):
         assert attr in vars(getattr(owner, cls_name)), span
     else:
         assert callable(getattr(owner, path, None)), span
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines: functions, classes, methods,
+    assigned names and attributes, and ``__slots__`` entries."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+    return {n for n in names if isinstance(n, str) and _private(n)}
+
+
+def test_no_module_reads_a_siblings_private_names():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    defined = {m: _private_definitions(tree) for m, tree in trees.items()}
+    offences = []
+    for m, tree in trees.items():
+        siblings = set().union(*(names for o, names in defined.items() if o != m))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                if node.attr in siblings and node.attr not in defined[m]:
+                    offences.append(f"{m}.py:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("ncfuncalc")
+            ):
+                offences += [
+                    f"{m}.py:{node.lineno} imports {a.name}" for a in node.names if _private(a.name)
+                ]
+    assert not offences, offences

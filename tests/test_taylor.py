@@ -301,12 +301,14 @@ class TestBlockedExtraction:
 
     @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 4)])
     def test_every_shorter_word_has_one_owner(self, d, k):
-        first, owners, levels, slots, names = ncfuncalc.taylor._owned(d, k)
+        owners = ncfuncalc.taylor._owners(d, k)
         top = list(itertools.product(range(d), repeat=k))
-        assert sorted(slots.tolist()) == list(range(sum(d**j for j in range(1, k + 1))))
-        assert first[0] == 0 and first[-1] == len(names) and first[1] == k
-        for t, j, w in zip(owners.tolist(), levels.tolist(), names):
-            assert top[t][:j] == w and not any(top[t][j:])
+        assert owners.shape == (d**k, k) and not owners.flags.writeable
+        assert owners[0].all()
+        for j in range(1, k + 1):
+            ts = np.flatnonzero(owners[:, j - 1]).tolist()
+            assert [top[t][:j] for t in ts] == list(itertools.product(range(d), repeat=j))
+            assert not any(any(top[t][j:]) for t in ts)
 
     def test_blocks_of_one_word_give_the_same_bits(self, monkeypatch):
         F = from_realization(random_isometric_realization(rng_for(93), 2, 2))

@@ -30,7 +30,6 @@ from ncfuncalc import (
     mobius_realization,
     recover_klinear,
     run_suite,
-    stack_tuples,
 )
 from ncfuncalc.verify import THRESHOLDS
 
@@ -41,6 +40,7 @@ from _helpers import (
     random_poly,
     random_tuple,
     rng_for,
+    stack_tuples,
 )
 
 
@@ -299,6 +299,35 @@ def shifted_at_one(x):
     return commutator + 5 * x[0] if np.shape(x[0])[-1] == 1 else commutator
 
 
+def eig_exp(x):
+    """Mutant: exp(x0) through an eigendecomposition, which is right only on
+    diagonalizable points."""
+    w, v = np.linalg.eig(np.asarray(x[0]))
+    return (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
+
+
+def normalized_trace(x):
+    """Mutant: tr(x0) / n times the identity."""
+    x0 = np.asarray(x[0])
+    n = x0.shape[-1]
+    return np.trace(x0, axis1=-2, axis2=-1)[..., None, None] / n * np.eye(n)
+
+
+# Evaluators at d = 2, each taking one tuple or a stack of them; none is an
+# nc function.
+MUTANTS = {
+    "transpose of x0 x1": lambda x: np.swapaxes(x[0] @ x[1], -1, -2),
+    "adjoint of x0": lambda x: np.conj(np.swapaxes(x[0], -1, -2)),
+    "entrywise square of x0": lambda x: np.square(x[0]),
+    "conj(x0) x1": lambda x: np.conj(x[0]) @ x[1],
+    "entrywise abs of x0": lambda x: np.abs(x[0]),
+    "normalized trace of x0": normalized_trace,
+    "exp(x0) by eig": eig_exp,
+    "doubled above dimension 1": doubled_above_one,
+    "shifted at dimension 1": shifted_at_one,
+}
+
+
 class TestRunSuite:
     def test_polynomial_handle_all_pass(self):
         rng = rng_for(91)
@@ -347,6 +376,23 @@ class TestRunSuite:
         F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), evaluator)
         failing = {r.name for r in run_suite(F, SuiteConfig(seed=seed)) if not r.passed}
         assert failing == {"direct-sum", "scalar-point-scalarity"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mutation_matrix(self, seed):
+        # Every mutant fails some check, and every check fails on some
+        # mutant or control: no check is one that cannot fail.
+        handles = {
+            name: NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), evaluator)
+            for name, evaluator in MUTANTS.items()
+        }
+        handles.update((name, control_handle(name, 2)) for name in CONTROL_NAMES)
+        reports = {name: run_suite(F, SuiteConfig(seed=seed)) for name, F in handles.items()}
+        failing = {name: {r.name for r in reps if not r.passed} for name, reps in reports.items()}
+        assert all(failing[name] for name in MUTANTS), failing
+        checks = [r.name for r in reports[CONTROL_NAMES[0]]]
+        assert len(checks) == 10
+        never_failed = set(checks).difference(*failing.values())
+        assert not never_failed, never_failed
 
     def test_fixed_corner_fails_scalar_point_derivative(self):
         # The constant e_00 output has the wrong diagonal blocks on every
