@@ -139,10 +139,12 @@ def tuple_from_obj(obj, where: str = "tuple") -> MatrixTuple:
     ]
     with _parsing(where):
         x = MatrixTuple(comps)
-    if "d" in obj and int(obj["d"]) != x.arity:
-        raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
-    if "dim" in obj and int(obj["dim"]) != x.dim:
-        raise ParseError(f"{where}: declared dim={obj['dim']} but components are {x.dim}x{x.dim}")
+        if "d" in obj and int(obj["d"]) != x.arity:
+            raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
+        if "dim" in obj and int(obj["dim"]) != x.dim:
+            raise ParseError(
+                f"{where}: declared dim={obj['dim']} but components are {x.dim}x{x.dim}"
+            )
     return x
 
 
@@ -193,10 +195,10 @@ def polymatrix_from_obj(obj, where: str = "polymatrix") -> PolyMatrix:
     ]
     with _parsing(where):
         pm = PolyMatrix(rows)
-    if "I" in obj and int(obj["I"]) != pm.rows:
-        raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
-    if "J" in obj and int(obj["J"]) != pm.cols:
-        raise ParseError(f"{where}: declared J={obj['J']} but found {pm.cols} columns")
+        if "I" in obj and int(obj["I"]) != pm.rows:
+            raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
+        if "J" in obj and int(obj["J"]) != pm.cols:
+            raise ParseError(f"{where}: declared J={obj['J']} but found {pm.cols} columns")
     return pm
 
 
@@ -248,9 +250,9 @@ def domain_from_obj(obj, where: str = "domain") -> DomainDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{where}: expected an object with 'kind'")
     kind = obj["kind"]
-    cap = obj.get("norm_cap")
-    cap = math.inf if cap is None else float(cap)
     with _parsing(where):
+        cap = obj.get("norm_cap")
+        cap = math.inf if cap is None else float(cap)
         if kind == "deltaball":
             return DomainDescriptor.deltaball(
                 polymatrix_from_obj(obj["delta"], f"{where}: delta"),

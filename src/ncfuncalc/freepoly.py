@@ -7,8 +7,9 @@ tolerances.  Words iterate in graded lexicographic order everywhere, which
 keeps serialization and tests reproducible.  ``terms`` is never written after
 construction: evaluation caches a table of its prefixes built from it.
 Once some component has an all-zero diagonal, evaluation forms no product
-whose prefix product or component is exactly zero, so on a Taylor jet at 0 it
-multiplies out only the substrings of the jet's word.
+whose prefix product or component is exactly zero, and it keeps each word
+length's live products in one compact stack: on a Taylor jet at 0 only the
+substrings of the jet's word stay live.
 """
 
 from __future__ import annotations
@@ -188,14 +189,18 @@ class FreePoly:
         ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
         ``(..., n, n)``, the output's shape; each sample on the leading axes gets,
         bit for bit, the value of its own tuple.  Word length k multiplies prefix
-        products of length k-1 by components and adds its terms.  Where some
-        component has an all-zero diagonal (an exactly zero component, or a
-        nilpotent shift like each component of a Taylor jet at 0), a product whose
-        prefix product or component is exactly zero is never formed but left
-        exactly 0: a word through a zero component contributes exactly 0, even
-        past an overflowed prefix, and a Taylor jet at 0 forms only the substrings
-        of its word.  Elsewhere, or where every product is live, word length k is
-        one batched product.
+        products of length k-1 by components and adds its terms with one batched
+        ``coeffs @ terms`` over the products that are terms.  Where every
+        component has a nonzero diagonal entry, word length k is one batched
+        product over every prefix.  Where some component has an all-zero diagonal
+        (an exactly zero component, or a nilpotent shift like each component of a
+        Taylor jet at 0), word length k forms only the products whose prefix
+        product and component are both nonzero, keeps them in one compact stack
+        with an index table per sample and prefix, and reads products that came
+        out exactly zero as dead for the next length.  A dead term enters the sum
+        as exact zeros, so the term sum is the batched one: a word through a zero
+        component contributes exactly 0, even past an overflowed prefix, and on a
+        Taylor jet at 0 only the substrings of its word stay live.
         """
         comps = x.components if isinstance(x, MatrixTuple) else x
         if len(comps) != self.arity:
@@ -204,24 +209,40 @@ class FreePoly:
         used, levels = self._level_table()
         # (samples, letters, n, n), gathered C-ordered: a lone tuple gets a sample's calls.
         stacked = np.asarray(comps)[used].reshape(len(used), samples, n, n).swapaxes(0, 1)
-        track = not stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all()
-        nonzero = track and stacked.any(axis=(-2, -1))
         out = np.zeros((samples, n * n), dtype=np.complex128)
         out[:, :: n + 1] = self.terms.get((), 0)  # the empty word, on the diagonal
-        for parents, letters, hits, coeffs in levels:
-            if track and parents is not None:
-                live = above.any(axis=(-2, -1)).take(parents, axis=1)
-                live &= nonzero.take(letters, axis=1)
-            if not track or parents is None or live.all():
+        if stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all():
+            for parents, letters, hits, coeffs in levels:
                 prods = stacked.take(letters, axis=1)
                 if parents is not None:
                     prods = above.take(parents, axis=1) @ prods
+                out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
+                above = prods
+            return out.reshape(comps[0].shape)
+        # Tracked: word length k keeps its live products in one compact stack
+        # whose last row is a zero sentinel; pos[sample, prefix] is a product's
+        # row, -1 (the sentinel) where it is dead, and keep marks the nonzero rows.
+        nonzero = stacked.any(axis=(-2, -1))
+        for parents, letters, hits, coeffs in levels:
+            live = nonzero.take(letters, axis=1)
+            if parents is not None:
+                src = pos.take(parents, axis=1)
+                live &= keep.take(src)
+            rows, cols = np.nonzero(live)
+            if parents is not None:
+                left = above[src[rows, cols]]
+            # The previous stack is freed before this one is allocated, so the
+            # peak holds one word length's products.
+            above = np.zeros((rows.size + 1, n, n), dtype=stacked.dtype)
+            if parents is None:
+                above[:-1] = stacked[rows, letters[cols]]
             else:
-                rows, cols = np.nonzero(live)
-                prods = np.zeros((samples, letters.size, n, n), dtype=np.complex128)
-                prods[rows, cols] = above[rows, parents[cols]] @ stacked[rows, letters[cols]]
-            out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
-            above = prods
+                np.matmul(left, stacked[rows, letters[cols]], out=above[:-1])
+                del left
+            pos = np.full(live.shape, -1)
+            pos[rows, cols] = np.arange(rows.size)
+            out += coeffs @ above.reshape(-1, n * n).take(pos.take(hits, axis=1), axis=0)
+            keep = above.any(axis=(-2, -1))
         return out.reshape(comps[0].shape)
 
     __call__ = evaluate

@@ -223,16 +223,26 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
     k! delta_k(F, [x] * (k + 1), [h] * k), legitimate because the derivative
     is k-linear and symmetric.  F(x) is evaluated once, with the domain
     check, and the 2^k - 1 jets are one stacked :func:`delta_k` call.
+    ``hs`` are k MatrixTuples, giving one (n, n) value, or k component
+    stacks of one shape (d, T, n, n), giving T values (T, n, n) from the
+    same single evaluation of F(x) and one stacked call of (2^k - 1) T jets.
     Capped at k = 6 to keep the jet count sane.
     """
     hs = list(hs)
     k = len(hs)
     if not 1 <= k <= 6:
         raise ValueError("polarization supports orders 1 through 6")
-    for h in hs:
-        x.check_compatible(h)
+    lone = isinstance(hs[0], MatrixTuple)
+    if lone:
+        for h in hs:
+            x.check_compatible(h)
+        comps = [np.array(h.components)[:, None] for h in hs]
+    else:
+        comps = [np.asarray(h, dtype=np.complex128) for h in hs]
+        shape = (x.arity, *comps[0].shape[1:2], x.dim, x.dim)
+        if any(c.shape != shape for c in comps):
+            raise ValueError("direction stacks must share one shape (d, T, n, n) with the point")
     values = [F.eval(x)] * (k + 1)
-    comps = [np.array(h.components) for h in hs]
     sums, signs = [], []
     for mask in range(1, 2**k):
         members = [i for i in range(k) if mask >> i & 1]
@@ -241,9 +251,10 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
             hsum = hsum + comps[i]
         sums.append(hsum)
         signs.append((-1) ** (k - len(members)))
-    dirs = np.stack(sums, axis=1)  # (d, 2^k - 1, n, n)
+    dirs = np.concatenate(sums, axis=1)  # (d, (2^k - 1) T, n, n), subset by subset
     deltas = delta_k(F, [x] * (k + 1), [dirs] * k, base_values=values).delta
-    total = np.zeros((x.dim, x.dim), dtype=np.complex128)
-    for sign, delta in zip(signs, deltas):
+    total = np.zeros((comps[0].shape[1], x.dim, x.dim), dtype=np.complex128)
+    for sign, delta in zip(signs, deltas.reshape(len(sums), *total.shape)):
         total = total + sign * (math.factorial(k) * delta)
-    return total / math.factorial(k)
+    total = total / math.factorial(k)
+    return total[0] if lone else total

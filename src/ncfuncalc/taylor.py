@@ -14,9 +14,10 @@ of length j are every d^(K-j)-th top-length word, in the order of the
 length-j words.  The top-length words are extracted in blocks, each one
 stacked :func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation of F
 per block, not one per word; a block holds as many words as keep its jet
-components within ``JET_BLOCK_BYTES`` (at least one).  Extractions run at
-base dimension 1 by default; re-running at a larger dimension
-cross-checks that the blocks really are scalar.
+components within ``JET_BLOCK_BYTES`` (at least one): 18 words at d = 3,
+K = 5, so 16 evaluations of F in all, F(0) and a first block of one word
+included.  Extractions run at base dimension 1 by default; re-running at a
+larger dimension cross-checks that the blocks really are scalar.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ SCALAR_TOL = 1e-8
 COEFF_PRUNE = 1e-12
 CIRCLE_SAMPLES = 64
 CIRCLE_INFLATE = 1.1
-JET_BLOCK_BYTES = 16 * 2**10
+JET_BLOCK_BYTES = 32 * 2**10
 
 
 class ExtractionError(ArithmeticError):

@@ -453,10 +453,14 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         worst = 0.0
         zero = MatrixTuple.zeros(d, n)
         for k in range(1, kmax + 1):
+            # Per order, one stacked call makes every trial's polarization jets.
             part = expansion.parts[k]
-            for _ in range(cfg.trials):
-                hs = [_sample_direction(rng, d, n, jet_scale) for _ in range(k)]
-                lhs = dk_multilinear(F, zero, hs)
+            trials = [
+                [_sample_direction(rng, d, n, jet_scale) for _ in range(k)]
+                for _ in range(cfg.trials)
+            ]
+            stacks = [np.stack([hs[i].components for hs in trials], axis=1) for i in range(k)]
+            for hs, lhs in zip(trials, dk_multilinear(F, zero, stacks)):
                 rhs = np.zeros((n, n), dtype=np.complex128)
                 for sigma in permutations(range(k)):
                     for w, c in part.sorted_terms():

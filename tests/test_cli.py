@@ -9,6 +9,7 @@ from ncfuncalc import (
     DomainDescriptor,
     FreePoly,
     MatrixTuple,
+    delta_polydisk,
     from_poly,
     from_realization,
     mobius_realization,
@@ -144,6 +145,40 @@ class TestEval:
         )
         assert (code, out) == (2, "")
         assert err == f"error: handle: domain: {name} must be positive\n"
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("handle", "domain", "norm_cap"), "handle: domain: could not convert string to float"),
+            (("point", "d"), "tuple: invalid literal for int() with base 10"),
+            (("point", "dim"), "tuple: invalid literal for int() with base 10"),
+            (("handle", "domain", "delta", "I"), "handle: domain: delta: invalid literal for int()"),
+            (("handle", "domain", "delta", "J"), "handle: domain: delta: invalid literal for int()"),
+        ],
+    )
+    def test_unreadable_declared_size_names_its_position(self, capsys, tmp_path, path, message):
+        # A conversion that fails is reported under the position of its document.
+        objs = {
+            "handle": handle_to_obj(
+                from_poly(FreePoly.letter(1, 0), DomainDescriptor.deltaball(delta_polydisk(1)))
+            ),
+            "point": tuple_to_obj(MatrixTuple.from_scalars([0.5], 1)),
+        }
+        target = objs
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "x"
+        for name, obj in objs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--handle", str(tmp_path / "handle.json"),
+            "--point", str(tmp_path / "point.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert err.endswith(": 'x'\n")
 
 
     def test_point_orthogonal_to_ones_exits_3(self, capsys, tmp_path):

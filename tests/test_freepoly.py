@@ -234,6 +234,23 @@ class TestEvaluation:
         stack[1, 3] = 0
         self.assert_stack_matches(p, stack)
 
+    def test_jet_nilpotent_and_dense_tuples_in_one_stack(self):
+        # The jet of (0, 1, 0) at 0 is X0 = E01 + E23, X1 = E12, X2 = 0: the
+        # prefix x0 x0 is formed but vanishes, so no longer word through it is
+        # formed.  A strictly upper triangular tuple and a dense one share the
+        # stack; alone, the dense one takes the untracked path.
+        rng = rng_for(21)
+        extra = dict.fromkeys([(0, 1, 0), (0, 0), (0, 0, 1), (0, 0, 1, 2)], 0.5)
+        p = random_poly(rng, 3, 4, nterms=40) + FreePoly(3, extra)
+        jet = np.zeros((3, 4, 4), dtype=complex)
+        for i, j in enumerate((0, 1, 0)):
+            jet[j, i, i + 1] = 1.0
+        assert not (jet[0] @ jet[0]).any()
+        upper = np.stack([np.triu(random_matrix(rng, 4), 1) for _ in range(3)])
+        dense = np.stack(random_tuple(rng, 3, 4).components)
+        values = self.assert_stack_matches(p, np.stack([jet, upper, dense], axis=1))
+        assert values[0, 0, -1] == p.coefficient((0, 1, 0))
+
     def test_independent_of_term_insertion_order(self):
         rng = rng_for(17)
         p = random_poly(rng, 2, 4, nterms=20)

@@ -493,6 +493,24 @@ class TestDkMultilinear:
                 total = total + (-1) ** (k - len(members)) * diag
             np.testing.assert_array_equal(out, total / math.factorial(k))
 
+    def test_stacked_directions_give_each_trial_its_value(self):
+        # Direction stacks (d, T, n, n): F(x) once and one stacked call of
+        # (2^k - 1) T jets, each trial's value bit for bit its lone value.
+        rng = rng_for(51)
+        F, calls = counting_handle(random_poly(rng, 2, 3))
+        x = random_tuple(rng, 2, 2)
+        for k in (1, 2, 3):
+            trials = [[random_tuple(rng, 2, 2) for _ in range(k)] for _ in range(4)]
+            stacks = [np.stack([hs[i].components for hs in trials], axis=1) for i in range(k)]
+            calls.clear()
+            values = dk_multilinear(F, x, stacks)
+            assert calls == [2, 2 * (k + 1)]
+            assert values.shape == (4, 2, 2)
+            for hs, value in zip(trials, values):
+                np.testing.assert_array_equal(value, dk_multilinear(F, x, hs))
+        with pytest.raises(ValueError, match="share one shape"):
+            dk_multilinear(F, x, [stacks[0], stacks[1][:, :2]])
+
     def test_outside_point_raises_before_any_evaluation(self):
         F, calls = counting_handle(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
         with pytest.raises(DomainViolationError):

@@ -192,7 +192,7 @@ def _assert_coefficients(expansion, reference, words):
 class TestOneEvaluationPerWord:
     def test_evaluation_count(self):
         # F(0) once, then one stacked jet evaluation per block of the 3^5 top
-        # words: a first block of one word, then blocks of 9.
+        # words: a first block of one word, then blocks of 18.
         p = random_poly(rng_for(56), 3, 5, nterms=40)
         calls = []
 
@@ -202,8 +202,8 @@ class TestOneEvaluationPerWord:
 
         F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
         taylor_expand(F, 5)
-        assert JET_BLOCK_BYTES // (16 * 3 * 6**2) == 9
-        assert len(calls) == 1 + 1 + -(-(3**5 - 1) // 9) == 29
+        assert JET_BLOCK_BYTES // (16 * 3 * 6**2) == 18
+        assert len(calls) == 1 + 1 + -(-(3**5 - 1) // 18) == 16
         assert calls[0] == () and calls[1] == (1,)
         assert sum(b for (b,) in calls[1:]) == 3**5
 
@@ -331,6 +331,29 @@ class TestBlockedExtraction:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_transient_peak_of_a_benchmark_sized_expansion(self):
+        # A polynomial shaped like the taylor-poly benchmark's: 1, 2, 3, 6, 10
+        # and 18 words of length 0 to 5.  With blocks of 9 jets and dense prefix
+        # products this expansion peaked at 390 KiB (numpy 2.4); the bound is
+        # 1.15 times that, so a block size or product layout that grows the
+        # peak fails here before it shows in the benchmark's peak RSS.
+        rng = rng_for(97)
+        terms = {}
+        for k, count in enumerate((1, 2, 3, 6, 10, 18)):
+            words = list(itertools.product(range(3), repeat=k))
+            for i in rng.choice(len(words), size=count, replace=False):
+                terms[words[i]] = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        F = from_poly(FreePoly(3, terms))
+        taylor_expand(F, 5)  # builds the cached level and word tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            taylor_expand(F, 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 390 * 2**10
 
     def test_expansions_share_word_keys(self):
         rng = rng_for(96)

@@ -465,21 +465,40 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
         assert verdicts.count(False) <= 15
 
+    @staticmethod
+    def recorded_suite(p: FreePoly) -> list[tuple[tuple[int, ...], bool]]:
+        """The leading shape of every evaluation in one default suite run,
+        with whether all its components are strictly upper triangular (a jet
+        at the zero base point, or the zero tuple)."""
+        calls = []
+
+        def recording(x):
+            comps = np.array([x[j] for j in range(p.arity)])
+            calls.append((np.shape(x[0]), not np.tril(comps).any()))
+            return p.evaluate(x)
+
+        F = NCFunctionHandle(p.arity, DomainDescriptor.polydisk(math.inf), recording)
+        assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
+        return calls
+
     def test_scalar_points_and_multilinearity_jets_are_stacked(self):
         # scalar-point-scalarity: its six 1x1 points in one evaluation and its
         # three n x n points in one per n; delta-multilinearity: one stack of
         # four jets (three base points at n = 2) per trial.
-        p = FreePoly(2, {(0, 1): 1.0, (1,): 0.5})
-        shapes = []
+        calls = self.recorded_suite(FreePoly(2, {(0, 1): 1.0, (1,): 0.5}))
+        points = [shape for shape, at_zero in calls if not at_zero]
+        assert points.count((6, 1, 1)) == points.count((3, 2, 2)) == points.count((3, 4, 4)) == 1
+        assert points.count((4, 6, 6)) == 3
 
-        def recording(x):
-            shapes.append(np.shape(x[0]))
-            return p.evaluate(x)
-
-        F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), recording)
-        assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
-        assert shapes.count((6, 1, 1)) == shapes.count((3, 2, 2)) == shapes.count((3, 4, 4)) == 1
-        assert shapes.count((4, 6, 6)) == 3
+    def test_taylor_polynomiality_makes_one_stacked_call_per_order(self):
+        # Three trials at n = 2 for each order k = 1, 2, 3: F at the zero 2x2
+        # tuple once per order, and one stack of the 3 (2^k - 1) polarization
+        # jets, of dimension 2 (k + 1).
+        calls = self.recorded_suite(FreePoly(2, {(0, 1): 1.0, (1,): 0.5}))
+        at_zero = [shape for shape, zero in calls if zero]
+        assert at_zero.count((2, 2)) == 3
+        assert at_zero.count((3, 4, 4)) == at_zero.count((9, 6, 6)) == 1
+        assert at_zero.count((21, 8, 8)) == 1
 
     def test_order_two_runs_one_symmetry_trial(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
