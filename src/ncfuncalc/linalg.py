@@ -152,15 +152,6 @@ class MatrixTuple:
         eye = np.eye(dim, dtype=np.complex128)
         return cls([complex(s) * eye for s in scalars])
 
-    @classmethod
-    def unit_direction(cls, arity: int, slot: int, dim: int) -> "MatrixTuple":
-        """The tuple with the identity in ``slot`` and zeros elsewhere."""
-        if not 0 <= slot < arity:
-            raise ValueError(f"slot {slot} out of range for arity {arity}")
-        comps = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(arity)]
-        comps[slot] = np.eye(dim, dtype=np.complex128)
-        return cls(comps)
-
     def __len__(self) -> int:
         return self.arity
 

@@ -110,8 +110,9 @@ def delta_k(
     ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
     blocks are checked against; a caller that extracts many jets at the same
     base points passes them once instead of having F re-evaluated per call.
-    ``epsilon`` is the starting scale of every jet, each halved until it lies
-    in the domain (module docstring); an outside base point raises
+    ``epsilon`` is the starting scale of every jet, finite and positive
+    (else ``ValueError``), each halved until it lies in the domain (module
+    docstring); an outside base point raises
     :class:`DomainViolationError` before any evaluation.
     """
     xs = list(xs)
@@ -131,6 +132,8 @@ def delta_k(
         dirs.ndim != 5 or dirs.shape[1] != d or dirs.shape[3:] != (n, n)
     ):
         raise ValueError("all points and directions must share arity and dimension")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"the starting scale must be finite and positive, got {epsilon}")
     k1, batch = k + 1, dirs.shape[2]
     levels = np.arange(k1)
 

@@ -1,23 +1,29 @@
 """Taylor expansion at the scalar point 0 and Cauchy-type tail bounds.
 
 At zero base points with the unit directions e_{j_1}, ..., e_{j_k}, block
-(0, i) of F on the jet is the i-th difference-differential in the first i
-directions (the block upper triangular formula of Kaliuzhnyi-Verbovetskyi
-and Vinnikov): the coefficient of the prefix (j_1, ..., j_i) times the
-identity.  So one jet of a word gives the coefficients of all its prefixes,
-and only the d^K words of the top length K = ``maxdeg`` get jets.  A word u
-of length j < K is read off the jet of ``u + (0,) * (K - j)``, the first
-top-length word in graded lexicographic order that it prefixes: top-length
-word t owns its length-j prefix exactly when its last K - j letters are 0.
-A cached boolean mask of shape (d^K, K) records that ownership; the owners
-of length j are every d^(K-j)-th top-length word, in the order of the
-length-j words.  The top-length words are extracted in blocks, each one
-stacked :func:`~ncfuncalc.ncderiv.delta_k` call and so one evaluation of F
-per block, not one per word; a block holds as many words as keep its jet
-components within ``JET_BLOCK_BYTES`` (at least one): 18 words at d = 3,
-K = 5, so 16 evaluations of F in all, F(0) and a first block of one word
-included.  Extractions run at base dimension 1 by default; re-running at a
-larger dimension cross-checks that the blocks really are scalar.
+(i, j) of F on the jet is the (j - i)-th difference-differential in
+directions i + 1 through j (the block upper triangular formula of
+Kaliuzhnyi-Verbovetskyi and Vinnikov): the coefficient of the sub-word
+(j_{i+1}, ..., j_j) times the identity.  So one jet of a word gives the
+coefficients of all its substrings, and jets that together contain every
+word of length K = ``maxdeg`` as a substring give the whole expansion.  A de
+Bruijn sequence B(d, K) (de Bruijn, 1946) holds every length-K word exactly
+once as a cyclic window; linearized, by repeating its first K - 1 letters,
+it has length d^K + K - 1.  It is cut into chunks of length L = 2K - 2
+(at least K, at most the whole sequence) that overlap by K - 1 letters, the
+last chunk ending where the sequence ends, so every length-K word, and with
+it every shorter word, lies inside some chunk.  Each chunk is the word of one
+covering jet: 61 jets of length 8 at d = 3, K = 5, in place of 243 of length
+5, and one jet of length K at d = 1.  Every word of length 1..K is read at
+its first occurrence (jet, start), from block (start, start + |w|); a
+cached, read-only table per (d, K) records those positions.  The jets are
+extracted in blocks, each one stacked :func:`~ncfuncalc.ncderiv.delta_k`
+call and so one evaluation of F per block, not one per jet; a block holds as
+many jets as keep its jet components within ``JET_BLOCK_BYTES`` (at least
+one): 4 jets of 9 x 9 at d = 3, K = 5, so 17 evaluations of F in all, F(0)
+and a first block of one jet included.  Extractions run at base dimension 1
+by default; re-running at a larger dimension cross-checks that the blocks
+really are scalar.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +57,7 @@ SCALAR_TOL = 1e-8
 COEFF_PRUNE = 1e-12
 CIRCLE_SAMPLES = 64
 CIRCLE_INFLATE = 1.1
-JET_BLOCK_BYTES = 32 * 2**10
+JET_BLOCK_BYTES = 16 * 2**10
 
 
 class ExtractionError(ArithmeticError):
@@ -68,7 +75,7 @@ class NonScalarResultError(ExtractionError):
 def _scalars(blocks: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
     """The numbers :func:`~ncfuncalc.linalg.scalar_part` gives for a stack of
     square ``blocks``, each read as c times the identity: F(0), or the blocks
-    (0, j) of the prefixes a block of jets owns.  Raises
+    (start, start + |w|) of the words w a block of covering jets reads.  Raises
     :class:`NonScalarResultError` at the first block whose residual exceeds
     ``SCALAR_TOL`` relative to ``max(1, |c|)``, naming its word ``name(i)``
     (the empty word for F(0))."""
@@ -81,25 +88,68 @@ def _scalars(blocks: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
     return c, resid
 
 
-@cache
-def _words(d: int, k: int) -> tuple[tuple[Word, ...], np.ndarray]:
-    """The words of length k in d letters, in graded lexicographic order, and
-    their letters as a read-only array of shape (d^k, k).  Built once per
-    (d, k), so every expansion keys its terms with the same word tuples."""
-    words = tuple(itertools.product(range(d), repeat=k))
-    letters = np.array(words, dtype=np.intp).reshape(len(words), k)
-    letters.setflags(write=False)
-    return words, letters
+def _de_bruijn(d: int, k: int) -> list[int]:
+    """The de Bruijn sequence B(d, k), linearized: d^k + k - 1 letters with
+    every word of length k exactly once as a window.  B(d, k) is the
+    concatenation, in lexicographic order, of the Lyndon words whose length
+    divides k (Fredricksen and Maiorana), generated by Duval's algorithm."""
+    seq, w = [], [-1]
+    while w:
+        w[-1] += 1
+        if k % len(w) == 0:
+            seq += w
+        w = [w[i % len(w)] for i in range(k)]
+        while w and w[-1] == d - 1:
+            w.pop()
+    return [seq[i % len(seq)] for i in range(d**k + k - 1)]
+
+
+class _Cover(NamedTuple):
+    """The covering jets of the words of length 1..k (module docstring).
+
+    ``letters`` holds each jet's word, shape (jets, L).  Every word of
+    length 1..k is read once, in reading order (jet by jet, start by start,
+    shorter first): its first occurrence is block (``start``, ``stop``) of
+    jet ``jet``, and ``index`` is its place in ``words``, the words of length
+    1..k in graded lexicographic order.
+    """
+
+    letters: np.ndarray
+    jet: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    index: np.ndarray
+    words: tuple[Word, ...]
 
 
 @cache
-def _owners(d: int, k: int) -> np.ndarray:
-    """The ownership mask of the words of length k (module docstring): entry
-    (t, j - 1) says top-length word t owns its length-j prefix, that is, t is
-    a multiple of d^(k - j).  Read-only, built once per (d, k)."""
-    mask = np.arange(d**k)[:, None] % d ** (k - np.arange(1, k + 1)) == 0
-    mask.setflags(write=False)
-    return mask
+def _cover(d: int, k: int) -> _Cover:
+    """The covering table of the words of length 1..k in d letters, with
+    read-only arrays.  Built once per (d, k), so every expansion keys its
+    terms with the same word tuples."""
+    seq = _de_bruijn(d, k)
+    size = min(max(k, 2 * k - 2), len(seq))
+    firsts = list(range(0, len(seq) - size + 1, size - k + 1))
+    if firsts[-1] + size < len(seq):
+        firsts.append(len(seq) - size)
+    chunks = [seq[f : f + size] for f in firsts]
+    words = tuple(w for j in range(1, k + 1) for w in itertools.product(range(d), repeat=j))
+    # The words of length j + 1 start at place[j] in ``words``, in the order
+    # of their letters read as base-d numbers.
+    place = [0, *itertools.accumulate(d**j for j in range(1, k))]
+    reads: dict[int, tuple[int, int, int]] = {}
+    for t, chunk in enumerate(chunks):
+        for i in range(size):
+            code = 0
+            for j in range(i, min(i + k, size)):
+                code = code * d + chunk[j]
+                reads.setdefault(place[j - i] + code, (t, i, j + 1))
+    jet, start, stop = np.array(list(reads.values()), dtype=np.intp).T
+    index = np.array(list(reads), dtype=np.intp)
+    table = _Cover(np.array(chunks, dtype=np.intp), jet, start, stop, index, words)
+    for a in table[:-1]:
+        a.setflags(write=False)
+    return table
 
 
 @dataclass
@@ -141,23 +191,26 @@ def taylor_expand(
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
     The zero point, the unit directions and the checked F(0) are built
-    once; only the words of length ``maxdeg``, in graded lexicographic
-    order, get jets, one stacked :func:`~ncfuncalc.ncderiv.delta_k` call per
-    block, so F must evaluate stacked components.  Every shorter word is
-    read off block (0, j) of the jet of the first top-length word it
-    prefixes (module docstring).  Coefficients below 1e-12 in magnitude are
-    dropped as extraction noise; the algebra itself never prunes, this is
-    purely a numeric cutoff.  The first block holds one word and every later
-    block starts from the scale that word settled on, so the halving toward
-    the domain is paid about once per expansion.
+    once; the covering jets (module docstring) are extracted in blocks, one
+    stacked :func:`~ncfuncalc.ncderiv.delta_k` call per block, so F must
+    evaluate stacked components.  Every word of length 1..``maxdeg`` is read
+    off block (start, start + |w|) of the first covering jet that contains
+    it.  Coefficients below 1e-12 in magnitude are dropped as extraction
+    noise; the algebra itself never prunes, this is purely a numeric cutoff.
+    The first block holds one jet and every later block starts from the
+    scale that jet settled on, so the halving toward the domain is paid
+    about once per expansion.  ``dim`` is the base dimension, at least 1.
 
     An :class:`ExtractionError` from a jet that breaks block upper
-    triangular form names the top-length word of that jet; a
-    :class:`NonScalarResultError` names the first non-scalar word in reading
-    order: block by block, each word's prefixes shorter first.
+    triangular form names that jet's word, a chunk of the de Bruijn
+    sequence; a :class:`NonScalarResultError` names the first non-scalar
+    word in reading order: block by block, jet by jet, start by start,
+    shorter words first.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     d = F.arity
     total_words = sum(d**k for k in range(1, maxdeg + 1))
     if total_words > word_cap:
@@ -173,44 +226,41 @@ def taylor_expand(
     if maxdeg == 0:
         return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 
-    k1 = maxdeg + 1
-    top, letters = _words(d, maxdeg)
-    owners = _owners(d, maxdeg)
+    cover = _cover(d, maxdeg)
+    jets, size1 = len(cover.letters), cover.letters.shape[1] + 1
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
-    bases, base_values = [zero] * k1, [v0] * k1
-    block = max(1, JET_BLOCK_BYTES // (16 * d * (k1 * dim) ** 2))
-    starts = [0, *range(1, len(top), block)]
-    # Entry (t, j - 1) holds the coefficient and residual of the length-j
-    # prefix of top-length word t, where t owns it.
-    coeffs = np.empty(owners.shape, dtype=np.complex128)
-    resids = np.empty(owners.shape)
+    bases, base_values = [zero] * size1, [v0] * size1
+    block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
+    firsts = [0, *range(1, jets, block)]
+    # Entry i holds the coefficient and residual of cover.words[i].
+    coeffs = np.empty(total_words, dtype=np.complex128)
+    resids = np.empty(total_words)
     eps = 1.0
-    for start, stop in zip(starts, [*starts[1:], len(top)]):
-        # hs[i] holds the i-th direction of every word: shape (d, B, dim, dim).
-        hs = units[letters[start:stop].T].transpose(0, 2, 1, 3, 4)
+    for first, last in zip(firsts, [*firsts[1:], jets]):
+        # hs[i] holds the i-th direction of every jet: shape (d, B, dim, dim).
+        hs = units[cover.letters[first:last].T].transpose(0, 2, 1, 3, 4)
         try:
             res = delta_k(F, bases, hs, epsilon=eps, base_values=base_values)
         except StructureViolationError as exc:
-            w = top[start + exc.sample]
+            w = tuple(cover.letters[first + exc.sample].tolist())
             raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
-        if start == 0:
+        if first == 0:
             eps = float(res.epsilon[0])
-        owned = owners[start:stop]
-        ts, js = np.nonzero(owned)  # word by word, each word's shorter prefixes first
-        jets = res.full_upper.reshape(stop - start, k1, dim, k1, dim)
-        cs, rs = _scalars(jets[ts, 0, :, js + 1, :], lambda i: top[start + ts[i]][: js[i] + 1])
-        coeffs[start:stop][owned], resids[start:stop][owned] = cs, rs
+        lo, hi = np.searchsorted(cover.jet, (first, last))
+        index = cover.index[lo:hi]
+        blocks = res.full_upper.reshape(last - first, size1, dim, size1, dim)
+        cs, rs = _scalars(
+            blocks[cover.jet[lo:hi] - first, cover.start[lo:hi], :, cover.stop[lo:hi], :],
+            lambda i: cover.words[index[i]],
+        )
+        coeffs[index], resids[index] = cs, rs
 
-    for k in range(1, k1):
-        step = d ** (maxdeg - k)
-        cs, rs = coeffs[::step, k - 1].tolist(), resids[::step, k - 1].tolist()
-        terms: dict[Word, complex] = {}
-        for w, c, r in zip(_words(d, k)[0], cs, rs):
-            residuals[w] = r
-            if abs(c) > COEFF_PRUNE:
-                terms[w] = c
-        parts.append(FreePoly(d, terms))
-
+    terms: list[dict[Word, complex]] = [{} for _ in range(maxdeg)]
+    for w, c, r in zip(cover.words, coeffs.tolist(), resids.tolist()):
+        residuals[w] = r
+        if abs(c) > COEFF_PRUNE:
+            terms[len(w) - 1][w] = c
+    parts += [FreePoly(d, t) for t in terms]
     return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 
 

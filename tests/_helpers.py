@@ -32,6 +32,15 @@ def random_tuple(rng, d: int, n: int, scale: float = 0.45) -> MatrixTuple:
     return MatrixTuple([random_matrix(rng, n, scale) for _ in range(d)])
 
 
+def unit_direction(arity: int, slot: int, dim: int) -> MatrixTuple:
+    """The tuple with the identity in ``slot`` and zeros elsewhere."""
+    if not 0 <= slot < arity:
+        raise ValueError(f"slot {slot} out of range for arity {arity}")
+    comps = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(arity)]
+    comps[slot] = np.eye(dim, dtype=np.complex128)
+    return MatrixTuple(comps)
+
+
 def random_poly(rng, d: int, maxdeg: int, nterms: int = 8) -> FreePoly:
     """Random polynomial with unit-disk coefficients on distinct words."""
     words = [()]

@@ -11,7 +11,13 @@ from ncfuncalc import (
     operator_norm,
 )
 
-from _helpers import bidiagonal_block, ones_orthogonal_matrix, random_matrix, rng_for
+from _helpers import (
+    bidiagonal_block,
+    ones_orthogonal_matrix,
+    random_matrix,
+    rng_for,
+    unit_direction,
+)
 
 
 class TestInverse:
@@ -216,7 +222,7 @@ class TestMatrixTuple:
     def test_scalar_and_unit_constructors(self):
         a = MatrixTuple.from_scalars([1 + 2j, -0.5], 3)
         np.testing.assert_allclose(a[0], (1 + 2j) * np.eye(3))
-        e1 = MatrixTuple.unit_direction(2, 1, 2)
+        e1 = unit_direction(2, 1, 2)
         np.testing.assert_allclose(e1[0], np.zeros((2, 2)))
         np.testing.assert_allclose(e1[1], np.eye(2))
 

@@ -252,6 +252,14 @@ class TestDeltaK:
         scaled = delta_k(square, xs, hs, epsilon=0.25).delta
         assert relerr(scaled, base) <= 1e-12
 
+    @pytest.mark.parametrize("epsilon", [0.0, math.inf, math.nan])
+    def test_unusable_starting_scale_is_rejected_before_evaluation(self, epsilon):
+        F, calls = counting_handle(FreePoly(1, {(0, 0): 1.0}))
+        x, h = scalar(0.25), scalar(1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            delta_k(F, [x] * 3, [h, h], epsilon=epsilon)
+        assert calls == []
+
     def test_structure_violation_detected(self):
         # An evaluator that scrambles the jet cannot be intertwining preserving.
         broken = NCFunctionHandle(

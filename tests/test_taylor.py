@@ -40,6 +40,7 @@ from _helpers import (
     random_poly,
     random_rowball_realization,
     rng_for,
+    unit_direction,
 )
 
 
@@ -161,6 +162,12 @@ class TestTaylorExpand:
         with pytest.raises(ValueError):
             taylor_expand(F, 9)
 
+    def test_dimension_must_be_positive(self):
+        F, calls = counting_handle(FreePoly.letter(2, 0))
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            taylor_expand(F, 3, dim=0)
+        assert calls == []
+
     def test_diagnostics_flag_balancedness(self):
         poly_exp = taylor_expand(from_poly(FreePoly.letter(1, 0)), 1)
         assert poly_exp.diagnostics()["balanced_domain"] is True
@@ -191,8 +198,8 @@ def _assert_coefficients(expansion, reference, words):
 
 class TestOneEvaluationPerWord:
     def test_evaluation_count(self):
-        # F(0) once, then one stacked jet evaluation per block of the 3^5 top
-        # words: a first block of one word, then blocks of 18.
+        # F(0) once, then one stacked evaluation per block of the 61 covering
+        # jets of length 8: a first block of one jet, then blocks of 4.
         p = random_poly(rng_for(56), 3, 5, nterms=40)
         calls = []
 
@@ -202,13 +209,13 @@ class TestOneEvaluationPerWord:
 
         F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
         taylor_expand(F, 5)
-        assert JET_BLOCK_BYTES // (16 * 3 * 6**2) == 18
-        assert len(calls) == 1 + 1 + -(-(3**5 - 1) // 18) == 16
+        assert JET_BLOCK_BYTES // (16 * 3 * 9**2) == 4
+        assert len(calls) == 1 + 1 + -(-(61 - 1) // 4) == 17
         assert calls[0] == () and calls[1] == (1,)
-        assert sum(b for (b,) in calls[1:]) == 3**5
+        assert sum(b for (b,) in calls[1:]) == 61
 
     def test_one_variable_takes_one_jet(self):
-        # d = 1: the word x0^12 owns every shorter word, so F(0) and one jet.
+        # d = 1: the jet of x0^12 holds every shorter word, so F(0) and one jet.
         F, calls = counting_handle(random_poly(rng_for(59), 1, 12, nterms=10))
         expansion = taylor_expand(F, 12)
         assert len(calls) == 2
@@ -228,16 +235,16 @@ class TestOneEvaluationPerWord:
             _assert_coefficients(expansion, closed_form(r), _words_through(2, 5))
 
     def test_structure_violation_names_first_word(self):
-        # (x0 x1)^T puts block (1, 3) of the jet of (0, 0, 1) below the
-        # diagonal; the jet of (0, 0, 0) has a zero image.  The error names
-        # the top-length word whose jet broke.
+        # The first covering jet at d = 2, K = 3 follows the chunk 0001 of
+        # the de Bruijn sequence 0001011100; (x0 x1)^T puts its block (2, 4)
+        # below the diagonal.  The error names the covering jet's word.
         F = NCFunctionHandle(
             2, DomainDescriptor.polydisk(math.inf), lambda x: np.swapaxes(x[0] @ x[1], -1, -2)
         )
         for dim in (1, 2):
             with pytest.raises(ExtractionError) as err:
                 taylor_expand(F, 3, dim=dim)
-            assert err.value.word == (0, 0, 1)
+            assert err.value.word == (0, 0, 0, 1)
             assert "structure violated" in str(err.value)
 
     def test_non_scalar_extraction_names_word(self):
@@ -258,7 +265,7 @@ def per_word_reference(F, maxdeg, dim=1):
     delta_k call per word, each starting from the scale the last one settled on."""
     d = F.arity
     zero = MatrixTuple.zeros(d, dim)
-    units = [MatrixTuple.unit_direction(d, j, dim) for j in range(d)]
+    units = [unit_direction(d, j, dim) for j in range(d)]
     v0 = F.eval(zero)
     out = {(): scalar_part(v0)}
     eps = 1.0
@@ -301,14 +308,44 @@ class TestBlockedExtraction:
 
     @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 4)])
     def test_every_shorter_word_has_one_owner(self, d, k):
-        owners = ncfuncalc.taylor._owners(d, k)
-        top = list(itertools.product(range(d), repeat=k))
-        assert owners.shape == (d**k, k) and not owners.flags.writeable
-        assert owners[0].all()
-        for j in range(1, k + 1):
-            ts = np.flatnonzero(owners[:, j - 1]).tolist()
-            assert [top[t][:j] for t in ts] == list(itertools.product(range(d), repeat=j))
-            assert not any(any(top[t][j:]) for t in ts)
+        # Each word is read once, at its first occurrence in reading order.
+        cover = ncfuncalc.taylor._cover(d, k)
+        assert cover.words == tuple(_words_through(d, k)[1:])
+        assert all(not a.flags.writeable for a in cover[:-1])
+        assert sorted(cover.index.tolist()) == list(range(len(cover.words)))
+        reads = list(zip(cover.jet.tolist(), cover.start.tolist(), cover.stop.tolist()))
+        assert reads == sorted(reads, key=lambda r: (r[0], r[1], r[2] - r[1]))
+        chunks = cover.letters.tolist()
+        for (t, i, j), n in zip(reads, cover.index.tolist()):
+            w = cover.words[n]
+            earlier = [
+                (u, a) for u, chunk in enumerate(chunks[: t + 1])
+                for a in range(len(chunk) - len(w) + 1)
+                if tuple(chunk[a : a + len(w)]) == w and (u, a) < (t, i)
+            ]
+            assert not earlier, w
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_word_of_length_k_is_one_window(self, d, k):
+        seq = ncfuncalc.taylor._de_bruijn(d, k)
+        windows = [tuple(seq[i : i + k]) for i in range(len(seq) - k + 1)]
+        assert len(seq) == d**k + k - 1
+        assert sorted(windows) == list(itertools.product(range(d), repeat=k))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_word_is_read_where_its_letters_are(self, d, k):
+        cover = ncfuncalc.taylor._cover(d, k)
+        assert len(cover.index) == len(cover.words)
+        for t, i, j, n in zip(cover.jet, cover.start, cover.stop, cover.index):
+            assert tuple(cover.letters[t, i:j].tolist()) == cover.words[n]
+
+    def test_covering_jet_counts(self):
+        # d = 1 takes one jet of length K; d = 3, K = 5 takes 61 of length 8.
+        for k in range(1, 7):
+            assert ncfuncalc.taylor._cover(1, k).letters.tolist() == [[0] * k]
+        assert ncfuncalc.taylor._cover(3, 5).letters.shape == (61, 8)
 
     def test_blocks_of_one_word_give_the_same_bits(self, monkeypatch):
         F = from_realization(random_isometric_realization(rng_for(93), 2, 2))
@@ -354,6 +391,21 @@ class TestBlockedExtraction:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * 390 * 2**10
+
+    def test_transient_peak_of_a_cli_sized_realization_expansion(self):
+        # d = 2, m = 3 to degree 6, the size of the cli workload's expand.
+        # Jets of prefixes of the 64 top-length words peaked at 1,004 KiB;
+        # covering jets read about 570 KiB.
+        F = from_realization(random_isometric_realization(rng_for(58), 2, 3))
+        taylor_expand(F, 6)  # builds the cached covering table
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            taylor_expand(F, 6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1004 * 2**10
 
     def test_expansions_share_word_keys(self):
         rng = rng_for(96)
