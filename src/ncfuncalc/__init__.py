@@ -7,6 +7,8 @@ point 0; and verify the structural properties (gradedness, direct sums,
 intertwining, symmetry) that characterize such functions.
 """
 
+import types
+
 from .freepoly import FreePoly, Word, variables
 from .linalg import (
     MatrixTuple,
@@ -76,62 +78,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FreePoly",
-    "Word",
-    "variables",
-    "MatrixTuple",
-    "NonConvergenceError",
-    "SingularMatrixError",
-    "direct_sum",
-    "inverse",
-    "operator_norm",
-    "DeltaResult",
-    "StructureViolationError",
-    "delta_k",
-    "dk_fd",
-    "dk_multilinear",
-    "DomainDescriptor",
-    "DomainViolationError",
-    "NCFunctionHandle",
-    "NonFiniteResultError",
-    "SeriesFunction",
-    "CONTROL_NAMES",
-    "control_handle",
-    "from_poly",
-    "from_realization",
-    "from_series",
-    "NotIsometricError",
-    "PolyMatrix",
-    "Realization",
-    "ResolventSingularError",
-    "SamplerStarvationError",
-    "ScanReport",
-    "check_isometry",
-    "contractivity_scan",
-    "delta_polydisk",
-    "delta_rowball",
-    "eval_delta",
-    "eval_realization",
-    "identity_realization",
-    "in_ball",
-    "mobius_realization",
-    "ExtractionError",
-    "NonScalarResultError",
-    "TaylorExpansion",
-    "circle_norm_estimate",
-    "tail_bound",
-    "taylor_expand",
-    "NonLinearInputError",
-    "PreconditionViolationError",
-    "PropertyReport",
-    "SuiteConfig",
-    "check_delta_structure",
-    "check_direct_sum",
-    "check_intertwining",
-    "check_symmetry",
-    "check_unipotent_converse",
-    "recover_klinear",
-    "run_suite",
+# The public names are exactly the ones imported above.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

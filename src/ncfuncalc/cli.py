@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,8 +73,9 @@ class CliConfig:
     def __post_init__(self):
         if not 0 < self.fd_lambda < math.inf:
             raise ValueError("fd_lambda must be positive and finite")
-        if self.word_cap <= 0:
-            raise ValueError("word_cap must be positive")
+        if type(self.word_cap) is not int or self.word_cap <= 0:
+            raise ValueError(f"word_cap must be a positive integer, got {self.word_cap!r}")
+        SuiteConfig(seed=self.seed)  # validates the seed, which realize-scan reads too
         self.suite_config()  # validates the suite section
 
     def suite_config(self) -> SuiteConfig:
@@ -88,14 +89,18 @@ class CliConfig:
         data = load_json(path)
         if not isinstance(data, dict):
             raise ParseError(f"{path}: config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` argument, checked as the config's seed is."""
+    return SuiteConfig(seed=int(text)).seed
 
 
 def _emit_json(payload, out: str | None) -> None:
@@ -208,7 +213,7 @@ def _cmd_verify(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
     suite_cfg = cfg.suite_config()
     if args.seed is not None:
-        suite_cfg = suite_cfg.with_seed(args.seed)
+        suite_cfg = replace(suite_cfg, seed=args.seed)
     reports = run_suite(F, suite_cfg)
     _emit_json([rep.as_dict() for rep in reports], out)
     failing = [rep.name for rep in reports if not rep.passed]
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         if scan:
             p.add_argument("--n", type=int, required=True, help="matrix dimension")
             p.add_argument("--samples", type=int, required=True, help="accepted sample count")
-            p.add_argument("--seed", type=int, help="sampler seed (default: the config seed)")
+            p.add_argument("--seed", type=_seed, help="sampler seed (default: the config seed)")
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path (written atomically)")
         return p
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("realize-check", "isometry residual of a colligation")
     add("realize-scan", "sampled contractivity scan over the delta ball", scan=True)
     verify = add("verify", "run the structural property suite")
-    verify.add_argument("--seed", type=int, default=None, help="override the suite seed")
+    verify.add_argument("--seed", type=_seed, default=None, help="override the suite seed")
     return parser
 
 

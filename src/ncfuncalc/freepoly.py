@@ -6,20 +6,15 @@ pruning): only exact zeros are dropped, so the algebra itself introduces no
 tolerances.  Words iterate in graded lexicographic order everywhere, which
 keeps serialization and tests reproducible.  ``terms`` is never written after
 construction: evaluation caches a table of its prefixes built from it.
-Once some component has an all-zero diagonal, evaluation forms no product
-whose prefix product or component is exactly zero, and it keeps each word
-length's live products in one compact stack: on a Taylor jet at 0 only the
-substrings of the jet's word stay live.
 """
 
 from __future__ import annotations
 
-import math
 from numbers import Number
 
 import numpy as np
 
-from .linalg import MatrixTuple
+from .linalg import as_stack, unstack
 
 __all__ = ["Word", "grlex_key", "FreePoly", "variables"]
 
@@ -186,11 +181,11 @@ class FreePoly:
     def evaluate(self, x) -> np.ndarray:
         """Substitute the components of ``x`` for the letters.
 
-        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
-        ``(..., n, n)``, the output's shape; each sample on the leading axes gets,
-        bit for bit, the value of its own tuple.  Word length k multiplies prefix
-        products of length k-1 by components and adds its terms with one batched
-        ``coeffs @ terms`` over the products that are terms.  Where every
+        ``x`` is a point or a stack, and the output has its leading shape;
+        each sample gets, bit for bit, the value of its own tuple.  Word length
+        k multiplies prefix products of length k-1 by components and adds its
+        terms with one batched ``coeffs @ terms`` over the products that are
+        terms.  Where every
         component has a nonzero diagonal entry, word length k is one batched
         product over every prefix.  Where some component has an all-zero diagonal
         (an exactly zero component, or a nilpotent shift like each component of a
@@ -202,13 +197,13 @@ class FreePoly:
         component contributes exactly 0, even past an overflowed prefix, and on a
         Taylor jet at 0 only the substrings of its word stay live.
         """
-        comps = x.components if isinstance(x, MatrixTuple) else x
+        comps, lead = as_stack(x)
         if len(comps) != self.arity:
             raise ValueError(f"polynomial in {self.arity} letters at a {len(comps)}-tuple")
-        n, samples = comps[0].shape[-1], math.prod(comps[0].shape[:-2])
+        samples, n = comps.shape[1:3]
         used, levels = self._level_table()
         # (samples, letters, n, n), gathered C-ordered: a lone tuple gets a sample's calls.
-        stacked = np.asarray(comps)[used].reshape(len(used), samples, n, n).swapaxes(0, 1)
+        stacked = comps[used].swapaxes(0, 1)
         out = np.zeros((samples, n * n), dtype=np.complex128)
         out[:, :: n + 1] = self.terms.get((), 0)  # the empty word, on the diagonal
         if stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all():
@@ -218,7 +213,7 @@ class FreePoly:
                     prods = above.take(parents, axis=1) @ prods
                 out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
                 above = prods
-            return out.reshape(comps[0].shape)
+            return unstack(out.reshape(samples, n, n), lead)
         # Tracked: word length k keeps its live products in one compact stack
         # whose last row is a zero sentinel; pos[sample, prefix] is a product's
         # row, -1 (the sentinel) where it is dead, and keep marks the nonzero rows.
@@ -243,7 +238,7 @@ class FreePoly:
             pos[rows, cols] = np.arange(rows.size)
             out += coeffs @ above.reshape(-1, n * n).take(pos.take(hits, axis=1), axis=0)
             keep = above.any(axis=(-2, -1))
-        return out.reshape(comps[0].shape)
+        return unstack(out.reshape(samples, n, n), lead)
 
     __call__ = evaluate
 

@@ -1,21 +1,22 @@
 """Dense complex matrix arithmetic and the block assembly primitives.
 
-Matrices are plain numpy arrays of dtype complex128.  A point of the
-d-variable calculus is a :class:`MatrixTuple`, a d-tuple of equal-size
-square matrices; directions live in the same type.  All operations here
-are pure and all returned tuples are immutable, so values can be shared
-freely between threads.
+Matrices are numpy arrays of dtype complex128.  Inside the library a point
+of the d-variable calculus, or a direction, is a stack: an array of shape
+(d, B, n, n) holding B d-tuples of n-by-n matrices, letter first and sample
+second.  An immutable :class:`MatrixTuple` is the lone form.  Each public
+entry converts its points with :func:`as_stack` and shapes its results with
+:func:`unstack`, so a lone point gets a lone result.
 
 The two numerical primitives run on numpy's LAPACK: :func:`operator_norm`
 is the largest singular value from ``np.linalg.svd(a, compute_uv=False)``
 (``gesdd``, singular values only), of one matrix or of each matrix in a
-stack, and :func:`inverse`
-is an LU solve (``gesv``) that rejects a matrix whose reciprocal condition
-in the infinity norm is at most ``PIVOT_RTOL``.
-"""
+stack, and :func:`inverse` is an LU solve (``gesv``) that rejects a matrix
+whose reciprocal condition in the infinity norm is at most ``PIVOT_RTOL``."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from numbers import Number
 
 import numpy as np
@@ -28,6 +29,9 @@ __all__ = [
     "operator_norm",
     "scalar_part",
     "MatrixTuple",
+    "as_stack",
+    "as_stacks",
+    "unstack",
     "direct_sum",
 ]
 
@@ -196,21 +200,53 @@ class MatrixTuple:
         return f"MatrixTuple(arity={self.arity}, dim={self.dim})"
 
 
-def direct_sum(tuples) -> MatrixTuple:
-    """Componentwise block-diagonal sum of matrix tuples (dims may differ)."""
-    tuples = list(tuples)
-    if not tuples:
-        raise ValueError("direct_sum of an empty list")
-    d = tuples[0].arity
-    if any(t.arity != d for t in tuples):
-        raise ValueError("direct_sum of tuples with mixed arity")
-    total = sum(t.dim for t in tuples)
-    comps = []
-    for r in range(d):
-        big = np.zeros((total, total), dtype=np.complex128)
-        off = 0
-        for t in tuples:
-            big[off : off + t.dim, off : off + t.dim] = t[r]
-            off += t.dim
-        comps.append(big)
-    return MatrixTuple(comps)
+def as_stack(x) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The stack (d, B, n, n) holding ``x`` and the leading shape of ``x``:
+    () for a :class:`MatrixTuple`, and ``...`` for d component arrays of one
+    shape ``(..., n, n)``, B being its product."""
+    comps = np.asarray(x.components if isinstance(x, MatrixTuple) else x, dtype=np.complex128)
+    if comps.ndim == 4:
+        return comps, comps.shape[1:2]
+    lead = comps.shape[1:-2]
+    return comps.reshape(len(comps), math.prod(lead), *comps.shape[-2:]), lead
+
+
+def as_stacks(points) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The stacks of points that go together sample by sample, each point
+    converted once, and the leading shape of the stacks among them (() if
+    all are lone); a stack of one sample joins every sample."""
+    stacks, converted = [], {}
+    for x in points:
+        pair = converted.get(id(x))
+        if pair is None:
+            pair = converted[id(x)] = as_stack(x)
+        stacks.append(pair[0])
+    leads = {lead for _, lead in converted.values()} - {()}
+    lead = max(leads, key=math.prod, default=())
+    if {s.shape[1] for s, _ in converted.values()} - {1, math.prod(lead)}:
+        raise ValueError("point stacks must share one shape of B samples, or hold one")
+    return stacks, lead
+
+
+def unstack(values: np.ndarray, lead: tuple[int, ...]):
+    """Per-sample results of a stack, ``values`` of shape (B, ...), shaped
+    as :func:`as_stack` found the points: leading shape ``lead``, and a lone
+    point's number as a Python scalar."""
+    if len(lead) == 1:
+        return values  # already one result per sample
+    out = values.reshape((*lead, *values.shape[1:]))
+    return out.item() if out.ndim == 0 else out
+
+
+def direct_sum(points):
+    """Componentwise block-diagonal sum of points (dims may differ), sample
+    by sample for stacks; lone points alone give a :class:`MatrixTuple`."""
+    stacks, lead = as_stacks(points)
+    if not stacks or any(len(s) != len(stacks[0]) for s in stacks):
+        raise ValueError("direct_sum needs points of one arity")
+    d, batch = len(stacks[0]), math.prod(lead)
+    offsets = [0, *itertools.accumulate(s.shape[-1] for s in stacks)]
+    out = np.zeros((d, batch, offsets[-1], offsets[-1]), dtype=np.complex128)
+    for s, lo, hi in zip(stacks, offsets, offsets[1:]):
+        out[:, :, lo:hi, lo:hi] = s
+    return out.reshape(d, *lead, *out.shape[-2:]) if lead else MatrixTuple(out[:, 0])

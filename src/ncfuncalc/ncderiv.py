@@ -8,30 +8,26 @@ image whose diagonal blocks are the F(x_i); the distance from that shape is
 reported as a structure residual and a large residual means the evaluator
 does not preserve intertwining.
 
-The directions are scaled by eps = epsilon / 2^j, where epsilon is the
-starting scale (1 by default) and j the smallest count for which the jet
-itself lies in F's domain; the jet is then evaluated without a second
-membership test.  delta(jet) is block upper triangular with diagonal blocks
-delta(x_i), and compressing it to one diagonal block cannot raise its norm,
-so a jet inside a polydisk, a row ball, a delta ball or a norm cap has every
-base point inside too.  A base point outside the domain, or one so close to
-its boundary that eps would fall below MIN_EPSILON, raises
-DomainViolationError before any evaluation.  The extracted blocks are
-rescaled by eps^{-level}, which is right because the (i, i+j) block is
-j-homogeneous in the directions; with a power-of-two epsilon, as the default
-is, both the scaling and the rescale are exact in floating point.
+The directions are scaled by eps = epsilon / 2^j, j the smallest count for
+which the jet itself lies in F's domain; the jet is then evaluated without a
+second membership test.  delta(jet) is block upper triangular with diagonal
+blocks delta(x_i), and compressing it to one diagonal block cannot raise its
+norm, so a jet inside a polydisk, a row ball, a delta ball or a norm cap has
+every base point inside too.  Block (i, i+j) is j-homogeneous in the
+directions and is rescaled by eps^-j, exactly for a power-of-two epsilon.
 
-Jets come in stacks.  Directions given as component arrays of shape
-(d, B, n, n) make B jets at the same base points, one per sample: one
-stacked membership test per halving, each sample halved on its own, one
-evaluation of F on the whole stack, and a structure residual per sample.  So
-a caller with many jets, such as the Taylor extraction or the polarization
-of :func:`dk_multilinear`, pays one evaluation per block of jets, not one per
-jet; a lone call with MatrixTuple directions is the case B = 1.
+Jets come in stacks.  Base points and directions are stacks of shape
+(d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being the lone form:
+B jets, jet i at sample i of each stack, and a lone point joins every jet.
+A stack costs one stacked membership test per halving, each sample halved
+on its own, and one evaluation of F, so the Taylor extraction, the
+polarization of :func:`dk_multilinear` and the suite's checks pay one
+evaluation per block of jets, even for jets at different base points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import MatrixTuple
+from .linalg import MatrixTuple, as_stack, as_stacks, unstack
 from .ncfun import DomainViolationError, NCFunctionHandle
 
 __all__ = [
@@ -48,6 +44,7 @@ __all__ = [
     "delta_k",
     "dk_fd",
     "dk_multilinear",
+    "polarization",
 ]
 
 MIN_EPSILON = 1e-6
@@ -69,13 +66,13 @@ class StructureViolationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Difference-differential output.
+    """Difference-differential output, with a leading axis over the jets of
+    a stack.
 
     ``delta`` is the (1, k+1) block, ``full_upper`` the whole jet image with
     every superdiagonal level rescaled back to unit directions, and
     ``structure_residual`` the absolute Frobenius size of the parts that
     should vanish (below-diagonal blocks and diagonal deviation from F(x_i)).
-    For stacked directions each field has a leading axis over the B samples.
     """
 
     delta: np.ndarray
@@ -99,48 +96,44 @@ def delta_k(
 ) -> DeltaResult:
     """Order-k difference-differential of F via one jet evaluation.
 
-    ``xs`` are k+1 base points and ``hs`` k directions, all at one
-    dimension n: MatrixTuples, or for the directions component stacks of
-    shape (d, B, n, n), which make B jets in one call (module docstring)
-    and give every field of the result a leading sample axis.  Raises
-    :class:`StructureViolationError` when a jet image strays from block
-    upper triangular form by more than ``STRUCTURE_TOL`` relative to its
-    size, which flags an evaluator that is not intertwining preserving.
-
-    ``base_values`` optionally gives the k+1 values F(x_i) the diagonal
-    blocks are checked against; a caller that extracts many jets at the same
-    base points passes them once instead of having F re-evaluated per call.
-    ``epsilon`` is the starting scale of every jet, finite and positive
-    (else ``ValueError``), each halved until it lies in the domain (module
-    docstring); an outside base point raises
-    :class:`DomainViolationError` before any evaluation.
+    ``xs`` are k+1 base points and ``hs`` k directions at one dimension n,
+    the directions all lone or all stacks of one shape (module docstring);
+    every field of the result has the stacks' leading shape.  A jet image
+    that strays from block upper triangular form by more than
+    ``STRUCTURE_TOL`` relative to its size raises
+    :class:`StructureViolationError`.  ``base_values`` are the k+1 values
+    F(x_i) the diagonal blocks are checked against, each (n, n) shared by
+    every jet or (B, n, n) one per jet; without them the distinct base points
+    are evaluated in one call.  ``epsilon``, the starting scale, must be
+    finite and positive (else ``ValueError``); a base point outside the
+    domain, or so near its boundary that eps would fall below
+    ``MIN_EPSILON``, raises :class:`DomainViolationError` before any
+    evaluation.
     """
     xs = list(xs)
-    hs = hs if isinstance(hs, np.ndarray) else list(hs)
-    k = len(hs)
+    points, lead = as_stacks(xs)
+    # All k directions are points, (k, d, n, n), or stacks of one shape.
+    dirs = np.asarray(hs, dtype=np.complex128)
+    k, k1 = len(dirs), len(points)
     if k < 1:
         raise ValueError("need at least one direction")
-    if len(xs) != k + 1:
-        raise ValueError(f"need {k + 1} base points for order {k}, got {len(xs)}")
-    d, n = xs[0].arity, xs[0].dim
-    lone = isinstance(hs[0], MatrixTuple)
-    if lone:
-        dirs = np.array([h.components for h in hs])[:, :, None]
-    else:
-        dirs = np.asarray(hs, dtype=np.complex128)
-    if any(x.arity != d or x.dim != n for x in xs) or (
-        dirs.ndim != 5 or dirs.shape[1] != d or dirs.shape[3:] != (n, n)
-    ):
+    if k1 != k + 1:
+        raise ValueError(f"need {k + 1} base points for order {k}, got {k1}")
+    lead = max({lead, dirs.shape[2:-2]} - {()}, key=math.prod, default=())
+    batch = math.prod(lead)
+    dirs = dirs.reshape(k, len(dirs[0]), -1, *dirs.shape[-2:])
+    shapes = {(len(x), *x.shape[2:]) for x in points} | {(len(dirs[0]), *dirs.shape[3:])}
+    if len(shapes) > 1 or dirs.shape[2] not in (1, batch):
         raise ValueError("all points and directions must share arity and dimension")
+    d, n = len(points[0]), points[0].shape[-1]
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"the starting scale must be finite and positive, got {epsilon}")
-    k1, batch = k + 1, dirs.shape[2]
     levels = np.arange(k1)
-
     # jet[r, s, i, :, j, :] is block (i, j) of component r of sample s.
     jet = np.zeros((d, batch, k1, n, k1, n), dtype=np.complex128)
-    jet[:, :, levels, :, levels, :] = np.array([x.components for x in xs])[:, :, None]
     stack = jet.reshape(d, batch, k1 * n, k1 * n)
+    for i, x in enumerate(points):
+        jet[:, :, i, :, i, :] = x
     eps = np.full(batch, float(epsilon))
     jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
     inside = F.domain.contains(stack)
@@ -152,25 +145,27 @@ def delta_k(
             )
         jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
         inside[~inside] = F.domain.contains(stack[:, ~inside])
+    del dirs  # the evaluation holds only the jet
     img = F.eval(stack, unchecked=True)
 
     if base_values is None:
         # Evaluate each distinct point once; repeated extraction passes the
         # same object.
-        distinct: dict[int, np.ndarray] = {}
-        for x in xs:
-            if id(x) not in distinct:
-                distinct[id(x)] = F.eval(x, unchecked=True)
-        base_values = [distinct[id(x)] for x in xs]
-    values = np.asarray(base_values, dtype=np.complex128)
-    if values.shape != (k1, n, n):
-        raise ValueError(f"need {k1} base values of shape {n}x{n}, got shape {values.shape}")
+        distinct = {id(x): s for x, s in zip(xs, points)}
+        ends = dict(zip(distinct, itertools.accumulate(s.shape[1] for s in distinct.values())))
+        flat = F.eval(np.concatenate(list(distinct.values()), axis=1), unchecked=True)
+        base_values = [flat[ends[id(x)] - s.shape[1] : ends[id(x)]] for x, s in zip(xs, points)]
+    if len(base_values) != k1:
+        raise ValueError(f"need {k1} base values, got {len(base_values)}")
+    values = np.empty((k1, batch, n, n), dtype=np.complex128)
+    for i, v in enumerate(base_values):
+        values[i] = v  # (n, n) shared by every jet, or (B, n, n) one per jet
 
     # blocks[s, i, :, j, :] is the (i, j) block of sample s's jet image.
     blocks = img.reshape(batch, k1, n, k1, n)
     below_i, below_j = _below(k1)
     resid = np.maximum(
-        np.linalg.norm(blocks[:, levels, :, levels, :] - values[:, None], axis=(-2, -1)).max(0),
+        np.linalg.norm(blocks[:, levels, :, levels, :] - values, axis=(-2, -1)).max(0),
         np.linalg.norm(blocks[:, below_i, :, below_j, :], axis=(-2, -1)).max(0),
     )
     scale = np.maximum(1.0, np.linalg.norm(img.reshape(batch, -1), axis=1))
@@ -187,9 +182,7 @@ def delta_k(
     factor = (eps[:, None] ** -levels)[:, np.maximum(levels[None, :] - levels[:, None], 0)]
     full = (blocks * factor[:, :, None, :, None]).reshape(batch, k1 * n, k1 * n)
     delta = full[:, :n, k * n :].copy()
-    if lone:
-        return DeltaResult(delta[0], full[0], float(resid[0]), float(eps[0]))
-    return DeltaResult(delta=delta, full_upper=full, structure_residual=resid, epsilon=eps)
+    return DeltaResult(*(unstack(a, lead) for a in (delta, full, resid, eps)))
 
 
 def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: float) -> np.ndarray:
@@ -219,33 +212,19 @@ def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: floa
     return ((-1) ** k / lam**k) * acc
 
 
-def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
-    """Symmetric k-linear derivative D^k F(x)[h_1, ..., h_k] by polarization.
+def polarization(hs):
+    """The jets of the polarization identity for k direction stacks of T,
 
-    Uses the signed subset-sum identity over 2^k - 1 diagonal derivatives
-    k! delta_k(F, [x] * (k + 1), [h] * k), legitimate because the derivative
-    is k-linear and symmetric.  F(x) is evaluated once, with the domain
-    check, and the 2^k - 1 jets are one stacked :func:`delta_k` call.
-    ``hs`` are k MatrixTuples, giving one (n, n) value, or k component
-    stacks of one shape (d, T, n, n), giving T values (T, n, n) from the
-    same single evaluation of F(x) and one stacked call of (2^k - 1) T jets.
-    Capped at k = 6 to keep the jet count sane.
+        D^k F(x)[h_1, ..., h_k] = sum_S (-1)^(k - |S|) delta_k(F, [x] * (k + 1), [h_S] * k)
+
+    over the nonempty subsets S, h_S the sum of the directions in S: the h_S
+    as one stack (d, (2^k - 1) T, n, n), subset by subset in bitmask order,
+    and the function that sums the corners of their jets to the T values.
     """
-    hs = list(hs)
-    k = len(hs)
-    if not 1 <= k <= 6:
-        raise ValueError("polarization supports orders 1 through 6")
-    lone = isinstance(hs[0], MatrixTuple)
-    if lone:
-        for h in hs:
-            x.check_compatible(h)
-        comps = [np.array(h.components)[:, None] for h in hs]
-    else:
-        comps = [np.asarray(h, dtype=np.complex128) for h in hs]
-        shape = (x.arity, *comps[0].shape[1:2], x.dim, x.dim)
-        if any(c.shape != shape for c in comps):
-            raise ValueError("direction stacks must share one shape (d, T, n, n) with the point")
-    values = [F.eval(x)] * (k + 1)
+    comps = [as_stack(h)[0] for h in hs]
+    k = len(comps)
+    if any(c.shape != comps[0].shape for c in comps):
+        raise ValueError("direction stacks must share one shape (d, T, n, n)")
     sums, signs = [], []
     for mask in range(1, 2**k):
         members = [i for i in range(k) if mask >> i & 1]
@@ -254,10 +233,44 @@ def dk_multilinear(F: NCFunctionHandle, x: MatrixTuple, hs) -> np.ndarray:
             hsum = hsum + comps[i]
         sums.append(hsum)
         signs.append((-1) ** (k - len(members)))
-    dirs = np.concatenate(sums, axis=1)  # (d, (2^k - 1) T, n, n), subset by subset
-    deltas = delta_k(F, [x] * (k + 1), [dirs] * k, base_values=values).delta
-    total = np.zeros((comps[0].shape[1], x.dim, x.dim), dtype=np.complex128)
-    for sign, delta in zip(signs, deltas.reshape(len(sums), *total.shape)):
-        total = total + sign * (math.factorial(k) * delta)
-    total = total / math.factorial(k)
-    return total[0] if lone else total
+
+    def polarize(deltas: np.ndarray) -> np.ndarray:
+        total = np.zeros(comps[0].shape[1:], dtype=np.complex128)
+        for sign, delta in zip(signs, deltas.reshape(len(signs), *total.shape)):
+            total = total + sign * (math.factorial(k) * delta)
+        return total / math.factorial(k)
+
+    return np.concatenate(sums, axis=1), polarize
+
+
+def dk_multilinear(F: NCFunctionHandle, x, hs, *, base_values=None) -> np.ndarray:
+    """Symmetric k-linear derivative D^k F(x)[h_1, ..., h_k] by polarization.
+
+    Uses the signed subset-sum identity of :func:`polarization` over 2^k - 1
+    diagonal derivatives, legitimate because the derivative is k-linear and
+    symmetric.  ``x`` and the directions are points or stacks of T, giving T
+    values from one stacked :func:`delta_k` call, or one for lone points.
+    ``base_values`` are the k+1 values F(x), as :func:`delta_k` takes them;
+    without them F(x) is evaluated once, with the domain check.  Capped at
+    k = 6 to keep the jet count sane.
+    """
+    hs = list(hs)
+    k = len(hs)
+    if not 1 <= k <= 6:
+        raise ValueError("polarization supports orders 1 through 6")
+    (base, *dirs), lead = as_stacks([x, *hs])
+    d, trials, n = len(base), math.prod(lead), base.shape[-1]
+    if any(h.shape != (d, trials, n, n) for h in dirs):
+        raise ValueError("direction stacks must share one shape (d, T, n, n) with the point")
+    if base_values is None:
+        base_values = [F.eval(x)] * (k + 1)
+    sums, polarize = polarization(dirs)
+    tiles = 2**k - 1
+
+    def per_jet(a: np.ndarray, axis: int) -> np.ndarray:
+        """A stack of the trials repeated for each subset; a lone one as it is."""
+        return np.concatenate([a] * tiles, axis) if a.shape[axis] > 1 else a
+
+    values = [per_jet(np.reshape(v, (-1, n, n)), 0) for v in base_values]
+    deltas = delta_k(F, [per_jet(base, 1)] * (k + 1), [sums] * k, base_values=values).delta
+    return unstack(polarize(deltas), lead)

@@ -1,18 +1,16 @@
 """Graded black-box functions over matrix tuples.
 
 An :class:`NCFunctionHandle` evaluates a d-tuple of n-by-n matrices to an
-n-by-n matrix at every dimension n, and a stack of such tuples, d component
-arrays of one shape ``(..., n, n)``, to the stack of their values.  Built-in
+n-by-n matrix at every dimension n, and a stack of shape (d, B, n, n) to the
+stack of its B values; a :class:`~ncfuncalc.linalg.MatrixTuple` is the lone
+form.  Evaluating a stack is evaluating at the direct sum of its points, so
+a caller with many points at one dimension pays one evaluation.  Built-in
 backings: a free polynomial, a truncated homogeneous series, or a
-transfer-function realization; each evaluates a whole stack in one call, so
-:func:`~ncfuncalc.ncderiv.delta_k` and :func:`~ncfuncalc.taylor.taylor_expand`
-pay one evaluation per block of jets, not one per jet.  An opaque evaluator
-must accept both forms.  Domain membership is checked on evaluation.  The
-explicit ``unchecked`` path is used only on jets whose membership
-:func:`~ncfuncalc.ncderiv.delta_k` has tested, and on their base points,
-which lie inside whenever a jet does.  The negative control handles
-(deliberately broken evaluators) live here too, so the file formats can name
-them without depending on the verification suite.
+transfer-function realization; an opaque evaluator must take both forms.
+Domain membership is checked on evaluation, except on jets whose membership
+:func:`~ncfuncalc.ncderiv.delta_k` has tested and on their base points.
+The negative control handles (deliberately broken evaluators) live here
+too, so the file formats can name them without depending on the suite.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .freepoly import FreePoly
-from .linalg import MatrixTuple
+from .linalg import as_stack
 from .realization import DomainDescriptor, Realization
 
 __all__ = [
@@ -101,27 +99,21 @@ class NCFunctionHandle:
         self._evaluator = evaluator
 
     def eval(self, x, *, unchecked: bool = False) -> np.ndarray:
-        """Evaluate at ``x``; raises DomainViolationError outside the domain.
-
-        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
-        ``(..., n, n)``, which is handed to the evaluator as it is; the
-        output must have that shape.  On a stack every sample must lie in
-        the domain.  ``unchecked=True`` skips the membership test; it is used
-        only on jets whose membership ``delta_k`` has tested, and on their
-        base points.  Gradedness of the output is always enforced, and a
-        non-finite output raises :class:`NonFiniteResultError`.
+        """Evaluate at ``x``, a point or a stack handed to the evaluator as it
+        is, with every sample in the domain unless ``unchecked``
+        (DomainViolationError).  The output must have the leading shape of
+        ``x`` and be finite (NonFiniteResultError).
         """
-        comps = x.components if isinstance(x, MatrixTuple) else x
+        comps, lead = as_stack(x)
         if len(comps) != self.arity:
             raise ValueError(f"handle has arity {self.arity}, point has arity {len(comps)}")
-        shape = np.shape(comps[0])
-        n = shape[-1]
-        if not unchecked and not np.all(self.domain.contains(x)):
+        n = comps.shape[-1]
+        if not unchecked and not np.all(self.domain.contains(comps)):
             raise DomainViolationError(
                 f"point at dimension {n} lies outside the {self.domain.kind} domain"
             )
         out = np.asarray(self._evaluator(x), dtype=np.complex128)
-        if out.shape != shape:
+        if out.shape != (*lead, n, n):
             raise ValueError(
                 f"evaluator broke grading: input dimension {n}, output shape {out.shape}"
             )
@@ -198,7 +190,7 @@ def _fixed_corner(x) -> np.ndarray:
 _CONTROLS = {
     "entrywise-conjugation": lambda x: np.conj(x[0]),
     "fixed-corner": _fixed_corner,
-    "non-graded": lambda x: np.eye(2, dtype=np.complex128),
+    "non-graded": lambda x: np.broadcast_to(np.eye(2), (*np.shape(x[0])[:-2], 2, 2)),
 }
 
 CONTROL_NAMES = tuple(sorted(_CONTROLS))

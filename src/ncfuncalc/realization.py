@@ -14,46 +14,34 @@ index i in [I] or [J] in the middle, and the matrix coordinate t in [n]
 fastest.  Concretely, delta(x) amplifies to kron(I_m, delta(x)) and B, C, D
 amplify to kron(., I_n).
 
-The resolvent certificate.  With ``q = ||D|| ||delta(x)||`` (``||D||`` cached
-once per :class:`Realization`) the amplified product K = (D (x) 1)(1 (x) delta(x))
-has ``||K|| <= q``, so when q < 1 a Neumann series makes ``1 - K`` invertible
-with ``kappa_2 <= (1 + q) / (1 - q)``.  Since ``kappa_inf <= N kappa_2`` at
-resolvent dimension N = m J n, the reciprocal-condition test of
-:func:`~ncfuncalc.linalg.inverse` (``rcond_inf > PIVOT_RTOL``) provably passes
-whenever ``1 - q > 2 N PIVOT_RTOL (1 + q)``; the factor 2 absorbs roundoff in
-q.  There the resolvent is applied to the n columns of C (x) 1 by an LU
-solve instead of being inverted, and :class:`ResolventSingularError` is
-raised only if LAPACK reports exact singularity or the solution is not
-finite.  Elsewhere the full inverse and its condition test run, so
-the error keeps one rule: it fires where the condition test fails.  The
-certificate is read per point: on a stack of points, every certified one is
-solved in one batched LAPACK call and the others are inverted one at a time.
-An isometric colligation has ``||D|| <= 1``, so every scan sample
-(``q <= 0.95``) takes the solve.
+The resolvent certificate.  With ``q = ||D|| ||delta(x)||`` the amplified
+product K = (D (x) 1)(1 (x) delta(x)) has ``||K|| <= q``, so when q < 1
+``1 - K`` is invertible with ``kappa_2 <= (1 + q) / (1 - q)``, and since
+``kappa_inf <= N kappa_2`` at resolvent dimension N = m J n the condition
+test of :func:`~ncfuncalc.linalg.inverse` provably passes whenever
+``1 - q > 2 N PIVOT_RTOL (1 + q)`` (the 2 absorbs roundoff in q).  Such a
+point is solved by LU, and :class:`ResolventSingularError` is raised only if
+LAPACK reports exact singularity or the solution is not finite; any other
+point is inverted with the condition test, so the error fires where that
+test fails.  An isometric colligation has ``||D|| <= 1``, so every scan
+sample (``q <= 0.95``) takes the solve.
 
-A contractivity scan rescales one complex Gaussian direction per sample to
-the norm ``(1 - SCAN_MARGIN) U^(p/(2 d n^2))``, U uniform on [0, 1), with p
-the degree of every entry of a homogeneous delta (:meth:`PolyMatrix.degree`):
-the radial law of the uniform distribution on a ball of real dimension
-2 d n^2.  A delta that is not homogeneous reads p = 1 in that law, and a
-sample's scale t solves ``||delta(t u)|| = size`` by bisection wherever 0
-lies below the size (:meth:`DomainDescriptor._bisect`).  No draw is
-rejected, so a scan's ``draws`` equals its ``samples``.  A sample outside the
-ball is halved toward 0 until it enters; SamplerStarvationError means it
-never did, which only a ball that does not contain 0 can cause.  Sample i is
-drawn from its own stream ``(seed, i)``, and the samples are processed in
-blocks stacked along a leading axis, as many per block as keep the block's
-resolvents within ``SCAN_BLOCK_BYTES`` (at least one).  Per block, one
-stacked ``delta(u)`` and its norms give the scale t.  On a homogeneous delta of degree p that is also
-the measurement: ``t^p ||delta(u)||`` and ``t^p delta(u)`` serve the
-membership comparison, the certificate's q and the transfer formula, and a
-halving multiplies both by ``0.5^p``.  A delta that is not homogeneous
-measures the scaled samples once more, and again only the samples a halving
-moved.  The transfer step is one BLAS product per sample, written straight
-into the block's stacked resolvents, and one batched LU solve per block.  Each sample's value and norm are the ones
-:func:`eval_realization` and :func:`~ncfuncalc.linalg.operator_norm` give it
-alone, up to roundoff in ``delta(x)`` for p > 1, so the report does not
-depend on the block size.
+Stacks.  A point is a stack of shape (d, B, n, n), a
+:class:`~ncfuncalc.linalg.MatrixTuple` its lone form.  One rule sizes the
+blocks of every stack that reaches the transfer step, from
+:meth:`Realization.evaluate` and from a scan alike: as many samples as keep
+the block's resolvents within ``SCAN_BLOCK_BYTES`` (at least one), so one
+constant bounds every resolvent stack.  Each sample gets the value it gets
+alone (on a scan, up to roundoff in ``delta(x)`` for p > 1).
+
+A contractivity scan rescales one complex Gaussian direction per sample,
+drawn from its own stream ``(seed, i)``, to the norm
+``(1 - SCAN_MARGIN) U^(p/(2 d n^2))``, U uniform on [0, 1), with p the
+degree of every entry of a homogeneous delta (:meth:`PolyMatrix.degree`,
+read as 1 otherwise): the radial law of the uniform distribution on a ball
+of real dimension 2 d n^2.  No draw is rejected, so a scan's ``draws``
+equals its ``samples``; :meth:`DomainDescriptor._rescale` says how a sample
+is scaled, measured once and halved into the ball.
 """
 
 from __future__ import annotations
@@ -70,8 +58,10 @@ from .linalg import (
     MatrixTuple,
     SingularMatrixError,
     as_matrix,
+    as_stack,
     inverse,
     operator_norm,
+    unstack,
 )
 
 __all__ = [
@@ -178,21 +168,20 @@ def delta_rowball(d: int) -> PolyMatrix:
 
 
 def eval_delta(delta: PolyMatrix, x) -> np.ndarray:
-    """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x); on d
-    component arrays of one shape ``(..., n, n)`` in place of a
-    :class:`MatrixTuple`, the stack of them, of shape ``(..., I*n, J*n)``."""
-    comps = x.components if isinstance(x, MatrixTuple) else x
+    """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x), at a
+    point in any form :func:`~ncfuncalc.linalg.as_stack` takes, with its
+    leading shape."""
+    comps, lead = as_stack(x)
     if len(comps) != delta.arity:
         raise ValueError(f"delta has arity {delta.arity}, point has arity {len(comps)}")
-    shape = comps[0].shape
-    n = shape[-1]
-    out = np.zeros(shape[:-2] + (delta.rows * n, delta.cols * n), dtype=np.complex128)
+    n = comps.shape[-1]
+    out = np.zeros((comps.shape[1], delta.rows * n, delta.cols * n), dtype=np.complex128)
     for i in range(delta.rows):
         for j in range(delta.cols):
             p = delta.entries[i][j]
             if not p.is_zero:
-                out[..., i * n : (i + 1) * n, j * n : (j + 1) * n] = p.evaluate(comps)
-    return out
+                out[:, i * n : (i + 1) * n, j * n : (j + 1) * n] = p.evaluate(comps)
+    return unstack(out, lead)
 
 
 @dataclass(frozen=True)
@@ -243,30 +232,27 @@ class DomainDescriptor:
 
     @property
     def balanced(self) -> bool | None:
-        """Closed under scaling by the unit disk: True for norm balls, None (unknown) else."""
-        return None if self.kind == "deltaball" else True
+        """Closed under scaling by the unit disk: True for norm balls and for a
+        delta ball whose delta is homogeneous of some degree p, since
+        ``||delta(t x)|| = |t|^p ||delta(x)||``; None (unknown) else."""
+        return None if self.kind == "deltaball" and self.delta.degree() is None else True
 
     def contains(self, x):
         """Strict membership: the gauge of ``x`` lies below the bound by 1e-9.
 
-        ``x`` is a :class:`MatrixTuple`, answered by a bool, or d component
-        arrays of one shape ``(..., n, n)``, answered by a boolean array of
-        shape ``...``: each sample by the comparison its own tuple gets.
+        ``x`` is a point in any form :func:`~ncfuncalc.linalg.as_stack`
+        takes, answered by a bool for a lone point and else by a boolean
+        array of its leading shape: each sample by the comparison its own
+        tuple gets.
         """
-        comps, lead = _stack(x)
-        inside = self._inside(self._gauges(comps)[0])
-        return bool(inside[0]) if isinstance(x, MatrixTuple) else inside.reshape(lead)
+        comps, lead = as_stack(x)
+        return unstack(self._inside(self._gauges(comps)[0]), lead)
 
     def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
-        """The multiple of ``u`` whose norm is ``size``, halved until it is inside.
-
-        Raises :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
-        halvings, which only a domain that does not contain 0 can reach.
-        """
-        return MatrixTuple(self._rescale(_stack(u)[0], np.array([size]))[0][:, 0])
-
-    # A stack holds its samples' components in an array of shape (d, B, n, n):
-    # letter first, sample second.  The public methods above are the B = 1 case.
+        """The multiple of ``u`` whose norm is ``size``, halved until it is
+        inside; :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
+        halvings, which only a domain that does not contain 0 can reach."""
+        return MatrixTuple(self._rescale(as_stack(u)[0], np.array([size]))[0][:, 0])
 
     def _norms(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The norms of a stack: the largest component norm on a polydisk, the row
@@ -303,14 +289,12 @@ class DomainDescriptor:
         toward 0 until it is inside; returns the stack, its gauges and, on an
         uncapped delta ball, its ``delta(x)`` stack.
 
-        The domain's norm ``||u||`` is p-homogeneous, with p = 1 on a
-        polydisk or row ball and p = :meth:`PolyMatrix.degree` on a delta
-        ball, and the factor is ``t = (size / ||u||)^(1/p)``.  Without a norm
-        cap such a sample is measured once, on ``u``: its gauge is
-        ``t^p ||u||`` and its ``delta(x)`` is ``t^p delta(u)``, and a halving
-        multiplies both by ``0.5^p``.  A delta that is not homogeneous takes
-        t from :meth:`_bisect`; it and a capped domain measure ``x``, and a
-        halving then measures again only the samples it halved."""
+        On a norm that is p-homogeneous (p = 1, or :meth:`PolyMatrix.degree`
+        on a delta ball) the factor is ``t = (size / ||u||)^(1/p)``, and
+        without a norm cap the sample is measured once, on ``u``: gauge
+        ``t^p ||u||`` and ``delta(x) = t^p delta(u)``, both times ``0.5^p``
+        per halving.  Otherwise t comes from :meth:`_bisect`, ``x`` is
+        measured, and a halving measures again only the samples it moved."""
         norms, values = self._norms(u)
         ratios = np.divide(sizes, norms, out=np.ones_like(norms), where=norms != 0.0)
         p = self.delta.degree() if self.kind == "deltaball" else 1
@@ -367,14 +351,6 @@ class DomainDescriptor:
         return np.where(bracketed, lo, guess)
 
 
-def _stack(x) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The stack of shape (d, B, n, n) holding ``x``, a :class:`MatrixTuple`
-    (B = 1) or d component arrays of one shape ``(..., n, n)``, with the
-    leading shape ``...`` of the latter."""
-    comps = np.asarray(x.components if isinstance(x, MatrixTuple) else x, dtype=np.complex128)
-    return comps.reshape(len(comps), -1, *comps.shape[-2:]), comps.shape[1:-2]
-
-
 def in_ball(delta: PolyMatrix, x: MatrixTuple, margin: float = 0.0) -> bool:
     """Whether ``x`` lies in ``DomainDescriptor.deltaball(delta, margin)``."""
     return DomainDescriptor.deltaball(delta, margin).contains(x)
@@ -420,19 +396,23 @@ class Realization:
         return self.delta.arity
 
     def evaluate(self, x) -> np.ndarray:
-        """The transfer function at ``x``; see :func:`eval_realization`.
-
-        ``x`` is a :class:`MatrixTuple` or d component arrays of one shape
-        ``(..., n, n)``, the output's shape; each sample on the leading axes
-        gets, bit for bit, the value of its own tuple, from one transfer step
-        on the whole stack.
-        """
-        comps = x.components if isinstance(x, MatrixTuple) else x
+        """The transfer function at ``x``, a point or a stack, with its
+        leading shape: in blocks of :meth:`_block` samples, each sample bit
+        for bit the value of its own tuple (module docstring)."""
+        comps, lead = as_stack(x)
         if len(comps) != self.arity:
             raise ValueError(f"realization has arity {self.arity}, point has arity {len(comps)}")
-        delta_x = eval_delta(self.delta, comps)
-        flat = delta_x.reshape(-1, *delta_x.shape[-2:])
-        return _transfer(self, flat, operator_norm(flat)).reshape(np.shape(comps[0]))
+        samples, n = comps.shape[1:3]
+        block = self._block(n)
+        out = np.empty((samples, n, n), dtype=np.complex128)
+        for lo in range(0, samples, block):
+            delta_x = eval_delta(self.delta, comps[:, lo : lo + block])
+            out[lo : lo + block] = _transfer(self, delta_x, operator_norm(delta_x))
+        return unstack(out, lead)
+
+    def _block(self, n: int) -> int:
+        """Samples per transfer step at dimension n (module docstring)."""
+        return max(1, SCAN_BLOCK_BYTES // (16 * (self.m * self.delta.cols * n) ** 2))
 
     @cached_property
     def _d_norm(self) -> float:
@@ -458,14 +438,9 @@ def check_isometry(r: Realization) -> float:
 
 
 def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
-    """Transfer-function value at ``x`` under the fixed tensor ordering.
-
-    The one-sample case of :meth:`Realization.evaluate`, which a realization
-    handle evaluates its stacks with.  The resolvent is solved or inverted as
-    the certificate in the module docstring says, and
-    :class:`ResolventSingularError` signals that ``x`` lies outside the
-    natural domain.
-    """
+    """Transfer-function value at the lone point ``x``: the one-sample case
+    of :meth:`Realization.evaluate`.  :class:`ResolventSingularError` signals
+    that ``x`` lies outside the natural domain (module docstring)."""
     return r.evaluate(x)
 
 
@@ -600,7 +575,7 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         raise ValueError("dimension must be at least 1")
     d, p = r.arity, r.delta.degree() or 1
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
-    block = max(1, SCAN_BLOCK_BYTES // (16 * (r.m * r.delta.cols * n) ** 2))
+    block = r._block(n)
     max_norm = 0.0
     for start in range(0, samples, block):
         indices = range(start, min(start + block, samples))

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, operator_norm, scalar_part
+from .linalg import MatrixTuple, as_stack, operator_norm, scalar_part
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -157,9 +157,9 @@ class TaylorExpansion:
     """Homogeneous parts of the expansion plus per-word extraction residuals.
 
     ``balanced`` records whether the handle's domain is known to be closed
-    under scalar multiplication by the closed unit disk (norm balls are);
-    for a general delta ball that is unknown and the expansion's global
-    validity is not certified.
+    under scalar multiplication by the closed unit disk (norm balls and
+    balls of a homogeneous delta are); for any other delta ball that is
+    unknown and the expansion's global validity is not certified.
     """
 
     parts: list[FreePoly]
@@ -190,13 +190,10 @@ def taylor_expand(
 ) -> TaylorExpansion:
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
-    The zero point, the unit directions and the checked F(0) are built
-    once; the covering jets (module docstring) are extracted in blocks, one
-    stacked :func:`~ncfuncalc.ncderiv.delta_k` call per block, so F must
-    evaluate stacked components.  Every word of length 1..``maxdeg`` is read
-    off block (start, start + |w|) of the first covering jet that contains
-    it.  Coefficients below 1e-12 in magnitude are dropped as extraction
-    noise; the algebra itself never prunes, this is purely a numeric cutoff.
+    F(0) is evaluated once, with the domain check, and the covering jets
+    (module docstring) in stacked blocks, so F must evaluate stacks.
+    Coefficients below 1e-12 in magnitude are dropped as extraction noise;
+    the algebra itself never prunes, this is purely a numeric cutoff.
     The first block holds one jet and every later block starts from the
     scale that jet settled on, so the halving toward the domain is paid
     about once per expansion.  ``dim`` is the base dimension, at least 1.
@@ -229,7 +226,7 @@ def taylor_expand(
     cover = _cover(d, maxdeg)
     jets, size1 = len(cover.letters), cover.letters.shape[1] + 1
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
-    bases, base_values = [zero] * size1, [v0] * size1
+    bases, base_values = [as_stack(zero)[0]] * size1, [v0] * size1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
     firsts = [0, *range(1, jets, block)]
     # Entry i holds the coefficient and residual of cover.words[i].

@@ -1,25 +1,35 @@
 """Executable structural properties of graded intertwining-preserving functions.
 
 Every check returns a :class:`PropertyReport` rather than raising on
-failure; :func:`run_suite` bundles the checks with seeded sampling so that
-identical configurations produce bitwise-identical reports.  Every verdict
-compares a residual with the threshold that :data:`THRESHOLDS` gives for its
-report name, in the public checks and in the suite alike.  The negative
-control handles in :mod:`ncfuncalc.ncfun` (deliberately broken evaluators)
-make the suite's ability to fail itself testable.
-"""
+failure, its verdict a residual against the threshold that
+:data:`THRESHOLDS` gives its report name.  The public checks take points as
+stacks of shape (d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being
+the lone form, check every sample, and evaluate F once per distinct
+dimension.  :func:`run_suite` draws all the trials of each check first, with
+seeded sampling so that identical configurations produce bitwise-identical
+reports, and hands them to that check as stacks.  The negative control
+handles in :mod:`ncfuncalc.ncfun` (deliberately broken evaluators) make the
+suite's ability to fail itself testable."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import permutations
+from dataclasses import dataclass
+from itertools import accumulate, permutations
 
 import numpy as np
 
 from .freepoly import FreePoly
-from .linalg import MatrixTuple, direct_sum, inverse, operator_norm, scalar_part
-from .ncderiv import delta_k, dk_multilinear
+from .linalg import (
+    MatrixTuple,
+    as_stack,
+    as_stacks,
+    direct_sum,
+    inverse,
+    operator_norm,
+    scalar_part,
+)
+from .ncderiv import delta_k, dk_multilinear, polarization
 from .ncfun import NCFunctionHandle
 from .taylor import taylor_expand
 
@@ -99,6 +109,10 @@ def _relnorm(diff: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(reference)))
 
 
+def _relnorms(diff: np.ndarray, reference: np.ndarray) -> list[float]:
+    return [_relnorm(a, b) for a, b in zip(diff, reference)]  # sample by sample
+
+
 def _report(
     name: str, worst: float, trials: int = 1, seed: int | None = None, detail: str = ""
 ) -> PropertyReport:
@@ -106,62 +120,77 @@ def _report(
     return PropertyReport(name, trials, worst, THRESHOLDS[name], seed, detail)
 
 
+def _values(F: NCFunctionHandle, stacks) -> list[np.ndarray]:
+    """F at each stack of points, from one evaluation per distinct dimension."""
+    out = [None] * len(stacks)
+    for n in dict.fromkeys(s.shape[-1] for s in stacks):
+        members = [i for i, s in enumerate(stacks) if s.shape[-1] == n]
+        flat = F.eval(np.concatenate([stacks[i] for i in members], axis=1))
+        for i, end in zip(members, accumulate(stacks[i].shape[1] for i in members)):
+            out[i] = flat[end - stacks[i].shape[1] : end]
+    return out
+
+
 def check_direct_sum(F: NCFunctionHandle, xs) -> PropertyReport:
-    """Evaluation at a direct sum must be the direct sum of the evaluations."""
-    xs = list(xs)
-    whole = F.eval(direct_sum(xs))
-    pieces = direct_sum([MatrixTuple([F.eval(x)]) for x in xs])[0]
-    return _report("direct-sum", _relnorm(whole - pieces, pieces))
+    """Evaluation at a direct sum must be the direct sum of the evaluations,
+    sample by sample for stacks of T points."""
+    stacks, lead = as_stacks(xs)
+    whole = F.eval(direct_sum(stacks))
+    pieces = direct_sum([v[None] for v in _values(F, stacks)])[0]
+    return _report("direct-sum", max(_relnorms(whole - pieces, pieces)), math.prod(lead))
 
 
-def check_intertwining(
-    F: NCFunctionHandle, x: MatrixTuple, L: np.ndarray, y: MatrixTuple
-) -> PropertyReport:
+def _intertwining(F: NCFunctionHandle, x, L: np.ndarray, y) -> list[float]:
+    """Each sample's ``||L F(x) - F(y) L|| / ||L||`` (0 where L is 0)."""
+    (xs, ys), lead = as_stacks([x, y])
+    n, p, L = xs.shape[-1], ys.shape[-1], np.asarray(L, dtype=np.complex128)
+    if L.shape[-2:] != (p, n):
+        raise ValueError(f"L must be {p}x{n}, got {L.shape}")
+    L = np.broadcast_to(L, (math.prod(lead), p, n))
+    lnorm = operator_norm(L)
+    pre = np.max(operator_norm(L @ xs - ys @ L), axis=0)
+    bad = np.flatnonzero(pre > PRECONDITION_TOL * np.maximum(1.0, lnorm))
+    if bad.size:
+        raise PreconditionViolationError(
+            f"L x differs from y L by {pre[bad[0]]:.3e}, not an intertwining pair"
+        )
+    fx, fy = _values(F, [xs, ys])
+    gap = operator_norm(L @ fx - fy @ L)
+    return np.divide(gap, lnorm, out=np.zeros_like(gap), where=lnorm != 0.0).tolist()
+
+
+def check_intertwining(F: NCFunctionHandle, x, L: np.ndarray, y) -> PropertyReport:
     """If L x = y L componentwise then L F(x) = F(y) L.
 
-    ``L`` may be rectangular (y at dimension p, x at dimension n, L p-by-n).
-    Raises :class:`PreconditionViolationError` when L x differs from y L.
+    ``L`` may be rectangular (y at dimension p, x at dimension n, L p-by-n),
+    and a stack (T, p, n) for stacks of T points.  Raises
+    :class:`PreconditionViolationError` when L x differs from y L.
     """
-    L = np.asarray(L, dtype=np.complex128)
-    if L.shape != (y.dim, x.dim):
-        raise ValueError(f"L must be {y.dim}x{x.dim}, got {L.shape}")
-    lnorm = operator_norm(L)
-    if lnorm == 0.0:
-        return _report("intertwining", 0.0)
-    pre = max(operator_norm(L @ x[r] - y[r] @ L) for r in range(x.arity))
-    if pre > PRECONDITION_TOL * max(1.0, lnorm):
-        raise PreconditionViolationError(
-            f"L x differs from y L by {pre:.3e}, not an intertwining pair"
-        )
-    return _report("intertwining", operator_norm(L @ F.eval(x) - F.eval(y) @ L) / lnorm)
+    residuals = _intertwining(F, x, L, y)
+    return _report("intertwining", max(residuals), len(residuals))
 
 
-def check_unipotent_converse(
-    F: NCFunctionHandle, x: MatrixTuple, y: MatrixTuple, L: np.ndarray
-) -> PropertyReport:
+def check_unipotent_converse(F: NCFunctionHandle, x, y, L: np.ndarray) -> PropertyReport:
     """Conjugated direct sums split: F(S^{-1} (x (+) y) S) = S^{-1} (F(x) (+) F(y)) S.
 
     S is the unipotent block matrix [[1, L], [0, 1]]; with L = 0 this reduces
-    to the plain direct-sum property.
+    to the plain direct-sum property.  ``L`` is a stack (T, n, n) for stacks
+    of T points.
     """
-    x.check_compatible(y)
-    n = x.dim
-    L = np.asarray(L, dtype=np.complex128)
-    if L.shape != (n, n):
-        raise ValueError(f"L must be {n}x{n}, got {L.shape}")
+    (xs, ys), lead = as_stacks([x, y])
+    trials, n, L = math.prod(lead), xs.shape[-1], np.asarray(L, dtype=np.complex128)
+    if xs.shape[::2] != ys.shape[::2] or L.shape[-2:] != (n, n):
+        raise ValueError(f"x and y must share arity and dimension n = {n}, L be {n}x{n}")
+    L = np.broadcast_to(L, (trials, n, n))
     # S^{-1} (x (+) y) S has components [[x, xL - Ly], [0, y]].
-    z = MatrixTuple(
-        [
-            np.block([[x[r], x[r] @ L - L @ y[r]], [np.zeros((n, n)), y[r]]])
-            for r in range(x.arity)
-        ]
-    )
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    s = np.block([[eye, L], [zero, eye]])
-    sinv = np.block([[eye, -L], [zero, eye]])
-    expected = sinv @ np.block([[F.eval(x), zero], [zero, F.eval(y)]]) @ s
-    return _report("unipotent-converse", _relnorm(F.eval(z) - expected, expected))
+    z = direct_sum([xs, ys])
+    z[..., :n, n:] = xs @ L - L @ ys
+    s = np.broadcast_to(np.eye(2 * n, dtype=np.complex128), (trials, 2 * n, 2 * n)).copy()
+    sinv = s.copy()
+    s[:, :n, n:], sinv[:, :n, n:] = L, -L
+    expected = sinv @ direct_sum([v[None] for v in _values(F, [xs, ys])])[0] @ s
+    residuals = _relnorms(F.eval(z) - expected, expected)
+    return _report("unipotent-converse", max(residuals), trials)
 
 
 def check_delta_structure(F: NCFunctionHandle, xs, hs) -> PropertyReport:
@@ -170,47 +199,75 @@ def check_delta_structure(F: NCFunctionHandle, xs, hs) -> PropertyReport:
     Block (i, j) above the diagonal is compared against an independently
     computed order-(j - i) delta of the base points x_i..x_j and directions
     h_i..h_{j-1}; diagonal blocks against F(x_i); below-diagonal blocks
-    against zero.  Each F(x_i) is evaluated once and shared by every jet.
+    against zero.  Stacks of T points make T jets; the sub-chains of one
+    order are one stacked :func:`delta_k` call.
     """
-    xs = list(xs)
     hs = list(hs)
-    k = len(hs)
-    values = [F.eval(x) for x in xs]
-    res = delta_k(F, xs, hs, base_values=values)
-    n = xs[0].dim
-    full = res.full_upper
-    scale = max(1.0, float(np.linalg.norm(full)))
-    worst = res.structure_residual / scale
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            if i == 0 and j == k:
-                continue  # the corner block is the delta itself, by definition
+    stacks, lead = as_stacks([*xs, *hs])
+    k, trials, n = len(hs), math.prod(lead), stacks[0].shape[-1]
+    stacks = [np.broadcast_to(s, (len(s), trials, n, n)) for s in stacks]
+    points, dirs = stacks[: k + 1], stacks[k + 1 :]
+    values = [np.broadcast_to(v, (trials, n, n)) for v in _values(F, points)]
+    res = delta_k(F, points, dirs, base_values=values)
+    sub = {}  # sub[i, j][s] is the delta of sample s's sub-chain i..j
+    for m in range(1, k):
+        # Slot t of the order-m sub-chains i..i+m, stacked over i = 0..k-m.
+        chains = [np.concatenate(group[t : t + k - m + 1], axis=-3) for group in (points, values)
+                  for t in range(m + 1)]
+        jets = delta_k(
+            F,
+            chains[: m + 1],
+            [np.concatenate(dirs[t : t + k - m + 1], axis=1) for t in range(m)],
+            base_values=chains[m + 1 :],
+        )
+        for i, deltas in enumerate(jets.delta.reshape(k - m + 1, trials, n, n)):
+            sub[i, i + m] = deltas
+    worst = []
+    for s, full in enumerate(res.full_upper):
+        scale = max(1.0, float(np.linalg.norm(full)))
+        w = float(res.structure_residual[s]) / scale
+        for (i, j), deltas in sorted(sub.items()):
             block = full[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            expected = delta_k(F, xs[i : j + 1], hs[i:j], base_values=values[i : j + 1]).delta
-            worst = max(worst, float(np.linalg.norm(block - expected)) / scale)
-    return _report("delta-structure", worst)
+            w = max(w, float(np.linalg.norm(block - deltas[s])) / scale)
+        worst.append(w)
+    return _report("delta-structure", max(worst), trials)
 
 
-def check_symmetry(F: NCFunctionHandle, x: MatrixTuple, hs) -> PropertyReport:
+def check_symmetry(F: NCFunctionHandle, x, hs) -> PropertyReport:
     """The polarized derivative must equal the sum of the ordered jet corners.
 
     For an nc function, D^k F(x)[h_1, ..., h_k] (by polarization, from
     diagonal derivatives only) equals the sum over all k! orders sigma of
-    delta_k(F, [x] * (k + 1), h_sigma).delta; the two routes share no
-    evaluation, and the ordered jets are one stacked :func:`delta_k` call
-    sharing one F(x).  Orders up to 4 are supported (24 jets at k = 4).
+    delta_k(F, [x] * (k + 1), h_sigma).delta.  The two routes share no jet.
+    ``hs`` are the k directions of ``x``, or for a stack of T points T lists
+    of directions, whose orders may differ; the jets of one order are one
+    stacked :func:`delta_k` call.  Orders up to 4 (24 ordered jets at k = 4).
     """
-    hs = list(hs)
-    k = len(hs)
-    if k > 4:
-        raise ValueError("symmetry check supports orders up to 4")
-    polarized = dk_multilinear(F, x, hs)
-    values = [F.eval(x)] * (k + 1)
-    orders = list(permutations(range(k)))
-    # dirs[i] holds the i-th direction of every order: shape (d, k!, n, n).
-    dirs = np.array([h.components for h in hs])[np.array(orders).T].swapaxes(1, 2)
-    ordered = sum(delta_k(F, [x] * (k + 1), dirs, base_values=values).delta)
-    return _report("derivative-symmetry", _relnorm(polarized - ordered, ordered), len(orders))
+    base, lead = as_stack(x)
+    trials = [list(t) for t in hs] if lead else [list(hs)]
+    if len(trials) != base.shape[1] or max(map(len, trials)) > 4:
+        raise ValueError("symmetry check needs one list of at most 4 directions per point")
+    values, n = F.eval(base), base.shape[-1]
+    worst, jets = [0.0] * len(trials), 0
+    for k in sorted(set(map(len, trials))):
+        idx = [t for t, directions in enumerate(trials) if len(directions) == k]
+        # comps[i] holds direction i of every trial of order k: (d, T_k, n, n).
+        comps = [np.stack([as_stack(trials[t][i])[0][:, 0] for t in idx], axis=1) for i in range(k)]
+        sums, polarize = polarization(comps)
+        orders = list(permutations(range(k)))
+        tiles = 2**k - 1 + len(orders)
+        deltas = delta_k(
+            F,
+            [np.concatenate([base[:, idx]] * tiles, axis=1)] * (k + 1),
+            [np.concatenate([sums, *(comps[o[i]] for o in orders)], axis=1) for i in range(k)],
+            base_values=[np.concatenate([values[idx]] * tiles)] * (k + 1),
+        ).delta.reshape(tiles, len(idx), n, n)
+        ordered = sum(deltas[2**k - 1 :])
+        polarized = polarize(deltas[: 2**k - 1])
+        for t, resid in zip(idx, _relnorms(polarized - ordered, ordered)):
+            worst[t] = resid
+        jets += len(orders) * len(idx)
+    return _report("derivative-symmetry", max(worst), jets)
 
 
 def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> FreePoly:
@@ -229,17 +286,12 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> F
     probes = [list(p) for p in probes]
     if len(probes) >= 2:
         a, b = probes[0], probes[1]
-
-        def point(tuples):  # k d-tuples, concatenated: one point of lam
-            return MatrixTuple(np.concatenate([t.components for t in tuples]))
-
-        lhs = lam.eval(point([a[0] + b[0]] + a[1:]))
-        rhs = lam.eval(point(a)) + lam.eval(point([b[0]] + a[1:]))
-        resid = _relnorm(lhs - rhs, rhs)
+        # k d-tuples, concatenated, are one point of lam: three points in one stack.
+        points = [[a[0] + b[0], *a[1:]], a, [b[0], *a[1:]]]
+        lhs, *rhs = lam.eval(np.stack([np.concatenate([t.components for t in p]) for p in points], 1))
+        resid = _relnorm(lhs - sum(rhs), sum(rhs))
         if resid > LINEARITY_TOL:
-            raise NonLinearInputError(
-                f"additivity in the first block fails by {resid:.3e}"
-            )
+            raise NonLinearInputError(f"additivity in the first block fails by {resid:.3e}")
     expansion = taylor_expand(lam, k, dim=dim)
     return expansion.parts[k]
 
@@ -262,29 +314,24 @@ class SuiteConfig:
     max_order: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError("trials must be an integer of at least 1")
-        if not isinstance(self.max_order, int) or not 2 <= self.max_order <= 3:
+        # type(...) is int: a bool is not a count, and a JSON float is not one.
+        for name, least in (("seed", 0), ("trials", 1), ("max_order", 2)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if self.max_order > 3:
             raise ValueError("max_order must be 2 or 3")
         for name in _DIMS_FIELDS:
             dims = getattr(self, name)
-            if not dims or not all(isinstance(n, int) and n >= 1 for n in dims):
+            if not dims or not all(type(n) is int and n >= 1 for n in dims):
                 raise ValueError(f"{name} must be a non-empty list of dimensions of at least 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"unknown suite config key {key!r}")
-            if key in _DIMS_FIELDS:
-                value = tuple(int(v) for v in value)
-            kwargs[key] = value
-        return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "SuiteConfig":
-        return replace(self, seed=int(seed))
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown suite config key {sorted(unknown)[0]!r}")
+        return cls(**{k: tuple(v) if k in _DIMS_FIELDS else v for k, v in data.items()})
 
 
 def _sample_direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> MatrixTuple:
@@ -308,8 +355,7 @@ def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, fl
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = g / max(operator_norm(g), 1e-12)
     s = np.eye(n, dtype=np.complex128) + 0.1 * g
-    cond = operator_norm(s) * operator_norm(inverse(s))
-    return s, cond
+    return s, operator_norm(s) * operator_norm(inverse(s))  # S and cond(S)
 
 
 def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[PropertyReport]:
@@ -325,160 +371,151 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
     # (norm at most 0.45 of the bound) usually passes its first membership test.
     jet_scale = min(1.0, 0.5 * F.domain.bound)
 
-    def run(index: int, name: str, body) -> None:
+    def run(index: int, name: str, body, trials: int = cfg.trials, detail: str = "") -> None:
         rng = np.random.default_rng((cfg.seed, index))
         try:
-            worst, trials, detail = body(rng)
+            worst = body(rng)
         except Exception as exc:  # verdict, not crash
             worst, trials, detail = math.inf, 0, f"{type(exc).__name__}: {exc}"
         reports.append(_report(name, float(worst), trials, cfg.seed, detail))
 
+    def stacked(points) -> np.ndarray:
+        return np.stack([x.components for x in points], axis=1)
+
+    # Every check draws all its trials first, in the order of their samples,
+    # and evaluates them as one stack per dimension.
+    n, d = cfg.dims[0], F.arity
+    kmax = cfg.max_order  # the Taylor check's top degree
+    while d**kmax > 200 and kmax > 1:
+        kmax -= 1
+
     def graded(rng):
-        for n in cfg.graded_dims:
-            F.eval(_sample_point(rng, F, n))  # eval raises if grading breaks
-        return 0.0, len(cfg.graded_dims), ""
+        for m in cfg.graded_dims:
+            F.eval(_sample_point(rng, F, m))  # eval raises if grading breaks
+        return 0.0
 
     def dsum(rng):
         # A 1x1 point in every sum: F at dimension 1 must agree with F above it.
-        worst = 0.0
-        for _ in range(cfg.trials):
-            xs = [_sample_point(rng, F, n) for n in (1, *cfg.dims)]
-            worst = max(worst, check_direct_sum(F, xs).worst_residual)
-        return worst, cfg.trials, ""
+        trials = [[_sample_point(rng, F, m) for m in (1, *cfg.dims)] for _ in range(cfg.trials)]
+        return check_direct_sum(F, map(stacked, zip(*trials))).worst_residual
 
     def similarity(rng):
-        worst = 0.0
-        for _ in range(cfg.trials):
-            n = cfg.dims[0]
-            x = _sample_point(rng, F, n)
-            s, cond = _sample_similarity(rng, n)
-            y = x.conjugate_by(s)
-            rep = check_intertwining(F, x, s, y)
-            worst = max(worst, rep.worst_residual / cond)
-        return worst, cfg.trials, "residual divided by cond(S)"
+        trials = [(_sample_point(rng, F, n), *_sample_similarity(rng, n)) for _ in range(cfg.trials)]
+        xs, sims, conds = zip(*trials)
+        ys = [x.conjugate_by(s) for x, s in zip(xs, sims)]
+        residuals = _intertwining(F, stacked(xs), np.array(sims), stacked(ys))
+        return max(r / cond for r, cond in zip(residuals, conds))
 
     def unipotent(rng):
-        worst = 0.0
-        for _ in range(cfg.trials):
-            n = cfg.dims[0]
-            x = _sample_point(rng, F, n)
-            y = _sample_point(rng, F, n)
-            l = _sample_direction(rng, 1, n, scale=0.2)[0]
-            worst = max(worst, check_unipotent_converse(F, x, y, l).worst_residual)
-        return worst, cfg.trials, ""
+        trials = [
+            (_sample_point(rng, F, n), _sample_point(rng, F, n), _sample_direction(rng, 1, n, 0.2)[0])
+            for _ in range(cfg.trials)
+        ]
+        xs, ys, ls = zip(*trials)
+        return check_unipotent_converse(F, stacked(xs), stacked(ys), np.array(ls)).worst_residual
 
     def scalarity(rng):
         # F(a I_n) = F(a) I_n, with F(a) evaluated at dimension 1: a I_n is the
-        # direct sum of n copies of the scalar point a.  All points are drawn
-        # first; the 1x1 points are one stacked evaluation, the n x n points
-        # one per n.
+        # direct sum of n copies of the scalar point a.  The 1x1 points are one
+        # stacked evaluation, the n x n points one per n.
         points = [
-            [_sample_scalar_point(rng, F, n) for _ in range(cfg.trials)] for n in cfg.scalar_dims
+            [_sample_scalar_point(rng, F, m) for _ in range(cfg.trials)] for m in cfg.scalar_dims
         ]
         scalars = np.array([[x_r[0, 0] for x_r in x] for xs in points for x in xs])
         cs = iter(F.eval(scalars.T[:, :, None, None])[:, 0, 0])
         worst = 0.0
-        for n, xs in zip(cfg.scalar_dims, points):
-            for value in F.eval(np.stack([x.components for x in xs], axis=1)):
+        for m, xs in zip(cfg.scalar_dims, points):
+            for value in F.eval(stacked(xs)):
                 c = next(cs)
-                resid = float(np.abs(value - c * np.eye(n)).max())
+                resid = float(np.abs(value - c * np.eye(m)).max())
                 worst = max(worst, resid / max(1.0, abs(c)))
-        return worst, len(cfg.scalar_dims) * cfg.trials, ""
+        return worst
 
     def scalar_derivative(rng):
-        # Coefficients from the unit directions, validated on fresh ones: per
-        # trial, one stacked call makes the d unit jets, then the d sampled.
-        n = cfg.dims[0]
-        d = F.arity
+        # Coefficients from the unit directions, validated on fresh ones: one
+        # call makes each trial's d unit jets and d sampled ones at its point.
         units = np.eye(d)[:, :, None, None] * np.eye(n)  # units[r] is e_r: (d, n, n)
+        trials = [
+            (_sample_scalar_point(rng, F, n), [_sample_direction(rng, d, n, jet_scale) for _ in range(d)])
+            for _ in range(cfg.trials)
+        ]
+        points = stacked(a for a, _ in trials)
+        values = np.repeat(F.eval(points), 2 * d, axis=0)
+        dirs = np.concatenate([np.concatenate([units, stacked(hs)], axis=1) for _, hs in trials], 1)
+        points = np.repeat(points, 2 * d, axis=1)
+        ders = delta_k(F, [points] * 2, [dirs], base_values=[values] * 2).delta
         worst = 0.0
-        for _ in range(cfg.trials):
-            a = _sample_scalar_point(rng, F, n)
-            hs = [_sample_direction(rng, d, n, jet_scale) for _ in range(d)]
-            dirs = np.concatenate([units, np.stack([h.components for h in hs], axis=1)], axis=1)
-            ders = delta_k(F, [a, a], [dirs], base_values=[F.eval(a)] * 2).delta
-            coeffs, resids = (v.tolist() for v in scalar_part(ders[:d]))
-            for c, resid in zip(coeffs, resids):
-                worst = max(worst, resid / max(1.0, abs(c)))
-            for h, der in zip(hs, ders[d:]):
+        for (_, hs), der in zip(trials, ders.reshape(cfg.trials, 2 * d, n, n)):
+            coeffs, resids = (v.tolist() for v in scalar_part(der[:d]))
+            worst = max(worst, *(resid / max(1.0, abs(c)) for c, resid in zip(coeffs, resids)))
+            for h, der_h in zip(hs, der[d:]):
                 predicted = sum(c * h[r] for r, c in enumerate(coeffs))
-                worst = max(worst, _relnorm(der - predicted, predicted))
-        return worst, cfg.trials, ""
+                worst = max(worst, _relnorm(der_h - predicted, predicted))
+        return worst
 
     def structure(rng):
-        worst = 0.0
-        n = cfg.dims[0]
-        for _ in range(cfg.trials):
-            xs = [_sample_point(rng, F, n) for _ in range(3)]
-            hs = [_sample_direction(rng, F.arity, n, jet_scale) for _ in range(2)]
-            worst = max(worst, check_delta_structure(F, xs, hs).worst_residual)
-        return worst, cfg.trials, ""
+        trials = [
+            ([_sample_point(rng, F, n) for _ in range(3)],
+             [_sample_direction(rng, d, n, jet_scale) for _ in range(2)])
+            for _ in range(cfg.trials)
+        ]
+        xs, hs = ([stacked(slot) for slot in zip(*group)] for group in zip(*trials))
+        return check_delta_structure(F, xs, hs).worst_residual
 
     def multilinear(rng):
-        # Per trial, one stacked call makes the four jets in directions
-        # (h1, h2), (h1 + h1b, h2), (h1b, h2) and (h1, c h2).
-        worst = 0.0
-        n = cfg.dims[0]
-        d = F.arity
+        # One call makes each trial's four jets in directions (h1, h2),
+        # (h1 + h1b, h2), (h1b, h2) and (h1, c h2).
+        xs, pairs, cs = [], [], []
         for _ in range(cfg.trials):
-            xs = [_sample_point(rng, F, n) for _ in range(3)]
+            xs.append([_sample_point(rng, F, n) for _ in range(3)])
             h1, h1b, h2 = (_sample_direction(rng, d, n, jet_scale) for _ in range(3))
-            c = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            firsts, seconds = [h1, h1 + h1b, h1b, h1], [h2, h2, h2, c * h2]
-            dirs = [np.stack([h.components for h in hs], axis=1) for hs in (firsts, seconds)]
-            values = [F.eval(x) for x in xs]
-            base, added, other, scaled = delta_k(F, xs, dirs, base_values=values).delta
+            cs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))
+            pairs += [(h1, h2), (h1 + h1b, h2), (h1b, h2), (h1, cs[-1] * h2)]
+        points = [stacked(x[i] for x in xs) for i in range(3)]
+        values = [np.repeat(v, 4, axis=0) for v in _values(F, points)]
+        dirs = [stacked(pair[i] for pair in pairs) for i in range(2)]
+        ders = delta_k(F, [np.repeat(x, 4, axis=1) for x in points], dirs, base_values=values)
+        worst = 0.0
+        for c, (base, added, other, scaled) in zip(cs, ders.delta.reshape(-1, 4, n, n)):
             split = base + other
-            worst = max(worst, _relnorm(added - split, split))
-            worst = max(worst, _relnorm(scaled - c * base, scaled))
-        return worst, cfg.trials, ""
+            worst = max(worst, _relnorm(added - split, split), _relnorm(scaled - c * base, scaled))
+        return worst
 
     def symmetry(rng):
-        worst = 0.0
-        n = cfg.dims[0]
-        d = F.arity
+        xs, hs = [], []
         for k in range(2, cfg.max_order + 1):
-            x = _sample_point(rng, F, n)
-            hs = [_sample_direction(rng, d, n, jet_scale) for _ in range(k)]
-            worst = max(worst, check_symmetry(F, x, hs).worst_residual)
-        return worst, cfg.max_order - 1, ""
+            xs.append(_sample_point(rng, F, n))
+            hs.append([_sample_direction(rng, d, n, jet_scale) for _ in range(k)])
+        return check_symmetry(F, stacked(xs), hs).worst_residual
 
     def taylor_polynomiality(rng):
-        d = F.arity
-        kmax = cfg.max_order
-        while d**kmax > 200 and kmax > 1:
-            kmax -= 1
         expansion = taylor_expand(F, kmax)
-        n = 2
         worst = 0.0
-        zero = MatrixTuple.zeros(d, n)
+        zero = MatrixTuple.zeros(d, 2)
+        at_zero = [F.eval(zero)]
         for k in range(1, kmax + 1):
             # Per order, one stacked call makes every trial's polarization jets.
-            part = expansion.parts[k]
-            trials = [
-                [_sample_direction(rng, d, n, jet_scale) for _ in range(k)]
-                for _ in range(cfg.trials)
-            ]
-            stacks = [np.stack([hs[i].components for hs in trials], axis=1) for i in range(k)]
-            for hs, lhs in zip(trials, dk_multilinear(F, zero, stacks)):
-                rhs = np.zeros((n, n), dtype=np.complex128)
+            trials = [[_sample_direction(rng, d, 2, jet_scale) for _ in range(k)] for _ in range(cfg.trials)]
+            stacks = [stacked(hs[i] for hs in trials) for i in range(k)]
+            for hs, lhs in zip(trials, dk_multilinear(F, zero, stacks, base_values=at_zero * (k + 1))):
+                rhs = np.zeros((2, 2), dtype=np.complex128)
                 for sigma in permutations(range(k)):
-                    for w, c in part.sorted_terms():
-                        m = np.eye(n, dtype=np.complex128)
+                    for w, c in expansion.parts[k].sorted_terms():
+                        m = np.eye(2, dtype=np.complex128)
                         for pos, letter in enumerate(w):
                             m = m @ hs[sigma[pos]][letter]
                         rhs += c * m
                 worst = max(worst, _relnorm(lhs - rhs, rhs))
-        return worst, cfg.trials * kmax, ""
+        return worst
 
-    run(0, "gradedness", graded)
+    run(0, "gradedness", graded, len(cfg.graded_dims))
     run(1, "direct-sum", dsum)
-    run(2, "similarity-intertwining", similarity)
+    run(2, "similarity-intertwining", similarity, detail="residual divided by cond(S)")
     run(3, "unipotent-converse", unipotent)
-    run(4, "scalar-point-scalarity", scalarity)
+    run(4, "scalar-point-scalarity", scalarity, len(cfg.scalar_dims) * cfg.trials)
     run(5, "scalar-point-derivative", scalar_derivative)
     run(6, "delta-structure", structure)
     run(7, "delta-multilinearity", multilinear)
-    run(8, "derivative-symmetry", symmetry)
-    run(9, "taylor-polynomiality", taylor_polynomiality)
+    run(8, "derivative-symmetry", symmetry, cfg.max_order - 1)
+    run(9, "taylor-polynomiality", taylor_polynomiality, cfg.trials * kmax)
     return reports

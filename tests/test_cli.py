@@ -570,6 +570,37 @@ class TestConfigFile:
         assert out == ""
         assert "trials" in err
 
+    @pytest.mark.parametrize(
+        "verb, config, flags, field",
+        [
+            ("verify", {"seed": 1.5}, [], "seed"),
+            ("realize-scan", {"seed": 1.5}, [], "seed"),
+            ("verify", {"seed": "abc"}, [], "seed"),
+            ("verify", {"seed": True}, [], "seed"),
+            ("verify", {"suite": {"seed": -1}}, [], "seed"),
+            ("verify", None, ["--seed", "-1"], "--seed"),
+            ("realize-scan", None, ["--seed", "-1"], "--seed"),
+            ("verify", {"suite": {"trials": True}}, [], "trials"),
+            ("verify", {"suite": {"max_order": True}}, [], "max_order"),
+            ("verify", {"suite": {"dims": [True, 2]}}, [], "dims"),
+            ("expand", {"word_cap": True}, [], "word_cap"),
+        ],
+    )
+    def test_malformed_seed_or_count_exits_2_naming_it(
+        self, workspace, capsys, tmp_path, verb, config, flags, field
+    ):
+        handle = "mobius.json" if verb.startswith("realize") else "commutator.json"
+        extra = {"realize-scan": ["--n", "2", "--samples", "4"], "expand": ["--maxdeg", "1"]}
+        args = [verb, "--handle", workspace[handle], *extra.get(verb, []), *flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("verb", ["realize-check", "realize-scan", "verify", "expand"])
     def test_missing_config_file_exits_2(self, workspace, capsys, verb):
         handle = "mobius.json" if verb.startswith("realize") else "commutator.json"

@@ -105,3 +105,18 @@ def test_no_module_reads_a_siblings_private_names():
                     f"{m}.py:{node.lineno} imports {a.name}" for a in node.names if _private(a.name)
                 ]
     assert not offences, offences
+
+
+def test_only_linalg_tells_a_matrix_tuple_from_a_stack():
+    # Inside the library a point is one stack; linalg.as_stack converts a
+    # MatrixTuple at each public entry, so no other module branches on it.
+    offences = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                if "MatrixTuple" in names:
+                    offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, offences

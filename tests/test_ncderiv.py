@@ -324,6 +324,32 @@ class TestStackedJets:
         if math.isfinite(F.domain.bound):
             assert len(set(stacked.epsilon.tolist())) > 1
 
+    @pytest.mark.parametrize(
+        "F",
+        [
+            from_poly(random_poly(rng_for(77), 2, 4, nterms=16), DomainDescriptor.polydisk(1.0)),
+            from_realization(random_isometric_realization(rng_for(78), 2, 2)),
+        ],
+        ids=["polydisk", "polydisk realization"],
+    )
+    def test_one_base_point_per_jet_matches_its_lone_call(self, F):
+        # Base points stacked (d, B, n, n) put jet s at sample s of each; the
+        # base values come per jet too, or from one evaluation of the points.
+        rng = rng_for(79)
+        xs_per_sample = [[random_tuple(rng, 2, 2, scale=0.3) for _ in range(3)] for _ in range(4)]
+        hs_per_sample = [[random_tuple(rng, 2, 2, scale=s) for _ in range(2)] for s in (0.1, 0.6, 2.0, 8.0)]
+        xs = [np.stack([x[i].components for x in xs_per_sample], axis=1) for i in range(3)]
+        hs = [np.stack([h[i].components for h in hs_per_sample], axis=1) for i in range(2)]
+        for kw in ({}, {"base_values": [F.eval(x) for x in xs]}):
+            stacked = delta_k(F, xs, hs, **kw)
+            for s, (x, h) in enumerate(zip(xs_per_sample, hs_per_sample)):
+                lone = delta_k(F, x, h)
+                np.testing.assert_array_equal(stacked.delta[s], lone.delta)
+                np.testing.assert_array_equal(stacked.full_upper[s], lone.full_upper)
+                assert stacked.structure_residual[s] == lone.structure_residual
+                assert stacked.epsilon[s] == lone.epsilon
+        assert len(set(stacked.epsilon.tolist())) > 1
+
     def test_structure_violation_names_first_bad_sample(self):
         # (x0 x1)^T is zero on jets whose directions have no x1 component.
         F = NCFunctionHandle(

@@ -263,9 +263,11 @@ class TestStacks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteResultError):
                 F.eval(stack_of([MatrixTuple.zeros(1, 2), big]))
+        # The 2x2 identity at every sample: graded only at dimension 2.
         nongraded = control_handle("non-graded", 1)
+        assert nongraded.eval(stack_of([MatrixTuple.zeros(1, 2)] * 3)).shape == (3, 2, 2)
         with pytest.raises(ValueError, match="broke grading"):
-            nongraded.eval(stack_of([MatrixTuple.zeros(1, 2)] * 3))
+            nongraded.eval(stack_of([MatrixTuple.zeros(1, 3)] * 3))
 
     @pytest.mark.parametrize("name", CONTROL_NAMES)
     def test_controls_broadcast(self, name):

@@ -658,6 +658,22 @@ class TestStackedScan:
         block = SCAN_BLOCK_BYTES // (16 * 96**2)
         assert batches == [block] * (41 // block) + [41 % block]
 
+    @pytest.mark.parametrize("samples", [1, 4, 5])
+    def test_evaluate_splits_stacks_at_the_byte_budget(self, batches, samples):
+        # Stacks of one sample, of one block (4 at N = 96) and of one block
+        # plus one: each sample gets, bit for bit, its lone value.
+        r = SCAN_CASES["polydisk"]()
+        block = SCAN_BLOCK_BYTES // (16 * 96**2)
+        rng = rng_for(64)
+        points = [random_tuple(rng, 2, 16) for _ in range(samples)]
+        lone = [r.evaluate(x) for x in points]
+        batches.clear()
+        values = r.evaluate(np.stack([x.components for x in points], axis=1))
+        assert batches == [block] * (samples // block) + [samples % block] * (samples % block > 0)
+        assert values.shape == (samples, 16, 16)
+        for value, expected in zip(values, lone):
+            np.testing.assert_array_equal(value, expected)
+
     def test_resolvent_above_the_budget_scans_one_sample_per_block(self, batches):
         r = SCAN_CASES["polydisk"]()
         n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 16)

@@ -14,6 +14,7 @@ from ncfuncalc import (
     MatrixTuple,
     NCFunctionHandle,
     NonScalarResultError,
+    PolyMatrix,
     SeriesFunction,
     circle_norm_estimate,
     control_handle,
@@ -171,8 +172,17 @@ class TestTaylorExpand:
     def test_diagnostics_flag_balancedness(self):
         poly_exp = taylor_expand(from_poly(FreePoly.letter(1, 0)), 1)
         assert poly_exp.diagnostics()["balanced_domain"] is True
+        # The polydisk delta is homogeneous of degree 1, so its ball is balanced.
         real_exp = taylor_expand(from_realization(mobius_realization(0.2)), 1)
-        assert real_exp.diagnostics()["balanced_domain"] is None
+        assert real_exp.diagnostics()["balanced_domain"] is True
+        # ||delta(x)|| = ||x0^2|| scales by |t|^2: still balanced.
+        square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
+        F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.deltaball(square, 0.1))
+        assert taylor_expand(F, 1).diagnostics()["balanced_domain"] is True
+        # A constant term breaks homogeneity: balancedness is unknown.
+        shifted = PolyMatrix([[FreePoly(1, {(): 0.5, (0,): 1.0})]])
+        F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.deltaball(shifted))
+        assert taylor_expand(F, 1).diagnostics()["balanced_domain"] is None
 
     def test_extraction_failure_names_word(self):
         # The fixed-corner control breaks the jet structure itself; the

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ncfuncalc import (
     check_intertwining,
     check_symmetry,
     check_unipotent_converse,
+    contractivity_scan,
     control_handle,
     direct_sum,
     dk_multilinear,
@@ -31,6 +33,7 @@ from ncfuncalc import (
     recover_klinear,
     run_suite,
 )
+from ncfuncalc import verify
 from ncfuncalc.verify import THRESHOLDS
 
 from _helpers import (
@@ -166,11 +169,12 @@ class TestCheckSymmetry:
     def test_norm_weighted_square_fails(self):
         # X -> ||X0||_F X0^2 is not an nc function.  Its polarized second
         # derivative at 0 is symmetric by construction, so only the
-        # comparison with the ordered jet corners can reject it.
+        # comparison with the ordered jet corners can reject it.  The norm
+        # is taken per sample, as the evaluator contract asks.
         F = NCFunctionHandle(
             1,
             DomainDescriptor.polydisk(math.inf),
-            lambda x: np.linalg.norm(x[0]) * (x[0] @ x[0]),
+            lambda x: np.linalg.norm(x[0], axis=(-2, -1))[..., None, None] * (x[0] @ x[0]),
         )
         rng = rng_for(2)
         hs = [random_tuple(rng, 1, 1) for _ in range(2)]
@@ -179,8 +183,8 @@ class TestCheckSymmetry:
         assert report.worst_residual > 0.1
 
     def test_evaluation_count_at_order_three(self):
-        # Polarized: F(x) and one stack of 2^3 - 1 jets; ordered: one shared
-        # F(x) and one stack of 3! jets.
+        # F(x) once, as a stack of one point, then one stack of the 2^3 - 1
+        # polarized and 3! ordered jets.
         rng = rng_for(97)
         p = random_poly(rng, 2, 3)
         calls = []
@@ -193,7 +197,7 @@ class TestCheckSymmetry:
         x = random_tuple(rng, 2, 2)
         hs = [random_tuple(rng, 2, 2) for _ in range(3)]
         assert check_symmetry(F, x, hs).passed
-        assert calls == [(2, 2), (7, 8, 8), (2, 2), (6, 8, 8)]
+        assert calls == [(1, 2, 2), (13, 8, 8)]
 
     def test_order_five_rejected(self):
         rng = rng_for(96)
@@ -224,8 +228,9 @@ class TestDeltaStructure:
         xs = [random_tuple(rng, 2, 2) for _ in range(3)]
         hs = [random_tuple(rng, 2, 2) for _ in range(2)]
         assert check_delta_structure(F, xs, hs).passed
-        # Three base values, the whole jet, and the two order-1 sub-chains.
-        assert calls == [2, 2, 2, 6, 4, 4]
+        # The three base values in one call, the whole jet, and the two
+        # order-1 sub-chains in one call.
+        assert calls == [2, 6, 4]
 
 
 class TestRecoverKlinear:
@@ -466,39 +471,93 @@ class TestRunSuite:
         assert verdicts.count(False) <= 15
 
     @staticmethod
-    def recorded_suite(p: FreePoly) -> list[tuple[tuple[int, ...], bool]]:
-        """The leading shape of every evaluation in one default suite run,
-        with whether all its components are strictly upper triangular (a jet
-        at the zero base point, or the zero tuple)."""
-        calls = []
+    def recorded_suite(p, domain=DomainDescriptor.polydisk(math.inf)):
+        """The leading shape of every evaluation in one default suite run of
+        ``p.evaluate``, with whether all its components are strictly upper
+        triangular (a jet at the zero base point, or the zero tuple), listed
+        under the check that made it."""
+        calls, by_check = [], {}
 
         def recording(x):
             comps = np.array([x[j] for j in range(p.arity)])
             calls.append((np.shape(x[0]), not np.tril(comps).any()))
             return p.evaluate(x)
 
-        F = NCFunctionHandle(p.arity, DomainDescriptor.polydisk(math.inf), recording)
-        assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
-        return calls
+        def grouping(name, *args, **kwargs):
+            by_check.setdefault(name, []).extend(calls)
+            calls.clear()
+            return report(name, *args, **kwargs)
+
+        F = NCFunctionHandle(p.arity, domain, recording)
+        report, verify._report = verify._report, grouping
+        try:
+            assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
+        finally:
+            verify._report = report
+        return by_check
+
+    @pytest.mark.parametrize(
+        "p, domain",
+        [
+            (FreePoly(2, {(0, 1): 1.0, (1,): 0.5}), DomainDescriptor.polydisk(math.inf)),
+            (random_poly(rng_for(11), 3, 5, nterms=40), DomainDescriptor.polydisk(math.inf)),
+            (random_isometric_realization(rng_for(3), 2, 3), DomainDescriptor.polydisk(1.0)),
+        ],
+        ids=["d=2 polynomial", "d=3 polynomial", "d=2 m=3 realization"],
+    )
+    def test_one_evaluator_call_per_dimension_of_each_check(self, p, domain):
+        # Each check draws all its trials first and evaluates them as one
+        # stack per dimension: 31 evaluator calls in all.
+        calls = self.recorded_suite(p, domain)
+        assert {name: len(shapes) for name, shapes in calls.items()} == {
+            "gradedness": 4,  # dimensions 1, 2, 3, 5
+            "direct-sum": 4,  # the sums at 6, and the pieces at 1, 2, 3
+            "similarity-intertwining": 1,  # x and y at 2
+            "unipotent-converse": 2,  # x and y at 2, z at 4
+            "scalar-point-scalarity": 3,  # dimensions 1, 2, 4
+            "scalar-point-derivative": 2,  # the points, their jets
+            "delta-structure": 3,  # base points, jets, order-1 sub-chains
+            "delta-multilinearity": 2,  # base points, jets
+            "derivative-symmetry": 3,  # base points, jets of order 2 and 3
+            "taylor-polynomiality": 7,  # 3 in taylor_expand, F(0), 3 orders
+        }
 
     def test_scalar_points_and_multilinearity_jets_are_stacked(self):
         # scalar-point-scalarity: its six 1x1 points in one evaluation and its
-        # three n x n points in one per n; delta-multilinearity: one stack of
-        # four jets (three base points at n = 2) per trial.
+        # three n x n points in one per n; delta-multilinearity: the nine base
+        # points in one evaluation, then one stack of the three trials' four
+        # jets each.
         calls = self.recorded_suite(FreePoly(2, {(0, 1): 1.0, (1,): 0.5}))
-        points = [shape for shape, at_zero in calls if not at_zero]
-        assert points.count((6, 1, 1)) == points.count((3, 2, 2)) == points.count((3, 4, 4)) == 1
-        assert points.count((4, 6, 6)) == 3
+        assert [shape for shape, _ in calls["scalar-point-scalarity"]] == [
+            (6, 1, 1), (3, 2, 2), (3, 4, 4)
+        ]
+        assert [shape for shape, _ in calls["delta-multilinearity"]] == [(9, 2, 2), (12, 6, 6)]
 
     def test_taylor_polynomiality_makes_one_stacked_call_per_order(self):
         # Three trials at n = 2 for each order k = 1, 2, 3: F at the zero 2x2
-        # tuple once per order, and one stack of the 3 (2^k - 1) polarization
+        # tuple once, and per order one stack of the 3 (2^k - 1) polarization
         # jets, of dimension 2 (k + 1).
         calls = self.recorded_suite(FreePoly(2, {(0, 1): 1.0, (1,): 0.5}))
-        at_zero = [shape for shape, zero in calls if zero]
-        assert at_zero.count((2, 2)) == 3
-        assert at_zero.count((3, 4, 4)) == at_zero.count((9, 6, 6)) == 1
-        assert at_zero.count((21, 8, 8)) == 1
+        at_zero = [shape for shape, zero in calls["taylor-polynomiality"] if zero]
+        assert at_zero[-4:] == [(2, 2), (3, 4, 4), (9, 6, 6), (21, 8, 8)]
+        assert at_zero.count((2, 2)) == 1
+
+    def test_realization_suite_peak_stays_under_the_scan_peak(self):
+        # Realization.evaluate splits every stack at the scan's byte budget, so
+        # the suite's stacked jets hold no more resolvents than a scan block.
+        r = random_isometric_realization(rng_for(3), 2, 3)
+
+        def peak(run) -> int:
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        suite = peak(lambda: run_suite(from_realization(r), SuiteConfig(seed=0)))
+        assert suite <= peak(lambda: contractivity_scan(r, 16, 40, 0))
 
     def test_order_two_runs_one_symmetry_trial(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
