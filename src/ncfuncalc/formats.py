@@ -301,7 +301,7 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
             ]
             series = SeriesFunction(parts, float(payload["radius"]))
             truncation = int(payload.get("truncation", DEFAULT_TRUNCATION))
-        return from_series(series, truncation, domain)
+            return from_series(series, truncation, domain)
     if kind == "realization":
         return from_realization(realization_from_obj(payload, f"{where}: payload"), domain)
     if kind == "control":

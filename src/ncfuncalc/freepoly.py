@@ -5,7 +5,9 @@ unit.  Coefficient arithmetic is exact (complex doubles, no epsilon
 pruning): only exact zeros are dropped, so the algebra itself introduces no
 tolerances.  Words iterate in graded lexicographic order everywhere, which
 keeps serialization and tests reproducible.  ``terms`` is never written after
-construction: evaluation caches a table of its prefixes built from it.
+construction: evaluation caches a table of its prefixes built from it, and
+runs one loop over word lengths that forms only the live products once some
+component has an all-zero diagonal.
 """
 
 from __future__ import annotations
@@ -182,20 +184,17 @@ class FreePoly:
         """Substitute the components of ``x`` for the letters.
 
         ``x`` is a point or a stack, and the output has its leading shape;
-        each sample gets, bit for bit, the value of its own tuple.  Word length
-        k multiplies prefix products of length k-1 by components and adds its
-        terms with one batched ``coeffs @ terms`` over the products that are
-        terms.  Where every
-        component has a nonzero diagonal entry, word length k is one batched
-        product over every prefix.  Where some component has an all-zero diagonal
-        (an exactly zero component, or a nilpotent shift like each component of a
-        Taylor jet at 0), word length k forms only the products whose prefix
-        product and component are both nonzero, keeps them in one compact stack
-        with an index table per sample and prefix, and reads products that came
-        out exactly zero as dead for the next length.  A dead term enters the sum
-        as exact zeros, so the term sum is the batched one: a word through a zero
-        component contributes exactly 0, even past an overflowed prefix, and on a
-        Taylor jet at 0 only the substrings of its word stay live.
+        each sample gets, bit for bit, the value of its own tuple.  One loop
+        over word lengths: length k multiplies the prefix products of length
+        k-1 by components, then adds its terms with one batched
+        ``coeffs @ terms`` over the products that are terms.  Where some
+        component has an all-zero diagonal (an exactly zero component, or a
+        nilpotent shift like each component of a Taylor jet at 0), a product
+        whose prefix product or component is exactly zero is never formed but
+        left exactly 0: a word through a zero component contributes exactly 0,
+        even past an overflowed prefix, and a Taylor jet at 0 forms only the
+        substrings of its word.  Elsewhere, or where every product is live,
+        word length k is one batched product over every prefix.
         """
         comps, lead = as_stack(x)
         if len(comps) != self.arity:
@@ -204,40 +203,24 @@ class FreePoly:
         used, levels = self._level_table()
         # (samples, letters, n, n), gathered C-ordered: a lone tuple gets a sample's calls.
         stacked = comps[used].swapaxes(0, 1)
+        track = not stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all()
+        nonzero = track and stacked.any(axis=(-2, -1))
         out = np.zeros((samples, n * n), dtype=np.complex128)
         out[:, :: n + 1] = self.terms.get((), 0)  # the empty word, on the diagonal
-        if stacked.diagonal(axis1=-2, axis2=-1).any(axis=-1).all():
-            for parents, letters, hits, coeffs in levels:
+        for parents, letters, hits, coeffs in levels:
+            if track and parents is not None:
+                live = above.any(axis=(-2, -1)).take(parents, axis=1)
+                live &= nonzero.take(letters, axis=1)
+            if not track or parents is None or live.all():
                 prods = stacked.take(letters, axis=1)
                 if parents is not None:
                     prods = above.take(parents, axis=1) @ prods
-                out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
-                above = prods
-            return unstack(out.reshape(samples, n, n), lead)
-        # Tracked: word length k keeps its live products in one compact stack
-        # whose last row is a zero sentinel; pos[sample, prefix] is a product's
-        # row, -1 (the sentinel) where it is dead, and keep marks the nonzero rows.
-        nonzero = stacked.any(axis=(-2, -1))
-        for parents, letters, hits, coeffs in levels:
-            live = nonzero.take(letters, axis=1)
-            if parents is not None:
-                src = pos.take(parents, axis=1)
-                live &= keep.take(src)
-            rows, cols = np.nonzero(live)
-            if parents is not None:
-                left = above[src[rows, cols]]
-            # The previous stack is freed before this one is allocated, so the
-            # peak holds one word length's products.
-            above = np.zeros((rows.size + 1, n, n), dtype=stacked.dtype)
-            if parents is None:
-                above[:-1] = stacked[rows, letters[cols]]
             else:
-                np.matmul(left, stacked[rows, letters[cols]], out=above[:-1])
-                del left
-            pos = np.full(live.shape, -1)
-            pos[rows, cols] = np.arange(rows.size)
-            out += coeffs @ above.reshape(-1, n * n).take(pos.take(hits, axis=1), axis=0)
-            keep = above.any(axis=(-2, -1))
+                rows, cols = np.nonzero(live)
+                prods = np.zeros((samples, letters.size, n, n), dtype=np.complex128)
+                prods[rows, cols] = above[rows, parents[cols]] @ stacked[rows, letters[cols]]
+            out += coeffs @ prods.take(hits, axis=1).reshape(samples, hits.size, n * n)
+            above = prods
         return unstack(out.reshape(samples, n, n), lead)
 
     __call__ = evaluate

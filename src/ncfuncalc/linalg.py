@@ -130,7 +130,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class MatrixTuple:
-    """A d-tuple of n-by-n complex matrices; immutable after construction."""
+    """A d-tuple of n-by-n complex matrices, n at least 1; immutable after construction."""
 
     __slots__ = ("components", "arity", "dim")
 
@@ -139,6 +139,8 @@ class MatrixTuple:
         if not comps:
             raise ValueError("a matrix tuple needs at least one component")
         n = comps[0].shape[0]
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
         for c in comps:
             if c.shape != (n, n):
                 raise ValueError("all components must be square matrices of one size")

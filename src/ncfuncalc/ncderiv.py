@@ -188,9 +188,10 @@ def delta_k(
 def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: float) -> np.ndarray:
     """Finite-difference form of the k-th derivative at step ``lam``.
 
-    Returns ((-1)^k / lam^k) * sum_j (-1)^j C(k, j) F(x + j*lam*h).  For
-    polynomial-backed F this equals k! times the shifted-base-point delta at
-    the same lam exactly, not just in the limit.
+    Returns ((-1)^k / lam^k) * sum_j (-1)^j C(k, j) F(x + j*lam*h), the k + 1
+    points evaluated as one stack.  For polynomial-backed F this equals k!
+    times the shifted-base-point delta at the same lam exactly, not just in
+    the limit.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -206,9 +207,11 @@ def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: floa
             stacklevel=2,
         )
     x.check_compatible(h)
+    points = np.array([[a + complex(j * lam) * b for j in range(k + 1)] for a, b in zip(x, h)])
+    values = F.eval(points)
     acc = np.zeros((x.dim, x.dim), dtype=np.complex128)
     for j in range(k + 1):
-        acc += ((-1) ** j * math.comb(k, j)) * F.eval(x + (j * lam) * h)
+        acc += ((-1) ** j * math.comb(k, j)) * values[j]
     return ((-1) ** k / lam**k) * acc
 
 

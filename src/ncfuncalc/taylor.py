@@ -280,15 +280,14 @@ def tail_bound(M: float, r: float, K: int) -> float:
 def circle_norm_estimate(F: NCFunctionHandle, x: MatrixTuple, r: float) -> float:
     """Sampled stand-in for the supremum of ||F(zeta x)|| on |zeta| = (1+r)/2.
 
-    Takes the max over ``CIRCLE_SAMPLES`` equispaced points on the circle and
-    inflates it by the safety factor ``CIRCLE_INFLATE``; an estimate for use
-    with :func:`tail_bound`, not a certificate.
+    Takes the max over ``CIRCLE_SAMPLES`` equispaced points on the circle,
+    evaluated as one stack, and inflates it by the safety factor
+    ``CIRCLE_INFLATE``; an estimate for use with :func:`tail_bound`, not a
+    certificate.
     """
     if not r > 1:
         raise ValueError("the dilation radius must exceed 1")
     radius = (1.0 + r) / 2.0
-    worst = 0.0
-    for t in range(CIRCLE_SAMPLES):
-        zeta = radius * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES)
-        worst = max(worst, operator_norm(F.eval(zeta * x)))
-    return CIRCLE_INFLATE * worst
+    zetas = [radius * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES) for t in range(CIRCLE_SAMPLES)]
+    circle = np.array([[complex(zeta) * c for zeta in zetas] for c in x.components])
+    return CIRCLE_INFLATE * float(operator_norm(F.eval(circle)).max())

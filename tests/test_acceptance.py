@@ -262,7 +262,8 @@ def test_criterion_8_cauchy_tail_bound():
     closed = NCFunctionHandle(
         1,
         DomainDescriptor.polydisk(1.0),
-        lambda x: inverse(np.eye(x.dim) - x[0]),
+        # x[0] is one n-by-n matrix or a stack of them: the evaluator takes both forms.
+        lambda x: np.linalg.inv(np.eye(x[0].shape[-1]) - x[0]),
     )
     ok = True
     detail_parts = []

@@ -196,6 +196,17 @@ class TestEval:
         assert out == ""
         assert "domain" in err
 
+    def test_point_of_dimension_zero_exits_2(self, workspace, capsys, tmp_path):
+        point = tmp_path / "empty.json"
+        point.write_text(
+            json.dumps({"d": 1, "dim": 0, "components": [{"rows": 0, "cols": 0, "entries": []}]})
+        )
+        code, out, err = run(
+            capsys, "eval", "--handle", workspace["square.json"], "--point", str(point)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tuple: dimension must be at least 1\n"
+
 
 class TestNumericFailure:
     def test_singular_resolvent_exits_4(self, capsys, tmp_path):
@@ -696,6 +707,31 @@ class TestSeriesHandleFile:
             capsys, "eval", "--handle", handle, "--point", workspace["x_scalar.json"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("truncation", -1, "truncation degree must be nonnegative"),
+            ("domain", domain_to_obj(DomainDescriptor.polydisk(1.0)), "domain radius 1.0 must"),
+            (
+                "domain",
+                domain_to_obj(DomainDescriptor.deltaball(delta_polydisk(1))),
+                "series handles need a polydisk or rowball domain",
+            ),
+        ],
+    )
+    def test_bad_series_handle_names_its_position(
+        self, workspace, capsys, tmp_path, field, value, message
+    ):
+        handle = tmp_path / "series.json"
+        obj = load_json(self.series_handle_path(tmp_path))
+        (obj["payload"] if field == "truncation" else obj)[field] = value
+        handle.write_text(dump_json(obj))
+        code, out, err = run(
+            capsys, "eval", "--handle", str(handle), "--point", workspace["x_scalar.json"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: handle: {message}")
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ import pytest
 import ncfuncalc
 
 PACKAGE_DIR = Path(ncfuncalc.__file__).parent
+TEST_DIR = Path(__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
 
 
@@ -120,3 +121,14 @@ def test_only_linalg_tells_a_matrix_tuple_from_a_stack():
                 if "MatrixTuple" in names:
                     offences.append(f"{path.name}:{node.lineno}")
     assert not offences, offences
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE_DIR.glob("*.py")) + sorted(TEST_DIR.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_source_parses_at_the_declared_python_floor(path):
+    # pyproject.toml declares requires-python >= 3.10; syntax of a later
+    # Python (except*, type parameters, ...) fails here on any interpreter.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

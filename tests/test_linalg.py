@@ -233,3 +233,9 @@ class TestMatrixTuple:
             MatrixTuple([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             MatrixTuple([np.zeros((2, 3))])
+
+    def test_dimension_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            MatrixTuple([np.zeros((0, 0))])
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            MatrixTuple.zeros(2, 0)

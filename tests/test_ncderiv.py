@@ -451,6 +451,18 @@ class TestDkFd:
         with pytest.raises(ValueError):
             dk_fd(square, scalar(0.0), scalar(1.0), 1, 0.0)
 
+    def test_one_evaluator_call_matches_the_lone_sum(self):
+        rng = rng_for(42)
+        p = random_poly(rng, 2, 4)
+        F, calls = counting_handle(p)
+        x, h = random_tuple(rng, 2, 3), random_tuple(rng, 2, 3)
+        out = dk_fd(F, x, h, 3, 0.25)
+        assert calls == [3]
+        acc = np.zeros((3, 3), dtype=np.complex128)
+        for j in range(4):
+            acc += ((-1) ** j * math.comb(3, j)) * p.evaluate(x + (j * 0.25) * h)
+        np.testing.assert_array_equal(out, -acc / 0.25**3)
+
 
 class TestDkMultilinear:
     def test_order_one_matches_jet(self, square):

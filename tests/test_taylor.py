@@ -1,5 +1,6 @@
 """Coefficient extraction, expansion round trips, and tail bounds."""
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -23,7 +24,6 @@ from ncfuncalc import (
     from_realization,
     from_series,
     identity_realization,
-    inverse,
     mobius_realization,
     operator_norm,
     tail_bound,
@@ -32,7 +32,7 @@ from ncfuncalc import (
 
 import ncfuncalc.taylor
 from ncfuncalc.linalg import scalar_part
-from ncfuncalc.taylor import JET_BLOCK_BYTES
+from ncfuncalc.taylor import CIRCLE_INFLATE, CIRCLE_SAMPLES, JET_BLOCK_BYTES
 
 from _helpers import (
     counting_handle,
@@ -40,6 +40,7 @@ from _helpers import (
     random_matrix,
     random_poly,
     random_rowball_realization,
+    random_tuple,
     rng_for,
     unit_direction,
 )
@@ -384,7 +385,9 @@ class TestBlockedExtraction:
         # and 18 words of length 0 to 5.  With blocks of 9 jets and dense prefix
         # products this expansion peaked at 390 KiB (numpy 2.4); the bound is
         # 1.15 times that, so a block size or product layout that grows the
-        # peak fails here before it shows in the benchmark's peak RSS.
+        # peak fails here before it shows in the benchmark's peak RSS.  Blocks
+        # of 4 covering jets, whose live products fill zero arrays of every
+        # prefix, read 393 KiB.
         rng = rng_for(97)
         terms = {}
         for k, count in enumerate((1, 2, 3, 6, 10, 18)):
@@ -448,7 +451,8 @@ class TestTailBound:
         closed = NCFunctionHandle(
             1,
             DomainDescriptor.polydisk(1.0),
-            lambda x: inverse(np.eye(x.dim) - x[0]),
+            # x[0] is one n-by-n matrix or a stack of them: the evaluator takes both forms.
+        lambda x: np.linalg.inv(np.eye(x[0].shape[-1]) - x[0]),
         )
         x = MatrixTuple([random_matrix(rng, 3, scale=1 / 3)])
         m_hat = circle_norm_estimate(closed, x, 3.0)
@@ -457,6 +461,17 @@ class TestTailBound:
             FK = from_series(series, truncation=K, domain=DomainDescriptor.polydisk(0.5))
             err = operator_norm(closed.eval(x) - FK.eval(x))
             assert err <= tail_bound(m_hat, 3.0, K)
+
+    def test_circle_estimate_is_one_stacked_call(self):
+        rng = rng_for(54)
+        p = random_poly(rng, 2, 3)
+        F, calls = counting_handle(p)
+        x = random_tuple(rng, 2, 3)
+        m_hat = circle_norm_estimate(F, x, 3.0)
+        assert calls == [3]
+        # The reference: one lone evaluation per circle point.
+        zetas = [2.0 * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES) for t in range(CIRCLE_SAMPLES)]
+        assert m_hat == CIRCLE_INFLATE * max(operator_norm(p.evaluate(z * x)) for z in zetas)
 
 
 class TestEvaluationConsistency:
