@@ -45,7 +45,7 @@ from .realization import (
     check_isometry,
     contractivity_scan,
 )
-from .taylor import ExtractionError, taylor_expand
+from .taylor import WORD_CAP, ExtractionError, taylor_expand
 from .verify import SuiteConfig, run_suite
 
 __all__ = ["main", "entrypoint", "CliConfig"]
@@ -66,13 +66,18 @@ class CliConfig:
 
     seed: int = 0
     fd_lambda: float = DEFAULT_FD_LAMBDA
-    word_cap: int = 5000
+    word_cap: int = WORD_CAP
     out: str | None = None
     suite: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # type(...) is int or float: a JSON bool or string is not a step.
+        if type(self.fd_lambda) not in (int, float):
+            raise ValueError(f"fd_lambda must be a number, got {self.fd_lambda!r}")
         if not 0 < self.fd_lambda < math.inf:
             raise ValueError("fd_lambda must be positive and finite")
+        if self.out is not None and type(self.out) is not str:
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         if type(self.word_cap) is not int or self.word_cap <= 0:
             raise ValueError(f"word_cap must be a positive integer, got {self.word_cap!r}")
         SuiteConfig(seed=self.seed)  # validates the seed, which realize-scan reads too

@@ -3,7 +3,8 @@
 Complex scalars are objects ``{"re": ..., "im": ...}``.  Floats are printed
 with Python's shortest round-trip representation, which carries at least 17
 significant digits when needed.  Words are zero-indexed letter lists and
-polynomials serialize in graded lexicographic order.
+polynomials serialize in graded lexicographic order.  Sizes, degrees and
+letters are JSON integers, never truncated from a float, a bool or a string.
 
 Schemas
     matrix       {"rows": R, "cols": C, "entries": [[{re, im}, ...], ...]}
@@ -84,6 +85,13 @@ def _parsing(where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; anything else, a float, bool or string too, is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer: {value!r}")
+    return value
+
+
 def _complex_to_obj(c: complex) -> dict:
     return {"re": float(c.real), "im": float(c.imag)}
 
@@ -108,7 +116,7 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _int(obj["rows"], "rows"), _int(obj["cols"], "cols")
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: missing or bad rows/cols/entries ({exc})") from exc
@@ -139,9 +147,9 @@ def tuple_from_obj(obj, where: str = "tuple") -> MatrixTuple:
     ]
     with _parsing(where):
         x = MatrixTuple(comps)
-        if "d" in obj and int(obj["d"]) != x.arity:
+        if "d" in obj and _int(obj["d"], "d") != x.arity:
             raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
-        if "dim" in obj and int(obj["dim"]) != x.dim:
+        if "dim" in obj and _int(obj["dim"], "dim") != x.dim:
             raise ParseError(
                 f"{where}: declared dim={obj['dim']} but components are {x.dim}x{x.dim}"
             )
@@ -170,10 +178,10 @@ def poly_from_obj(obj, where: str = "polynomial") -> FreePoly:
     if not isinstance(obj, dict) or "d" not in obj or "terms" not in obj:
         raise ParseError(f"{where}: expected an object with 'd' and 'terms'")
     with _parsing(where):
-        d = int(obj["d"])
+        d = _int(obj["d"], "d")
         terms = {}
-        for t in obj["terms"]:
-            word = tuple(int(j) for j in t["word"])
+        for i, t in enumerate(obj["terms"]):
+            word = tuple(_int(j, f"term {i}: word letter") for j in t["word"])
             terms[word] = terms.get(word, 0) + complex(float(t["re"]), float(t["im"]))
         return FreePoly(d, terms)
 
@@ -195,9 +203,9 @@ def polymatrix_from_obj(obj, where: str = "polymatrix") -> PolyMatrix:
     ]
     with _parsing(where):
         pm = PolyMatrix(rows)
-        if "I" in obj and int(obj["I"]) != pm.rows:
+        if "I" in obj and _int(obj["I"], "I") != pm.rows:
             raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
-        if "J" in obj and int(obj["J"]) != pm.cols:
+        if "J" in obj and _int(obj["J"], "J") != pm.cols:
             raise ParseError(f"{where}: declared J={obj['J']} but found {pm.cols} columns")
     return pm
 
@@ -219,7 +227,7 @@ def realization_from_obj(obj, where: str = "realization") -> Realization:
     with _parsing(where):
         return Realization(
             delta=polymatrix_from_obj(obj["delta"], f"{where}: delta"),
-            m=int(obj["m"]),
+            m=_int(obj["m"], "m"),
             A=_complex_from_obj(obj["A"], f"{where}: A"),
             B=matrix_from_obj(obj["B"], f"{where}: B"),
             C=matrix_from_obj(obj["C"], f"{where}: C"),
@@ -300,13 +308,13 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
                 poly_from_obj(p, f"{where}: part {k}") for k, p in enumerate(payload["parts"])
             ]
             series = SeriesFunction(parts, float(payload["radius"]))
-            truncation = int(payload.get("truncation", DEFAULT_TRUNCATION))
+            truncation = _int(payload.get("truncation", DEFAULT_TRUNCATION), "truncation")
             return from_series(series, truncation, domain)
     if kind == "realization":
         return from_realization(realization_from_obj(payload, f"{where}: payload"), domain)
     if kind == "control":
         with _parsing(where):
-            return control_handle(payload["name"], int(payload.get("d", 1)))
+            return control_handle(payload["name"], _int(payload.get("d", 1), "d"))
     raise ParseError(f"{where}: unknown handle kind {kind!r}")
 
 

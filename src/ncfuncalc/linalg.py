@@ -3,9 +3,10 @@
 Matrices are numpy arrays of dtype complex128.  Inside the library a point
 of the d-variable calculus, or a direction, is a stack: an array of shape
 (d, B, n, n) holding B d-tuples of n-by-n matrices, letter first and sample
-second.  An immutable :class:`MatrixTuple` is the lone form.  Each public
-entry converts its points with :func:`as_stack` and shapes its results with
-:func:`unstack`, so a lone point gets a lone result.
+second.  An immutable :class:`MatrixTuple` is the lone form, a container
+without arithmetic (point arithmetic is numpy on stacks).  Each public entry
+converts its points with :func:`as_stack`, which checks their shape, and
+shapes its results with :func:`unstack`, so a lone point gets a lone result.
 
 The two numerical primitives run on numpy's LAPACK: :func:`operator_norm`
 is the largest singular value from ``np.linalg.svd(a, compute_uv=False)``
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from numbers import Number
 
 import numpy as np
 
@@ -167,37 +167,6 @@ class MatrixTuple:
     def __getitem__(self, r: int) -> np.ndarray:
         return self.components[r]
 
-    def __add__(self, other: "MatrixTuple") -> "MatrixTuple":
-        self.check_compatible(other)
-        return MatrixTuple([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other: "MatrixTuple") -> "MatrixTuple":
-        self.check_compatible(other)
-        return MatrixTuple([a - b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, scalar) -> "MatrixTuple":
-        if not isinstance(scalar, Number):
-            return NotImplemented
-        return MatrixTuple([complex(scalar) * c for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MatrixTuple":
-        return MatrixTuple([-c for c in self.components])
-
-    def check_compatible(self, other: "MatrixTuple") -> None:
-        """Raise unless ``other`` is a MatrixTuple of the same arity and dimension."""
-        if not isinstance(other, MatrixTuple):
-            raise TypeError("expected a MatrixTuple")
-        if other.arity != self.arity or other.dim != self.dim:
-            raise ValueError("matrix tuples differ in arity or dimension")
-
-    def conjugate_by(self, s: np.ndarray) -> "MatrixTuple":
-        """Componentwise similarity s x s^{-1}."""
-        s = as_matrix(s)
-        sinv = inverse(s)
-        return MatrixTuple([s @ c @ sinv for c in self.components])
-
     def __repr__(self) -> str:
         return f"MatrixTuple(arity={self.arity}, dim={self.dim})"
 
@@ -205,8 +174,13 @@ class MatrixTuple:
 def as_stack(x) -> tuple[np.ndarray, tuple[int, ...]]:
     """The stack (d, B, n, n) holding ``x`` and the leading shape of ``x``:
     () for a :class:`MatrixTuple`, and ``...`` for d component arrays of one
-    shape ``(..., n, n)``, B being its product."""
+    shape ``(..., n, n)``, B being its product.  Only the shape is checked:
+    ``ValueError`` unless the matrices are square of dimension at least 1."""
     comps = np.asarray(x.components if isinstance(x, MatrixTuple) else x, dtype=np.complex128)
+    if comps.ndim < 3 or comps.shape[-1] != comps.shape[-2] or not comps.shape[-1]:
+        raise ValueError(
+            f"expected square matrices of dimension at least 1, got shape {comps.shape}"
+        )
     if comps.ndim == 4:
         return comps, comps.shape[1:2]
     lead = comps.shape[1:-2]

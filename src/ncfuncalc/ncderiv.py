@@ -206,10 +206,11 @@ def dk_fd(F: NCFunctionHandle, x: MatrixTuple, h: MatrixTuple, k: int, lam: floa
             RuntimeWarning,
             stacklevel=2,
         )
-    x.check_compatible(h)
-    points = np.array([[a + complex(j * lam) * b for j in range(k + 1)] for a, b in zip(x, h)])
-    values = F.eval(points)
-    acc = np.zeros((x.dim, x.dim), dtype=np.complex128)
+    (xs, hs), lead = as_stacks([x, h])
+    if lead or xs.shape != hs.shape:
+        raise ValueError("x and h must be lone points of one arity and dimension")
+    values = F.eval(np.concatenate([xs + complex(j * lam) * hs for j in range(k + 1)], axis=1))
+    acc = np.zeros(xs.shape[-2:], dtype=np.complex128)
     for j in range(k + 1):
         acc += ((-1) ** j * math.comb(k, j)) * values[j]
     return ((-1) ** k / lam**k) * acc

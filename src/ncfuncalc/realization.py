@@ -248,11 +248,13 @@ class DomainDescriptor:
         comps, lead = as_stack(x)
         return unstack(self._inside(self._gauges(comps)[0]), lead)
 
-    def rescale(self, u: MatrixTuple, size: float) -> MatrixTuple:
-        """The multiple of ``u`` whose norm is ``size``, halved until it is
-        inside; :class:`SamplerStarvationError` after ``RESCALE_HALVINGS``
-        halvings, which only a domain that does not contain 0 can reach."""
-        return MatrixTuple(self._rescale(as_stack(u)[0], np.array([size]))[0][:, 0])
+    def rescale(self, u, sizes) -> np.ndarray:
+        """The multiples of the stack ``u`` whose norms are ``sizes`` (one per
+        sample, or one for all), each halved until it is inside and bit for bit
+        its lone value (:meth:`_rescale`); :class:`SamplerStarvationError` after
+        ``RESCALE_HALVINGS`` halvings, which only a domain without 0 can reach."""
+        comps = as_stack(u)[0]
+        return self._rescale(comps, np.broadcast_to(np.asarray(sizes, float), comps.shape[1:2]))[0]
 
     def _norms(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The norms of a stack: the largest component norm on a polydisk, the row

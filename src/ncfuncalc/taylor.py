@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, as_stack, operator_norm, scalar_part
+from .linalg import MatrixTuple, operator_norm, scalar_part
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -215,7 +215,7 @@ def taylor_expand(
             f"expansion needs {total_words} word extractions, above the cap {word_cap}"
         )
 
-    zero = MatrixTuple.zeros(d, dim)
+    zero = np.zeros((d, dim, dim), dtype=np.complex128)  # the lone point 0
     v0 = F.eval(zero)
     (c0,), (r0,) = _scalars(v0[None], lambda i: ())
     residuals: dict[Word, float] = {(): float(r0)}
@@ -226,7 +226,7 @@ def taylor_expand(
     cover = _cover(d, maxdeg)
     jets, size1 = len(cover.letters), cover.letters.shape[1] + 1
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
-    bases, base_values = [as_stack(zero)[0]] * size1, [v0] * size1
+    bases, base_values = [zero] * size1, [v0] * size1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
     firsts = [0, *range(1, jets, block)]
     # Entry i holds the coefficient and residual of cover.words[i].

@@ -7,9 +7,10 @@ stacks of shape (d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being
 the lone form, check every sample, and evaluate F once per distinct
 dimension.  :func:`run_suite` draws all the trials of each check first, with
 seeded sampling so that identical configurations produce bitwise-identical
-reports, and hands them to that check as stacks.  The negative control
-handles in :mod:`ncfuncalc.ncfun` (deliberately broken evaluators) make the
-suite's ability to fail itself testable."""
+reports, scales them into the domain as stacks, and hands them to that check
+as stacks.  The negative control handles in :mod:`ncfuncalc.ncfun`
+(deliberately broken evaluators) make the suite's ability to fail itself
+testable."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .freepoly import FreePoly
 from .linalg import (
-    MatrixTuple,
     as_stack,
     as_stacks,
     direct_sum,
@@ -285,10 +285,11 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> F
         raise ValueError(f"handle arity {lam.arity} is not divisible by {k}")
     probes = [list(p) for p in probes]
     if len(probes) >= 2:
-        a, b = probes[0], probes[1]
         # k d-tuples, concatenated, are one point of lam: three points in one stack.
-        points = [[a[0] + b[0], *a[1:]], a, [b[0], *a[1:]]]
-        lhs, *rhs = lam.eval(np.stack([np.concatenate([t.components for t in p]) for p in points], 1))
+        a, b = (np.concatenate([as_stack(t)[0][:, 0] for t in p]) for p in probes[:2])
+        d = lam.arity // k
+        points = [np.concatenate([a[:d] + b[:d], a[d:]]), a, np.concatenate([b[:d], a[d:]])]
+        lhs, *rhs = lam.eval(np.stack(points, axis=1))
         resid = _relnorm(lhs - sum(rhs), sum(rhs))
         if resid > LINEARITY_TOL:
             raise NonLinearInputError(f"additivity in the first block fails by {resid:.3e}")
@@ -334,28 +335,35 @@ class SuiteConfig:
         return cls(**{k: tuple(v) if k in _DIMS_FIELDS else v for k, v in data.items()})
 
 
-def _sample_direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> MatrixTuple:
+def _direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
     g = g[:, 0] + 1j * g[:, 1]
-    return MatrixTuple(scale * g / np.maximum(operator_norm(g), 1e-12)[:, None, None])
+    return scale * g / np.maximum(operator_norm(g), 1e-12)[:, None, None]
 
 
-def _sample_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:
+def _draw_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> tuple[float, np.ndarray]:
     size = 0.45 * min(F.domain.bound, 1.0) * float(rng.uniform(0.5, 1.0))
-    return F.domain.rescale(_sample_direction(rng, F.arity, n), size)
+    return size, _direction(rng, F.arity, n)
 
 
-def _sample_scalar_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> MatrixTuple:
+def _draw_scalar_point(rng: np.random.Generator, F: NCFunctionHandle, n: int) -> tuple[float, np.ndarray]:
     size = 0.15 * min(F.domain.bound, 1.0) * float(rng.uniform(0.5, 1.0))
     scalars = rng.standard_normal(F.arity) + 1j * rng.standard_normal(F.arity)
-    return F.domain.rescale(MatrixTuple.from_scalars(scalars, n), size)
+    return size, scalars[:, None, None] * np.eye(n, dtype=np.complex128)
 
 
-def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
+def _points(F: NCFunctionHandle, draws) -> np.ndarray:
+    """The stack (d, B, n, n) of B drawn (size, direction) pairs, scaled into F's domain."""
+    sizes, dirs = zip(*draws)
+    return F.domain.rescale(np.stack(dirs, axis=1), sizes)
+
+
+def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = g / max(operator_norm(g), 1e-12)
     s = np.eye(n, dtype=np.complex128) + 0.1 * g
-    return s, operator_norm(s) * operator_norm(inverse(s))  # S and cond(S)
+    sinv = inverse(s)
+    return s, sinv, operator_norm(s) * operator_norm(sinv)  # S, S^-1 and cond(S)
 
 
 def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[PropertyReport]:
@@ -379,11 +387,9 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
             worst, trials, detail = math.inf, 0, f"{type(exc).__name__}: {exc}"
         reports.append(_report(name, float(worst), trials, cfg.seed, detail))
 
-    def stacked(points) -> np.ndarray:
-        return np.stack([x.components for x in points], axis=1)
-
     # Every check draws all its trials first, in the order of their samples,
-    # and evaluates them as one stack per dimension.
+    # scales each stack of points into the domain in one call, and evaluates
+    # them as one stack per dimension.
     n, d = cfg.dims[0], F.arity
     kmax = cfg.max_order  # the Taylor check's top degree
     while d**kmax > 200 and kmax > 1:
@@ -391,41 +397,42 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
 
     def graded(rng):
         for m in cfg.graded_dims:
-            F.eval(_sample_point(rng, F, m))  # eval raises if grading breaks
+            F.eval(_points(F, [_draw_point(rng, F, m)])[:, 0])  # eval raises if grading breaks
         return 0.0
 
     def dsum(rng):
         # A 1x1 point in every sum: F at dimension 1 must agree with F above it.
-        trials = [[_sample_point(rng, F, m) for m in (1, *cfg.dims)] for _ in range(cfg.trials)]
-        return check_direct_sum(F, map(stacked, zip(*trials))).worst_residual
+        trials = [[_draw_point(rng, F, m) for m in (1, *cfg.dims)] for _ in range(cfg.trials)]
+        return check_direct_sum(F, [_points(F, slot) for slot in zip(*trials)]).worst_residual
 
     def similarity(rng):
-        trials = [(_sample_point(rng, F, n), *_sample_similarity(rng, n)) for _ in range(cfg.trials)]
-        xs, sims, conds = zip(*trials)
-        ys = [x.conjugate_by(s) for x, s in zip(xs, sims)]
-        residuals = _intertwining(F, stacked(xs), np.array(sims), stacked(ys))
+        trials = [(_draw_point(rng, F, n), *_sample_similarity(rng, n)) for _ in range(cfg.trials)]
+        draws, sims, sinvs, conds = zip(*trials)
+        xs, sims = _points(F, draws), np.array(sims)
+        residuals = _intertwining(F, xs, sims, sims @ xs @ np.array(sinvs))
         return max(r / cond for r, cond in zip(residuals, conds))
 
     def unipotent(rng):
         trials = [
-            (_sample_point(rng, F, n), _sample_point(rng, F, n), _sample_direction(rng, 1, n, 0.2)[0])
+            (_draw_point(rng, F, n), _draw_point(rng, F, n), _direction(rng, 1, n, 0.2)[0])
             for _ in range(cfg.trials)
         ]
         xs, ys, ls = zip(*trials)
-        return check_unipotent_converse(F, stacked(xs), stacked(ys), np.array(ls)).worst_residual
+        return check_unipotent_converse(F, _points(F, xs), _points(F, ys), np.array(ls)).worst_residual
 
     def scalarity(rng):
         # F(a I_n) = F(a) I_n, with F(a) evaluated at dimension 1: a I_n is the
         # direct sum of n copies of the scalar point a.  The 1x1 points are one
         # stacked evaluation, the n x n points one per n.
         points = [
-            [_sample_scalar_point(rng, F, m) for _ in range(cfg.trials)] for m in cfg.scalar_dims
+            _points(F, [_draw_scalar_point(rng, F, m) for _ in range(cfg.trials)])
+            for m in cfg.scalar_dims
         ]
-        scalars = np.array([[x_r[0, 0] for x_r in x] for xs in points for x in xs])
-        cs = iter(F.eval(scalars.T[:, :, None, None])[:, 0, 0])
+        scalars = np.concatenate([xs[:, :, :1, :1] for xs in points], axis=1)
+        cs = iter(F.eval(scalars)[:, 0, 0])
         worst = 0.0
         for m, xs in zip(cfg.scalar_dims, points):
-            for value in F.eval(stacked(xs)):
+            for value in F.eval(xs):
                 c = next(cs)
                 resid = float(np.abs(value - c * np.eye(m)).max())
                 worst = max(worst, resid / max(1.0, abs(c)))
@@ -436,12 +443,12 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         # call makes each trial's d unit jets and d sampled ones at its point.
         units = np.eye(d)[:, :, None, None] * np.eye(n)  # units[r] is e_r: (d, n, n)
         trials = [
-            (_sample_scalar_point(rng, F, n), [_sample_direction(rng, d, n, jet_scale) for _ in range(d)])
+            (_draw_scalar_point(rng, F, n), [_direction(rng, d, n, jet_scale) for _ in range(d)])
             for _ in range(cfg.trials)
         ]
-        points = stacked(a for a, _ in trials)
+        points = _points(F, [a for a, _ in trials])
         values = np.repeat(F.eval(points), 2 * d, axis=0)
-        dirs = np.concatenate([np.concatenate([units, stacked(hs)], axis=1) for _, hs in trials], 1)
+        dirs = np.concatenate([np.concatenate([units, np.stack(hs, 1)], 1) for _, hs in trials], 1)
         points = np.repeat(points, 2 * d, axis=1)
         ders = delta_k(F, [points] * 2, [dirs], base_values=[values] * 2).delta
         worst = 0.0
@@ -455,25 +462,26 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
 
     def structure(rng):
         trials = [
-            ([_sample_point(rng, F, n) for _ in range(3)],
-             [_sample_direction(rng, d, n, jet_scale) for _ in range(2)])
+            ([_draw_point(rng, F, n) for _ in range(3)],
+             [_direction(rng, d, n, jet_scale) for _ in range(2)])
             for _ in range(cfg.trials)
         ]
-        xs, hs = ([stacked(slot) for slot in zip(*group)] for group in zip(*trials))
-        return check_delta_structure(F, xs, hs).worst_residual
+        draws, dirs = zip(*trials)
+        hs = [np.stack(slot, axis=1) for slot in zip(*dirs)]
+        return check_delta_structure(F, [_points(F, s) for s in zip(*draws)], hs).worst_residual
 
     def multilinear(rng):
         # One call makes each trial's four jets in directions (h1, h2),
         # (h1 + h1b, h2), (h1b, h2) and (h1, c h2).
-        xs, pairs, cs = [], [], []
+        draws, pairs, cs = [], [], []
         for _ in range(cfg.trials):
-            xs.append([_sample_point(rng, F, n) for _ in range(3)])
-            h1, h1b, h2 = (_sample_direction(rng, d, n, jet_scale) for _ in range(3))
+            draws.append([_draw_point(rng, F, n) for _ in range(3)])
+            h1, h1b, h2 = (_direction(rng, d, n, jet_scale) for _ in range(3))
             cs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))
             pairs += [(h1, h2), (h1 + h1b, h2), (h1b, h2), (h1, cs[-1] * h2)]
-        points = [stacked(x[i] for x in xs) for i in range(3)]
+        points = [_points(F, slot) for slot in zip(*draws)]
         values = [np.repeat(v, 4, axis=0) for v in _values(F, points)]
-        dirs = [stacked(pair[i] for pair in pairs) for i in range(2)]
+        dirs = [np.stack(slot, axis=1) for slot in zip(*pairs)]
         ders = delta_k(F, [np.repeat(x, 4, axis=1) for x in points], dirs, base_values=values)
         worst = 0.0
         for c, (base, added, other, scaled) in zip(cs, ders.delta.reshape(-1, 4, n, n)):
@@ -482,21 +490,21 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return worst
 
     def symmetry(rng):
-        xs, hs = [], []
+        draws, hs = [], []
         for k in range(2, cfg.max_order + 1):
-            xs.append(_sample_point(rng, F, n))
-            hs.append([_sample_direction(rng, d, n, jet_scale) for _ in range(k)])
-        return check_symmetry(F, stacked(xs), hs).worst_residual
+            draws.append(_draw_point(rng, F, n))
+            hs.append([_direction(rng, d, n, jet_scale) for _ in range(k)])
+        return check_symmetry(F, _points(F, draws), hs).worst_residual
 
     def taylor_polynomiality(rng):
         expansion = taylor_expand(F, kmax)
         worst = 0.0
-        zero = MatrixTuple.zeros(d, 2)
+        zero = np.zeros((d, 2, 2), dtype=np.complex128)
         at_zero = [F.eval(zero)]
         for k in range(1, kmax + 1):
             # Per order, one stacked call makes every trial's polarization jets.
-            trials = [[_sample_direction(rng, d, 2, jet_scale) for _ in range(k)] for _ in range(cfg.trials)]
-            stacks = [stacked(hs[i] for hs in trials) for i in range(k)]
+            trials = [[_direction(rng, d, 2, jet_scale) for _ in range(k)] for _ in range(cfg.trials)]
+            stacks = [np.stack(slot, axis=1) for slot in zip(*trials)]
             for hs, lhs in zip(trials, dk_multilinear(F, zero, stacks, base_values=at_zero * (k + 1))):
                 rhs = np.zeros((2, 2), dtype=np.complex128)
                 for sigma in permutations(range(k)):

@@ -32,6 +32,12 @@ def random_tuple(rng, d: int, n: int, scale: float = 0.45) -> MatrixTuple:
     return MatrixTuple([random_matrix(rng, n, scale) for _ in range(d)])
 
 
+def components(x) -> np.ndarray:
+    """The components of a lone point, a MatrixTuple or d arrays, as one
+    (d, n, n) array: point arithmetic is numpy arithmetic on it."""
+    return np.array([*x], dtype=np.complex128)
+
+
 def unit_direction(arity: int, slot: int, dim: int) -> MatrixTuple:
     """The tuple with the identity in ``slot`` and zeros elsewhere."""
     if not 0 <= slot < arity:
@@ -73,23 +79,23 @@ def scale_vars(p: FreePoly, s) -> FreePoly:
 
 def bidiagonal_block(xs, hs) -> MatrixTuple:
     """The block-bidiagonal jet tuple, assembled one block at a time: a
-    reference for the jets that ``delta_k`` builds.
+    reference for the jets that ``delta_k`` builds, from lone points in any
+    form :func:`components` takes.
 
     ``xs`` (k+1 points) go on the block diagonal and ``hs`` (k directions) on
     the block superdiagonal, componentwise, giving a tuple at dimension
     (k+1) * n.  With ``hs`` empty this is just ``xs[0]``.
     """
-    xs = list(xs)
-    hs = list(hs)
+    xs = [components(x) for x in xs]
+    hs = [components(h) for h in hs]
     if len(xs) != len(hs) + 1:
         raise ValueError(f"need one more point than direction, got {len(xs)} and {len(hs)}")
-    d = xs[0].arity
-    n = xs[0].dim
+    d, n = len(xs[0]), xs[0].shape[-1]
     for t in xs + hs:
-        if t.arity != d or t.dim != n:
+        if t.shape != (d, n, n):
             raise ValueError("all points and directions must share arity and dimension")
     if not hs:
-        return xs[0]
+        return MatrixTuple(xs[0])
     k1 = len(xs)
     comps = []
     for r in range(d):

@@ -14,7 +14,7 @@ from ncfuncalc import (
     from_realization,
     mobius_realization,
 )
-from ncfuncalc.cli import main
+from ncfuncalc.cli import CliConfig, main
 from ncfuncalc.formats import (
     domain_to_obj,
     dump_json,
@@ -25,6 +25,7 @@ from ncfuncalc.formats import (
     realization_to_obj,
     tuple_to_obj,
 )
+from ncfuncalc.taylor import WORD_CAP
 
 from _helpers import ones_orthogonal_matrix, random_poly, random_tuple, rng_for
 
@@ -150,10 +151,10 @@ class TestEval:
         "path, message",
         [
             (("handle", "domain", "norm_cap"), "handle: domain: could not convert string to float"),
-            (("point", "d"), "tuple: invalid literal for int() with base 10"),
-            (("point", "dim"), "tuple: invalid literal for int() with base 10"),
-            (("handle", "domain", "delta", "I"), "handle: domain: delta: invalid literal for int()"),
-            (("handle", "domain", "delta", "J"), "handle: domain: delta: invalid literal for int()"),
+            (("point", "d"), "tuple: d must be a JSON integer"),
+            (("point", "dim"), "tuple: dim must be a JSON integer"),
+            (("handle", "domain", "delta", "I"), "handle: domain: delta: I must be a JSON integer"),
+            (("handle", "domain", "delta", "J"), "handle: domain: delta: J must be a JSON integer"),
         ],
     )
     def test_unreadable_declared_size_names_its_position(self, capsys, tmp_path, path, message):
@@ -195,6 +196,18 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "domain" in err
+
+    def test_fractional_word_letter_exits_2(self, workspace, capsys, tmp_path):
+        # Letters are JSON integers; [0.7, 1.9] was read as the word x0 x1.
+        obj = handle_to_obj(from_poly(FreePoly(2, {(0, 1): 1.0})))
+        obj["payload"]["terms"][0]["word"] = [0.7, 1.9]
+        handle = tmp_path / "fractional.json"
+        handle.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "eval", "--handle", str(handle), "--point", workspace["shift_pair.json"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: handle: payload: term 0: word letter must be a JSON integer: 0.7\n"
 
     def test_point_of_dimension_zero_exits_2(self, workspace, capsys, tmp_path):
         point = tmp_path / "empty.json"
@@ -543,6 +556,39 @@ class TestConfigFile:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {cfg}: fd_lambda must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"out": 5}, "out must be a path string or null, got 5"),
+            ({"out": True}, "out must be a path string or null, got True"),
+            ({"out": ["a"]}, "out must be a path string or null, got ['a']"),
+            ({"fd_lambda": "1e-3"}, "fd_lambda must be a number, got '1e-3'"),
+            ({"fd_lambda": True}, "fd_lambda must be a number, got True"),
+        ],
+    )
+    def test_malformed_out_or_step_exits_2_naming_it(
+        self, workspace, capsys, tmp_path, config, message
+    ):
+        # A non-string out crashed the output write (exit 1, a failed
+        # verdict); a string step failed a comparison, and true was a step of 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(
+            capsys,
+            "derive",
+            "--handle", workspace["square.json"],
+            "--point", workspace["x_scalar.json"],
+            "--directions", workspace["dirs_one.json"],
+            "--k", "1",
+            "--method", "fd",
+            "--config", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: {message}\n"
+
+    def test_word_cap_defaults_to_the_library_cap(self):
+        assert CliConfig().word_cap == WORD_CAP
 
     def test_suite_settings_from_config(self, workspace, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

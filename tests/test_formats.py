@@ -109,6 +109,62 @@ class TestRealizationFormat:
             realization_from_obj(obj)
 
 
+def _set(obj, path, value):
+    """``obj`` with the field at ``path`` (keys and list indices) set to ``value``."""
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _poly_handle():
+    return handle_to_obj(from_poly(FreePoly(2, {(): 1.0, (0, 1): 0.5})))
+
+
+def _series_handle():
+    from ncfuncalc import SeriesFunction, from_series
+
+    series = SeriesFunction([FreePoly(1, {(0,) * k: 1.0}) for k in range(4)], 2.0)
+    return handle_to_obj(from_series(series, truncation=3))
+
+
+class TestIntegerFields:
+    """Sizes, degrees and letters are JSON integers: a float, a bool or a
+    string is refused under its position, never truncated."""
+
+    @pytest.mark.parametrize(
+        "read, make, path, value, message",
+        [
+            (handle_from_obj, _poly_handle, ("payload", "terms", 1, "word"), [0.7, 1.9],
+             "handle: payload: term 1: word letter must be a JSON integer: 0.7"),
+            (handle_from_obj, _poly_handle, ("payload", "terms", 1, "word"), [0, True],
+             "handle: payload: term 1: word letter must be a JSON integer: True"),
+            (handle_from_obj, _poly_handle, ("payload", "d"), 2.6,
+             "handle: payload: d must be a JSON integer: 2.6"),
+            (handle_from_obj, _series_handle, ("payload", "truncation"), 3.9,
+             "handle: truncation must be a JSON integer: 3.9"),
+            (handle_from_obj, lambda: {"kind": "control", "payload": {"name": "fixed-corner"}},
+             ("payload", "d"), 2.5, "handle: d must be a JSON integer: 2.5"),
+            (matrix_from_obj, lambda: matrix_to_obj(np.eye(1)), ("rows",), 1.9,
+             "matrix: missing or bad rows/cols/entries (rows must be a JSON integer: 1.9)"),
+            (tuple_from_obj, lambda: tuple_to_obj(MatrixTuple.zeros(1, 2)), ("dim",), "2",
+             "tuple: dim must be a JSON integer: '2'"),
+            (realization_from_obj, lambda: realization_to_obj(mobius_realization(0.3)),
+             ("m",), 1.0, "realization: m must be a JSON integer: 1.0"),
+            (realization_from_obj, lambda: realization_to_obj(mobius_realization(0.3)),
+             ("delta", "J"), True, "realization: delta: J must be a JSON integer: True"),
+        ],
+        ids=["float letters", "bool letter", "float d", "float truncation", "float control d",
+             "float rows", "string dim", "float m", "bool J"],
+    )
+    def test_non_integer_is_a_parse_error_at_its_position(self, read, make, path, value, message):
+        obj = _set(make(), path, value)
+        with pytest.raises(ParseError) as info:
+            read(obj)
+        assert str(info.value) == message
+
+
 class TestDomainFormat:
     def test_round_trip_all_kinds(self):
         for dom in (

@@ -123,6 +123,26 @@ def test_only_linalg_tells_a_matrix_tuple_from_a_stack():
     assert not offences, offences
 
 
+def test_only_linalg_and_formats_build_a_matrix_tuple():
+    # MatrixTuple is the lone container at the API edge: linalg builds the
+    # lone results and formats reads points from files.  Every other module
+    # builds its points as stacks and does their arithmetic with numpy.
+    offences = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("linalg.py", "formats.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", None) == "MatrixTuple" or (
+                getattr(getattr(func, "value", None), "id", None) == "MatrixTuple"
+                and func.attr in ("zeros", "from_scalars")
+            ):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert not offences, offences
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(PACKAGE_DIR.glob("*.py")) + sorted(TEST_DIR.glob("*.py")),

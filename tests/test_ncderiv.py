@@ -26,6 +26,7 @@ from ncfuncalc import (
 
 from _helpers import (
     bidiagonal_block,
+    components,
     counting_handle,
     random_isometric_realization,
     random_matrix,
@@ -123,7 +124,7 @@ class TestGaugeScale:
         assert operator_norm(np.hstack(x.components)) > 0.95
         h = random_tuple(rng, 2, 2)
         res = jet(F, x, h)
-        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
+        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * components(h)]))
         np.testing.assert_allclose(res.delta, x[0] @ h[1] + h[0] @ x[1], atol=1e-12)
 
     def test_unbounded_domain_keeps_unit_scale(self, square):
@@ -137,7 +138,7 @@ class TestGaugeScale:
         x = MatrixTuple.zeros(5, 2)
         e11 = np.zeros((2, 2))
         e11[0, 0] = 1.0
-        h = MatrixTuple([e11] * 5)
+        h = np.array([e11] * 5)
         eps = jet(F, x, h).epsilon
         assert eps == 0.25
         assert domain.contains(bidiagonal_block([x, x], [eps * h]))
@@ -152,7 +153,7 @@ class TestGaugeScale:
         assert operator_norm(eval_delta(domain.delta, x)) == pytest.approx(0.95)
         eps = jet(F, x, h).epsilon
         assert eps == 0.125
-        assert domain.contains(bidiagonal_block([x, x], [eps * h]))
+        assert domain.contains(bidiagonal_block([x, x], [eps * components(h)]))
 
     def test_quadratic_delta_ball_jet_stays_inside(self):
         # delta = x0^2 at x = 0.9 (gauge 0.81): a scale read from
@@ -162,7 +163,7 @@ class TestGaugeScale:
         F = from_poly(FreePoly(1, {(0, 0, 0): 1.0}), domain)
         x, h = scalar(0.9), scalar(0.3)
         res = jet(F, x, h)
-        assert domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
+        assert domain.contains(bidiagonal_block([x, x], [res.epsilon * components(h)]))
         np.testing.assert_allclose(res.delta, [[3 * 0.81 * 0.3]], rtol=1e-14)
 
     def test_norm_capped_jet_stays_inside(self):
@@ -171,7 +172,7 @@ class TestGaugeScale:
         F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(math.inf, norm_cap=1.0))
         x, h = scalar(0.9), scalar(1.0)
         res = jet(F, x, h)
-        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * h]))
+        assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * components(h)]))
         np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
 
     def test_checked_base_points_are_not_tested_again(self, monkeypatch):
@@ -426,7 +427,7 @@ class TestDkFd:
             h = random_tuple(rng, 2, n)
             for k in (1, 2, 3):
                 for lam in (1.0, 0.5, 0.1):
-                    xs = [x + (j * lam) * h for j in range(k + 1)]
+                    xs = [components(x) + (j * lam) * components(h) for j in range(k + 1)]
                     lhs = math.factorial(k) * delta_k(F, xs, [h] * k).delta
                     rhs = dk_fd(F, x, h, k, lam)
                     assert relerr(lhs, rhs) <= 1e-8
@@ -460,7 +461,8 @@ class TestDkFd:
         assert calls == [3]
         acc = np.zeros((3, 3), dtype=np.complex128)
         for j in range(4):
-            acc += ((-1) ** j * math.comb(3, j)) * p.evaluate(x + (j * 0.25) * h)
+            point = components(x) + complex(j * 0.25) * components(h)
+            acc += ((-1) ** j * math.comb(3, j)) * p.evaluate(point)
         np.testing.assert_array_equal(out, -acc / 0.25**3)
 
 
@@ -505,14 +507,14 @@ class TestDkMultilinear:
         c = 0.7 - 0.3j
         for slot in range(2):
             bumped = list(hs)
-            bumped[slot] = hs[slot] + extra
+            bumped[slot] = components(hs[slot]) + components(extra)
             split = list(hs)
             split[slot] = extra
             lhs = dk_multilinear(F, x, bumped)
             rhs = dk_multilinear(F, x, hs) + dk_multilinear(F, x, split)
             assert relerr(lhs, rhs) <= 1e-8
             scaled = list(hs)
-            scaled[slot] = c * hs[slot]
+            scaled[slot] = c * components(hs[slot])
             assert relerr(dk_multilinear(F, x, scaled), c * dk_multilinear(F, x, hs)) <= 1e-8
 
     def test_one_base_evaluation_for_all_jets(self):
@@ -532,9 +534,9 @@ class TestDkMultilinear:
             total = np.zeros((2, 2), dtype=np.complex128)
             for mask in range(1, 2**k):
                 members = [i for i in range(k) if mask >> i & 1]
-                hsum = hs[members[0]]
+                hsum = components(hs[members[0]])
                 for i in members[1:]:
-                    hsum = hsum + hs[i]
+                    hsum = hsum + components(hs[i])
                 diag = math.factorial(k) * delta_k(F, [x] * (k + 1), [hsum] * k).delta
                 total = total + (-1) ** (k - len(members)) * diag
             np.testing.assert_array_equal(out, total / math.factorial(k))

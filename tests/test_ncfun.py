@@ -1,6 +1,7 @@
 """Handle construction, domains, and the structural evaluation properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,18 @@ class TestStacks:
         assert nongraded.eval(stack_of([MatrixTuple.zeros(1, 2)] * 3)).shape == (3, 2, 2)
         with pytest.raises(ValueError, match="broke grading"):
             nongraded.eval(stack_of([MatrixTuple.zeros(1, 3)] * 3))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 0), (1, 1, 2, 3)])
+    def test_malformed_stack_is_rejected_before_evaluation(self, shape):
+        # Dimension 0 gave an empty value from a polynomial and a
+        # ZeroDivisionError from a realization; a 2x3 point was inside.
+        x = np.zeros(shape)
+        handles = [from_poly(FreePoly(1, {(0, 0): 1.0})), from_realization(mobius_realization(0.5))]
+        for F in handles:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                F.eval(x)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            DomainDescriptor.polydisk(1.0).contains(x)
 
     @pytest.mark.parametrize("name", CONTROL_NAMES)
     def test_controls_broadcast(self, name):

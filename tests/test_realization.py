@@ -14,6 +14,7 @@ from ncfuncalc import (
     PolyMatrix,
     Realization,
     ResolventSingularError,
+    SamplerStarvationError,
     ScanReport,
     check_isometry,
     contractivity_scan,
@@ -158,9 +159,9 @@ class TestBallAndExhaustion:
         square = PolyMatrix([[FreePoly(1, {(0, 0): 1.0})]])
         ball = DomainDescriptor.deltaball(square, 0.05)
         rng = rng_for(68)
-        for _ in range(200):
-            x = ball.rescale(random_tuple(rng, 1, 4), 0.9)
-            assert operator_norm(eval_delta(square, x)) == pytest.approx(0.9, rel=1e-12)
+        u = np.stack([random_tuple(rng, 1, 4).components for _ in range(200)], axis=1)
+        x = ball.rescale(u, np.full(200, 0.9))
+        np.testing.assert_allclose(operator_norm(eval_delta(square, x)), 0.9, rtol=1e-12)
 
     def test_affine_delta_rescales_to_the_requested_norm(self):
         # ||delta(t u)|| = ||t u + 0.5 I||: bisection on t lands a sample whose
@@ -169,9 +170,54 @@ class TestBallAndExhaustion:
         affine = PolyMatrix([[FreePoly(1, {(0,): 1.0, (): 0.5})]])
         ball = DomainDescriptor.deltaball(affine, 0.05)
         rng = rng_for(69)
-        for _ in range(50):
-            x = ball.rescale(random_tuple(rng, 1, 4), 0.9)
-            assert operator_norm(eval_delta(affine, x)) == pytest.approx(0.9, rel=1e-12)
+        u = np.stack([random_tuple(rng, 1, 4).components for _ in range(50)], axis=1)
+        x = ball.rescale(u, np.full(50, 0.9))
+        np.testing.assert_allclose(operator_norm(eval_delta(affine, x)), 0.9, rtol=1e-12)
+
+
+def _stacked_rescale_domains():
+    x0, x1 = FreePoly.letter(2, 0), FreePoly.letter(2, 1)
+    affine = PolyMatrix([[x0 + FreePoly.constant(2, 0.3), FreePoly(2, {(1,): 0.5})]])
+    quadratic = PolyMatrix([[FreePoly(2, {(0, 1): 1.0})], [FreePoly(2, {(1, 1): 0.5})]])
+    return {
+        "polydisk": DomainDescriptor.polydisk(0.9),
+        "row ball": DomainDescriptor.rowball(0.8),
+        "norm-capped polydisk": DomainDescriptor.polydisk(2.0, norm_cap=0.5),
+        "quadratic delta ball": DomainDescriptor.deltaball(quadratic, 0.05),
+        "affine delta ball": DomainDescriptor.deltaball(affine, 0.05),
+    }
+
+
+class TestStackedRescale:
+    """The suite scales each check's points as one stack, so its reports rest
+    on a stacked rescale giving every sample its lone value bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("name", sorted(_stacked_rescale_domains()))
+    def test_each_sample_gets_its_lone_value(self, name, n):
+        ball = _stacked_rescale_domains()[name]
+        rng = rng_for(71)
+        u = rng.standard_normal((2, 9, n, n)) + 1j * rng.standard_normal((2, 9, n, n))
+        # Sizes past the bound end inside only after halvings; on the affine
+        # ball the sizes above its norm at 0 (0.3) are found by bisection.
+        sizes = ball.bound * np.array([0.05, 0.2, 0.45, 0.9, 0.999, 1.5, 2.0, 4.0, 10.0])
+        x = ball.rescale(u, sizes)
+        assert x.shape == u.shape
+        assert np.all(ball.contains(x))
+        for s in range(9):
+            alone = ball.rescale(u[:, s : s + 1], sizes[s : s + 1])
+            assert np.array_equal(x[:, s], alone[:, 0])
+
+    def test_one_size_serves_every_sample(self):
+        ball = DomainDescriptor.rowball(0.8)
+        rng = rng_for(72)
+        u = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+        assert np.array_equal(ball.rescale(u, 0.5), ball.rescale(u, np.full(5, 0.5)))
+        # A ball without 0 starves every sample, and the error names the size.
+        x0 = FreePoly.letter(1, 0)
+        shifted = DomainDescriptor.deltaball(PolyMatrix([[x0 + FreePoly.constant(1, 2.0)]]))
+        with pytest.raises(SamplerStarvationError, match="norm 5.000e-01"):
+            shifted.rescale(np.ones((1, 2, 2, 2)), 0.5)
 
 
 class TestIsometry:
@@ -415,7 +461,7 @@ class TestResolventCertificate:
 def kronecker_transfer(r, x):
     """The transfer formula with every Kronecker product formed and one 2-d
     solve: A + (B (x) 1)(1 (x) delta(x)) (1 - (D (x) 1)(1 (x) delta(x)))^{-1} (C (x) 1)."""
-    n = x.dim
+    n = x.shape[-1]
     lifted = np.kron(np.eye(r.m), eval_delta(r.delta, x))
     k = np.kron(r.D, np.eye(n)) @ lifted
     resolvent_c = np.linalg.solve(np.eye(k.shape[0]) - k, np.kron(r.C, np.eye(n)))
@@ -459,7 +505,7 @@ def reference_scan(r, n, samples, seed):
     max_norm, halved = 0.0, 0
     for i in range(samples):
         rng = np.random.default_rng((seed, i))
-        u = MatrixTuple(
+        u = np.array(
             [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d)]
         )
         size = bound * rng.uniform() ** ((p or 1) / (2 * d * n * n))
@@ -468,7 +514,7 @@ def reference_scan(r, n, samples, seed):
         while not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN:
             x = 0.5 * x
         ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
-        assert all(np.array_equal(a, b) for a, b in zip(ball.rescale(u, size), x))
+        assert np.array_equal(ball.rescale(u[:, None], [size])[:, 0], x)
         max_norm = max(max_norm, np.linalg.norm(kronecker_transfer(r, x), 2))
     return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed), halved
 

@@ -35,6 +35,7 @@ from ncfuncalc.linalg import scalar_part
 from ncfuncalc.taylor import CIRCLE_INFLATE, CIRCLE_SAMPLES, JET_BLOCK_BYTES
 
 from _helpers import (
+    components,
     counting_handle,
     random_isometric_realization,
     random_matrix,
@@ -471,6 +472,7 @@ class TestTailBound:
         assert calls == [3]
         # The reference: one lone evaluation per circle point.
         zetas = [2.0 * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES) for t in range(CIRCLE_SAMPLES)]
+        x = components(x)
         assert m_hat == CIRCLE_INFLATE * max(operator_norm(p.evaluate(z * x)) for z in zetas)
 
 
