@@ -4,7 +4,9 @@ Complex scalars are objects ``{"re": ..., "im": ...}``.  Floats are printed
 with Python's shortest round-trip representation, which carries at least 17
 significant digits when needed.  Words are zero-indexed letter lists and
 polynomials serialize in graded lexicographic order.  Sizes, degrees and
-letters are JSON integers, never truncated from a float, a bool or a string.
+letters are JSON integers, never truncated from a float, a bool or a string;
+coefficients, radii, margins and caps are JSON numbers, never read from a
+bool or a string.
 
 Schemas
     matrix       {"rows": R, "cols": C, "entries": [[{re, im}, ...], ...]}
@@ -92,6 +94,16 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _float(value, what: str) -> float:
+    """A JSON number as a float; anything else, a bool or string too, is a ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer beyond the float range") from None
+
+
 def _complex_to_obj(c: complex) -> dict:
     return {"re": float(c.real), "im": float(c.imag)}
 
@@ -100,7 +112,7 @@ def _complex_from_obj(obj, where: str) -> complex:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ParseError(f"{where}: expected an object with 're' and 'im'")
     with _parsing(where):
-        return complex(float(obj["re"]), float(obj["im"]))
+        return complex(_float(obj["re"], "re"), _float(obj["im"], "im"))
 
 
 def matrix_to_obj(a) -> dict:
@@ -182,7 +194,8 @@ def poly_from_obj(obj, where: str = "polynomial") -> FreePoly:
         terms = {}
         for i, t in enumerate(obj["terms"]):
             word = tuple(_int(j, f"term {i}: word letter") for j in t["word"])
-            terms[word] = terms.get(word, 0) + complex(float(t["re"]), float(t["im"]))
+            coeff = complex(_float(t["re"], f"term {i}: re"), _float(t["im"], f"term {i}: im"))
+            terms[word] = terms.get(word, 0) + coeff
         return FreePoly(d, terms)
 
 
@@ -260,16 +273,16 @@ def domain_from_obj(obj, where: str = "domain") -> DomainDescriptor:
     kind = obj["kind"]
     with _parsing(where):
         cap = obj.get("norm_cap")
-        cap = math.inf if cap is None else float(cap)
+        cap = math.inf if cap is None else _float(cap, "norm_cap")
         if kind == "deltaball":
             return DomainDescriptor.deltaball(
                 polymatrix_from_obj(obj["delta"], f"{where}: delta"),
-                margin=float(obj.get("margin", 0.0)),
+                margin=_float(obj.get("margin", 0.0), "margin"),
                 norm_cap=cap,
             )
         if kind in ("polydisk", "rowball"):
             radius = obj.get("radius")
-            radius = math.inf if radius is None else float(radius)
+            radius = math.inf if radius is None else _float(radius, "radius")
             factory = DomainDescriptor.polydisk if kind == "polydisk" else DomainDescriptor.rowball
             return factory(radius, norm_cap=cap)
     raise ParseError(f"{where}: unknown domain kind {kind!r}")
@@ -307,7 +320,7 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
             parts = [
                 poly_from_obj(p, f"{where}: part {k}") for k, p in enumerate(payload["parts"])
             ]
-            series = SeriesFunction(parts, float(payload["radius"]))
+            series = SeriesFunction(parts, _float(payload["radius"], "radius"))
             truncation = _int(payload.get("truncation", DEFAULT_TRUNCATION), "truncation")
             return from_series(series, truncation, domain)
     if kind == "realization":

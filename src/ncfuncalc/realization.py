@@ -30,9 +30,20 @@ Stacks.  A point is a stack of shape (d, B, n, n), a
 :class:`~ncfuncalc.linalg.MatrixTuple` its lone form.  One rule sizes the
 blocks of every stack that reaches the transfer step, from
 :meth:`Realization.evaluate` and from a scan alike: as many samples as keep
-the block's resolvents within ``SCAN_BLOCK_BYTES`` (at least one), so one
-constant bounds every resolvent stack.  Each sample gets the value it gets
-alone (on a scan, up to roundoff in ``delta(x)`` for p > 1).
+two blocks' resolvents within ``SCAN_BLOCK_BYTES`` (at least one), so one
+constant bounds the resolvents in flight.  Each sample gets the value it
+gets alone (on a scan, up to roundoff in ``delta(x)`` for p > 1).
+
+The solver thread.  Blocks pass through a two-stage pipeline: while one
+daemon thread runs the batched LAPACK solve of block k, which releases the
+GIL, the calling thread builds block k + 1 (a scan's draws and rescaling,
+``delta(x)``, the resolvents) and then finishes block k.  The thread runs
+that one call and nothing else: the certificate, the finiteness checks, the
+uncertified samples' :func:`~ncfuncalc.linalg.inverse` and every error stay
+on the calling thread.  The last block of a call is solved where it is
+built, so a one-block call, a lone point among them, starts no thread; so
+is every block of a process that may run on one CPU only.  A forked child
+starts its own thread.
 
 A contractivity scan rescales one complex Gaussian direction per sample,
 drawn from its own stream ``(seed, i)``, to the norm
@@ -47,6 +58,8 @@ is scaled, measured once and halved into the ball.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -406,15 +419,20 @@ class Realization:
             raise ValueError(f"realization has arity {self.arity}, point has arity {len(comps)}")
         samples, n = comps.shape[1:3]
         block = self._block(n)
+        starts = range(0, samples, block)
+
+        def delta_at(start):
+            delta_x = eval_delta(self.delta, comps[:, start : start + block])
+            return delta_x, operator_norm(delta_x)
+
         out = np.empty((samples, n, n), dtype=np.complex128)
-        for lo in range(0, samples, block):
-            delta_x = eval_delta(self.delta, comps[:, lo : lo + block])
-            out[lo : lo + block] = _transfer(self, delta_x, operator_norm(delta_x))
+        for start, values in zip(starts, _transfer(self, n, starts, delta_at)):
+            out[start : start + block] = values
         return unstack(out, lead)
 
     def _block(self, n: int) -> int:
         """Samples per transfer step at dimension n (module docstring)."""
-        return max(1, SCAN_BLOCK_BYTES // (16 * (self.m * self.delta.cols * n) ** 2))
+        return max(1, SCAN_BLOCK_BYTES // (2 * 16 * (self.m * self.delta.cols * n) ** 2))
 
     @cached_property
     def _d_norm(self) -> float:
@@ -446,51 +464,151 @@ def eval_realization(r: Realization, x: MatrixTuple) -> np.ndarray:
     return r.evaluate(x)
 
 
-def _transfer(r: Realization, delta_x: np.ndarray, delta_norms: np.ndarray) -> np.ndarray:
-    """Transfer-function values at a stack of points, from ``delta(x)`` of
-    shape (B, I*n, J*n) and its norms ``||delta(x)||`` of shape (B,).
+class _Resolvents:
+    """One block's resolvents ``1 - K``, written into ``lhs`` of shape
+    (B, N, N), and the pieces of its transfer values, from ``delta(x)`` of
+    shape (B, I*n, J*n), its norms ``||delta(x)||`` of shape (B,) and
+    ``c_lift = C (x) 1``; ``system`` is the batched system of its certified
+    samples (None without one), which one LAPACK call solves.
 
     Both amplified products come from one 2-d BLAS product per sample: D
     reshaped to rows (a, j, b) and B to rows b, stacked, times ``delta(x)``
     reshaped to rows i and columns (t, k, u).  The D rows are written through
     a transposed view straight into the stacked resolvents, rows (a, j, t)
     and columns (b, k, u), so the block holds no second product of its size.
-    Every certified sample is solved in one batched LAPACK call; the others
-    go through :func:`~ncfuncalc.linalg.inverse` one at a time.
     """
-    m, rows, cols = r.m, r.delta.rows, r.delta.cols
-    batch, n = delta_x.shape[0], delta_x.shape[-1] // cols
-    res_dim, d_rows = m * cols * n, m * cols * m
-    lhs = np.empty((batch, res_dim, res_dim), dtype=np.complex128)
-    b_dlt = np.empty((batch, n, res_dim), dtype=np.complex128)
-    # Letters: s indexes samples; a, b index [m]; i indexes [I]; j indexes [J];
-    # t indexes [n]; v indexes the pairs (k, u) of [J] x [n].
-    coeffs = np.concatenate((r.D.reshape(d_rows, rows), r.B.reshape(m, rows)))  # [ajb | b, i]
-    lhs_view = lhs.reshape(batch, m, cols, n, m, cols * n)  # [s, a, j, t, b, v]
-    lhs_view = lhs_view.transpose(0, 1, 2, 4, 3, 5)  # [s, a, j, b, t, v]
-    b_view = b_dlt.reshape(batch, n, m, cols * n).transpose(0, 2, 1, 3)  # [s, b, t, v]
-    for s in range(batch):
-        prod = coeffs @ delta_x[s].reshape(rows, n * cols * n)  # [ajb | b, tv]
-        lhs_view[s] = prod[:d_rows].reshape(m, cols, m, n, cols * n)
-        b_view[s] = prod[d_rows:].reshape(m, n, cols * n)
-    np.subtract(np.eye(res_dim, dtype=np.complex128), lhs, out=lhs)  # 1 - K, in place
-    q = r._d_norm * delta_norms
-    solved = 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q)
+
+    def __init__(self, r: Realization, c_lift: np.ndarray, lhs: np.ndarray, delta_x, delta_norms):
+        m, rows, cols = r.m, r.delta.rows, r.delta.cols
+        (batch, res_dim, _), n = lhs.shape, c_lift.shape[1]
+        d_rows = m * cols * m
+        b_dlt = np.empty((batch, n, res_dim), dtype=np.complex128)
+        # Letters: s indexes samples; a, b index [m]; i indexes [I]; j indexes [J];
+        # t indexes [n]; v indexes the pairs (k, u) of [J] x [n].
+        coeffs = np.concatenate((r.D.reshape(d_rows, rows), r.B.reshape(m, rows)))  # [ajb | b, i]
+        lhs_view = lhs.reshape(batch, m, cols, n, m, cols * n)  # [s, a, j, t, b, v]
+        lhs_view = lhs_view.transpose(0, 1, 2, 4, 3, 5)  # [s, a, j, b, t, v]
+        b_view = b_dlt.reshape(batch, n, m, cols * n).transpose(0, 2, 1, 3)  # [s, b, t, v]
+        for s in range(batch):
+            prod = coeffs @ delta_x[s].reshape(rows, n * cols * n)  # [ajb | b, tv]
+            lhs_view[s] = prod[:d_rows].reshape(m, cols, m, n, cols * n)
+            b_view[s] = prod[d_rows:].reshape(m, n, cols * n)
+        np.subtract(np.eye(res_dim), lhs, out=lhs)  # 1 - K, in place
+        q = r._d_norm * delta_norms
+        self.solved = 1.0 - q > 2.0 * res_dim * PIVOT_RTOL * (1.0 + q)
+        self.system = None
+        if self.solved.any():
+            self.system = lhs if self.solved.all() else lhs[self.solved], c_lift[None]
+        self.A, self.lhs, self.b_dlt, self.c_lift = r.A, lhs, b_dlt, c_lift
+
+    def values(self, solution=None) -> np.ndarray:
+        """The transfer values, from the solution of ``system`` (or the
+        exception raised solving it) that the solver thread put, or else
+        solving ``system`` here.  Any other sample goes through
+        :func:`~ncfuncalc.linalg.inverse` one at a time."""
+        solved, lhs, c_lift = self.solved, self.lhs, self.c_lift
+        res_c = np.empty((len(lhs), *c_lift.shape), dtype=np.complex128)
+        if self.system is not None:
+            try:
+                if isinstance(solution, Exception):
+                    raise solution
+                res_c[solved] = np.linalg.solve(*self.system) if solution is None else solution
+            except np.linalg.LinAlgError as exc:
+                raise ResolventSingularError(f"LAPACK: {exc}") from exc
+            if not np.all(np.isfinite(res_c[solved])):
+                raise ResolventSingularError("resolvent solve has non-finite entries")
+        for s in np.flatnonzero(~solved):
+            try:
+                res_c[s] = inverse(lhs[s]) @ c_lift
+            except SingularMatrixError as exc:
+                raise ResolventSingularError(str(exc)) from exc
+        return self.A * np.eye(c_lift.shape[1], dtype=np.complex128) + self.b_dlt @ res_c
+
+
+class _Solver:
+    """A daemon thread that runs ``np.linalg.solve`` on the systems put to it,
+    one at a time, and nothing else; ``pid`` is the process it runs in."""
+
+    def __init__(self):
+        import queue
+        import threading
+
+        self.pid = os.getpid()
+        self._jobs = queue.SimpleQueue()
+        self._reply = queue.SimpleQueue
+        threading.Thread(target=self._serve, name="ncfuncalc-solver", daemon=True).start()
+
+    def start(self, a: np.ndarray, b: np.ndarray):
+        """A queue that receives the solution of ``a z = b``, or the exception
+        raised solving it."""
+        reply = self._reply()
+        self._jobs.put((a, b, reply))
+        return reply
+
+    def _serve(self):
+        while True:
+            a, b, reply = self._jobs.get()
+            try:
+                reply.put(np.linalg.solve(a, b))
+            except Exception as exc:  # raised again on the calling thread
+                reply.put(exc)
+            del a, b, reply  # keep no system alive while idle
+
+
+_SOLVER: _Solver | None = None  # this process's solver thread, started on first use
+
+
+def _solver() -> _Solver | None:
+    """The solver thread, or None when this process may run on one CPU only."""
+    global _SOLVER
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    if _SOLVER is None or _SOLVER.pid != os.getpid():  # a forked child has no thread
+        # Two first calls at once may each start a thread; each call keeps the
+        # one it got, and every job gets its own reply, so both stay correct.
+        _SOLVER = _Solver()
+    return _SOLVER
+
+
+def _transfer(r: Realization, n: int, starts: range, delta_at) -> Iterator[np.ndarray]:
+    """The transfer values at dimension n of the blocks that begin at
+    ``starts``, in order, ``delta_at(start)`` giving a block's ``delta(x)``
+    stack and its norms.
+
+    Block k's system goes to the solver thread; this thread builds block
+    k + 1, waits for block k's solution, hands block k + 1's system over and
+    only then finishes block k (module docstring).  Block k's resolvents are
+    written into the buffer of block k - 2, whose solve is over: two buffers
+    serve the whole call.  An error raised here, or by the consumer between
+    blocks (which closes the generator), leaves no solve running.
+    """
+    solver = _solver() if len(starts) > 1 else None
     c_lift = np.kron(r.C, np.eye(n))
-    res_c = np.empty((batch, res_dim, n), dtype=np.complex128)
-    if solved.any():
-        try:
-            res_c[solved] = np.linalg.solve(lhs if solved.all() else lhs[solved], c_lift[None])
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingularError(f"LAPACK: {exc}") from exc
-        if not np.all(np.isfinite(res_c[solved])):
-            raise ResolventSingularError("resolvent solve has non-finite entries")
-    for s in np.flatnonzero(~solved):
-        try:
-            res_c[s] = inverse(lhs[s]) @ c_lift
-        except SingularMatrixError as exc:
-            raise ResolventSingularError(str(exc)) from exc
-    return r.A * np.eye(n, dtype=np.complex128) + b_dlt @ res_c
+    buffers = []  # the resolvents of blocks 0, 1, 0, 1, ...
+    ahead = None  # the block whose system the solver thread holds, and its reply
+    try:
+        for k, start in enumerate(starts):
+            delta_x, delta_norms = delta_at(start)
+            if len(buffers) < 2:
+                buffers.append(np.empty((len(delta_x), len(c_lift), len(c_lift)), np.complex128))
+            lhs = buffers[k % 2][: len(delta_x)]
+            block = _Resolvents(r, c_lift, lhs, delta_x, delta_norms)
+            behind = None if ahead is None else (ahead[0], ahead[1].get())
+            ahead = None
+            if solver is not None and k + 1 < len(starts) and block.system is not None:
+                ahead = block, solver.start(*block.system)
+            if behind is not None:
+                yield behind[0].values(behind[1])
+                behind = None  # release the finished block before the next is built
+            if ahead is None:
+                yield block.values()
+    finally:
+        if ahead is not None:
+            ahead[1].get()
 
 
 def mobius_realization(a: complex) -> Realization:
@@ -578,8 +696,8 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
     d, p = r.arity, r.delta.degree() or 1
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
     block = r._block(n)
-    max_norm = 0.0
-    for start in range(0, samples, block):
+
+    def delta_at(start):
         indices = range(start, min(start + block, samples))
         u = np.empty((d, len(indices), n, n), dtype=np.complex128)
         sizes = np.empty(len(indices))
@@ -593,6 +711,9 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         # that admitted the samples are the ones the transfer step and its
         # certificate read.
         _, delta_norms, delta_x = ball._rescale(u, sizes)
-        values = _transfer(r, delta_x, delta_norms)
+        return delta_x, delta_norms
+
+    max_norm = 0.0
+    for values in _transfer(r, n, range(0, samples, block), delta_at):
         max_norm = max(max_norm, float(np.max(operator_norm(values))))
     return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import MatrixTuple, operator_norm, scalar_part
+from .linalg import as_stack, operator_norm, scalar_part, unstack
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -277,17 +277,24 @@ def tail_bound(M: float, r: float, K: int) -> float:
     return M * rho ** (K + 1) / (1.0 - rho)
 
 
-def circle_norm_estimate(F: NCFunctionHandle, x: MatrixTuple, r: float) -> float:
+def circle_norm_estimate(F: NCFunctionHandle, x, r: float):
     """Sampled stand-in for the supremum of ||F(zeta x)|| on |zeta| = (1+r)/2.
 
     Takes the max over ``CIRCLE_SAMPLES`` equispaced points on the circle,
     evaluated as one stack, and inflates it by the safety factor
     ``CIRCLE_INFLATE``; an estimate for use with :func:`tail_bound`, not a
-    certificate.
+    certificate.  ``x`` is a point in any form
+    :func:`~ncfuncalc.linalg.as_stack` takes; the estimate is a float for a
+    lone point and else an array of its leading shape, each sample's entry
+    the estimate of its own tuple.
     """
     if not r > 1:
         raise ValueError("the dilation radius must exceed 1")
+    comps, lead = as_stack(x)
     radius = (1.0 + r) / 2.0
-    zetas = [radius * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES) for t in range(CIRCLE_SAMPLES)]
-    circle = np.array([[complex(zeta) * c for zeta in zetas] for c in x.components])
-    return CIRCLE_INFLATE * float(operator_norm(F.eval(circle)).max())
+    zetas = np.array(
+        [radius * cmath.exp(2j * math.pi * t / CIRCLE_SAMPLES) for t in range(CIRCLE_SAMPLES)]
+    )
+    circle = zetas[:, None, None, None] * comps[:, None]  # (d, CIRCLE_SAMPLES, B, n, n)
+    norms = operator_norm(F.eval(circle.reshape(len(comps), -1, *comps.shape[-2:])))
+    return unstack(CIRCLE_INFLATE * norms.reshape(CIRCLE_SAMPLES, -1).max(axis=0), lead)

@@ -150,7 +150,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "path, message",
         [
-            (("handle", "domain", "norm_cap"), "handle: domain: could not convert string to float"),
+            (("handle", "domain", "norm_cap"), "handle: domain: norm_cap must be a JSON number"),
             (("point", "d"), "tuple: d must be a JSON integer"),
             (("point", "dim"), "tuple: dim must be a JSON integer"),
             (("handle", "domain", "delta", "I"), "handle: domain: delta: I must be a JSON integer"),
@@ -209,6 +209,19 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: handle: payload: term 0: word letter must be a JSON integer: 0.7\n"
 
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_coefficient_that_is_not_a_number_exits_2(self, workspace, capsys, tmp_path, value):
+        # "0.5" was read as 0.5 and true as 1.
+        obj = handle_to_obj(from_poly(FreePoly(2, {(0, 1): 1.0})))
+        obj["payload"]["terms"][0]["re"] = value
+        handle = tmp_path / "coefficient.json"
+        handle.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "eval", "--handle", str(handle), "--point", workspace["shift_pair.json"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: handle: payload: term 0: re must be a JSON number: {value!r}\n"
+
     def test_point_of_dimension_zero_exits_2(self, workspace, capsys, tmp_path):
         point = tmp_path / "empty.json"
         point.write_text(
@@ -253,9 +266,10 @@ class TestNumericFailure:
 
     def test_non_finite_input_exits_2(self, workspace, capsys, tmp_path):
         obj = tuple_to_obj(MatrixTuple.from_scalars([0.5], 1))
-        obj["components"][0]["entries"][0][0]["re"] = "inf"
+        # json reads the Infinity literal as a number; a string is refused before.
+        obj["components"][0]["entries"][0][0]["re"] = float("inf")
         point = tmp_path / "inf_point.json"
-        point.write_text(dump_json(obj))
+        point.write_text(json.dumps(obj))
         code, _, err = run(
             capsys, "eval", "--handle", workspace["square.json"], "--point", str(point)
         )

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ncfuncalc import DomainDescriptor, FreePoly, MatrixTuple, from_poly, mobius_realization
+from ncfuncalc import (
+    DomainDescriptor,
+    FreePoly,
+    MatrixTuple,
+    delta_polydisk,
+    from_poly,
+    mobius_realization,
+)
 from ncfuncalc.formats import (
     ParseError,
     directions_from_obj,
@@ -163,6 +170,57 @@ class TestIntegerFields:
         with pytest.raises(ParseError) as info:
             read(obj)
         assert str(info.value) == message
+
+
+def _domain(make):
+    return lambda: domain_to_obj(make())
+
+
+class TestNumberFields:
+    """Coefficients, radii, margins and caps are JSON numbers: a string or a
+    bool is refused under its position, never converted."""
+
+    @pytest.mark.parametrize(
+        "read, make, path, value, message",
+        [
+            (matrix_from_obj, lambda: matrix_to_obj(np.eye(1)), ("entries", 0, 0, "re"), "0.5",
+             "matrix: entry (0,0): re must be a JSON number: '0.5'"),
+            (matrix_from_obj, lambda: matrix_to_obj(np.eye(1)), ("entries", 0, 0, "im"), True,
+             "matrix: entry (0,0): im must be a JSON number: True"),
+            (realization_from_obj, lambda: realization_to_obj(mobius_realization(0.3)),
+             ("A", "re"), "-0.3", "realization: A: re must be a JSON number: '-0.3'"),
+            (handle_from_obj, _poly_handle, ("payload", "terms", 1, "re"), "0.5",
+             "handle: payload: term 1: re must be a JSON number: '0.5'"),
+            (handle_from_obj, _poly_handle, ("payload", "terms", 0, "im"), False,
+             "handle: payload: term 0: im must be a JSON number: False"),
+            (handle_from_obj, _series_handle, ("payload", "radius"), "2",
+             "handle: radius must be a JSON number: '2'"),
+            (domain_from_obj, _domain(lambda: DomainDescriptor.polydisk(2.0)), ("radius",), "2",
+             "domain: radius must be a JSON number: '2'"),
+            (domain_from_obj, _domain(lambda: DomainDescriptor.rowball(2.0)), ("norm_cap",), True,
+             "domain: norm_cap must be a JSON number: True"),
+            (domain_from_obj, _domain(lambda: DomainDescriptor.deltaball(delta_polydisk(1))),
+             ("margin",), "0.1", "domain: margin must be a JSON number: '0.1'"),
+            (domain_from_obj, _domain(lambda: DomainDescriptor.polydisk(2.0)), ("radius",),
+             10**400, "domain: radius is an integer beyond the float range"),
+        ],
+        ids=["string re", "bool im", "string A", "string term re", "bool term im",
+             "string series radius", "string radius", "bool cap", "string margin", "huge radius"],
+    )
+    def test_non_number_is_a_parse_error_at_its_position(self, read, make, path, value, message):
+        obj = _set(make(), path, value)
+        with pytest.raises(ParseError) as info:
+            read(obj)
+        assert str(info.value) == message
+
+    def test_integers_are_numbers(self):
+        # A JSON integer is a number: 2 reads as 2.0 wherever a float goes.
+        entry = matrix_from_obj({"rows": 1, "cols": 1, "entries": [[{"re": 2, "im": -1}]]})
+        assert entry[0, 0] == 2 - 1j
+        domain = domain_from_obj({"kind": "rowball", "radius": 2, "norm_cap": 3})
+        assert domain == DomainDescriptor.rowball(2.0, norm_cap=3.0)
+        p = poly_from_obj({"d": 1, "terms": [{"word": [0], "re": 1, "im": 0}]})
+        assert p == FreePoly.letter(1, 0)
 
 
 class TestDomainFormat:

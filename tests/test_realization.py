@@ -1,5 +1,10 @@
 """Delta balls, colligations, transfer functions, and contractivity scans."""
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -585,14 +590,15 @@ class TestStackedScan:
 
     @pytest.fixture
     def batches(self, monkeypatch):
+        """The number of samples in each block whose resolvents are built."""
         sizes = []
-        transfer = realization._transfer
+        resolvents = realization._Resolvents
 
-        def recording(r, delta_x, delta_norms):
+        def recording(r, c_lift, lhs, delta_x, delta_norms):
             sizes.append(delta_x.shape[0])
-            return transfer(r, delta_x, delta_norms)
+            return resolvents(r, c_lift, lhs, delta_x, delta_norms)
 
-        monkeypatch.setattr(realization, "_transfer", recording)
+        monkeypatch.setattr(realization, "_Resolvents", recording)
         return sizes
 
     @pytest.mark.parametrize("name", sorted(SCAN_CASES))
@@ -698,18 +704,21 @@ class TestStackedScan:
             assert delta_calls[after_x:after_x + 1] == ([halved] if halvings else [])
 
     def test_blocks_split_at_the_byte_budget(self, batches):
-        # N = m J n = 96: four 96x96 resolvents per block, and a last block of 1.
+        # N = m J n = 96: two blocks of 96x96 resolvents in flight fit the
+        # budget with two per block, and a last block of 1.
         r = SCAN_CASES["polydisk"]()
         contractivity_scan(r, 16, 41, seed=1)
-        block = SCAN_BLOCK_BYTES // (16 * 96**2)
+        block = SCAN_BLOCK_BYTES // (2 * 16 * 96**2)
+        assert block == 2
         assert batches == [block] * (41 // block) + [41 % block]
 
-    @pytest.mark.parametrize("samples", [1, 4, 5])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5])
     def test_evaluate_splits_stacks_at_the_byte_budget(self, batches, samples):
-        # Stacks of one sample, of one block (4 at N = 96) and of one block
-        # plus one: each sample gets, bit for bit, its lone value.
+        # Stacks of one sample, of one block (2 at N = 96), of one block plus
+        # one and of several blocks: each sample gets, bit for bit, its lone
+        # value.
         r = SCAN_CASES["polydisk"]()
-        block = SCAN_BLOCK_BYTES // (16 * 96**2)
+        block = SCAN_BLOCK_BYTES // (2 * 16 * 96**2)
         rng = rng_for(64)
         points = [random_tuple(rng, 2, 16) for _ in range(samples)]
         lone = [r.evaluate(x) for x in points]
@@ -722,11 +731,198 @@ class TestStackedScan:
 
     def test_resolvent_above_the_budget_scans_one_sample_per_block(self, batches):
         r = SCAN_CASES["polydisk"]()
-        n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 16)
-        assert 16 * (r.m * r.delta.cols * n) ** 2 > SCAN_BLOCK_BYTES
+        n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 32)
+        assert 2 * 16 * (r.m * r.delta.cols * n) ** 2 > SCAN_BLOCK_BYTES
         expected, _ = reference_scan(r, n, 3, seed=2)
         assert_same_report(contractivity_scan(r, n, 3, seed=2), expected)
         assert batches == [1, 1, 1]
+
+
+class TestSolverThread:
+    """Each block's LAPACK solve runs on the solver thread while the next block
+    is built on the calling thread (module docstring of realization)."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Starts from no solver thread, on two CPUs as the solver reads them;
+        the returned function sets another count."""
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+        monkeypatch.setattr(realization, "_SOLVER", None)
+        set_cpus(2)
+        return set_cpus
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The thread of each LAPACK solve."""
+        threads = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            threads.append(threading.get_ident())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        return threads
+
+    def test_pipelined_values_equal_blocks_of_one(self, monkeypatch, cpus, solves):
+        # Seven samples at N = 96 make four blocks of two: three solved on the
+        # solver thread and the last here.  Blocks of one and lone points
+        # give the same bits.
+        r = SCAN_CASES["polydisk"]()
+        rng = rng_for(65)
+        x = np.stack([random_tuple(rng, 2, 16).components for _ in range(7)], axis=1)
+        main = threading.get_ident()
+        values = r.evaluate(x)
+        assert [thread == main for thread in solves] == [False, False, False, True]
+        lone = [r.evaluate(x[:, s]) for s in range(7)]
+        monkeypatch.setattr(realization, "SCAN_BLOCK_BYTES", 0)
+        solves.clear()
+        ones = r.evaluate(x)
+        assert [thread == main for thread in solves] == [False] * 6 + [True]
+        assert values.tobytes() == ones.tobytes() == b"".join(v.tobytes() for v in lone)
+
+    def test_lone_evaluation_starts_no_thread(self, cpus, solves):
+        r = SCAN_CASES["polydisk"]()
+        rng = rng_for(66)
+        threads = threading.active_count()
+        eval_realization(r, random_tuple(rng, 2, 16))
+        r.evaluate(np.stack([random_tuple(rng, 2, 16).components for _ in range(2)], axis=1))
+        contractivity_scan(r, 16, 2, seed=3)  # one block of two, too
+        assert solves == [threading.get_ident()] * 3
+        assert realization._SOLVER is None
+        assert threading.active_count() == threads
+
+    def test_one_cpu_solves_every_block_here(self, cpus, solves):
+        r = SCAN_CASES["polydisk"]()
+        pipelined = contractivity_scan(r, 16, 9, seed=8)
+        assert realization._SOLVER is not None
+        cpus(1)
+        realization._SOLVER = None
+        solves.clear()
+        assert contractivity_scan(r, 16, 9, seed=8).as_dict() == pipelined.as_dict()
+        assert solves == [threading.get_ident()] * 5
+        assert realization._SOLVER is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_thread(self, cpus, solves):
+        r = SCAN_CASES["polydisk"]()
+        expected = contractivity_scan(r, 16, 9, seed=8).as_dict()
+        assert realization._SOLVER is not None  # the parent's thread, absent in a child
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            solves.clear()
+            report = contractivity_scan(r, 16, 9, seed=8).as_dict()
+            send.send((report, len(set(solves) - {threading.get_ident()})))
+
+        with warnings.catch_warnings():
+            # Python 3.12 warns on every fork of a process that runs threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process = context.Process(target=child)
+            process.start()
+        try:
+            assert receive.poll(60), "the forked child's scan did not finish"
+            assert receive.recv() == (expected, 1)
+            process.join(60)
+            assert process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+    @pytest.mark.parametrize("where", ["next block", "consumer"])
+    def test_an_error_leaves_no_solve_running(self, monkeypatch, cpus, where):
+        # A slow solve of block 0 is on the solver thread when block 1's
+        # delta(x), or the scan's norm of block 0's values, raises: the
+        # error leaves only after that solve is over.
+        started, finished = [], []
+        solve = np.linalg.solve
+
+        def slow(a, b):
+            started.append(a.shape)
+            time.sleep(0.05)
+            finished.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", slow)
+        if where == "next block":
+            deltas = []
+            eval_stack = realization.eval_delta
+
+            def failing(delta, comps):
+                deltas.append(comps.shape)
+                if len(deltas) == 2:
+                    raise RuntimeError("block 1")
+                return eval_stack(delta, comps)
+
+            monkeypatch.setattr(realization, "eval_delta", failing)
+        else:
+            norm = realization.operator_norm
+
+            def failing(a):
+                if np.shape(a)[-1] == 16:  # a block's values, not delta(x) or D
+                    raise RuntimeError("values")
+                return norm(a)
+
+            monkeypatch.setattr(realization, "operator_norm", failing)
+        with pytest.raises(RuntimeError):
+            contractivity_scan(SCAN_CASES["polydisk"](), 16, 9, seed=8)
+        assert started and finished == started
+
+    def test_concurrent_callers_share_the_solver_thread(self, cpus):
+        # Four calling threads on two CPUs, switching often, put their blocks
+        # to one solver thread: each call still gets its own values, bit for bit.
+        r = SCAN_CASES["polydisk"]()
+        rng = rng_for(67)
+        stacks = [
+            np.stack([random_tuple(rng, 2, 16).components for _ in range(5)], axis=1)
+            for _ in range(4)
+        ]
+        expected = [r.evaluate(x).tobytes() for x in stacks]
+        same = [[] for _ in stacks]
+
+        def work(i):
+            for _ in range(5):
+                same[i].append(r.evaluate(stacks[i]).tobytes() == expected[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert same == [[True] * 5] * len(stacks)
+
+    def test_library_code_runs_on_the_calling_thread(self, cpus):
+        # The solver thread runs its loop and numpy's solve: no function of
+        # the package, so none that a tracer wraps, runs there.
+        package = os.path.dirname(realization.__file__)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls.append((threading.get_ident(), frame.f_code.co_name))
+
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            contractivity_scan(SCAN_CASES["polydisk"](), 16, 9, seed=8)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        main = threading.get_ident()
+        assert {name for thread, name in calls if thread != main} == {"_serve"}
+        here = {name for thread, name in calls if thread == main}
+        assert here >= {"contractivity_scan", "_transfer", "operator_norm", "eval_delta"}
 
 
 class TestContractivityScan:

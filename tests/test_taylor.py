@@ -476,6 +476,26 @@ class TestTailBound:
         assert m_hat == CIRCLE_INFLATE * max(operator_norm(p.evaluate(z * x)) for z in zetas)
 
 
+    def test_circle_estimate_takes_a_stack(self):
+        # The component array of a lone point is a point too.
+        x = 0.1 * np.eye(2)[None]
+        m_hat = circle_norm_estimate(from_poly(FreePoly.letter(1, 0)), x, 3.0)
+        assert isinstance(m_hat, float)
+        assert m_hat == pytest.approx(CIRCLE_INFLATE * 2.0 * 0.1, rel=1e-15)
+        # A stack gets one estimate per sample, bit for bit its lone estimate,
+        # from one stacked call on every sample's circle.
+        rng = rng_for(55)
+        p = random_poly(rng, 2, 3)
+        F, calls = counting_handle(p)
+        points = [random_tuple(rng, 2, 3) for _ in range(4)]
+        lone = [circle_norm_estimate(F, x, 3.0) for x in points]
+        calls.clear()
+        stacked = circle_norm_estimate(F, np.stack([components(x) for x in points], axis=1), 3.0)
+        assert calls == [3]
+        assert stacked.shape == (4,)
+        assert stacked.tolist() == lone
+
+
 class TestEvaluationConsistency:
     def test_realization_partial_sums_within_tail_bound(self):
         a = 0.5
