@@ -154,11 +154,10 @@ def tuple_to_obj(x: MatrixTuple) -> dict:
 def tuple_from_obj(obj, where: str = "tuple") -> MatrixTuple:
     if not isinstance(obj, dict) or "components" not in obj:
         raise ParseError(f"{where}: expected an object with 'components'")
-    comps = [
-        matrix_from_obj(c, f"{where}: component {r}") for r, c in enumerate(obj["components"])
-    ]
     with _parsing(where):
-        x = MatrixTuple(comps)
+        x = MatrixTuple(
+            [matrix_from_obj(c, f"{where}: component {r}") for r, c in enumerate(obj["components"])]
+        )
         if "d" in obj and _int(obj["d"], "d") != x.arity:
             raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
         if "dim" in obj and _int(obj["dim"], "dim") != x.dim:
@@ -210,12 +209,11 @@ def polymatrix_to_obj(pm: PolyMatrix) -> dict:
 def polymatrix_from_obj(obj, where: str = "polymatrix") -> PolyMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(f"{where}: expected an object with 'entries'")
-    rows = [
-        [poly_from_obj(p, f"{where}: entry ({i},{j})") for j, p in enumerate(row)]
-        for i, row in enumerate(obj["entries"])
-    ]
     with _parsing(where):
-        pm = PolyMatrix(rows)
+        pm = PolyMatrix(
+            [poly_from_obj(p, f"{where}: entry ({i},{j})") for j, p in enumerate(row)]
+            for i, row in enumerate(obj["entries"])
+        )
         if "I" in obj and _int(obj["I"], "I") != pm.rows:
             raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
         if "J" in obj and _int(obj["J"], "J") != pm.cols:

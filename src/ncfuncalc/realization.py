@@ -27,23 +27,25 @@ test fails.  An isometric colligation has ``||D|| <= 1``, so every scan
 sample (``q <= 0.95``) takes the solve.
 
 Stacks.  A point is a stack of shape (d, B, n, n), a
-:class:`~ncfuncalc.linalg.MatrixTuple` its lone form.  One rule sizes the
-blocks of every stack that reaches the transfer step, from
-:meth:`Realization.evaluate` and from a scan alike: as many samples as keep
-two blocks' resolvents within ``SCAN_BLOCK_BYTES`` (at least one), so one
-constant bounds the resolvents in flight.  Each sample gets the value it
-gets alone (on a scan, up to roundoff in ``delta(x)`` for p > 1).
+:class:`~ncfuncalc.linalg.MatrixTuple` its lone form.  The transfer step
+alone sizes the blocks of every stack, from :meth:`Realization.evaluate` and
+from a scan alike, with ``fits`` the number of N x N resolvents within
+``SCAN_BLOCK_BYTES``: a call of at most ``fits`` samples is one block, and a
+longer one runs blocks of ``fits / 2`` in two buffers with the solver thread,
+of ``fits`` in one buffer without it (each block at least one sample).  Each
+sample gets the value it gets alone (on a scan, up to roundoff in
+``delta(x)`` for p > 1).
 
-The solver thread.  Blocks pass through a two-stage pipeline: while one
-daemon thread runs the batched LAPACK solve of block k, which releases the
-GIL, the calling thread builds block k + 1 (a scan's draws and rescaling,
-``delta(x)``, the resolvents) and then finishes block k.  The thread runs
-that one call and nothing else: the certificate, the finiteness checks, the
-uncertified samples' :func:`~ncfuncalc.linalg.inverse` and every error stay
-on the calling thread.  The last block of a call is solved where it is
-built, so a one-block call, a lone point among them, starts no thread; so
-is every block of a process that may run on one CPU only.  A forked child
-starts its own thread.
+The solver thread.  A call of more than one block runs them through a
+two-stage pipeline: while one daemon thread runs the batched LAPACK solve of
+block k, which releases the GIL, the calling thread builds block k + 1 (a
+scan's draws and rescaling, ``delta(x)``, the resolvents) and then finishes
+block k.  The thread runs that one call and nothing else: the certificate,
+the finiteness checks, the uncertified samples'
+:func:`~ncfuncalc.linalg.inverse` and every error stay on the calling thread.
+The last block is solved where it is built.  No thread starts for a one-block
+call, a lone point among them, nor in a process that may run on one CPU
+only.  A forked child starts its own thread.
 
 A contractivity scan rescales one complex Gaussian direction per sample,
 drawn from its own stream ``(seed, i)``, to the norm
@@ -412,27 +414,21 @@ class Realization:
 
     def evaluate(self, x) -> np.ndarray:
         """The transfer function at ``x``, a point or a stack, with its
-        leading shape: in blocks of :meth:`_block` samples, each sample bit
+        leading shape: in the blocks of the transfer step, each sample bit
         for bit the value of its own tuple (module docstring)."""
         comps, lead = as_stack(x)
         if len(comps) != self.arity:
             raise ValueError(f"realization has arity {self.arity}, point has arity {len(comps)}")
         samples, n = comps.shape[1:3]
-        block = self._block(n)
-        starts = range(0, samples, block)
 
-        def delta_at(start):
-            delta_x = eval_delta(self.delta, comps[:, start : start + block])
+        def delta_at(start, stop):
+            delta_x = eval_delta(self.delta, comps[:, start:stop])
             return delta_x, operator_norm(delta_x)
 
         out = np.empty((samples, n, n), dtype=np.complex128)
-        for start, values in zip(starts, _transfer(self, n, starts, delta_at)):
-            out[start : start + block] = values
+        for start, stop, values in _transfer(self, n, samples, delta_at):
+            out[start:stop] = values
         return unstack(out, lead)
-
-    def _block(self, n: int) -> int:
-        """Samples per transfer step at dimension n (module docstring)."""
-        return max(1, SCAN_BLOCK_BYTES // (2 * 16 * (self.m * self.delta.cols * n) ** 2))
 
     @cached_property
     def _d_norm(self) -> float:
@@ -574,41 +570,43 @@ def _solver() -> _Solver | None:
     return _SOLVER
 
 
-def _transfer(r: Realization, n: int, starts: range, delta_at) -> Iterator[np.ndarray]:
-    """The transfer values at dimension n of the blocks that begin at
-    ``starts``, in order, ``delta_at(start)`` giving a block's ``delta(x)``
-    stack and its norms.
+def _transfer(r: Realization, n: int, samples: int, delta_at) -> Iterator[tuple]:
+    """The transfer values at dimension n of ``samples`` samples, in blocks
+    that this function alone sizes (module docstring), as ``(start, stop,
+    values)`` in order; ``delta_at(start, stop)`` gives those samples'
+    ``delta(x)`` stack and its norms.
 
-    Block k's system goes to the solver thread; this thread builds block
-    k + 1, waits for block k's solution, hands block k + 1's system over and
-    only then finishes block k (module docstring).  Block k's resolvents are
-    written into the buffer of block k - 2, whose solve is over: two buffers
-    serve the whole call.  An error raised here, or by the consumer between
-    blocks (which closes the generator), leaves no solve running.
+    With the solver thread, block k's system goes to it; this thread builds
+    block k + 1, waits for block k's solution, hands block k + 1's system
+    over and only then finishes block k, whose buffer block k + 2 reuses.  An
+    error raised here, or by the consumer between blocks (which closes the
+    generator), leaves no solve running.
     """
-    solver = _solver() if len(starts) > 1 else None
+    res_dim = r.m * r.delta.cols * n
+    fits = SCAN_BLOCK_BYTES // (16 * res_dim**2)
+    solver = None if samples <= max(1, fits) else _solver()
+    block = max(1, fits if solver is None else fits // 2)
+    shape = (min(block, samples), res_dim, res_dim)
+    buffers = [np.empty(shape, np.complex128) for _ in range(1 if solver is None else 2)]
     c_lift = np.kron(r.C, np.eye(n))
-    buffers = []  # the resolvents of blocks 0, 1, 0, 1, ...
-    ahead = None  # the block whose system the solver thread holds, and its reply
+    ahead = None  # the block whose system the solver thread holds: start, stop, resolvents, reply
     try:
-        for k, start in enumerate(starts):
-            delta_x, delta_norms = delta_at(start)
-            if len(buffers) < 2:
-                buffers.append(np.empty((len(delta_x), len(c_lift), len(c_lift)), np.complex128))
-            lhs = buffers[k % 2][: len(delta_x)]
-            block = _Resolvents(r, c_lift, lhs, delta_x, delta_norms)
-            behind = None if ahead is None else (ahead[0], ahead[1].get())
-            ahead = None
-            if solver is not None and k + 1 < len(starts) and block.system is not None:
-                ahead = block, solver.start(*block.system)
+        for k, start in enumerate(range(0, samples, block)):
+            stop = min(start + block, samples)
+            lhs = buffers[k % len(buffers)][: stop - start]
+            resolvents = _Resolvents(r, c_lift, lhs, *delta_at(start, stop))
+            solution = None if ahead is None else ahead[3].get()
+            behind, ahead = ahead, None
+            if solver is not None and stop < samples and resolvents.system is not None:
+                ahead = start, stop, resolvents, solver.start(*resolvents.system)
             if behind is not None:
-                yield behind[0].values(behind[1])
-                behind = None  # release the finished block before the next is built
+                yield behind[0], behind[1], behind[2].values(solution)
+                behind = solution = None  # release the finished block before the next is built
             if ahead is None:
-                yield block.values()
+                yield start, stop, resolvents.values()
     finally:
         if ahead is not None:
-            ahead[1].get()
+            ahead[3].get()
 
 
 def mobius_realization(a: complex) -> Realization:
@@ -695,13 +693,11 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         raise ValueError("dimension must be at least 1")
     d, p = r.arity, r.delta.degree() or 1
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
-    block = r._block(n)
 
-    def delta_at(start):
-        indices = range(start, min(start + block, samples))
-        u = np.empty((d, len(indices), n, n), dtype=np.complex128)
-        sizes = np.empty(len(indices))
-        for k, i in enumerate(indices):
+    def delta_at(start, stop):
+        u = np.empty((d, stop - start, n, n), dtype=np.complex128)
+        sizes = np.empty(stop - start)
+        for k, i in enumerate(range(start, stop)):
             rng = np.random.default_rng((seed, i))
             g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
             u[:, k] = g[:, 0] + 1j * g[:, 1]
@@ -714,6 +710,6 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         return delta_x, delta_norms
 
     max_norm = 0.0
-    for values in _transfer(r, n, range(0, samples, block), delta_at):
+    for _, _, values in _transfer(r, n, samples, delta_at):
         max_norm = max(max_norm, float(np.max(operator_norm(values))))
     return ScanReport(dim=n, samples=samples, max_norm=max_norm, seed=seed)

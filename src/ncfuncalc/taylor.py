@@ -22,8 +22,9 @@ call and so one evaluation of F per block, not one per jet; a block holds as
 many jets as keep its jet components within ``JET_BLOCK_BYTES`` (at least
 one): 4 jets of 9 x 9 at d = 3, K = 5, so 17 evaluations of F in all, F(0)
 and a first block of one jet included.  Extractions run at base dimension 1
-by default; re-running at a larger dimension cross-checks that the blocks
-really are scalar.
+by default, where every extracted block is 1 x 1: each per-word residual is
+0 by construction and :class:`NonScalarResultError` cannot fire, so
+scalarity is tested only at a base dimension ``dim`` of 2 or more.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,10 @@ def workspace(tmp_path):
     put(
         "dirs_small.json",
         {"directions": [tuple_to_obj(MatrixTuple.from_scalars([0.1], 1))]},
+    )
+    put(
+        "dirs_unequal.json",
+        {"directions": [tuple_to_obj(MatrixTuple.from_scalars([c], 1)) for c in (1.0, 0.5)]},
     )
     put(
         "dirs_one.json",
@@ -233,6 +238,16 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: tuple: dimension must be at least 1\n"
 
+    @pytest.mark.parametrize("components", [5, None])
+    def test_components_that_are_not_a_list_exit_2(self, workspace, capsys, tmp_path, components):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"components": components}))
+        code, out, err = run(
+            capsys, "eval", "--handle", workspace["square.json"], "--point", str(point)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tuple: '%s' object is not iterable\n" % type(components).__name__
+
 
 class TestNumericFailure:
     def test_singular_resolvent_exits_4(self, capsys, tmp_path):
@@ -399,6 +414,27 @@ class TestDerive:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--k", "-1"], "--k must be nonnegative"),
+            (["--k", "1"], "--directions is required for k >= 1"),
+            (["--k", "2", "--directions", "dirs_unequal.json", "--method", "fd"],
+             "the fd method needs all directions equal"),
+            (["--k", "2", "--directions", "dirs_unequal.json", "--cross-check"],
+             "--cross-check needs all directions equal"),
+        ],
+    )
+    def test_unusable_request_exits_2(self, workspace, capsys, args, message):
+        code, out, err = run(
+            capsys,
+            "derive",
+            "--handle", workspace["square.json"],
+            "--point", workspace["x_scalar.json"],
+            *(workspace.get(a, a) for a in args),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestExpand:
     def test_round_trip_polynomial_handle(self, workspace, capsys, tmp_path):
@@ -419,6 +455,18 @@ class TestExpand:
             assert abs(recovered.coefficient(w) - original.coefficient(w)) <= 1e-8
         diag = load_json(lines[1])
         assert diag["max_residual"] <= 1e-8
+
+    def test_without_out_prints_both_documents(self, workspace, capsys, tmp_path):
+        # The polynomial goes to stdout and the diagnostics to stderr, each
+        # as the file that --out would write.
+        out_path = str(tmp_path / "expansion.json")
+        args = ["expand", "--handle", workspace["commutator.json"], "--maxdeg", "3"]
+        assert run(capsys, *args, "--out", out_path)[0] == 0
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert out == Path(out_path).read_text()
+        assert err == Path(out_path + ".diagnostics.json").read_text()
+        assert poly_from_obj(json.loads(out)).coefficient((0, 1)) == pytest.approx(1.0)
 
     def test_word_cap_exits_2(self, workspace, capsys):
         code, _, _ = run(

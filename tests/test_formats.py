@@ -26,6 +26,7 @@ from ncfuncalc.formats import (
     matrix_to_obj,
     poly_from_obj,
     poly_to_obj,
+    polymatrix_from_obj,
     realization_from_obj,
     realization_to_obj,
     tuple_from_obj,
@@ -75,6 +76,11 @@ class TestTupleFormat:
         with pytest.raises(ParseError):
             tuple_from_obj(obj)
 
+    @pytest.mark.parametrize("components", [5, None])
+    def test_components_that_are_not_a_list(self, components):
+        with pytest.raises(ParseError, match="^tuple: .* is not iterable$"):
+            tuple_from_obj({"components": components})
+
     def test_directions_list(self):
         rng = rng_for(103)
         hs = [random_tuple(rng, 2, 2) for _ in range(3)]
@@ -98,6 +104,11 @@ class TestPolyFormat:
             poly_from_obj({"terms": []})
         with pytest.raises(ParseError):
             poly_from_obj({"d": 1, "terms": [{"word": [3], "re": 1, "im": 0}]})
+
+    @pytest.mark.parametrize("entries", [5, [5]])
+    def test_polymatrix_entries_that_are_not_rows(self, entries):
+        with pytest.raises(ParseError, match="^polymatrix: .* is not iterable$"):
+            polymatrix_from_obj({"entries": entries})
 
 
 class TestRealizationFormat:

@@ -54,6 +54,33 @@ from _helpers import (
 )
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Starts from no solver thread, on two CPUs as the solver reads them;
+    the returned function sets another count."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    monkeypatch.setattr(realization, "_SOLVER", None)
+    set_cpus(2)
+    return set_cpus
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The number of samples in each block whose resolvents are built."""
+    sizes = []
+    resolvents = realization._Resolvents
+
+    def recording(r, c_lift, lhs, delta_x, delta_norms):
+        sizes.append(delta_x.shape[0])
+        return resolvents(r, c_lift, lhs, delta_x, delta_norms)
+
+    monkeypatch.setattr(realization, "_Resolvents", recording)
+    return sizes
+
+
 class TestDeltaConstructors:
     def test_single_variable(self):
         for delta in (delta_polydisk(1), delta_rowball(1)):
@@ -449,18 +476,21 @@ class TestResolventCertificate:
         eval_realization(r, MatrixTuple.from_scalars([2.5, 2.5], 4))
         assert inverse_calls == [(24, 24)]
 
-    def test_scan_memory_stays_per_sample(self):
-        # One block of resolvents at a time, within SCAN_BLOCK_BYTES: a scan
-        # that stacked all 40 samples' 96x96 resolvents would peak near 15 MB.
+    def test_scan_memory_stays_per_sample(self, cpus):
+        # The resolvents in flight stay within SCAN_BLOCK_BYTES, with the
+        # solver thread and without: a scan that stacked all 40 samples'
+        # 96x96 resolvents would peak near 15 MB.
         r = random_isometric_realization(rng_for(92), 2, 3)
-        contractivity_scan(r, 16, 2, seed=1)  # warm numpy's lazy set-up
-        tracemalloc.start()
-        try:
-            contractivity_scan(r, 16, 40, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        for count in (2, 1):
+            cpus(count)
+            contractivity_scan(r, 16, 9, seed=1)  # warm numpy's lazy set-up and the thread
+            tracemalloc.start()
+            try:
+                contractivity_scan(r, 16, 40, seed=7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, count
 
 
 def kronecker_transfer(r, x):
@@ -588,19 +618,6 @@ SCAN_CASES = {
 class TestStackedScan:
     """The scan in blocks gives the report of a scan one sample at a time."""
 
-    @pytest.fixture
-    def batches(self, monkeypatch):
-        """The number of samples in each block whose resolvents are built."""
-        sizes = []
-        resolvents = realization._Resolvents
-
-        def recording(r, c_lift, lhs, delta_x, delta_norms):
-            sizes.append(delta_x.shape[0])
-            return resolvents(r, c_lift, lhs, delta_x, delta_norms)
-
-        monkeypatch.setattr(realization, "_Resolvents", recording)
-        return sizes
-
     @pytest.mark.parametrize("name", sorted(SCAN_CASES))
     @pytest.mark.parametrize("n, samples", [(1, 2), (1, 41), (16, 2), (16, 41)])
     def test_matches_per_sample_reference(self, name, n, samples):
@@ -703,36 +720,39 @@ class TestStackedScan:
             after_x = len(delta_calls) - delta_calls[::-1].index(41)
             assert delta_calls[after_x:after_x + 1] == ([halved] if halvings else [])
 
-    def test_blocks_split_at_the_byte_budget(self, batches):
-        # N = m J n = 96: two blocks of 96x96 resolvents in flight fit the
-        # budget with two per block, and a last block of 1.
+    def test_blocks_split_at_the_byte_budget(self, cpus, batches):
+        # N = m J n = 96: four 96x96 resolvents fit the budget, so blocks of
+        # two go through the two buffers of the solver thread and blocks of
+        # four through the one buffer of a process on one CPU.
         r = SCAN_CASES["polydisk"]()
+        assert SCAN_BLOCK_BYTES // (16 * 96**2) == 4
         contractivity_scan(r, 16, 41, seed=1)
-        block = SCAN_BLOCK_BYTES // (2 * 16 * 96**2)
-        assert block == 2
-        assert batches == [block] * (41 // block) + [41 % block]
+        assert batches == [2] * 20 + [1]
+        cpus(1)
+        batches.clear()
+        contractivity_scan(r, 16, 41, seed=1)
+        assert batches == [4] * 10 + [1]
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5])
-    def test_evaluate_splits_stacks_at_the_byte_budget(self, batches, samples):
-        # Stacks of one sample, of one block (2 at N = 96), of one block plus
-        # one and of several blocks: each sample gets, bit for bit, its lone
-        # value.
+    def test_evaluate_splits_stacks_at_the_byte_budget(self, cpus, batches, samples):
+        # At N = 96 a stack of up to four samples fits the budget in one
+        # block; five run blocks of two on two CPUs.  Each sample gets, bit
+        # for bit, its lone value.
         r = SCAN_CASES["polydisk"]()
-        block = SCAN_BLOCK_BYTES // (2 * 16 * 96**2)
         rng = rng_for(64)
         points = [random_tuple(rng, 2, 16) for _ in range(samples)]
         lone = [r.evaluate(x) for x in points]
         batches.clear()
         values = r.evaluate(np.stack([x.components for x in points], axis=1))
-        assert batches == [block] * (samples // block) + [samples % block] * (samples % block > 0)
+        assert batches == ([samples] if samples <= 4 else [2, 2, 1])
         assert values.shape == (samples, 16, 16)
         for value, expected in zip(values, lone):
             np.testing.assert_array_equal(value, expected)
 
     def test_resolvent_above_the_budget_scans_one_sample_per_block(self, batches):
         r = SCAN_CASES["polydisk"]()
-        n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 32)
-        assert 2 * 16 * (r.m * r.delta.cols * n) ** 2 > SCAN_BLOCK_BYTES
+        n = 36  # N = 216 > sqrt(SCAN_BLOCK_BYTES / 16)
+        assert 16 * (r.m * r.delta.cols * n) ** 2 > SCAN_BLOCK_BYTES
         expected, _ = reference_scan(r, n, 3, seed=2)
         assert_same_report(contractivity_scan(r, n, 3, seed=2), expected)
         assert batches == [1, 1, 1]
@@ -741,18 +761,6 @@ class TestStackedScan:
 class TestSolverThread:
     """Each block's LAPACK solve runs on the solver thread while the next block
     is built on the calling thread (module docstring of realization)."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Starts from no solver thread, on two CPUs as the solver reads them;
-        the returned function sets another count."""
-
-        def set_cpus(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-        monkeypatch.setattr(realization, "_SOLVER", None)
-        set_cpus(2)
-        return set_cpus
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -785,26 +793,68 @@ class TestSolverThread:
         assert values.tobytes() == ones.tobytes() == b"".join(v.tobytes() for v in lone)
 
     def test_lone_evaluation_starts_no_thread(self, cpus, solves):
+        # A lone point, and up to four samples at N = 96, make one block.
         r = SCAN_CASES["polydisk"]()
         rng = rng_for(66)
         threads = threading.active_count()
         eval_realization(r, random_tuple(rng, 2, 16))
-        r.evaluate(np.stack([random_tuple(rng, 2, 16).components for _ in range(2)], axis=1))
-        contractivity_scan(r, 16, 2, seed=3)  # one block of two, too
+        r.evaluate(np.stack([random_tuple(rng, 2, 16).components for _ in range(3)], axis=1))
+        contractivity_scan(r, 16, 4, seed=3)
         assert solves == [threading.get_ident()] * 3
         assert realization._SOLVER is None
         assert threading.active_count() == threads
 
-    def test_one_cpu_solves_every_block_here(self, cpus, solves):
+    def test_one_cpu_solves_every_block_here(self, cpus, solves, batches):
         r = SCAN_CASES["polydisk"]()
         pipelined = contractivity_scan(r, 16, 9, seed=8)
         assert realization._SOLVER is not None
         cpus(1)
         realization._SOLVER = None
         solves.clear()
+        batches.clear()
         assert contractivity_scan(r, 16, 9, seed=8).as_dict() == pipelined.as_dict()
-        assert solves == [threading.get_ident()] * 5
+        assert batches == [4, 4, 1]
+        assert solves == [threading.get_ident()] * 3
         assert realization._SOLVER is None
+
+    @pytest.mark.parametrize("count, threads", [(None, 0), (1, 0), (2, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus, solves, count, threads):
+        # Where the platform has no sched_getaffinity, os.cpu_count() (read
+        # as 1 when unknown) decides whether a thread starts.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        contractivity_scan(SCAN_CASES["polydisk"](), 16, 9, seed=8)
+        assert len(set(solves) - {threading.get_ident()}) == threads
+        assert (realization._SOLVER is None) == (threads == 0)
+
+    @pytest.mark.parametrize("where", ["solver thread", "calling thread"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("LinAlgError", "^LAPACK: Singular matrix$"), ("nan", "non-finite entries")],
+    )
+    def test_solve_faults_reach_the_caller(self, monkeypatch, cpus, where, fault, message):
+        # A solve that raises, or returns a non-finite solution, on either
+        # thread surfaces on the caller as ResolventSingularError.  Five
+        # samples put block 0 on the solver thread; a lone point is solved here.
+        main = threading.get_ident()
+        solve = np.linalg.solve
+
+        def faulty(a, b):
+            if (threading.get_ident() == main) == (where == "calling thread"):
+                if fault == "LinAlgError":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return np.full_like(solve(a, b), np.nan)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", faulty)
+        r = SCAN_CASES["polydisk"]()
+        rng = rng_for(68)
+        samples = 5 if where == "solver thread" else 1
+        x = np.stack([random_tuple(rng, 2, 16).components for _ in range(samples)], axis=1)
+        with pytest.raises(ResolventSingularError, match=message) as raised:
+            r.evaluate(x)
+        if fault == "LinAlgError":
+            assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_starts_its_own_thread(self, cpus, solves):

@@ -138,6 +138,13 @@ class TestTaylorExpand:
         for part in expansion.parts[2:]:
             assert part.is_zero
 
+    def test_degree_zero_is_the_constant_part(self):
+        F, calls = counting_handle(FreePoly(2, {(): 0.5 - 1j, (0,): 1.0, (1, 0): 2.0}))
+        expansion = taylor_expand(F, 0)
+        assert expansion.parts == [FreePoly.constant(2, 0.5 - 1j)]
+        assert expansion.residuals == {(): 0.0}
+        assert len(calls) == 1
+
     def test_homogeneity_of_parts(self):
         rng = rng_for(51)
         expansion = taylor_expand(from_poly(random_poly(rng, 3, 3)), 3)
