@@ -29,12 +29,11 @@ sample (``q <= 0.95``) takes the solve.
 Stacks.  A point is a stack of shape (d, B, n, n), a
 :class:`~ncfuncalc.linalg.MatrixTuple` its lone form.  The transfer step
 alone sizes the blocks of every stack, from :meth:`Realization.evaluate` and
-from a scan alike, with ``fits`` the number of N x N resolvents within
-``SCAN_BLOCK_BYTES``: a call of at most ``fits`` samples is one block, and a
-longer one runs blocks of ``fits / 2`` in two buffers with the solver thread,
-of ``fits`` in one buffer without it (each block at least one sample).  Each
-sample gets the value it gets alone (on a scan, up to roundoff in
-``delta(x)`` for p > 1).
+from a scan alike: each block holds ``fits`` samples, the number of N x N
+resolvents within ``SCAN_BLOCK_BYTES`` (at least one), in one buffer, and a
+second buffer holds the block on the solver thread when it runs.  Each sample
+gets the value it gets alone (on a scan, up to roundoff in ``delta(x)`` for
+p > 1).
 
 The solver thread.  A call of more than one block runs them through a
 two-stage pipeline: while one daemon thread runs the batched LAPACK solve of
@@ -44,8 +43,8 @@ block k.  The thread runs that one call and nothing else: the certificate,
 the finiteness checks, the uncertified samples'
 :func:`~ncfuncalc.linalg.inverse` and every error stay on the calling thread.
 The last block is solved where it is built.  No thread starts for a one-block
-call, a lone point among them, nor in a process that may run on one CPU
-only.  A forked child starts its own thread.
+call (at most ``fits`` samples, a lone point among them), nor in a process
+that may run on one CPU only.  A forked child starts its own thread.
 
 A contractivity scan rescales one complex Gaussian direction per sample,
 drawn from its own stream ``(seed, i)``, to the norm
@@ -123,7 +122,7 @@ class NotIsometricError(ValueError):
 class PolyMatrix:
     """Rectangular grid of free polynomials with a common arity."""
 
-    __slots__ = ("rows", "cols", "arity", "entries")
+    __slots__ = ("rows", "cols", "arity", "entries", "_nonzero")
 
     def __init__(self, entries):
         grid = tuple(tuple(row) for row in entries)
@@ -133,16 +132,23 @@ class PolyMatrix:
         if any(len(row) != cols for row in grid):
             raise ValueError("ragged polynomial matrix")
         d = grid[0][0].arity
-        for row in grid:
-            for p in row:
+        nonzero = []
+        for i, row in enumerate(grid):
+            for j, p in enumerate(row):
                 if not isinstance(p, FreePoly):
                     raise TypeError("entries must be FreePoly")
                 if p.arity != d:
                     raise ValueError("polynomial matrix entries differ in arity")
+                if not p.is_zero:
+                    word = next(iter(p.terms))
+                    bare = len(p.terms) == 1 and len(word) == 1 and p.terms[word] == 1
+                    nonzero.append((i, j, p, word[0] if bare else None))
         self.rows = len(grid)
         self.cols = cols
         self.arity = d
         self.entries = grid
+        # (i, j, entry, l) per nonzero entry, l when the entry is the bare letter x_l
+        self._nonzero = tuple(nonzero)
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, arity={self.arity})"
@@ -185,17 +191,15 @@ def delta_rowball(d: int) -> PolyMatrix:
 def eval_delta(delta: PolyMatrix, x) -> np.ndarray:
     """The (I*n) x (J*n) block matrix with (i, j) block delta[i][j](x), at a
     point in any form :func:`~ncfuncalc.linalg.as_stack` takes, with its
-    leading shape."""
+    leading shape.  A bare letter is copied, bit for bit its evaluation."""
     comps, lead = as_stack(x)
     if len(comps) != delta.arity:
         raise ValueError(f"delta has arity {delta.arity}, point has arity {len(comps)}")
     n = comps.shape[-1]
     out = np.zeros((comps.shape[1], delta.rows * n, delta.cols * n), dtype=np.complex128)
-    for i in range(delta.rows):
-        for j in range(delta.cols):
-            p = delta.entries[i][j]
-            if not p.is_zero:
-                out[:, i * n : (i + 1) * n, j * n : (j + 1) * n] = p.evaluate(comps)
+    for i, j, p, letter in delta._nonzero:
+        block = p.evaluate(comps) if letter is None else comps[letter]
+        out[:, i * n : (i + 1) * n, j * n : (j + 1) * n] = block
     return unstack(out, lead)
 
 
@@ -503,22 +507,31 @@ class _Resolvents:
         solving ``system`` here.  Any other sample goes through
         :func:`~ncfuncalc.linalg.inverse` one at a time."""
         solved, lhs, c_lift = self.solved, self.lhs, self.c_lift
-        res_c = np.empty((len(lhs), *c_lift.shape), dtype=np.complex128)
         if self.system is not None:
             try:
                 if isinstance(solution, Exception):
                     raise solution
-                res_c[solved] = np.linalg.solve(*self.system) if solution is None else solution
+                if solution is None:
+                    solution = np.linalg.solve(*self.system)
             except np.linalg.LinAlgError as exc:
                 raise ResolventSingularError(f"LAPACK: {exc}") from exc
-            if not np.all(np.isfinite(res_c[solved])):
+            if not np.all(np.isfinite(solution)):
                 raise ResolventSingularError("resolvent solve has non-finite entries")
-        for s in np.flatnonzero(~solved):
-            try:
-                res_c[s] = inverse(lhs[s]) @ c_lift
-            except SingularMatrixError as exc:
-                raise ResolventSingularError(str(exc)) from exc
-        return self.A * np.eye(c_lift.shape[1], dtype=np.complex128) + self.b_dlt @ res_c
+        if solved.all():
+            res_c = solution
+        else:
+            res_c = np.empty((len(lhs), *c_lift.shape), dtype=np.complex128)
+            if solution is not None:
+                res_c[solved] = solution
+            for s in np.flatnonzero(~solved):
+                try:
+                    res_c[s] = inverse(lhs[s]) @ c_lift
+                except SingularMatrixError as exc:
+                    raise ResolventSingularError(str(exc)) from exc
+        values = self.b_dlt @ res_c
+        n = c_lift.shape[1]
+        values.reshape(len(values), n * n)[:, :: n + 1] += self.A  # A (x) 1
+        return values
 
 
 class _Solver:
@@ -576,16 +589,16 @@ def _transfer(r: Realization, n: int, samples: int, delta_at) -> Iterator[tuple]
     values)`` in order; ``delta_at(start, stop)`` gives those samples'
     ``delta(x)`` stack and its norms.
 
-    With the solver thread, block k's system goes to it; this thread builds
-    block k + 1, waits for block k's solution, hands block k + 1's system
-    over and only then finishes block k, whose buffer block k + 2 reuses.  An
+    Every block holds ``fits`` samples.  With the solver thread, block k's
+    system goes to it; this thread builds block k + 1 in the other buffer,
+    waits for block k's solution, hands block k + 1's system over and only
+    then finishes block k, whose buffer block k + 2 reuses.  An
     error raised here, or by the consumer between blocks (which closes the
     generator), leaves no solve running.
     """
     res_dim = r.m * r.delta.cols * n
-    fits = SCAN_BLOCK_BYTES // (16 * res_dim**2)
-    solver = None if samples <= max(1, fits) else _solver()
-    block = max(1, fits if solver is None else fits // 2)
+    block = max(1, SCAN_BLOCK_BYTES // (16 * res_dim**2))
+    solver = None if samples <= block else _solver()
     shape = (min(block, samples), res_dim, res_dim)
     buffers = [np.empty(shape, np.complex128) for _ in range(1 if solver is None else 2)]
     c_lift = np.kron(r.C, np.eye(n))
@@ -700,7 +713,7 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
         for k, i in enumerate(range(start, stop)):
             rng = np.random.default_rng((seed, i))
             g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
-            u[:, k] = g[:, 0] + 1j * g[:, 1]
+            u.real[:, k], u.imag[:, k] = g[:, 0], g[:, 1]
             sizes[k] = ball.bound * rng.uniform() ** (p / (2 * d * n * n))
         # Without a norm cap the ball's gauge is ||delta(x)||, read off
         # ||delta(u)|| when delta is homogeneous: the delta(x) stack and norms

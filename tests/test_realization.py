@@ -146,6 +146,42 @@ class TestEvalDelta:
         with pytest.raises(ValueError):
             eval_delta(delta_polydisk(2), MatrixTuple.zeros(3, 2))
 
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The polynomials that ``FreePoly.evaluate`` is called on."""
+        calls = []
+        evaluate = FreePoly.evaluate
+
+        def counted(p, x):
+            calls.append(p)
+            return evaluate(p, x)
+
+        monkeypatch.setattr(FreePoly, "evaluate", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, evaluated", [("polydisk", 0), ("rowball", 0), ("mixed", 4)])
+    def test_bare_letters_are_copied_bit_for_bit(self, evaluations, name, evaluated):
+        # A bare letter's block is the component itself, and no evaluation;
+        # every other entry is its own evaluation, on a lone point and a stack.
+        x0, x1 = FreePoly.letter(2, 0), FreePoly.letter(2, 1)
+        delta = {
+            "polydisk": delta_polydisk(3),
+            "rowball": delta_rowball(2),
+            "mixed": PolyMatrix(
+                [[2 * x0, x0 + x1, x0 * x1], [FreePoly.constant(2, 0.5 - 1j), FreePoly.zero(2), x1]]
+            ),
+        }[name]
+        rng = rng_for(62)
+        stack = rng.standard_normal((delta.arity, 5, 3, 3)) + 1j * rng.standard_normal(
+            (delta.arity, 5, 3, 3)
+        )
+        for x in (MatrixTuple(list(stack[:, 2])), stack):
+            evaluations.clear()
+            block = eval_delta(delta, x)
+            assert len(evaluations) == evaluated
+            expected = np.block([[p.evaluate(x) for p in row] for row in delta.entries])
+            assert np.array_equal(block, expected)
+
 
 class TestBallAndExhaustion:
     def test_zero_always_inside(self):
@@ -476,10 +512,48 @@ class TestResolventCertificate:
         eval_realization(r, MatrixTuple.from_scalars([2.5, 2.5], 4))
         assert inverse_calls == [(24, 24)]
 
+    def test_mixed_block_gives_each_sample_its_lone_value(self, monkeypatch, batches):
+        # At n = 4 (N = 24) eight samples make one block: small Gaussian
+        # points are certified and solved together, the scalar points of
+        # modulus 2.5 are not and each goes through inverse, as alone.
+        r = random_isometric_realization(rng_for(91), 2, 3)
+        rng = rng_for(69)
+        scalars = {1: [2.5, 2.5], 4: [2.5, -2.5], 5: [2.5j, 2.5]}
+        x = np.stack(
+            [
+                MatrixTuple.from_scalars(scalars[s], 4).components
+                if s in scalars
+                else random_tuple(rng, 2, 4).components
+                for s in range(8)
+            ],
+            axis=1,
+        )
+        inverted = []
+
+        def recording(a):
+            inverted.append(a.copy())
+            return inverse(a)
+
+        monkeypatch.setattr(realization, "inverse", recording)
+        lone = [r.evaluate(x[:, s]) for s in range(8)]
+        alone = list(inverted)
+        assert len(alone) == len(scalars)
+        inverted.clear()
+        batches.clear()
+        values = r.evaluate(x)
+        assert batches == [8]
+        assert len(inverted) == len(alone)
+        assert all(np.array_equal(a, b) for a, b in zip(inverted, alone))
+        assert values.tobytes() == b"".join(v.tobytes() for v in lone)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(solve(a, b), np.nan))
+        with pytest.raises(ResolventSingularError, match="non-finite entries"):
+            r.evaluate(x)
+
     def test_scan_memory_stays_per_sample(self, cpus):
-        # The resolvents in flight stay within SCAN_BLOCK_BYTES, with the
-        # solver thread and without: a scan that stacked all 40 samples'
-        # 96x96 resolvents would peak near 15 MB.
+        # Each buffer of resolvents stays within SCAN_BLOCK_BYTES, two with
+        # the solver thread and one without: a scan that stacked all 40
+        # samples' 96x96 resolvents would peak near 15 MB.
         r = random_isometric_realization(rng_for(92), 2, 3)
         for count in (2, 1):
             cpus(count)
@@ -722,12 +796,12 @@ class TestStackedScan:
 
     def test_blocks_split_at_the_byte_budget(self, cpus, batches):
         # N = m J n = 96: four 96x96 resolvents fit the budget, so blocks of
-        # two go through the two buffers of the solver thread and blocks of
-        # four through the one buffer of a process on one CPU.
+        # four go through the two buffers of the solver thread and through
+        # the one buffer of a process on one CPU alike.
         r = SCAN_CASES["polydisk"]()
         assert SCAN_BLOCK_BYTES // (16 * 96**2) == 4
         contractivity_scan(r, 16, 41, seed=1)
-        assert batches == [2] * 20 + [1]
+        assert batches == [4] * 10 + [1]
         cpus(1)
         batches.clear()
         contractivity_scan(r, 16, 41, seed=1)
@@ -736,15 +810,15 @@ class TestStackedScan:
     @pytest.mark.parametrize("samples", [1, 2, 3, 4, 5])
     def test_evaluate_splits_stacks_at_the_byte_budget(self, cpus, batches, samples):
         # At N = 96 a stack of up to four samples fits the budget in one
-        # block; five run blocks of two on two CPUs.  Each sample gets, bit
-        # for bit, its lone value.
+        # block; five run a block of four and one of one.  Each sample gets,
+        # bit for bit, its lone value.
         r = SCAN_CASES["polydisk"]()
         rng = rng_for(64)
         points = [random_tuple(rng, 2, 16) for _ in range(samples)]
         lone = [r.evaluate(x) for x in points]
         batches.clear()
         values = r.evaluate(np.stack([x.components for x in points], axis=1))
-        assert batches == ([samples] if samples <= 4 else [2, 2, 1])
+        assert batches == ([samples] if samples <= 4 else [4, 1])
         assert values.shape == (samples, 16, 16)
         for value, expected in zip(values, lone):
             np.testing.assert_array_equal(value, expected)
@@ -776,15 +850,15 @@ class TestSolverThread:
         return threads
 
     def test_pipelined_values_equal_blocks_of_one(self, monkeypatch, cpus, solves):
-        # Seven samples at N = 96 make four blocks of two: three solved on the
-        # solver thread and the last here.  Blocks of one and lone points
-        # give the same bits.
+        # Seven samples at N = 96 make blocks of four and three: the first
+        # solved on the solver thread and the last here.  Blocks of one and
+        # lone points give the same bits.
         r = SCAN_CASES["polydisk"]()
         rng = rng_for(65)
         x = np.stack([random_tuple(rng, 2, 16).components for _ in range(7)], axis=1)
         main = threading.get_ident()
         values = r.evaluate(x)
-        assert [thread == main for thread in solves] == [False, False, False, True]
+        assert [thread == main for thread in solves] == [False, True]
         lone = [r.evaluate(x[:, s]) for s in range(7)]
         monkeypatch.setattr(realization, "SCAN_BLOCK_BYTES", 0)
         solves.clear()
