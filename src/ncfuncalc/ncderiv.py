@@ -19,10 +19,13 @@ directions and is rescaled by eps^-j, exactly for a power-of-two epsilon.
 Jets come in stacks.  Base points and directions are stacks of shape
 (d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being the lone form:
 B jets, jet i at sample i of each stack, and a lone point joins every jet.
-A stack costs one stacked membership test per halving, each sample halved
-on its own, and one evaluation of F, so the Taylor extraction, the
-polarization of :func:`dk_multilinear` and the suite's checks pay one
-evaluation per block of jets, even for jets at different base points.
+A base point or base value passed as one object for several levels, as
+``[x] * (k + 1)`` is for every level, is converted, placed on the jet's
+block diagonal and compared with the diagonal blocks once.  A stack costs
+one stacked membership test per halving, each sample halved on its own,
+and one evaluation of F, so the Taylor extraction, the polarization of
+:func:`dk_multilinear` and the suite's checks pay one evaluation per block
+of jets, even for jets at different base points.
 """
 
 from __future__ import annotations
@@ -82,13 +85,31 @@ class DeltaResult:
 
 
 @cache
-def _below(k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block row and column indices below the diagonal of a k1 x k1 grid,
-    read-only because every call shares them."""
+def _grid(k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The levels of a k1 x k1 block grid, the block rows and columns below
+    its diagonal, and each block's superdiagonal offset (0 on and below the
+    diagonal): read-only because every call shares them."""
+    levels = np.arange(k1)
     rows, cols = np.tril_indices(k1, -1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    offsets = np.maximum(levels[None, :] - levels[:, None], 0)
+    for a in (levels, rows, cols, offsets):
+        a.setflags(write=False)
+    return levels, rows, cols, offsets
+
+
+def _shared(objs) -> list[tuple[object, np.ndarray]]:
+    """Each distinct object of ``objs`` with the levels it fills, in order."""
+    groups: dict[int, tuple[object, list[int]]] = {}
+    for i, a in enumerate(objs):
+        groups.setdefault(id(a), (a, []))[1].append(i)
+    return [(a, np.array(at)) for a, at in groups.values()]
+
+
+def _squares(z: np.ndarray) -> np.ndarray:
+    """The entrywise squared moduli that ``np.linalg.norm`` sums for a
+    Frobenius norm, so the root of a max of their sums is bit for bit the
+    max of the norms."""
+    return (z.conj() * z).real
 
 
 def delta_k(
@@ -111,29 +132,36 @@ def delta_k(
     evaluation.
     """
     xs = list(xs)
-    points, lead = as_stacks(xs)
     # All k directions are points, (k, d, n, n), or stacks of one shape.
     dirs = np.asarray(hs, dtype=np.complex128)
-    k, k1 = len(dirs), len(points)
+    k, k1 = len(dirs), len(xs)
     if k < 1:
         raise ValueError("need at least one direction")
     if k1 != k + 1:
         raise ValueError(f"need {k + 1} base points for order {k}, got {k1}")
-    lead = max({lead, dirs.shape[2:-2]} - {()}, key=math.prod, default=())
+    # Each distinct point, and below each distinct base value, is placed or
+    # compared once over the levels it fills; [x] * (k + 1) is one of each.
+    points = _shared(xs)
+    stacks, leads = zip(*(as_stack(x) for x, _ in points))
+    lead = max({*leads, dirs.shape[2:-2]} - {()}, key=math.prod, default=())
     batch = math.prod(lead)
     dirs = dirs.reshape(k, len(dirs[0]), -1, *dirs.shape[-2:])
-    shapes = {(len(x), *x.shape[2:]) for x in points} | {(len(dirs[0]), *dirs.shape[3:])}
-    if len(shapes) > 1 or dirs.shape[2] not in (1, batch):
-        raise ValueError("all points and directions must share arity and dimension")
-    d, n = len(points[0]), points[0].shape[-1]
+    shapes = {(len(x), *x.shape[2:]) for x in stacks} | {(len(dirs[0]), *dirs.shape[3:])}
+    sizes = {x.shape[1] for x in stacks} | {dirs.shape[2]}
+    if len(shapes) > 1 or sizes - {1, batch}:
+        raise ValueError(
+            "all points and directions must share arity and dimension, "
+            "and hold one sample or one per jet"
+        )
+    d, n = len(stacks[0]), stacks[0].shape[-1]
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"the starting scale must be finite and positive, got {epsilon}")
-    levels = np.arange(k1)
+    levels, below_i, below_j, offsets = _grid(k1)
     # jet[r, s, i, :, j, :] is block (i, j) of component r of sample s.
     jet = np.zeros((d, batch, k1, n, k1, n), dtype=np.complex128)
     stack = jet.reshape(d, batch, k1 * n, k1 * n)
-    for i, x in enumerate(points):
-        jet[:, :, i, :, i, :] = x
+    for x, (_, at) in zip(stacks, points):
+        jet[:, :, at, :, at, :] = x
     eps = np.full(batch, float(epsilon))
     jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
     inside = F.domain.contains(stack)
@@ -149,26 +177,27 @@ def delta_k(
     img = F.eval(stack, unchecked=True)
 
     if base_values is None:
-        # Evaluate each distinct point once; repeated extraction passes the
-        # same object.
-        distinct = {id(x): s for x, s in zip(xs, points)}
-        ends = dict(zip(distinct, itertools.accumulate(s.shape[1] for s in distinct.values())))
-        flat = F.eval(np.concatenate(list(distinct.values()), axis=1), unchecked=True)
-        base_values = [flat[ends[id(x)] - s.shape[1] : ends[id(x)]] for x, s in zip(xs, points)]
-    if len(base_values) != k1:
+        # Evaluate each distinct point once.
+        flat = F.eval(np.concatenate(stacks, axis=1), unchecked=True)
+        ends = itertools.accumulate(x.shape[1] for x in stacks)
+        values = [(flat[e - x.shape[1] : e], at) for e, x, (_, at) in zip(ends, stacks, points)]
+    elif len(base_values) != k1:
         raise ValueError(f"need {k1} base values, got {len(base_values)}")
-    values = np.empty((k1, batch, n, n), dtype=np.complex128)
-    for i, v in enumerate(base_values):
-        values[i] = v  # (n, n) shared by every jet, or (B, n, n) one per jet
+    else:
+        values = _shared(base_values)
 
     # blocks[s, i, :, j, :] is the (i, j) block of sample s's jet image.
     blocks = img.reshape(batch, k1, n, k1, n)
-    below_i, below_j = _below(k1)
-    resid = np.maximum(
-        np.linalg.norm(blocks[:, levels, :, levels, :] - values, axis=(-2, -1)).max(0),
-        np.linalg.norm(blocks[:, below_i, :, below_j, :], axis=(-2, -1)).max(0),
-    )
-    scale = np.maximum(1.0, np.linalg.norm(img.reshape(batch, -1), axis=1))
+    squares = _squares(img)
+    scale = np.maximum(1.0, np.sqrt(np.add.reduce(squares.reshape(batch, -1), 1)))
+    below = squares.reshape(batch, k1, n, k1, n)[:, below_i, :, below_j, :]
+    resid = np.add.reduce(below, (-2, -1)).max(0)
+    value = np.empty((batch, n, n), dtype=np.complex128)
+    for v, at in values:
+        value[...] = v  # (n, n) shared by every jet, or (B, n, n) one per jet
+        diag = np.add.reduce(_squares(blocks[:, at, :, at, :] - value), (-2, -1)).max(0)
+        resid = np.maximum(diag, resid)
+    resid = np.sqrt(resid)
     bad = np.flatnonzero(resid > STRUCTURE_TOL * scale)
     if bad.size:
         s = int(bad[0])
@@ -179,7 +208,7 @@ def delta_k(
         )
 
     # Block (i, j) with j > i is (j - i)-homogeneous in the directions.
-    factor = (eps[:, None] ** -levels)[:, np.maximum(levels[None, :] - levels[:, None], 0)]
+    factor = (eps[:, None] ** -levels)[:, offsets]
     full = (blocks * factor[:, :, None, :, None]).reshape(batch, k1 * n, k1 * n)
     delta = full[:, :n, k * n :].copy()
     return DeltaResult(*(unstack(a, lead) for a in (delta, full, resid, eps)))

@@ -169,7 +169,14 @@ class TaylorExpansion:
     balanced: bool | None = True
 
     def as_poly(self) -> FreePoly:
-        return sum(self.parts, FreePoly.zero(self.parts[0].arity))
+        """The sum of the parts; a word in two parts gets their sum."""
+        arity, terms = self.parts[0].arity, {}
+        if any(part.arity != arity for part in self.parts):
+            raise ValueError("free polynomials of different arity")
+        for part in self.parts:
+            for w, c in part.terms.items():
+                terms[w] = terms.get(w, 0) + c
+        return FreePoly(arity, terms)
 
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
@@ -230,21 +237,23 @@ def taylor_expand(
     bases, base_values = [zero] * size1, [v0] * size1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
     firsts = [0, *range(1, jets, block)]
+    lasts = [*firsts[1:], jets]
+    # The block of jets first..last reads the table's entries lo..hi.
+    his = np.searchsorted(cover.jet, lasts).tolist()
+    # dirs[i] holds the i-th direction of every jet: shape (d, jets, dim, dim).
+    dirs = units[cover.letters.T].transpose(0, 2, 1, 3, 4)
     # Entry i holds the coefficient and residual of cover.words[i].
     coeffs = np.empty(total_words, dtype=np.complex128)
     resids = np.empty(total_words)
     eps = 1.0
-    for first, last in zip(firsts, [*firsts[1:], jets]):
-        # hs[i] holds the i-th direction of every jet: shape (d, B, dim, dim).
-        hs = units[cover.letters[first:last].T].transpose(0, 2, 1, 3, 4)
+    for first, last, lo, hi in zip(firsts, lasts, [0, *his], his):
         try:
-            res = delta_k(F, bases, hs, epsilon=eps, base_values=base_values)
+            res = delta_k(F, bases, dirs[:, :, first:last], epsilon=eps, base_values=base_values)
         except StructureViolationError as exc:
             w = tuple(cover.letters[first + exc.sample].tolist())
             raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
         if first == 0:
             eps = float(res.epsilon[0])
-        lo, hi = np.searchsorted(cover.jet, (first, last))
         index = cover.index[lo:hi]
         blocks = res.full_upper.reshape(last - first, size1, dim, size1, dim)
         cs, rs = _scalars(
@@ -253,11 +262,12 @@ def taylor_expand(
         )
         coeffs[index], resids[index] = cs, rs
 
+    residuals.update(zip(cover.words, resids.tolist()))
+    # np.hypot, not np.abs: it is the libm hypot Python's abs(complex) calls.
+    kept = np.flatnonzero(np.hypot(coeffs.real, coeffs.imag) > COEFF_PRUNE)
     terms: list[dict[Word, complex]] = [{} for _ in range(maxdeg)]
-    for w, c, r in zip(cover.words, coeffs.tolist(), resids.tolist()):
-        residuals[w] = r
-        if abs(c) > COEFF_PRUNE:
-            terms[len(w) - 1][w] = c
+    for i, c in zip(kept.tolist(), coeffs[kept].tolist()):
+        terms[len(cover.words[i]) - 1][cover.words[i]] = c
     parts += [FreePoly(d, t) for t in terms]
     return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 

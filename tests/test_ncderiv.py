@@ -28,6 +28,7 @@ from _helpers import (
     bidiagonal_block,
     components,
     counting_handle,
+    homogeneous_component,
     random_isometric_realization,
     random_matrix,
     random_poly,
@@ -382,6 +383,88 @@ class TestStackedJets:
         np.testing.assert_array_equal(res.epsilon, [1.0, 0.5, 0.25])
         np.testing.assert_array_equal(res.delta[:, 0, 0], [0.5, 1.5, 3.0])
         assert calls == [(3,), (2,), (1,)]
+
+
+def _series_handle():
+    rng = rng_for(82)
+    parts = [homogeneous_component(random_poly(rng, 2, 3, nterms=14), k) for k in range(4)]
+    return from_series(SeriesFunction(parts, 2.0), truncation=3, domain=DomainDescriptor.polydisk(1.0))
+
+
+class TestSharedObjects:
+    """One object passed for several levels is placed and compared once; its
+    results are those of k + 1 distinct copies, bit for bit."""
+
+    HANDLES = pytest.mark.parametrize(
+        "F",
+        [
+            from_poly(random_poly(rng_for(80), 2, 4, nterms=16), DomainDescriptor.polydisk(1.0)),
+            _series_handle(),
+            from_realization(random_isometric_realization(rng_for(81), 2, 2)),
+            from_realization(random_rowball_realization(rng_for(83), 2, 2)),
+        ],
+        ids=["polynomial", "series", "polydisk realization", "rowball realization"],
+    )
+
+    @staticmethod
+    def point_and_directions(k, samples):
+        """A point and k directions at n = 2: lone, or stacks of ``samples``."""
+        rng = rng_for(84 + k)
+        if samples is None:
+            return random_tuple(rng, 2, 2, scale=0.3), [random_tuple(rng, 2, 2, scale=0.4) for _ in range(k)]
+        x, *hs = (
+            np.stack([components(random_tuple(rng, 2, 2, scale=s)) for _ in range(samples)], axis=1)
+            for s in [0.3] + [0.4] * k
+        )
+        return x, hs
+
+    @HANDLES
+    @pytest.mark.parametrize("samples", [None, 3], ids=["lone", "stack"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shared_point_and_value_give_the_bits_of_copies(self, F, samples, k):
+        x, hs = self.point_and_directions(k, samples)
+        v = F.eval(x)
+        copy = (lambda a: MatrixTuple(a.components)) if samples is None else np.copy
+        shared = delta_k(F, [x] * (k + 1), hs, base_values=[v] * (k + 1))
+        copies = delta_k(
+            F, [copy(x) for _ in range(k + 1)], hs, base_values=[np.copy(v) for _ in range(k + 1)]
+        )
+        for field in ("delta", "full_upper", "structure_residual", "epsilon"):
+            np.testing.assert_array_equal(getattr(shared, field), getattr(copies, field))
+
+    @HANDLES
+    def test_wrong_shared_value_names_first_bad_sample(self, F):
+        x, hs = self.point_and_directions(2, 3)
+        wrong = F.eval(x)
+        wrong[1:] += 0.5
+        with pytest.raises(StructureViolationError) as err:
+            delta_k(F, [x] * 3, hs, base_values=[wrong] * 3)
+        assert err.value.sample == 1
+
+    @HANDLES
+    def test_shared_value_is_compared_at_every_level(self, F):
+        # One value for all three levels, right only for the first two points.
+        x, hs = self.point_and_directions(2, 3)
+        y = np.copy(x)
+        y[:, 2] *= 0.5
+        with pytest.raises(StructureViolationError) as err:
+            delta_k(F, [x, x, y], hs, base_values=[F.eval(x)] * 3)
+        assert err.value.sample == 2
+
+    @pytest.mark.parametrize("samples", [None, 3], ids=["lone", "stack"])
+    def test_base_values_of_the_wrong_shape_or_count_are_rejected(self, samples):
+        F = from_poly(random_poly(rng_for(85), 2, 3, nterms=10))
+        x, hs = self.point_and_directions(2, samples)
+        v = np.reshape(F.eval(x), (-1, 2, 2))
+        for wrong in (
+            [np.eye(3)] * 3,  # another dimension
+            [np.concatenate([v] * 2)] * 3,  # another batch
+            [np.stack([v] * 3)] * 3,  # every level's values in one
+            [v] * 2,  # too few
+            [v] * 4,  # too many
+        ):
+            with pytest.raises(ValueError):
+                delta_k(F, [x] * 3, hs, base_values=wrong)
 
 
 class TestDkDiag:

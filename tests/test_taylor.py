@@ -17,6 +17,7 @@ from ncfuncalc import (
     NonScalarResultError,
     PolyMatrix,
     SeriesFunction,
+    TaylorExpansion,
     circle_norm_estimate,
     control_handle,
     delta_k,
@@ -166,6 +167,26 @@ class TestTaylorExpand:
         b = taylor_expand(F, 3)
         assert a.as_poly().terms == b.as_poly().terms
         assert a.residuals == b.residuals
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            FreePoly(2, {(): 0.5 - 1j, (0, 1): 2.0, (1,): -1.0, (1, 1, 0): 0.25j}),
+            FreePoly(2, {(): 3.0, (1, 0): 1.5}),  # parts 1, 3 and 4 are empty
+            FreePoly.zero(2),
+        ],
+        ids=["constant term", "empty parts", "zero"],
+    )
+    def test_as_poly_is_the_sum_of_the_parts(self, p):
+        expansion = taylor_expand(from_poly(p), 4)
+        summed = sum(expansion.parts, FreePoly.zero(2)).terms
+        assert list(expansion.as_poly().terms.items()) == list(summed.items())
+
+    def test_as_poly_sums_a_word_shared_by_two_parts(self):
+        parts = [FreePoly(2, {(): 1.0, (0, 1): 0.5}), FreePoly(2, {(0, 1): 0.25, (1,): 2.0})]
+        merged = TaylorExpansion(parts).as_poly()
+        assert merged.terms == {(): 1.0, (0, 1): 0.75, (1,): 2.0}
+        assert TaylorExpansion([FreePoly(2, {(1,): 1.0}), FreePoly(2, {(1,): -1.0})]).as_poly().is_zero
 
     def test_word_cap(self):
         F = from_poly(FreePoly.letter(3, 0))
