@@ -219,7 +219,7 @@ def direct_sum(points):
     by sample for stacks; lone points alone give a :class:`MatrixTuple`."""
     stacks, lead = as_stacks(points)
     if not stacks or any(len(s) != len(stacks[0]) for s in stacks):
-        raise ValueError("direct_sum needs points of one arity")
+        raise ValueError("direct_sum needs one or more points, all of one arity")
     d, batch = len(stacks[0]), math.prod(lead)
     offsets = [0, *itertools.accumulate(s.shape[-1] for s in stacks)]
     out = np.zeros((d, batch, offsets[-1], offsets[-1]), dtype=np.complex128)

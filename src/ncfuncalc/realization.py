@@ -44,7 +44,8 @@ the finiteness checks, the uncertified samples'
 :func:`~ncfuncalc.linalg.inverse` and every error stay on the calling thread.
 The last block is solved where it is built.  No thread starts for a one-block
 call (at most ``fits`` samples, a lone point among them), nor in a process
-that may run on one CPU only.  A forked child starts its own thread.
+that may run on one CPU only.  A forked child drops the parent's job queue at
+fork, with no pid check, and starts its own thread when it first needs one.
 
 A contractivity scan rescales one complex Gaussian direction per sample,
 drawn from its own stream ``(seed, i)``, to the norm
@@ -62,7 +63,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -268,12 +269,17 @@ class DomainDescriptor:
         return unstack(self._inside(self._gauges(comps)[0]), lead)
 
     def rescale(self, u, sizes) -> np.ndarray:
-        """The multiples of the stack ``u`` whose norms are ``sizes`` (one per
-        sample, or one for all), each halved until it is inside and bit for bit
-        its lone value (:meth:`_rescale`); :class:`SamplerStarvationError` after
-        ``RESCALE_HALVINGS`` halvings, which only a domain without 0 can reach."""
+        """The multiples of the stack ``u`` whose norms are ``sizes``, finite and
+        nonnegative (else ``ValueError``), one per sample or one for all, each
+        halved until it is inside and bit for bit its lone value (:meth:`_rescale`);
+        :class:`SamplerStarvationError` after ``RESCALE_HALVINGS`` halvings,
+        which only a domain without 0 can reach."""
         comps = as_stack(u)[0]
-        return self._rescale(comps, np.broadcast_to(np.asarray(sizes, float), comps.shape[1:2]))[0]
+        sizes = np.broadcast_to(np.asarray(sizes, float), comps.shape[1:2])
+        bad = sizes[~((sizes >= 0) & (sizes < math.inf))]
+        if bad.size:
+            raise ValueError(f"sizes must be finite and nonnegative, got {bad[0]}")
+        return self._rescale(comps, sizes)[0]
 
     def _norms(self, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The norms of a stack: the largest component norm on a polydisk, the row
@@ -534,53 +540,41 @@ class _Resolvents:
         return values
 
 
-class _Solver:
-    """A daemon thread that runs ``np.linalg.solve`` on the systems put to it,
-    one at a time, and nothing else; ``pid`` is the process it runs in."""
-
-    def __init__(self):
-        import queue
-        import threading
-
-        self.pid = os.getpid()
-        self._jobs = queue.SimpleQueue()
-        self._reply = queue.SimpleQueue
-        threading.Thread(target=self._serve, name="ncfuncalc-solver", daemon=True).start()
-
-    def start(self, a: np.ndarray, b: np.ndarray):
-        """A queue that receives the solution of ``a z = b``, or the exception
-        raised solving it."""
-        reply = self._reply()
-        self._jobs.put((a, b, reply))
-        return reply
-
-    def _serve(self):
-        while True:
-            a, b, reply = self._jobs.get()
-            try:
-                reply.put(np.linalg.solve(a, b))
-            except Exception as exc:  # raised again on the calling thread
-                reply.put(exc)
-            del a, b, reply  # keep no system alive while idle
+def _serve(jobs) -> None:
+    """The solver thread: ``np.linalg.solve`` on each system put to ``jobs``,
+    its solution or exception put to the job's reply queue, and nothing else."""
+    while True:
+        a, b, reply = jobs.get()
+        try:
+            reply.put(np.linalg.solve(a, b))
+        except Exception as exc:  # raised again on the calling thread
+            reply.put(exc)
+        del a, b, reply  # keep no system alive while idle
 
 
-_SOLVER: _Solver | None = None  # this process's solver thread, started on first use
+@cache
+def _jobs():
+    """The job queue of this process's solver thread, started on first use; two
+    first calls at once may each start one, and each job has its own reply."""
+    import queue
+    import threading
+
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(jobs,), name="ncfuncalc-solver", daemon=True).start()
+    return jobs
 
 
-def _solver() -> _Solver | None:
-    """The solver thread, or None when this process may run on one CPU only."""
-    global _SOLVER
+if hasattr(os, "register_at_fork"):  # a forked child has no thread: it starts its own
+    os.register_at_fork(after_in_child=_jobs.cache_clear)
+
+
+def _solver():
+    """The solver thread's job queue, or None when this process may run on one CPU only."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    if _SOLVER is None or _SOLVER.pid != os.getpid():  # a forked child has no thread
-        # Two first calls at once may each start a thread; each call keeps the
-        # one it got, and every job gets its own reply, so both stay correct.
-        _SOLVER = _Solver()
-    return _SOLVER
+    return _jobs() if cpus >= 2 else None
 
 
 def _transfer(r: Realization, n: int, samples: int, delta_at) -> Iterator[tuple]:
@@ -598,9 +592,9 @@ def _transfer(r: Realization, n: int, samples: int, delta_at) -> Iterator[tuple]
     """
     res_dim = r.m * r.delta.cols * n
     block = max(1, SCAN_BLOCK_BYTES // (16 * res_dim**2))
-    solver = None if samples <= block else _solver()
+    jobs = None if samples <= block else _solver()
     shape = (min(block, samples), res_dim, res_dim)
-    buffers = [np.empty(shape, np.complex128) for _ in range(1 if solver is None else 2)]
+    buffers = [np.empty(shape, np.complex128) for _ in range(1 if jobs is None else 2)]
     c_lift = np.kron(r.C, np.eye(n))
     ahead = None  # the block whose system the solver thread holds: start, stop, resolvents, reply
     try:
@@ -610,8 +604,9 @@ def _transfer(r: Realization, n: int, samples: int, delta_at) -> Iterator[tuple]
             resolvents = _Resolvents(r, c_lift, lhs, *delta_at(start, stop))
             solution = None if ahead is None else ahead[3].get()
             behind, ahead = ahead, None
-            if solver is not None and stop < samples and resolvents.system is not None:
-                ahead = start, stop, resolvents, solver.start(*resolvents.system)
+            if jobs is not None and stop < samples and resolvents.system is not None:
+                ahead = start, stop, resolvents, type(jobs)()  # a reply queue of its own
+                jobs.put((*resolvents.system, ahead[3]))
             if behind is not None:
                 yield behind[0], behind[1], behind[2].values(solution)
                 behind = solution = None  # release the finished block before the next is built

@@ -73,17 +73,17 @@ class NonScalarResultError(ExtractionError):
     """The extracted jet block was not a scalar multiple of the identity."""
 
 
-def _scalars(blocks: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
+def _scalars(blocks: np.ndarray, words) -> tuple[np.ndarray, np.ndarray]:
     """The numbers :func:`~ncfuncalc.linalg.scalar_part` gives for a stack of
     square ``blocks``, each read as c times the identity: F(0), or the blocks
-    (start, start + |w|) of the words w a block of covering jets reads.  Raises
+    (start, start + |w|) of the words w the covering jets read.  Raises
     :class:`NonScalarResultError` at the first block whose residual exceeds
-    ``SCALAR_TOL`` relative to ``max(1, |c|)``, naming its word ``name(i)``
+    ``SCALAR_TOL`` relative to ``max(1, |c|)``, naming its word ``words[i]``
     (the empty word for F(0))."""
     c, resid = scalar_part(blocks)
     bad = np.flatnonzero(resid > SCALAR_TOL * np.maximum(1.0, np.abs(c)))
     if bad.size:
-        word, r = name(bad[0]), resid[bad[0]]
+        word, r = words[bad[0]], resid[bad[0]]
         where = f"extraction at word {word}" if word else "value at the scalar point 0"
         raise NonScalarResultError(f"{where} is not scalar (residual {r:.3e})", word=word)
     return c, resid
@@ -111,8 +111,8 @@ class _Cover(NamedTuple):
     ``letters`` holds each jet's word, shape (jets, L).  Every word of
     length 1..k is read once, in reading order (jet by jet, start by start,
     shorter first): its first occurrence is block (``start``, ``stop``) of
-    jet ``jet``, and ``index`` is its place in ``words``, the words of length
-    1..k in graded lexicographic order.
+    jet ``jet``, ``index`` is its place in ``words``, the words of length
+    1..k in graded lexicographic order, and ``read`` the word itself.
     """
 
     letters: np.ndarray
@@ -120,6 +120,7 @@ class _Cover(NamedTuple):
     start: np.ndarray
     stop: np.ndarray
     index: np.ndarray
+    read: tuple[Word, ...]
     words: tuple[Word, ...]
 
 
@@ -135,20 +136,17 @@ def _cover(d: int, k: int) -> _Cover:
         firsts.append(len(seq) - size)
     chunks = [seq[f : f + size] for f in firsts]
     words = tuple(w for j in range(1, k + 1) for w in itertools.product(range(d), repeat=j))
-    # The words of length j + 1 start at place[j] in ``words``, in the order
-    # of their letters read as base-d numbers.
-    place = [0, *itertools.accumulate(d**j for j in range(1, k))]
+    indices = {w: i for i, w in enumerate(words)}
     reads: dict[int, tuple[int, int, int]] = {}
     for t, chunk in enumerate(chunks):
         for i in range(size):
-            code = 0
-            for j in range(i, min(i + k, size)):
-                code = code * d + chunk[j]
-                reads.setdefault(place[j - i] + code, (t, i, j + 1))
+            for j in range(i + 1, min(i + k, size) + 1):
+                reads.setdefault(indices[tuple(chunk[i:j])], (t, i, j))
     jet, start, stop = np.array(list(reads.values()), dtype=np.intp).T
     index = np.array(list(reads), dtype=np.intp)
-    table = _Cover(np.array(chunks, dtype=np.intp), jet, start, stop, index, words)
-    for a in table[:-1]:
+    read = tuple(words[i] for i in reads)
+    table = _Cover(np.array(chunks, dtype=np.intp), jet, start, stop, index, read, words)
+    for a in table[:-2]:
         a.setflags(write=False)
     return table
 
@@ -209,8 +207,8 @@ def taylor_expand(
     An :class:`ExtractionError` from a jet that breaks block upper
     triangular form names that jet's word, a chunk of the de Bruijn
     sequence; a :class:`NonScalarResultError` names the first non-scalar
-    word in reading order: block by block, jet by jet, start by start,
-    shorter words first.
+    word in reading order (jet by jet, start by start, shorter words first),
+    and comes before an error of any later block of jets.
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
@@ -225,7 +223,7 @@ def taylor_expand(
 
     zero = np.zeros((d, dim, dim), dtype=np.complex128)  # the lone point 0
     v0 = F.eval(zero)
-    (c0,), (r0,) = _scalars(v0[None], lambda i: ())
+    (c0,), (r0,) = _scalars(v0[None], [()])
     residuals: dict[Word, float] = {(): float(r0)}
     parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
     if maxdeg == 0:
@@ -237,30 +235,28 @@ def taylor_expand(
     bases, base_values = [zero] * size1, [v0] * size1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
     firsts = [0, *range(1, jets, block)]
-    lasts = [*firsts[1:], jets]
-    # The block of jets first..last reads the table's entries lo..hi.
-    his = np.searchsorted(cover.jet, lasts).tolist()
     # dirs[i] holds the i-th direction of every jet: shape (d, jets, dim, dim).
     dirs = units[cover.letters.T].transpose(0, 2, 1, 3, 4)
-    # Entry i holds the coefficient and residual of cover.words[i].
-    coeffs = np.empty(total_words, dtype=np.complex128)
-    resids = np.empty(total_words)
-    eps = 1.0
-    for first, last, lo, hi in zip(firsts, lasts, [0, *his], his):
+    # reads[i] is the block of the table's entry i, filled block of jets by block.
+    reads = np.empty((len(cover.jet), dim, dim), dtype=np.complex128)
+    eps, lo = 1.0, 0
+    for first, last in zip(firsts, [*firsts[1:], jets]):
         try:
             res = delta_k(F, bases, dirs[:, :, first:last], epsilon=eps, base_values=base_values)
-        except StructureViolationError as exc:
+        except Exception as exc:
+            _scalars(reads[:lo], cover.read)  # a non-scalar word read before it is reported first
+            if not isinstance(exc, StructureViolationError):
+                raise
             w = tuple(cover.letters[first + exc.sample].tolist())
             raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
         if first == 0:
             eps = float(res.epsilon[0])
-        index = cover.index[lo:hi]
+        hi = int(np.searchsorted(cover.jet, last))
         blocks = res.full_upper.reshape(last - first, size1, dim, size1, dim)
-        cs, rs = _scalars(
-            blocks[cover.jet[lo:hi] - first, cover.start[lo:hi], :, cover.stop[lo:hi], :],
-            lambda i: cover.words[index[i]],
-        )
-        coeffs[index], resids[index] = cs, rs
+        reads[lo:hi] = blocks[cover.jet[lo:hi] - first, cover.start[lo:hi], :, cover.stop[lo:hi], :]
+        lo = hi
+    # Entry i holds the coefficient and residual of cover.words[i]: argsort inverts index.
+    coeffs, resids = (a[np.argsort(cover.index)] for a in _scalars(reads, cover.read))
 
     residuals.update(zip(cover.words, resids.tolist()))
     # np.hypot, not np.abs: it is the libm hypot Python's abs(complex) calls.
@@ -284,6 +280,8 @@ def tail_bound(M: float, r: float, K: int) -> float:
         raise ValueError("the dilation radius must exceed 1")
     if M < 0:
         raise ValueError("the circle bound must be nonnegative")
+    if not isinstance(K, (int, np.integer)) or K < 0:
+        raise ValueError(f"the degree K must be a nonnegative integer, got {K!r}")
     rho = 2.0 / (1.0 + r)
     return M * rho ** (K + 1) / (1.0 - rho)
 

@@ -583,6 +583,12 @@ class TestRealize:
         assert (code, out) == (2, "")
         assert err == "error: dimension must be at least 1\n"
 
+    def test_scan_without_samples_exits_2(self, workspace, capsys):
+        code, out, err = run(
+            capsys, "realize-scan", "--handle", workspace["mobius.json"], "--n", "2", "--samples", "0"
+        )
+        assert (code, out, err) == (2, "", "error: need at least one sample\n")
+
 
 class TestConfigFile:
     def test_fd_lambda_from_config(self, workspace, capsys, tmp_path):
@@ -776,6 +782,15 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "tol_direct_sum" in err
+
+    def test_config_that_is_not_an_object_exits_2(self, workspace, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run(
+            capsys, "realize-check", "--handle", workspace["mobius.json"], "--config", str(cfg)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: config must be a JSON object\n"
 
     def test_unknown_config_key_exits_2(self, workspace, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

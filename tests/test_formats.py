@@ -27,6 +27,7 @@ from ncfuncalc.formats import (
     poly_from_obj,
     poly_to_obj,
     polymatrix_from_obj,
+    polymatrix_to_obj,
     realization_from_obj,
     realization_to_obj,
     tuple_from_obj,
@@ -35,6 +36,46 @@ from ncfuncalc.formats import (
 )
 
 from _helpers import random_matrix, random_poly, random_tuple, rng_for
+
+
+def _declaring(make, key, value):
+    obj = make()
+    obj[key] = value
+    return obj
+
+
+_ZERO = {"re": 0, "im": 0}
+
+
+class TestSchemaMessages:
+    """Each reader names what is wrong with a document of the wrong shape."""
+
+    @pytest.mark.parametrize(
+        "read, obj, message",
+        [
+            (matrix_from_obj, {"rows": 2, "cols": 2, "entries": [[_ZERO] * 2, [_ZERO]]},
+             "matrix: row 1 must have 2 entries"),
+            (tuple_from_obj, [1], "tuple: expected an object with 'components'"),
+            (tuple_from_obj, _declaring(lambda: tuple_to_obj(MatrixTuple.zeros(2, 2)), "dim", 3),
+             "tuple: declared dim=3 but components are 2x2"),
+            (directions_from_obj, {"directions": 5}, "directions: expected a list of tuples"),
+            (polymatrix_from_obj, [], "polymatrix: expected an object with 'entries'"),
+            (polymatrix_from_obj, _declaring(lambda: polymatrix_to_obj(delta_polydisk(2)), "I", 3),
+             "polymatrix: declared I=3 but found 2 rows"),
+            (polymatrix_from_obj, _declaring(lambda: polymatrix_to_obj(delta_polydisk(2)), "J", 1),
+             "polymatrix: declared J=1 but found 2 columns"),
+            (realization_from_obj, [], "realization: expected an object"),
+            (domain_from_obj, {"radius": 1}, "domain: expected an object with 'kind'"),
+            (handle_from_obj, {"kind": "poly"},
+             "handle: expected an object with 'kind' and 'payload'"),
+            (handle_from_obj, {"kind": "spline", "payload": {}},
+             "handle: unknown handle kind 'spline'"),
+        ],
+    )
+    def test_wrong_shape_is_named(self, read, obj, message):
+        with pytest.raises(ParseError) as err:
+            read(obj)
+        assert str(err.value) == message
 
 
 class TestMatrixFormat:
@@ -319,3 +360,10 @@ class TestFiles:
         assert load_json(str(target)) == {"x": 1}
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # JSON has no NaN, so the dump raises after the temp file is made.
+        target = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            write_json_atomic(str(target), {"x": math.nan})
+        assert list(tmp_path.iterdir()) == []

@@ -178,7 +178,7 @@ class TestDirectSum:
                 assert operator_norm(s[r]) == pytest.approx(expected, abs=1e-10)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^direct_sum needs one or more points"):
             direct_sum([])
         with pytest.raises(ValueError):
             direct_sum([MatrixTuple.zeros(1, 2), MatrixTuple.zeros(2, 2)])

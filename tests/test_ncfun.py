@@ -97,6 +97,11 @@ class TestFromPoly:
         # the unchecked path is the explicit escape hatch for jet blocks
         F.eval(MatrixTuple.from_scalars([0.9], 2), unchecked=True)
 
+    def test_point_of_another_arity(self):
+        F = from_poly(FreePoly.letter(1, 0))
+        with pytest.raises(ValueError, match="^handle has arity 1, point has arity 2$"):
+            F.eval(MatrixTuple.zeros(2, 2))
+
 
 class TestFromSeries:
     def test_geometric_matches_neumann_inverse(self):

@@ -1,5 +1,6 @@
 """Delta balls, colligations, transfer functions, and contractivity scans."""
 
+import math
 import multiprocessing
 import os
 import sys
@@ -62,9 +63,14 @@ def cpus(monkeypatch):
     def set_cpus(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
-    monkeypatch.setattr(realization, "_SOLVER", None)
+    realization._jobs.cache_clear()
     set_cpus(2)
     return set_cpus
+
+
+def _started() -> bool:
+    """Whether this process holds its solver thread's job queue."""
+    return realization._jobs.cache_info().currsize > 0
 
 
 @pytest.fixture
@@ -286,6 +292,14 @@ class TestStackedRescale:
         shifted = DomainDescriptor.deltaball(PolyMatrix([[x0 + FreePoly.constant(1, 2.0)]]))
         with pytest.raises(SamplerStarvationError, match="norm 5.000e-01"):
             shifted.rescale(np.ones((1, 2, 2, 2)), 0.5)
+
+    @pytest.mark.parametrize("size", [-1.0, math.nan, math.inf, -math.inf])
+    def test_size_must_be_finite_and_nonnegative(self, size):
+        # A negative size scaled to a point on the boundary, outside the
+        # polydisk; a NaN or an infinite one starved after numpy warnings.
+        ball = DomainDescriptor.polydisk(1.0)
+        with pytest.raises(ValueError, match=f"^sizes must be finite and nonnegative, got {size}$"):
+            ball.rescale(np.ones((1, 3, 2, 2)), [0.5, size, 0.5])
 
 
 class TestIsometry:
@@ -875,21 +889,21 @@ class TestSolverThread:
         r.evaluate(np.stack([random_tuple(rng, 2, 16).components for _ in range(3)], axis=1))
         contractivity_scan(r, 16, 4, seed=3)
         assert solves == [threading.get_ident()] * 3
-        assert realization._SOLVER is None
+        assert not _started()
         assert threading.active_count() == threads
 
     def test_one_cpu_solves_every_block_here(self, cpus, solves, batches):
         r = SCAN_CASES["polydisk"]()
         pipelined = contractivity_scan(r, 16, 9, seed=8)
-        assert realization._SOLVER is not None
+        assert _started()
         cpus(1)
-        realization._SOLVER = None
+        realization._jobs.cache_clear()
         solves.clear()
         batches.clear()
         assert contractivity_scan(r, 16, 9, seed=8).as_dict() == pipelined.as_dict()
         assert batches == [4, 4, 1]
         assert solves == [threading.get_ident()] * 3
-        assert realization._SOLVER is None
+        assert not _started()
 
     @pytest.mark.parametrize("count, threads", [(None, 0), (1, 0), (2, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, cpus, solves, count, threads):
@@ -899,7 +913,7 @@ class TestSolverThread:
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         contractivity_scan(SCAN_CASES["polydisk"](), 16, 9, seed=8)
         assert len(set(solves) - {threading.get_ident()}) == threads
-        assert (realization._SOLVER is None) == (threads == 0)
+        assert _started() == (threads == 1)
 
     @pytest.mark.parametrize("where", ["solver thread", "calling thread"])
     @pytest.mark.parametrize(
@@ -934,7 +948,7 @@ class TestSolverThread:
     def test_forked_child_starts_its_own_thread(self, cpus, solves):
         r = SCAN_CASES["polydisk"]()
         expected = contractivity_scan(r, 16, 9, seed=8).as_dict()
-        assert realization._SOLVER is not None  # the parent's thread, absent in a child
+        assert _started()  # the parent's thread, absent in a child
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
 
@@ -951,6 +965,36 @@ class TestSolverThread:
         try:
             assert receive.poll(60), "the forked child's scan did not finish"
             assert receive.recv() == (expected, 1)
+            process.join(60)
+            assert process.exitcode == 0
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_holds_no_queue_before_its_first_pipelined_call(self, cpus):
+        # The parent's queue feeds a thread that the child does not have.
+        r = SCAN_CASES["polydisk"]()
+        contractivity_scan(r, 16, 9, seed=8)
+        assert _started()
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            held = [_started()]
+            contractivity_scan(r, 16, 4, seed=8)  # one block: no thread
+            held.append(_started())
+            contractivity_scan(r, 16, 9, seed=8)
+            send.send(held + [_started()])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            process = context.Process(target=child)
+            process.start()
+        try:
+            assert receive.poll(60), "the forked child's scans did not finish"
+            assert receive.recv() == [False, False, True]
             process.join(60)
             assert process.exitcode == 0
         finally:
@@ -1107,6 +1151,16 @@ class TestRealizationValidation:
             Realization(delta=delta, m=1, A=0.0, B=np.ones((1, 3)), C=np.ones((2, 1)), D=np.eye(2))
         with pytest.raises(ValueError):
             Realization(delta=delta, m=0, A=0.0, B=np.ones((1, 2)), C=np.ones((2, 1)), D=np.eye(2))
+        with pytest.raises(ValueError, match=r"^C must be 2x1, got \(1, 2\)$"):
+            Realization(delta=delta, m=1, A=0.0, B=np.ones((1, 2)), C=np.ones((1, 2)), D=np.eye(2))
+        with pytest.raises(ValueError, match=r"^D must be 2x2, got \(2, 1\)$"):
+            Realization(
+                delta=delta, m=1, A=0.0, B=np.ones((1, 2)), C=np.ones((2, 1)), D=np.ones((2, 1))
+            )
+
+    def test_point_of_another_arity(self):
+        with pytest.raises(ValueError, match="^realization has arity 1, point has arity 2$"):
+            mobius_realization(0.3).evaluate(np.zeros((2, 3, 2, 2)))
 
     def test_mobius_parameter_check(self):
         with pytest.raises(ValueError):

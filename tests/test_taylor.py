@@ -225,6 +225,13 @@ class TestTaylorExpand:
         assert err.value.word is not None
 
 
+def rescaling(x):
+    """x0 in a basis rescaled per dimension: at zero base points the jet stays
+    upper triangular, but every extracted block of x0 is non-scalar."""
+    scale = np.diag(np.arange(1.0, np.shape(x[0])[-1] + 1.0))
+    return scale @ x[0] @ np.linalg.inv(scale)
+
+
 def _words_through(d, maxdeg):
     return [w for k in range(maxdeg + 1) for w in itertools.product(range(d), repeat=k)]
 
@@ -288,15 +295,28 @@ class TestOneEvaluationPerWord:
             assert "structure violated" in str(err.value)
 
     def test_non_scalar_extraction_names_word(self):
-        # Rescaling the basis per dimension keeps the jet upper triangular at
-        # zero base points but makes the extracted block non-scalar.
-        def rescaling(x):
-            scale = np.diag(np.arange(1.0, np.shape(x[0])[-1] + 1.0))
-            return scale @ x[0] @ np.linalg.inv(scale)
-
         F = NCFunctionHandle(1, DomainDescriptor.polydisk(math.inf), rescaling)
         with pytest.raises(NonScalarResultError) as err:
             taylor_expand(F, 3, dim=2)
+        assert err.value.word == (0,)
+
+    def test_first_non_scalar_word_beats_a_later_structure_violation(self):
+        # At d = 2, K = 3 the covering jets follow 0001, 0101, 0111 and 1100:
+        # the first block holds jet 0, where rescaling x0 makes (0,) non-scalar,
+        # and the second block jets 1-3, where (x1 x1)^T breaks the structure
+        # first in jet 2.  Every read of the first block is checked before
+        # the second block's error leaves.
+        def transposed(x):
+            return np.swapaxes(x[1] @ x[1], -1, -2)
+
+        domain = DomainDescriptor.polydisk(math.inf)
+        broken = NCFunctionHandle(2, domain, transposed)
+        with pytest.raises(ExtractionError, match="structure violated") as err:
+            taylor_expand(broken, 3, dim=2)
+        assert err.value.word == (0, 1, 1, 1)
+        both = NCFunctionHandle(2, domain, lambda x: rescaling(x) + transposed(x))
+        with pytest.raises(NonScalarResultError) as err:
+            taylor_expand(both, 3, dim=2)
         assert err.value.word == (0,)
 
 
@@ -351,8 +371,9 @@ class TestBlockedExtraction:
         # Each word is read once, at its first occurrence in reading order.
         cover = ncfuncalc.taylor._cover(d, k)
         assert cover.words == tuple(_words_through(d, k)[1:])
-        assert all(not a.flags.writeable for a in cover[:-1])
+        assert all(not a.flags.writeable for a in cover[:-2])
         assert sorted(cover.index.tolist()) == list(range(len(cover.words)))
+        assert cover.read == tuple(cover.words[n] for n in cover.index.tolist())
         reads = list(zip(cover.jet.tolist(), cover.start.tolist(), cover.stop.tolist()))
         assert reads == sorted(reads, key=lambda r: (r[0], r[1], r[2] - r[1]))
         chunks = cover.letters.tolist()
@@ -472,6 +493,12 @@ class TestTailBound:
     def test_r_must_exceed_one(self):
         with pytest.raises(ValueError):
             tail_bound(1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("K", [-3, 2.5, "2"])
+    def test_degree_must_be_a_nonnegative_integer(self, K):
+        # K = -3 read 8.0 and K = 2.5 read 0.177.
+        with pytest.raises(ValueError, match="^the degree K must be a nonnegative integer"):
+            tail_bound(1.0, 3.0, K)
 
     def test_geometric_truncation_under_bound(self):
         # Closed-form resolvent as an opaque handle; series truncations must

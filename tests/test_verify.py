@@ -62,6 +62,11 @@ class TestCheckDirectSum:
         report = check_direct_sum(F, [random_tuple(rng, 1, 2)])
         assert report.worst_residual == 0.0
 
+    def test_no_point_rejected(self):
+        F = from_poly(random_poly(rng_for(73), 1, 2))
+        with pytest.raises(ValueError, match="^direct_sum needs one or more points"):
+            check_direct_sum(F, [])
+
     def test_negative_control_fails(self):
         rng = rng_for(72)
         F = control_handle("fixed-corner", 1)
@@ -206,6 +211,11 @@ class TestCheckSymmetry:
         hs = [random_tuple(rng, 1, 1) for _ in range(5)]
         with pytest.raises(ValueError):
             check_symmetry(F, random_tuple(rng, 1, 1), hs)
+
+    def test_no_direction_rejected(self):
+        F = from_poly(random_poly(rng_for(97), 1, 2))
+        with pytest.raises(ValueError, match="^symmetry check needs one list of 1 to 4 directions"):
+            check_symmetry(F, MatrixTuple.zeros(1, 2), [])
 
 
 class TestDeltaStructure:
@@ -565,6 +575,14 @@ class TestRunSuite:
         reports = {r.name: r for r in run_suite(F, SuiteConfig(max_order=2, trials=1))}
         assert reports["derivative-symmetry"].trials == 1
         assert reports["taylor-polynomiality"].trials == 2
+        assert all(r.passed for r in reports.values())
+
+    def test_six_letters_lower_the_taylor_order(self):
+        # 6^3 = 216 words of degree 3 are over 200: the Taylor check stops at degree 2.
+        p = FreePoly(6, {(0, 5): 1.0, (3,): 0.5, (1, 2, 4): 0.25})
+        reports = {r.name: r for r in run_suite(from_poly(p), SuiteConfig(trials=1))}
+        assert reports["taylor-polynomiality"].trials == 2
+        assert reports["derivative-symmetry"].trials == 2
         assert all(r.passed for r in reports.values())
 
 
