@@ -690,15 +690,15 @@ def contractivity_scan(r: Realization, n: int, samples: int, seed: int) -> ScanR
     from its own stream ``(seed, i)``, so the report does not depend on
     evaluation order; see the module docstring for the radius law.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     resid = check_isometry(r)
     if resid > ISOMETRY_SCAN_TOL:
         raise NotIsometricError(
             f"colligation is not isometric (residual {resid:.3e} > {ISOMETRY_SCAN_TOL:.0e})"
         )
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
     d, p = r.arity, r.delta.degree() or 1
     ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
 

@@ -278,7 +278,7 @@ def tail_bound(M: float, r: float, K: int) -> float:
     """
     if not r > 1:
         raise ValueError("the dilation radius must exceed 1")
-    if M < 0:
+    if not M >= 0:
         raise ValueError("the circle bound must be nonnegative")
     if not isinstance(K, (int, np.integer)) or K < 0:
         raise ValueError(f"the degree K must be a nonnegative integer, got {K!r}")

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from ncfuncalc import (
     from_realization,
     mobius_realization,
 )
+import ncfuncalc.cli
 from ncfuncalc.cli import CliConfig, main
 from ncfuncalc.formats import (
     domain_to_obj,
@@ -589,6 +594,22 @@ class TestRealize:
         )
         assert (code, out, err) == (2, "", "error: need at least one sample\n")
 
+    @pytest.mark.parametrize(
+        "n, samples, message",
+        [("4", "0", "need at least one sample"), ("0", "5", "dimension must be at least 1")],
+    )
+    def test_bad_count_beats_non_isometric_colligation(self, capsys, tmp_path, n, samples, message):
+        # The counts are checked before the isometry test: exit 2 naming the
+        # count, not 1 with "precondition failed".
+        obj = realization_to_obj(mobius_realization(0.5))
+        obj["B"]["entries"][0][0]["re"] *= 2.0
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(dump_json(obj))
+        code, out, err = run(
+            capsys, "realize-scan", "--handle", str(doubled), "--n", n, "--samples", samples
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestConfigFile:
     def test_fd_lambda_from_config(self, workspace, capsys, tmp_path):
@@ -892,3 +913,33 @@ class TestVerify:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--handle", "/does/not/exist.json")
         assert code == 2
+
+
+class TestEntrypoint:
+    """The process entry that ``ncfun`` and ``python -m ncfuncalc.cli`` run."""
+
+    def test_freezes_before_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(ncfuncalc.cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            ncfuncalc.cli.entrypoint()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "handle, point, expected",
+        [("commutator.json", "shift_pair.json", 0), ("mobius_handle.json", "point_outside.json", 3)],
+    )
+    def test_module_process_matches_main(self, workspace, capsys, handle, point, expected):
+        argv = ["eval", "--handle", workspace[handle], "--point", workspace[point]]
+        in_process = run(capsys, *argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(ncfuncalc.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncfuncalc.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert in_process[0] == expected
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == in_process

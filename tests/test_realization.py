@@ -40,6 +40,7 @@ from ncfuncalc import (
 )
 from ncfuncalc.realization import (
     DOMAIN_CHECK_MARGIN,
+    ISOMETRY_SCAN_TOL,
     RESCALE_BISECTIONS,
     RESCALE_HALVINGS,
     SCAN_BLOCK_BYTES,
@@ -1126,6 +1127,18 @@ class TestContractivityScan:
         # largest of 200 comes near the bound 0.95 at every dimension.
         report = contractivity_scan(quadratic_realization(), n, 200, seed=3)
         assert 0.9 < report.max_norm < 1 - SCAN_MARGIN
+
+    @pytest.mark.parametrize(
+        "n, samples, message",
+        [(4, 0, "need at least one sample"), (0, 5, "dimension must be at least 1")],
+    )
+    def test_bad_count_beats_non_isometric_colligation(self, n, samples, message):
+        r = mobius_realization(0.5)
+        bad = Realization(delta=r.delta, m=r.m, A=r.A, B=2.0 * np.asarray(r.B), C=r.C, D=r.D)
+        assert check_isometry(bad) > ISOMETRY_SCAN_TOL
+        with pytest.raises(ValueError, match=message) as exc:
+            contractivity_scan(bad, n, samples, seed=0)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_dimension_below_one_rejected(self, n):

@@ -494,6 +494,12 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("M", [-1.0, math.nan])
+    def test_circle_bound_must_be_nonnegative(self, M):
+        # M = NaN read nan.
+        with pytest.raises(ValueError, match="^the circle bound must be nonnegative$"):
+            tail_bound(M, 3.0, 2)
+
     @pytest.mark.parametrize("K", [-3, 2.5, "2"])
     def test_degree_must_be_a_nonnegative_integer(self, K):
         # K = -3 read 8.0 and K = 2.5 read 0.177.
