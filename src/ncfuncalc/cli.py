@@ -1,7 +1,8 @@
 """Command-line surface: evaluation, derivatives, expansion, realizations, verify.
 
-Data and output paths go to stdout, diagnostics to stderr, and every
-command is deterministic under a fixed seed and configuration.  Exit codes:
+Data and output paths go to stdout and diagnostics to stderr; with ``--out``
+a one-line note follows the path instead.  Every command is deterministic
+under a fixed seed and configuration.  Exit codes:
 
     0  success (and, for verify/scan, every property passed)
     1  a verification or scan verdict failed
@@ -118,17 +119,18 @@ def _emit_json(payload, out: str | None) -> None:
         print(dump_json(payload))
 
 
-def _emit_matrix(result: np.ndarray, out: str | None, *, norm_line: bool = True) -> None:
-    norm = operator_norm(result)
+def _emit_matrix(result: np.ndarray, out: str | None, note: str | None = None) -> None:
+    """Emit ``result``, then ``note``: after the path with ``out``, else on stderr."""
     _emit_json(matrix_to_obj(result), out)
-    if norm_line:
-        print(f"norm {norm:.17g}", file=sys.stdout if out else sys.stderr)
+    if note is not None:
+        print(note, file=sys.stdout if out else sys.stderr)
 
 
 def _cmd_eval(args, cfg: CliConfig, out: str | None) -> int:
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
-    _emit_matrix(F.eval(x), out)
+    result = F.eval(x)
+    _emit_matrix(result, out, f"norm {operator_norm(result):.17g}")
     return EXIT_OK
 
 
@@ -139,7 +141,7 @@ def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
     if k < 0:
         raise ParseError("--k must be nonnegative")
     if k == 0:
-        _emit_matrix(F.eval(x), out, norm_line=False)
+        _emit_matrix(F.eval(x), out)
         return EXIT_OK
     if not args.directions:
         raise ParseError("--directions is required for k >= 1")
@@ -151,27 +153,19 @@ def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
     )
     if args.method == "fd" and not equal_dirs:
         raise ParseError("the fd method needs all directions equal")
-
-    def by_block():
-        return math.factorial(k) * delta_k(F, [x] * (k + 1), hs).delta
-
-    def by_fd():
-        return dk_fd(F, x, hs[0], k, cfg.fd_lambda)
-
-    if args.method == "block":
-        result = by_block()
-    elif args.method == "fd":
-        result = by_fd()
-    else:
-        result = dk_multilinear(F, x, hs)
+    methods = {
+        "block": lambda: math.factorial(k) * delta_k(F, [x] * (k + 1), hs).delta,
+        "fd": lambda: dk_fd(F, x, hs[0], k, cfg.fd_lambda),
+        "polarized": lambda: dk_multilinear(F, x, hs),
+    }
+    result = methods[args.method]()
+    note = None
     if args.cross_check:
         if not equal_dirs:
             raise ParseError("--cross-check needs all directions equal")
-        block = result if args.method == "block" else by_block()
-        fd = result if args.method == "fd" else by_fd()
-        gap = float(np.abs(block - fd).max())
-        print(f"cross-check disagreement {gap:.17g}")
-    _emit_matrix(result, out, norm_line=False)
+        block, fd = (result if m == args.method else methods[m]() for m in ("block", "fd"))
+        note = f"cross-check disagreement {float(np.abs(block - fd).max()):.17g}"
+    _emit_matrix(result, out, note)
     return EXIT_OK
 
 

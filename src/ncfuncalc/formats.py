@@ -87,6 +87,20 @@ def _parsing(where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _object(obj, where: str, *keys: str) -> dict:
+    """``obj`` if it is a JSON object holding every key in ``keys``, else a ParseError."""
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        named = " and ".join(f"'{key}'" for key in keys)
+        raise ParseError(f"{where}: expected an object" + (f" with {named}" if keys else ""))
+    return obj
+
+
+def _declared(obj: dict, key: str, found: int, where: str, what: str) -> None:
+    """Check the optional declared size ``obj[key]`` against the ``found`` one."""
+    if key in obj and _int(obj[key], key) != found:
+        raise ParseError(f"{where}: declared {key}={obj[key]} but {what}")
+
+
 def _int(value, what: str) -> int:
     """A JSON integer; anything else, a float, bool or string too, is a ValueError."""
     if type(value) is not int:
@@ -125,13 +139,9 @@ def matrix_to_obj(a) -> dict:
 
 
 def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    try:
-        rows, cols = _int(obj["rows"], "rows"), _int(obj["cols"], "cols")
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: missing or bad rows/cols/entries ({exc})") from exc
+    _object(obj, where)
+    with _parsing(where):
+        rows, cols, entries = _int(obj["rows"], "rows"), _int(obj["cols"], "cols"), obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"{where}: expected {rows} entry rows")
     out = np.zeros((rows, cols), dtype=np.complex128)
@@ -152,18 +162,13 @@ def tuple_to_obj(x: MatrixTuple) -> dict:
 
 
 def tuple_from_obj(obj, where: str = "tuple") -> MatrixTuple:
-    if not isinstance(obj, dict) or "components" not in obj:
-        raise ParseError(f"{where}: expected an object with 'components'")
+    _object(obj, where, "components")
     with _parsing(where):
         x = MatrixTuple(
             [matrix_from_obj(c, f"{where}: component {r}") for r, c in enumerate(obj["components"])]
         )
-        if "d" in obj and _int(obj["d"], "d") != x.arity:
-            raise ParseError(f"{where}: declared d={obj['d']} but found {x.arity} components")
-        if "dim" in obj and _int(obj["dim"], "dim") != x.dim:
-            raise ParseError(
-                f"{where}: declared dim={obj['dim']} but components are {x.dim}x{x.dim}"
-            )
+        _declared(obj, "d", x.arity, where, f"found {x.arity} components")
+        _declared(obj, "dim", x.dim, where, f"components are {x.dim}x{x.dim}")
     return x
 
 
@@ -186,8 +191,7 @@ def poly_to_obj(p: FreePoly) -> dict:
 
 
 def poly_from_obj(obj, where: str = "polynomial") -> FreePoly:
-    if not isinstance(obj, dict) or "d" not in obj or "terms" not in obj:
-        raise ParseError(f"{where}: expected an object with 'd' and 'terms'")
+    _object(obj, where, "d", "terms")
     with _parsing(where):
         d = _int(obj["d"], "d")
         terms = {}
@@ -207,17 +211,14 @@ def polymatrix_to_obj(pm: PolyMatrix) -> dict:
 
 
 def polymatrix_from_obj(obj, where: str = "polymatrix") -> PolyMatrix:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ParseError(f"{where}: expected an object with 'entries'")
+    _object(obj, where, "entries")
     with _parsing(where):
         pm = PolyMatrix(
             [poly_from_obj(p, f"{where}: entry ({i},{j})") for j, p in enumerate(row)]
             for i, row in enumerate(obj["entries"])
         )
-        if "I" in obj and _int(obj["I"], "I") != pm.rows:
-            raise ParseError(f"{where}: declared I={obj['I']} but found {pm.rows} rows")
-        if "J" in obj and _int(obj["J"], "J") != pm.cols:
-            raise ParseError(f"{where}: declared J={obj['J']} but found {pm.cols} columns")
+        _declared(obj, "I", pm.rows, where, f"found {pm.rows} rows")
+        _declared(obj, "J", pm.cols, where, f"found {pm.cols} columns")
     return pm
 
 
@@ -233,8 +234,7 @@ def realization_to_obj(r: Realization) -> dict:
 
 
 def realization_from_obj(obj, where: str = "realization") -> Realization:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+    _object(obj, where)
     with _parsing(where):
         return Realization(
             delta=polymatrix_from_obj(obj["delta"], f"{where}: delta"),
@@ -266,9 +266,7 @@ def domain_to_obj(domain: DomainDescriptor) -> dict:
 
 
 def domain_from_obj(obj, where: str = "domain") -> DomainDescriptor:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"{where}: expected an object with 'kind'")
-    kind = obj["kind"]
+    kind = _object(obj, where, "kind")["kind"]
     with _parsing(where):
         cap = obj.get("norm_cap")
         cap = math.inf if cap is None else _float(cap, "norm_cap")
@@ -306,10 +304,7 @@ def handle_to_obj(F: NCFunctionHandle) -> dict:
 
 
 def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
-    if not isinstance(obj, dict) or "kind" not in obj or "payload" not in obj:
-        raise ParseError(f"{where}: expected an object with 'kind' and 'payload'")
-    kind = obj["kind"]
-    payload = obj["payload"]
+    kind, payload = _object(obj, where, "kind", "payload")["kind"], obj["payload"]
     domain = domain_from_obj(obj["domain"], f"{where}: domain") if "domain" in obj else None
     if kind == "poly":
         return from_poly(poly_from_obj(payload, f"{where}: payload"), domain)

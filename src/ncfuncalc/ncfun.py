@@ -58,10 +58,10 @@ class SeriesFunction:
         parts = list(parts)
         if not parts:
             raise ValueError("a series needs at least the constant part")
+        if not all(isinstance(p, FreePoly) for p in parts):
+            raise TypeError("series parts must be FreePoly")
         d = parts[0].arity
         for k, p in enumerate(parts):
-            if not isinstance(p, FreePoly):
-                raise TypeError("series parts must be FreePoly")
             if p.arity != d:
                 raise ValueError("series parts differ in arity")
             if not p.is_homogeneous(k):
@@ -147,6 +147,8 @@ def from_series(
     if truncation < 0:
         raise ValueError("truncation degree must be nonnegative")
     if domain is None:
+        if s.radius == math.inf:
+            raise ValueError("a series of infinite convergence radius needs an explicit domain")
         domain = DomainDescriptor.polydisk(s.radius / 2.0)
     if domain.kind not in ("polydisk", "rowball"):
         raise ValueError("series handles need a polydisk or rowball domain")

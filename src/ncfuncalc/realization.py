@@ -132,12 +132,12 @@ class PolyMatrix:
         cols = len(grid[0])
         if any(len(row) != cols for row in grid):
             raise ValueError("ragged polynomial matrix")
+        if not all(isinstance(p, FreePoly) for row in grid for p in row):
+            raise TypeError("entries must be FreePoly")
         d = grid[0][0].arity
         nonzero = []
         for i, row in enumerate(grid):
             for j, p in enumerate(row):
-                if not isinstance(p, FreePoly):
-                    raise TypeError("entries must be FreePoly")
                 if p.arity != d:
                     raise ValueError("polynomial matrix entries differ in arity")
                 if not p.is_zero:

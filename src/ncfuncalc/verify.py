@@ -270,31 +270,32 @@ def check_symmetry(F: NCFunctionHandle, x, hs) -> PropertyReport:
     return _report("derivative-symmetry", max(worst), jets)
 
 
-def recover_klinear(lam: NCFunctionHandle, k: int, probes, *, dim: int = 1) -> FreePoly:
+def recover_klinear(lam: NCFunctionHandle, k: int, probes) -> FreePoly:
     """Recover the homogeneous polynomial behind a k-linear graded map.
 
     ``lam`` is a handle in d*k variables, understood as k blocks of d; its
     diagonal k-th derivative at 0 is k! times the map itself, so the
     degree-k Taylor part reproduces it, so ``lam`` must evaluate stacked
     components (:func:`~ncfuncalc.taylor.taylor_expand`).  Linearity in the
-    first block is spot-checked on the first two probes before extraction.
+    first block is spot-checked on the first two probes before extraction,
+    so fewer than two probes raise ``ValueError``.
     """
     if k < 1:
         raise ValueError("order must be at least 1")
     if lam.arity % k != 0:
         raise ValueError(f"handle arity {lam.arity} is not divisible by {k}")
     probes = [list(p) for p in probes]
-    if len(probes) >= 2:
-        # k d-tuples, concatenated, are one point of lam: three points in one stack.
-        a, b = (np.concatenate([as_stack(t)[0][:, 0] for t in p]) for p in probes[:2])
-        d = lam.arity // k
-        points = [np.concatenate([a[:d] + b[:d], a[d:]]), a, np.concatenate([b[:d], a[d:]])]
-        lhs, *rhs = lam.eval(np.stack(points, axis=1))
-        resid = _relnorm(lhs - sum(rhs), sum(rhs))
-        if resid > LINEARITY_TOL:
-            raise NonLinearInputError(f"additivity in the first block fails by {resid:.3e}")
-    expansion = taylor_expand(lam, k, dim=dim)
-    return expansion.parts[k]
+    if len(probes) < 2:
+        raise ValueError(f"the linearity check needs two probes, got {len(probes)}")
+    # k d-tuples, concatenated, are one point of lam: three points in one stack.
+    a, b = (np.concatenate([as_stack(t)[0][:, 0] for t in p]) for p in probes[:2])
+    d = lam.arity // k
+    points = [np.concatenate([a[:d] + b[:d], a[d:]]), a, np.concatenate([b[:d], a[d:]])]
+    lhs, *rhs = lam.eval(np.stack(points, axis=1))
+    resid = _relnorm(lhs - sum(rhs), sum(rhs))
+    if resid > LINEARITY_TOL:
+        raise NonLinearInputError(f"additivity in the first block fails by {resid:.3e}")
+    return taylor_expand(lam, k).parts[k]
 
 
 # -- the bundled suite -------------------------------------------------------
@@ -323,16 +324,17 @@ class SuiteConfig:
         if self.max_order > 3:
             raise ValueError("max_order must be 2 or 3")
         for name in _DIMS_FIELDS:
-            dims = getattr(self, name)
+            dims = tuple(getattr(self, name))
             if not dims or not all(type(n) is int and n >= 1 for n in dims):
                 raise ValueError(f"{name} must be a non-empty list of dimensions of at least 1")
+            object.__setattr__(self, name, dims)  # tuples keep the frozen config hashable
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown suite config key {sorted(unknown)[0]!r}")
-        return cls(**{k: tuple(v) if k in _DIMS_FIELDS else v for k, v in data.items()})
+        return cls(**data)
 
 
 def _direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> np.ndarray:

@@ -314,7 +314,7 @@ class TestDerive:
             np.testing.assert_allclose(result, [[2.0]], atol=1e-8)
 
     def test_cross_check_small_gap(self, workspace, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "derive",
             "--handle", workspace["square.json"],
@@ -325,14 +325,15 @@ class TestDerive:
             "--cross-check",
         )
         assert code == 0
-        line = out.splitlines()[0]
+        matrix_from_obj(json.loads(out))
+        (line,) = err.splitlines()
         assert line.startswith("cross-check disagreement")
         assert float(line.split()[-1]) <= 1e-5
 
     def test_cross_check_first_order(self, workspace, capsys):
         # Forward differences at step 1e-3 sit within lam * |h|^2 = 1e-5 of
         # the block jet for the square at |h| = 0.1.
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "derive",
             "--handle", workspace["square.json"],
@@ -343,8 +344,25 @@ class TestDerive:
             "--cross-check",
         )
         assert code == 0
-        gap = float(out.splitlines()[0].split()[-1])
+        matrix_from_obj(json.loads(out))
+        gap = float(err.split()[-1])
         assert gap <= 1e-5
+
+    def test_cross_check_line_goes_where_the_norm_line_goes(self, workspace, capsys, tmp_path):
+        argv = [
+            "derive",
+            "--handle", workspace["square.json"],
+            "--point", workspace["x_scalar.json"],
+            "--directions", workspace["dirs_equal.json"],
+            "--k", "2",
+        ]
+        assert run(capsys, *argv) == (0, run(capsys, *argv, "--cross-check")[1], "")
+        out_path = str(tmp_path / "d2.json")
+        code, out, err = run(capsys, *argv, "--cross-check", "--out", out_path)
+        assert (code, err) == (0, "")
+        path, line = out.splitlines()
+        assert path == out_path
+        assert line.startswith("cross-check disagreement ")
 
     @staticmethod
     def derive_square_in_polydisk(capsys, tmp_path):
@@ -876,6 +894,21 @@ class TestSeriesHandleFile:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: handle: {message}")
+
+
+    def test_infinite_radius_without_domain_exits_2(self, workspace, capsys, tmp_path):
+        obj = load_json(self.series_handle_path(tmp_path))
+        obj["payload"]["radius"] = float("inf")
+        del obj["domain"]
+        handle = tmp_path / "entire.json"
+        handle.write_text(json.dumps(obj))  # the radius is written as Infinity
+        code, out, err = run(
+            capsys, "eval", "--handle", str(handle), "--point", workspace["x_scalar.json"]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: handle: a series of infinite convergence radius needs an explicit domain\n"
+        )
 
 
 class TestVerify:

@@ -206,7 +206,7 @@ class TestIntegerFields:
             (handle_from_obj, lambda: {"kind": "control", "payload": {"name": "fixed-corner"}},
              ("payload", "d"), 2.5, "handle: d must be a JSON integer: 2.5"),
             (matrix_from_obj, lambda: matrix_to_obj(np.eye(1)), ("rows",), 1.9,
-             "matrix: missing or bad rows/cols/entries (rows must be a JSON integer: 1.9)"),
+             "matrix: rows must be a JSON integer: 1.9"),
             (tuple_from_obj, lambda: tuple_to_obj(MatrixTuple.zeros(1, 2)), ("dim",), "2",
              "tuple: dim must be a JSON integer: '2'"),
             (realization_from_obj, lambda: realization_to_obj(mobius_realization(0.3)),

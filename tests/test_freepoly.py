@@ -278,3 +278,28 @@ class TestEvaluation:
             y = MatrixTuple([s @ c @ sinv for c in x.components])
             gap = operator_norm(s @ p.evaluate(x) - p.evaluate(y) @ s)
             assert gap <= 1e-8 * operator_norm(s)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: FreePoly.letter(2, 2), "letter 2 out of range for arity 2"),
+            (lambda: FreePoly.letter(1, 0) + FreePoly.letter(2, 0),
+             "free polynomials of different arity"),
+            (lambda: FreePoly.letter(1, 0) ** -1, "exponent must be a nonnegative integer"),
+            (lambda: FreePoly.letter(1, 0) ** 1.5, "exponent must be a nonnegative integer"),
+        ],
+        ids=["letter out of range", "arity mismatch", "negative power", "float power"],
+    )
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_terms_that_cancel_on_one_word_leave_zero(self):
+        # (0,) and range(1) are one word given twice.
+        assert FreePoly(1, {(0,): 1.0, range(1): -1.0}).is_zero
+
+    def test_scalar_minus_polynomial(self):
+        assert 1 - FreePoly.letter(1, 0) == FreePoly(1, {(): 1.0, (0,): -1.0})

@@ -12,7 +12,7 @@ from ncfuncalc import (
     inverse,
     operator_norm,
 )
-from ncfuncalc.linalg import as_stack
+from ncfuncalc.linalg import NonConvergenceError, as_matrix, as_stack
 
 from _helpers import (
     bidiagonal_block,
@@ -247,3 +247,28 @@ class TestMatrixTuple:
             MatrixTuple([np.zeros((0, 0))])
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             MatrixTuple.zeros(2, 0)
+
+
+class TestEdgeCases:
+    def test_as_matrix_rejects_a_vector(self):
+        with pytest.raises(ValueError) as info:
+            as_matrix(np.zeros(3))
+        assert str(info.value) == "expected a 2-d matrix, got shape (3,)"
+
+    def test_inverse_of_the_empty_matrix_is_empty(self):
+        assert inverse(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_inverse_that_overflows_is_singular(self):
+        # 1 / 1e-310 overflows to inf without a LAPACK error.
+        with pytest.raises(SingularMatrixError) as info:
+            inverse([[1e-310]])
+        assert str(info.value) == "inverse has non-finite entries"
+
+    def test_svd_failure_is_non_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NonConvergenceError) as info:
+            operator_norm(np.eye(2))
+        assert str(info.value) == "SVD failed: SVD did not converge"

@@ -23,6 +23,7 @@ from ncfuncalc import (
     from_series,
     operator_norm,
 )
+from ncfuncalc.ncderiv import polarization
 
 from _helpers import (
     bidiagonal_block,
@@ -682,3 +683,32 @@ class TestScalarPointFactorization:
         c = np.trace(e_val) / n
         assert relerr(d_h, c * h1 @ h2) <= 1e-8
         assert relerr(d_g, c * g1 @ g2) <= 1e-8
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda F, a, b: delta_k(F, [a, a], [b]),
+             "all points and directions must share arity and dimension, "
+             "and hold one sample or one per jet"),
+            (lambda F, a, b: dk_fd(F, a, a, -1, 1e-3), "derivative order must be nonnegative"),
+            (lambda F, a, b: dk_fd(F, a, b, 1, 1e-3),
+             "x and h must be lone points of one arity and dimension"),
+            (lambda F, a, b: polarization([a, b]),
+             "direction stacks must share one shape (d, T, n, n)"),
+            (lambda F, a, b: dk_multilinear(F, a, [b]),
+             "direction stacks must share one shape (d, T, n, n) with the point"),
+        ],
+        ids=["delta_k shapes", "dk_fd order", "dk_fd shapes", "polarization", "dk_multilinear"],
+    )
+    def test_bad_input_is_rejected(self, call, message):
+        square = from_poly(FreePoly(1, {(0, 0): 1.0}))
+        with pytest.raises(ValueError) as info:
+            call(square, MatrixTuple.zeros(1, 2), MatrixTuple.zeros(1, 3))
+        assert str(info.value) == message
+
+    def test_fd_of_order_zero_is_evaluation(self):
+        square = from_poly(FreePoly(1, {(0, 0): 1.0}))
+        x, h = MatrixTuple.from_scalars([0.5], 1), MatrixTuple.from_scalars([0.1], 1)
+        np.testing.assert_array_equal(dk_fd(square, x, h, 0, 1e-3), [[0.25]])

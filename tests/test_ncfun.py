@@ -12,6 +12,7 @@ from ncfuncalc import (
     DomainViolationError,
     FreePoly,
     MatrixTuple,
+    NCFunctionHandle,
     NonFiniteResultError,
     PolyMatrix,
     SeriesFunction,
@@ -299,3 +300,39 @@ class TestStacks:
         values = F.eval(stack_of(points))
         for value, x in zip(values, points):
             np.testing.assert_array_equal(value, F.eval(x))
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: SeriesFunction([], 1.0), ValueError,
+             "a series needs at least the constant part"),
+            (lambda: SeriesFunction([1], 1.0), TypeError, "series parts must be FreePoly"),
+            (lambda: SeriesFunction([FreePoly.one(1), 1], 1.0), TypeError,
+             "series parts must be FreePoly"),
+            (lambda: SeriesFunction([FreePoly.one(1), FreePoly.letter(2, 0)], 1.0), ValueError,
+             "series parts differ in arity"),
+            (lambda: SeriesFunction([FreePoly.one(1)], 0.0), ValueError,
+             "convergence radius must be positive"),
+            (lambda: from_series(SeriesFunction([FreePoly.one(1)], math.inf)), ValueError,
+             "a series of infinite convergence radius needs an explicit domain"),
+            (lambda: NCFunctionHandle(0, DomainDescriptor.polydisk(1.0), np.asarray), ValueError,
+             "arity must be at least 1"),
+            (lambda: control_handle("nope"), ValueError,
+             "unknown control 'nope'; choices: entrywise-conjugation, fixed-corner, non-graded"),
+        ],
+        ids=["no parts", "first part not a polynomial", "later part not a polynomial",
+             "arity mismatch", "zero radius", "infinite radius without domain", "arity zero",
+             "unknown control"],
+    )
+    def test_bad_input_is_rejected(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_infinite_radius_with_a_domain_is_a_handle(self):
+        series = SeriesFunction([FreePoly.one(1), FreePoly.letter(1, 0)], math.inf)
+        F = from_series(series, domain=DomainDescriptor.polydisk(5.0))
+        np.testing.assert_allclose(F.eval(MatrixTuple.from_scalars([3.0], 1)), [[4.0]])

@@ -1178,3 +1178,32 @@ class TestRealizationValidation:
     def test_mobius_parameter_check(self):
         with pytest.raises(ValueError):
             mobius_realization(1.0)
+
+
+class TestPolyMatrixRejections:
+    @pytest.mark.parametrize(
+        "entries, error, message",
+        [
+            ([], ValueError, "a polynomial matrix needs at least one entry"),
+            ([[]], ValueError, "a polynomial matrix needs at least one entry"),
+            ([[FreePoly.letter(1, 0)], [FreePoly.letter(1, 0)] * 2], ValueError,
+             "ragged polynomial matrix"),
+            ([[1]], TypeError, "entries must be FreePoly"),
+            ([[FreePoly.letter(1, 0), 2]], TypeError, "entries must be FreePoly"),
+            ([[FreePoly.letter(1, 0), FreePoly.letter(2, 0)]], ValueError,
+             "polynomial matrix entries differ in arity"),
+        ],
+        ids=["no rows", "empty row", "ragged", "first entry not a polynomial",
+             "later entry not a polynomial", "arity mismatch"],
+    )
+    def test_bad_grid_is_rejected(self, entries, error, message):
+        with pytest.raises(error) as info:
+            PolyMatrix(entries)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build", [delta_polydisk, delta_rowball])
+    def test_standard_delta_needs_a_variable(self, build):
+        with pytest.raises(ValueError) as info:
+            build(0)
+        assert str(info.value) == "need at least one variable"

@@ -573,3 +573,22 @@ class TestEvaluationConsistency:
                     partial = partial + part
                 gap = operator_norm(F.eval(x) - partial.evaluate(x))
                 assert gap <= tail_bound(m_hat, r, K)
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: TaylorExpansion([FreePoly.one(1), FreePoly.letter(2, 0)]).as_poly(),
+             "free polynomials of different arity"),
+            (lambda: taylor_expand(from_poly(FreePoly.one(1)), -1),
+             "maxdeg must be nonnegative"),
+            (lambda: circle_norm_estimate(from_poly(FreePoly.one(1)), MatrixTuple.zeros(1, 2), 1.0),
+             "the dilation radius must exceed 1"),
+        ],
+        ids=["parts of two arities", "negative degree", "dilation radius 1"],
+    )
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

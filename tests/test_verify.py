@@ -109,6 +109,12 @@ class TestCheckIntertwining:
         with pytest.raises(PreconditionViolationError):
             check_intertwining(F, x, np.eye(2), y)
 
+    def test_intertwiner_of_the_wrong_shape_is_rejected(self):
+        F, x = from_poly(FreePoly.letter(1, 0)), MatrixTuple.zeros(1, 2)
+        with pytest.raises(ValueError) as info:
+            check_intertwining(F, x, np.eye(3), x)
+        assert str(info.value) == "L must be 2x2, got (3, 3)"
+
     def test_conjugation_control_fails(self):
         rng = rng_for(77)
         F = control_handle("entrywise-conjugation", 1)
@@ -139,6 +145,12 @@ class TestCheckUnipotentConverse:
         x, y = random_tuple(rng, 1, 2), random_tuple(rng, 1, 2)
         l = 0.2 * random_matrix(rng, 2)
         assert not check_unipotent_converse(F, x, y, l).passed
+
+    def test_points_of_two_dimensions_are_rejected(self):
+        F = from_poly(FreePoly.letter(1, 0))
+        with pytest.raises(ValueError) as info:
+            check_unipotent_converse(F, MatrixTuple.zeros(1, 2), MatrixTuple.zeros(1, 3), np.eye(2))
+        assert str(info.value) == "x and y must share arity and dimension n = 2, L be 2x2"
 
 
 class TestCheckSymmetry:
@@ -296,6 +308,25 @@ class TestRecoverKlinear:
             via_poly = recovered.evaluate(stack_tuples(probe))
             assert np.abs(direct - via_poly).max() <= 1e-7
 
+    def test_fewer_than_two_probes_is_rejected(self):
+        # x0 x0 is not bilinear in (x0, x1); two probes would catch it.
+        lam = from_poly(FreePoly(2, {(0, 0): 1.0}))
+        for probes in ([], self.probes_for(rng_for(90), 1, 2, count=1)):
+            with pytest.raises(ValueError) as info:
+                recover_klinear(lam, 2, probes)
+            assert str(info.value) == f"the linearity check needs two probes, got {len(probes)}"
+        with pytest.raises(NonLinearInputError):
+            recover_klinear(lam, 2, self.probes_for(rng_for(90), 1, 2, count=2))
+
+    @pytest.mark.parametrize(
+        "arity, k, message",
+        [(1, 0, "order must be at least 1"), (3, 2, "handle arity 3 is not divisible by 2")],
+    )
+    def test_order_must_split_the_arity(self, arity, k, message):
+        with pytest.raises(ValueError) as info:
+            recover_klinear(from_poly(FreePoly.zero(arity)), k, [])
+        assert str(info.value) == message
+
     def test_nonlinear_rejected(self):
         lam = from_poly(FreePoly(2, {(0, 0, 1): 1.0}))  # quadratic in block 1
         rng = rng_for(90)
@@ -432,6 +463,12 @@ class TestRunSuite:
         a = [r.worst_residual for r in run_suite(F, SuiteConfig(seed=1))]
         b = [r.worst_residual for r in run_suite(F, SuiteConfig(seed=2))]
         assert a != b
+
+    def test_config_dims_are_tuples_however_given(self):
+        cfg = SuiteConfig(dims=[2, 3], scalar_dims=range(2, 4), graded_dims=(1,))
+        assert (cfg.dims, cfg.scalar_dims, cfg.graded_dims) == ((2, 3), (2, 3), (1,))
+        assert cfg == SuiteConfig(dims=(2, 3), scalar_dims=(2, 3), graded_dims=(1,))
+        assert hash(cfg) == hash(SuiteConfig(dims=(2, 3), scalar_dims=(2, 3), graded_dims=(1,)))
 
     def test_config_from_dict(self):
         cfg = SuiteConfig.from_dict({"seed": 5, "dims": [2, 2], "trials": 2})
