@@ -142,6 +142,8 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
     _object(obj, where)
     with _parsing(where):
         rows, cols, entries = _int(obj["rows"], "rows"), _int(obj["cols"], "cols"), obj["entries"]
+    if min(rows, cols) < 0:
+        raise ParseError(f"{where}: rows and cols must be at least 0, got {rows} and {cols}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"{where}: expected {rows} entry rows")
     out = np.zeros((rows, cols), dtype=np.complex128)

@@ -27,6 +27,7 @@ __all__ = [
     "as_matrix",
     "inverse",
     "operator_norm",
+    "relative",
     "scalar_part",
     "MatrixTuple",
     "as_stack",
@@ -109,6 +110,11 @@ def operator_norm(a):
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"SVD failed: {exc}") from exc
     return float(norms) if a.ndim == 2 else norms
+
+
+def relative(gap, size):
+    """``gap / max(1, size)``, elementwise: how every residual and cutoff reads a gap."""
+    return np.divide(gap, np.maximum(size, 1.0))
 
 
 def scalar_part(v: np.ndarray):

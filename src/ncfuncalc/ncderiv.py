@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import MatrixTuple, as_stack, as_stacks, unstack
+from .linalg import MatrixTuple, as_stack, as_stacks, relative, unstack
 from .ncfun import DomainViolationError, NCFunctionHandle
 
 __all__ = [
@@ -189,7 +189,7 @@ def delta_k(
     # blocks[s, i, :, j, :] is the (i, j) block of sample s's jet image.
     blocks = img.reshape(batch, k1, n, k1, n)
     squares = _squares(img)
-    scale = np.maximum(1.0, np.sqrt(np.add.reduce(squares.reshape(batch, -1), 1)))
+    size = np.sqrt(np.add.reduce(squares.reshape(batch, -1), 1))
     below = squares.reshape(batch, k1, n, k1, n)[:, below_i, :, below_j, :]
     resid = np.add.reduce(below, (-2, -1)).max(0)
     value = np.empty((batch, n, n), dtype=np.complex128)
@@ -198,12 +198,12 @@ def delta_k(
         diag = np.add.reduce(_squares(blocks[:, at, :, at, :] - value), (-2, -1)).max(0)
         resid = np.maximum(diag, resid)
     resid = np.sqrt(resid)
-    bad = np.flatnonzero(resid > STRUCTURE_TOL * scale)
+    bad = np.flatnonzero(relative(resid, size) > STRUCTURE_TOL)
     if bad.size:
         s = int(bad[0])
         raise StructureViolationError(
             f"jet image is not block upper triangular: residual {resid[s]:.3e} "
-            f"against scale {scale[s]:.3e}",
+            f"against size {size[s]:.3e}",
             sample=s,
         )
 

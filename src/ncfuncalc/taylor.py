@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freepoly import FreePoly, Word, grlex_key
-from .linalg import as_stack, operator_norm, scalar_part, unstack
+from .linalg import as_stack, operator_norm, relative, scalar_part, unstack
 from .ncderiv import StructureViolationError, delta_k
 from .ncfun import NCFunctionHandle
 
@@ -78,10 +78,10 @@ def _scalars(blocks: np.ndarray, words) -> tuple[np.ndarray, np.ndarray]:
     square ``blocks``, each read as c times the identity: F(0), or the blocks
     (start, start + |w|) of the words w the covering jets read.  Raises
     :class:`NonScalarResultError` at the first block whose residual exceeds
-    ``SCALAR_TOL`` relative to ``max(1, |c|)``, naming its word ``words[i]``
-    (the empty word for F(0))."""
+    ``SCALAR_TOL`` relative to ``|c|``, naming its word ``words[i]`` (the
+    empty word for F(0))."""
     c, resid = scalar_part(blocks)
-    bad = np.flatnonzero(resid > SCALAR_TOL * np.maximum(1.0, np.abs(c)))
+    bad = np.flatnonzero(relative(resid, np.abs(c)) > SCALAR_TOL)
     if bad.size:
         word, r = words[bad[0]], resid[bad[0]]
         where = f"extraction at word {word}" if word else "value at the scalar point 0"
@@ -198,8 +198,8 @@ def taylor_expand(
 
     F(0) is evaluated once, with the domain check, and the covering jets
     (module docstring) in stacked blocks, so F must evaluate stacks.
-    Coefficients below 1e-12 in magnitude are dropped as extraction noise;
-    the algebra itself never prunes, this is purely a numeric cutoff.
+    Coefficients c, F(0) included, with ``relative(|c|, max |c|) <= COEFF_PRUNE``
+    (1e-12) are dropped as extraction noise; the algebra itself never prunes.
     The first block holds one jet and every later block starts from the
     scale that jet settled on, so the halving toward the domain is paid
     about once per expansion.  ``dim`` is the base dimension, at least 1.
@@ -223,12 +223,23 @@ def taylor_expand(
 
     zero = np.zeros((d, dim, dim), dtype=np.complex128)  # the lone point 0
     v0 = F.eval(zero)
-    (c0,), (r0,) = _scalars(v0[None], [()])
-    residuals: dict[Word, float] = {(): float(r0)}
-    parts = [FreePoly.constant(d, c0) if abs(c0) > COEFF_PRUNE else FreePoly.zero(d)]
-    if maxdeg == 0:
-        return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
+    words, (coeffs, resids) = ((),), _scalars(v0[None], [()])
+    if maxdeg:
+        words += _cover(d, maxdeg).words
+        cs, rs = _jets(F, maxdeg, zero, v0)
+        coeffs, resids = np.concatenate([coeffs, cs]), np.concatenate([resids, rs])
+    # np.hypot, not np.abs: it is the libm hypot Python's abs(complex) calls.
+    sizes = np.hypot(coeffs.real, coeffs.imag)
+    terms: list[dict[Word, complex]] = [{} for _ in range(maxdeg + 1)]
+    for i in np.flatnonzero(relative(sizes, sizes.max()) > COEFF_PRUNE).tolist():
+        terms[len(words[i])][words[i]] = complex(coeffs[i])
+    parts, residuals = [FreePoly(d, t) for t in terms], dict(zip(words, resids.tolist()))
+    return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
 
+
+def _jets(F: NCFunctionHandle, maxdeg: int, zero, v0) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and residuals of ``_cover(d, maxdeg).words``, from the jets at ``zero``."""
+    d, dim = F.arity, zero.shape[-1]
     cover = _cover(d, maxdeg)
     jets, size1 = len(cover.letters), cover.letters.shape[1] + 1
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
@@ -256,16 +267,7 @@ def taylor_expand(
         reads[lo:hi] = blocks[cover.jet[lo:hi] - first, cover.start[lo:hi], :, cover.stop[lo:hi], :]
         lo = hi
     # Entry i holds the coefficient and residual of cover.words[i]: argsort inverts index.
-    coeffs, resids = (a[np.argsort(cover.index)] for a in _scalars(reads, cover.read))
-
-    residuals.update(zip(cover.words, resids.tolist()))
-    # np.hypot, not np.abs: it is the libm hypot Python's abs(complex) calls.
-    kept = np.flatnonzero(np.hypot(coeffs.real, coeffs.imag) > COEFF_PRUNE)
-    terms: list[dict[Word, complex]] = [{} for _ in range(maxdeg)]
-    for i, c in zip(kept.tolist(), coeffs[kept].tolist()):
-        terms[len(cover.words[i]) - 1][cover.words[i]] = c
-    parts += [FreePoly(d, t) for t in terms]
-    return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)
+    return tuple(a[np.argsort(cover.index)] for a in _scalars(reads, cover.read))
 
 
 def tail_bound(M: float, r: float, K: int) -> float:

@@ -27,6 +27,7 @@ from .linalg import (
     direct_sum,
     inverse,
     operator_norm,
+    relative,
     scalar_part,
 )
 from .ncderiv import delta_k, dk_multilinear, polarization
@@ -105,12 +106,14 @@ class PropertyReport:
         }
 
 
-def _relnorm(diff: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(reference)))
+def _size(values) -> float:
+    """The largest Frobenius norm among the matrices of ``values``, arrays (..., n, n)."""
+    return max(float(np.linalg.norm(v, axis=(-2, -1)).max()) for v in values)
 
 
-def _relnorms(diff: np.ndarray, reference: np.ndarray) -> list[float]:
-    return [_relnorm(a, b) for a, b in zip(diff, reference)]  # sample by sample
+def _residual(gaps, values) -> float:
+    """The largest gap a check finds relative to the largest value it compares, by :func:`_size`."""
+    return float(relative(_size(gaps), _size(values)))
 
 
 def _report(
@@ -137,11 +140,12 @@ def check_direct_sum(F: NCFunctionHandle, xs) -> PropertyReport:
     stacks, lead = as_stacks(xs)
     whole = F.eval(direct_sum(stacks))
     pieces = direct_sum([v[None] for v in _values(F, stacks)])[0]
-    return _report("direct-sum", max(_relnorms(whole - pieces, pieces)), math.prod(lead))
+    return _report("direct-sum", _residual([whole - pieces], [whole, pieces]), math.prod(lead))
 
 
 def _intertwining(F: NCFunctionHandle, x, L: np.ndarray, y) -> list[float]:
-    """Each sample's ``||L F(x) - F(y) L|| / ||L||`` (0 where L is 0)."""
+    """Each sample's ``||L F(x) - F(y) L|| / ||L||`` (0 where L is 0), relative
+    to the largest Frobenius ``||F(x)||`` or ``||F(y)||`` of all the samples."""
     (xs, ys), lead = as_stacks([x, y])
     n, p, L = xs.shape[-1], ys.shape[-1], np.asarray(L, dtype=np.complex128)
     if L.shape[-2:] != (p, n):
@@ -149,14 +153,14 @@ def _intertwining(F: NCFunctionHandle, x, L: np.ndarray, y) -> list[float]:
     L = np.broadcast_to(L, (math.prod(lead), p, n))
     lnorm = operator_norm(L)
     pre = np.max(operator_norm(L @ xs - ys @ L), axis=0)
-    bad = np.flatnonzero(pre > PRECONDITION_TOL * np.maximum(1.0, lnorm))
+    bad = np.flatnonzero(relative(pre, lnorm) > PRECONDITION_TOL)
     if bad.size:
         raise PreconditionViolationError(
             f"L x differs from y L by {pre[bad[0]]:.3e}, not an intertwining pair"
         )
     fx, fy = _values(F, [xs, ys])
-    gap = operator_norm(L @ fx - fy @ L)
-    return np.divide(gap, lnorm, out=np.zeros_like(gap), where=lnorm != 0.0).tolist()
+    gap = np.divide(operator_norm(L @ fx - fy @ L), lnorm, out=np.zeros(len(L)), where=lnorm > 0)
+    return relative(gap, _size([fx, fy])).tolist()
 
 
 def check_intertwining(F: NCFunctionHandle, x, L: np.ndarray, y) -> PropertyReport:
@@ -189,8 +193,8 @@ def check_unipotent_converse(F: NCFunctionHandle, x, y, L: np.ndarray) -> Proper
     sinv = s.copy()
     s[:, :n, n:], sinv[:, :n, n:] = L, -L
     expected = sinv @ direct_sum([v[None] for v in _values(F, [xs, ys])])[0] @ s
-    residuals = _relnorms(F.eval(z) - expected, expected)
-    return _report("unipotent-converse", max(residuals), trials)
+    value = F.eval(z)
+    return _report("unipotent-converse", _residual([value - expected], [value, expected]), trials)
 
 
 def check_delta_structure(F: NCFunctionHandle, xs, hs) -> PropertyReport:
@@ -222,15 +226,10 @@ def check_delta_structure(F: NCFunctionHandle, xs, hs) -> PropertyReport:
         )
         for i, deltas in enumerate(jets.delta.reshape(k - m + 1, trials, n, n)):
             sub[i, i + m] = deltas
-    worst = []
-    for s, full in enumerate(res.full_upper):
-        scale = max(1.0, float(np.linalg.norm(full)))
-        w = float(res.structure_residual[s]) / scale
-        for (i, j), deltas in sorted(sub.items()):
-            block = full[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            w = max(w, float(np.linalg.norm(block - deltas[s])) / scale)
-        worst.append(w)
-    return _report("delta-structure", max(worst), trials)
+    full = res.full_upper.reshape(trials, k + 1, n, k + 1, n)
+    gaps = [full[:, i, :, j] - deltas for (i, j), deltas in sub.items()]
+    gaps.append(np.reshape(res.structure_residual, (trials, 1, 1)))  # already a norm
+    return _report("delta-structure", _residual(gaps, [res.full_upper, *sub.values()]), trials)
 
 
 def check_symmetry(F: NCFunctionHandle, x, hs) -> PropertyReport:
@@ -248,7 +247,7 @@ def check_symmetry(F: NCFunctionHandle, x, hs) -> PropertyReport:
     if len(trials) != base.shape[1] or not all(1 <= len(t) <= 4 for t in trials):
         raise ValueError("symmetry check needs one list of 1 to 4 directions per point")
     values, n = F.eval(base), base.shape[-1]
-    worst, jets = [0.0] * len(trials), 0
+    pairs, jets = [], 0
     for k in sorted(set(map(len, trials))):
         idx = [t for t, directions in enumerate(trials) if len(directions) == k]
         # comps[i] holds direction i of every trial of order k: (d, T_k, n, n).
@@ -262,12 +261,10 @@ def check_symmetry(F: NCFunctionHandle, x, hs) -> PropertyReport:
             [np.concatenate([sums, *(comps[o[i]] for o in orders)], axis=1) for i in range(k)],
             base_values=[np.concatenate([values[idx]] * tiles)] * (k + 1),
         ).delta.reshape(tiles, len(idx), n, n)
-        ordered = sum(deltas[2**k - 1 :])
-        polarized = polarize(deltas[: 2**k - 1])
-        for t, resid in zip(idx, _relnorms(polarized - ordered, ordered)):
-            worst[t] = resid
+        pairs.append((polarize(deltas[: 2**k - 1]), sum(deltas[2**k - 1 :])))  # polarized, ordered
         jets += len(orders) * len(idx)
-    return _report("derivative-symmetry", max(worst), jets)
+    gaps = [a - b for a, b in pairs]
+    return _report("derivative-symmetry", _residual(gaps, [v for p in pairs for v in p]), jets)
 
 
 def recover_klinear(lam: NCFunctionHandle, k: int, probes) -> FreePoly:
@@ -292,7 +289,7 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes) -> FreePoly:
     d = lam.arity // k
     points = [np.concatenate([a[:d] + b[:d], a[d:]]), a, np.concatenate([b[:d], a[d:]])]
     lhs, *rhs = lam.eval(np.stack(points, axis=1))
-    resid = _relnorm(lhs - sum(rhs), sum(rhs))
+    resid = _residual([lhs - sum(rhs)], [lhs, sum(rhs)])
     if resid > LINEARITY_TOL:
         raise NonLinearInputError(f"additivity in the first block fails by {resid:.3e}")
     return taylor_expand(lam, k).parts[k]
@@ -423,22 +420,17 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         return check_unipotent_converse(F, _points(F, xs), _points(F, ys), np.array(ls)).worst_residual
 
     def scalarity(rng):
-        # F(a I_n) = F(a) I_n, with F(a) evaluated at dimension 1: a I_n is the
-        # direct sum of n copies of the scalar point a.  The 1x1 points are one
-        # stacked evaluation, the n x n points one per n.
+        # F(a I_n) = F(a) I_n, F(a) at dimension 1 (a I_n is n copies of a summed):
+        # the 1x1 points are one stacked evaluation, the n x n points one per n.
         points = [
             _points(F, [_draw_scalar_point(rng, F, m) for _ in range(cfg.trials)])
             for m in cfg.scalar_dims
         ]
         scalars = np.concatenate([xs[:, :, :1, :1] for xs in points], axis=1)
-        cs = iter(F.eval(scalars)[:, 0, 0])
-        worst = 0.0
-        for m, xs in zip(cfg.scalar_dims, points):
-            for value in F.eval(xs):
-                c = next(cs)
-                resid = float(np.abs(value - c * np.eye(m)).max())
-                worst = max(worst, resid / max(1.0, abs(c)))
-        return worst
+        cs = np.split(F.eval(scalars), len(points))
+        values = [F.eval(xs) for xs in points]
+        expected = [c * np.eye(m) for c, m in zip(cs, cfg.scalar_dims)]
+        return _residual([v - e for v, e in zip(values, expected)], values + expected)
 
     def scalar_derivative(rng):
         # Coefficients from the unit directions, validated on fresh ones: one
@@ -453,14 +445,11 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         dirs = np.concatenate([np.concatenate([units, np.stack(hs, 1)], 1) for _, hs in trials], 1)
         points = np.repeat(points, 2 * d, axis=1)
         ders = delta_k(F, [points] * 2, [dirs], base_values=[values] * 2).delta
-        worst = 0.0
-        for (_, hs), der in zip(trials, ders.reshape(cfg.trials, 2 * d, n, n)):
-            coeffs, resids = (v.tolist() for v in scalar_part(der[:d]))
-            worst = max(worst, *(resid / max(1.0, abs(c)) for c, resid in zip(coeffs, resids)))
-            for h, der_h in zip(hs, der[d:]):
-                predicted = sum(c * h[r] for r, c in enumerate(coeffs))
-                worst = max(worst, _relnorm(der_h - predicted, predicted))
-        return worst
+        ders = ders.reshape(-1, 2 * d, n, n)
+        coeffs = scalar_part(ders[:, :d])[0]  # (trials, d): D F(a)[e_r] = c_r I
+        # D F(a)[h] = sum_r c_r h_r, for the unit directions and the sampled ones.
+        predicted = np.einsum("tr,rtjab->tjab", coeffs, dirs.reshape(d, -1, 2 * d, n, n))
+        return _residual([ders - predicted], [ders, predicted])
 
     def structure(rng):
         trials = [
@@ -485,11 +474,9 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         values = [np.repeat(v, 4, axis=0) for v in _values(F, points)]
         dirs = [np.stack(slot, axis=1) for slot in zip(*pairs)]
         ders = delta_k(F, [np.repeat(x, 4, axis=1) for x in points], dirs, base_values=values)
-        worst = 0.0
-        for c, (base, added, other, scaled) in zip(cs, ders.delta.reshape(-1, 4, n, n)):
-            split = base + other
-            worst = max(worst, _relnorm(added - split, split), _relnorm(scaled - c * base, scaled))
-        return worst
+        base, added, other, scaled = ders.delta.reshape(-1, 4, n, n).transpose(1, 0, 2, 3)
+        split, times = base + other, np.array(cs)[:, None, None] * base
+        return _residual([added - split, scaled - times], [added, split, scaled, times])
 
     def symmetry(rng):
         draws, hs = [], []
@@ -500,7 +487,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
 
     def taylor_polynomiality(rng):
         expansion = taylor_expand(F, kmax)
-        worst = 0.0
+        pairs = []
         zero = np.zeros((d, 2, 2), dtype=np.complex128)
         at_zero = [F.eval(zero)]
         for k in range(1, kmax + 1):
@@ -509,9 +496,8 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
             stacks = [np.stack(slot, axis=1) for slot in zip(*trials)]
             lhs = dk_multilinear(F, zero, stacks, base_values=at_zero * (k + 1))
             sums, polarize = polarization(stacks)
-            rhs = polarize(expansion.parts[k].evaluate(sums))
-            worst = max(worst, *_relnorms(lhs - rhs, rhs))
-        return worst
+            pairs.append((lhs, polarize(expansion.parts[k].evaluate(sums))))
+        return _residual([a - b for a, b in pairs], [v for p in pairs for v in p])
 
     run(0, "gradedness", graded, len(cfg.graded_dims))
     run(1, "direct-sum", dsum)

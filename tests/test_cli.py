@@ -947,6 +947,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--handle", "/does/not/exist.json")
         assert code == 2
 
+    def test_large_scale_polynomial_passes(self, capsys, tmp_path):
+        # 1e9 (0.3 + x0 + (0.7 - 0.2i) x0x1 + 0.5 x1x1x0): every check reads its
+        # gap in the function's own units, so scaling an nc function keeps it passing.
+        terms = {(): 3e8, (0,): 1e9, (0, 1): 7e8 - 2e8j, (1, 1, 0): 5e8}
+        handle = from_poly(FreePoly(2, terms), DomainDescriptor.polydisk(1.0))
+        big = tmp_path / "big.json"
+        big.write_text(dump_json(handle_to_obj(handle)))
+        code, out, err = run(capsys, "verify", "--handle", str(big), "--seed", "1")
+        assert (code, err) == (0, "")
+        assert all(r["passed"] for r in json.loads(out))
+
 
 class TestEntrypoint:
     """The process entry that ``ncfun`` and ``python -m ncfuncalc.cli`` run."""

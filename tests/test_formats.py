@@ -58,6 +58,12 @@ class TestSchemaMessages:
             (tuple_from_obj, [1], "tuple: expected an object with 'components'"),
             (tuple_from_obj, _declaring(lambda: tuple_to_obj(MatrixTuple.zeros(2, 2)), "dim", 3),
              "tuple: declared dim=3 but components are 2x2"),
+            (matrix_from_obj, {"rows": 0, "cols": -1, "entries": []},
+             "matrix: rows and cols must be at least 0, got 0 and -1"),
+            (matrix_from_obj, {"rows": -1, "cols": 2, "entries": []},
+             "matrix: rows and cols must be at least 0, got -1 and 2"),
+            (tuple_from_obj, {"components": [{"rows": 0, "cols": -1, "entries": []}]},
+             "tuple: component 0: rows and cols must be at least 0, got 0 and -1"),
             (directions_from_obj, {"directions": 5}, "directions: expected a list of tuples"),
             (polymatrix_from_obj, [], "polymatrix: expected an object with 'entries'"),
             (polymatrix_from_obj, _declaring(lambda: polymatrix_to_obj(delta_polydisk(2)), "I", 3),

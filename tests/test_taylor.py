@@ -132,6 +132,12 @@ class TestTaylorExpand:
         for part in expansion.parts[1:]:
             assert part.is_zero
 
+    def test_cutoff_is_relative_to_the_largest_coefficient(self):
+        # 5e-8 is far above 1e-12, but below 1e-12 of the largest coefficient.
+        expansion = taylor_expand(from_poly(FreePoly(1, {(0,): 1e6, (0, 0): 5e-8})), 2)
+        assert expansion.parts[1].terms == {(0,): pytest.approx(1e6)}
+        assert expansion.parts[2].is_zero
+
     def test_identity_realization_expansion(self):
         expansion = taylor_expand(from_realization(identity_realization()), 4)
         assert expansion.parts[0].is_zero

@@ -1,5 +1,6 @@
 """Property checks, the bundled suite, and k-linear recovery."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from ncfuncalc import (
     NonLinearInputError,
     PreconditionViolationError,
     PropertyReport,
+    SeriesFunction,
     SuiteConfig,
     check_direct_sum,
     check_delta_structure,
@@ -28,6 +30,7 @@ from ncfuncalc import (
     dk_multilinear,
     from_poly,
     from_realization,
+    from_series,
     inverse,
     mobius_realization,
     recover_klinear,
@@ -375,6 +378,49 @@ MUTANTS = {
 }
 
 
+def series_handle():
+    """0.3 + sum_k (0.5^k x0^k + 0.25^k x1 x0^(k-1)), truncated at degree 4."""
+    series = SeriesFunction(
+        [FreePoly(2, {(0,) * k: 0.5**k, (1,) + (0,) * max(k - 1, 0): 0.25**k})
+         if k else FreePoly.constant(2, 0.3) for k in range(5)],
+        2.0,
+    )
+    return from_series(series, truncation=4, domain=DomainDescriptor.polydisk(1.0))
+
+
+# Handles whose verdicts must not depend on the scale t of t F.  Left out:
+# "shifted at dimension 1", built on the commutator x0 x1 - x1 x0, whose values
+# at scalar points are pure roundoff.  t times roundoff is a gap that the floor
+# of 1 in linalg.relative reads as absolute, so it fails scalar-point-derivative
+# from t = 1e9 on (ROADMAP item 16).
+SCALED = {
+    "polynomial": lambda: from_poly(
+        FreePoly(2, {(): 0.3, (0,): 1.0, (0, 1): 0.7 - 0.2j, (1, 1, 0): 0.5}),
+        DomainDescriptor.polydisk(1.0),
+    ),
+    "mobius": lambda: from_realization(mobius_realization(0.5)),
+    "series": series_handle,
+    "isometric realization": lambda: from_realization(
+        random_isometric_realization(rng_for(94), 2, 3)
+    ),
+    **{f"control {name}": functools.partial(control_handle, name, 2) for name in CONTROL_NAMES},
+    **{
+        f"mutant {name}": functools.partial(
+            NCFunctionHandle, 2, DomainDescriptor.polydisk(math.inf), evaluator
+        )
+        for name, evaluator in MUTANTS.items()
+        if name != "shifted at dimension 1"
+    },
+}
+
+
+@functools.cache
+def failing_at_scale(name: str, t: float) -> frozenset:
+    F = SCALED[name]()
+    scaled = NCFunctionHandle(F.arity, F.domain, lambda x: t * F.eval(x, unchecked=True))
+    return frozenset(r.name for r in run_suite(scaled, SuiteConfig(seed=1)) if not r.passed)
+
+
 class TestRunSuite:
     def test_polynomial_handle_all_pass(self):
         rng = rng_for(91)
@@ -389,18 +435,17 @@ class TestRunSuite:
         assert all(r.passed for r in reports)
 
     def test_series_handle_all_pass(self):
-        from ncfuncalc import SeriesFunction, from_series
-
-        series = SeriesFunction(
-            [FreePoly(2, {(0,) * k: 0.5**k, (1,) + (0,) * max(k - 1, 0): 0.25**k})
-             if k else FreePoly.constant(2, 0.3) for k in range(5)],
-            2.0,
-        )
-        F = from_series(series, truncation=4, domain=DomainDescriptor.polydisk(1.0))
-        reports = run_suite(F)
+        reports = run_suite(series_handle())
         assert all(r.passed for r in reports), [
             (r.name, r.worst_residual, r.detail) for r in reports if not r.passed
         ]
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("name", list(SCALED))
+    def test_verdicts_do_not_depend_on_scale(self, name, t):
+        # Every residual reads its gap against the size of the values it
+        # compares, so t F fails exactly the checks that F fails.
+        assert failing_at_scale(name, t) == failing_at_scale(name, 1.0)
 
     def test_controls_fail_named_checks(self):
         failing = {
