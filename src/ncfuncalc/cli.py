@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if scan:
             p.add_argument("--n", type=int, required=True, help="matrix dimension")
-            p.add_argument("--samples", type=int, required=True, help="accepted sample count")
+            p.add_argument("--samples", type=int, required=True, help="sample count")
             p.add_argument("--seed", type=_seed, help="sampler seed (default: the config seed)")
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path (written atomically)")

@@ -8,13 +8,14 @@ image whose diagonal blocks are the F(x_i); the distance from that shape is
 reported as a structure residual and a large residual means the evaluator
 does not preserve intertwining.
 
-The directions are scaled by eps = epsilon / 2^j, j the smallest count for
-which the jet itself lies in F's domain; the jet is then evaluated without a
+The directions are scaled by eps = 2^-j, j the smallest count for which
+the jet itself lies in F's domain, halving at most ``RESCALE_HALVINGS``
+times as the domain's sampler does; the jet is then evaluated without a
 second membership test.  delta(jet) is block upper triangular with diagonal
 blocks delta(x_i), and compressing it to one diagonal block cannot raise its
 norm, so a jet inside a polydisk, a row ball, a delta ball or a norm cap has
 every base point inside too.  Block (i, i+j) is j-homogeneous in the
-directions and is rescaled by eps^-j, exactly for a power-of-two epsilon.
+directions and is rescaled by eps^-j, exactly since eps is a power of two.
 
 Jets come in stacks.  Base points and directions are stacks of shape
 (d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being the lone form:
@@ -40,6 +41,7 @@ import numpy as np
 
 from .linalg import MatrixTuple, as_stack, as_stacks, relative, unstack
 from .ncfun import DomainViolationError, NCFunctionHandle
+from .realization import RESCALE_HALVINGS
 
 __all__ = [
     "StructureViolationError",
@@ -50,7 +52,6 @@ __all__ = [
     "polarization",
 ]
 
-MIN_EPSILON = 1e-6
 STRUCTURE_TOL = 1e-6
 FD_CANCELLATION_FLOOR = 1e-12
 
@@ -112,9 +113,7 @@ def _squares(z: np.ndarray) -> np.ndarray:
     return (z.conj() * z).real
 
 
-def delta_k(
-    F: NCFunctionHandle, xs, hs, *, epsilon: float = 1.0, base_values=None
-) -> DeltaResult:
+def delta_k(F: NCFunctionHandle, xs, hs, *, base_values=None) -> DeltaResult:
     """Order-k difference-differential of F via one jet evaluation.
 
     ``xs`` are k+1 base points and ``hs`` k directions at one dimension n,
@@ -125,11 +124,9 @@ def delta_k(
     :class:`StructureViolationError`.  ``base_values`` are the k+1 values
     F(x_i) the diagonal blocks are checked against, each (n, n) shared by
     every jet or (B, n, n) one per jet; without them the distinct base points
-    are evaluated in one call.  ``epsilon``, the starting scale, must be
-    finite and positive (else ``ValueError``); a base point outside the
-    domain, or so near its boundary that eps would fall below
-    ``MIN_EPSILON``, raises :class:`DomainViolationError` before any
-    evaluation.
+    are evaluated in one call.  A jet still outside the domain after
+    ``RESCALE_HALVINGS`` halvings, as every jet at a base point outside it
+    is, raises :class:`DomainViolationError` before any evaluation.
     """
     xs = list(xs)
     # All k directions are points, (k, d, n, n), or stacks of one shape.
@@ -154,25 +151,25 @@ def delta_k(
             "and hold one sample or one per jet"
         )
     d, n = len(stacks[0]), stacks[0].shape[-1]
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"the starting scale must be finite and positive, got {epsilon}")
     levels, below_i, below_j, offsets = _grid(k1)
     # jet[r, s, i, :, j, :] is block (i, j) of component r of sample s.
     jet = np.zeros((d, batch, k1, n, k1, n), dtype=np.complex128)
     stack = jet.reshape(d, batch, k1 * n, k1 * n)
     for x, (_, at) in zip(stacks, points):
         jet[:, :, at, :, at, :] = x
-    eps = np.full(batch, float(epsilon))
-    jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
+    eps = np.ones(batch)
+    jet[:, :, levels[:-1], :, levels[1:], :] = dirs
     inside = F.domain.contains(stack)
-    while not inside.all():
+    for _ in range(RESCALE_HALVINGS):
+        if inside.all():
+            break
         eps[~inside] *= 0.5
-        if eps.min() < MIN_EPSILON:
-            raise DomainViolationError(
-                f"no jet scale of at least {MIN_EPSILON:.0e} keeps the jet in the domain"
-            )
         jet[:, :, levels[:-1], :, levels[1:], :] = eps[:, None, None] * dirs
         inside[~inside] = F.domain.contains(stack[:, ~inside])
+    if not inside.all():
+        raise DomainViolationError(
+            f"no jet scale of at least 2^-{RESCALE_HALVINGS} keeps the jet in the domain"
+        )
     del dirs  # the evaluation holds only the jet
     img = F.eval(stack, unchecked=True)
 

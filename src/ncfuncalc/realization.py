@@ -258,7 +258,7 @@ class DomainDescriptor:
         return None if self.kind == "deltaball" and self.delta.degree() is None else True
 
     def contains(self, x):
-        """Strict membership: the gauge of ``x`` lies below the bound by 1e-9.
+        """Strict membership: the gauge of ``x`` lies below (1 - 1e-9) times the bound.
 
         ``x`` is a point in any form :func:`~ncfuncalc.linalg.as_stack`
         takes, answered by a bool for a lone point and else by a boolean
@@ -307,7 +307,7 @@ class DomainDescriptor:
 
     def _inside(self, gauge):
         """The one membership comparison, on one gauge or an array of them."""
-        return gauge < self.bound - DOMAIN_CHECK_MARGIN
+        return gauge < self.bound * (1.0 - DOMAIN_CHECK_MARGIN)
 
     def _rescale(
         self, u: np.ndarray, sizes: np.ndarray

@@ -21,10 +21,10 @@ extracted in blocks, each one stacked :func:`~ncfuncalc.ncderiv.delta_k`
 call and so one evaluation of F per block, not one per jet; a block holds as
 many jets as keep its jet components within ``JET_BLOCK_BYTES`` (at least
 one): 4 jets of 9 x 9 at d = 3, K = 5, so 17 evaluations of F in all, F(0)
-and a first block of one jet included.  Extractions run at base dimension 1
-by default, where every extracted block is 1 x 1: each per-word residual is
-0 by construction and :class:`NonScalarResultError` cannot fire, so
-scalarity is tested only at a base dimension ``dim`` of 2 or more.
+included.  Extractions run at base dimension 1 by default, where every
+extracted block is 1 x 1: each per-word residual is 0 by construction and
+:class:`NonScalarResultError` cannot fire, so scalarity is tested only at a
+base dimension ``dim`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -200,9 +200,7 @@ def taylor_expand(
     (module docstring) in stacked blocks, so F must evaluate stacks.
     Coefficients c, F(0) included, with ``relative(|c|, max |c|) <= COEFF_PRUNE``
     (1e-12) are dropped as extraction noise; the algebra itself never prunes.
-    The first block holds one jet and every later block starts from the
-    scale that jet settled on, so the halving toward the domain is paid
-    about once per expansion.  ``dim`` is the base dimension, at least 1.
+    ``dim`` is the base dimension, at least 1.
 
     An :class:`ExtractionError` from a jet that breaks block upper
     triangular form names that jet's word, a chunk of the de Bruijn
@@ -245,23 +243,21 @@ def _jets(F: NCFunctionHandle, maxdeg: int, zero, v0) -> tuple[np.ndarray, np.nd
     units = np.eye(d)[:, :, None, None] * np.eye(dim)  # units[j] is e_j: (d, dim, dim)
     bases, base_values = [zero] * size1, [v0] * size1
     block = max(1, JET_BLOCK_BYTES // (16 * d * (size1 * dim) ** 2))
-    firsts = [0, *range(1, jets, block)]
+    firsts = range(0, jets, block)
     # dirs[i] holds the i-th direction of every jet: shape (d, jets, dim, dim).
     dirs = units[cover.letters.T].transpose(0, 2, 1, 3, 4)
     # reads[i] is the block of the table's entry i, filled block of jets by block.
     reads = np.empty((len(cover.jet), dim, dim), dtype=np.complex128)
-    eps, lo = 1.0, 0
+    lo = 0
     for first, last in zip(firsts, [*firsts[1:], jets]):
         try:
-            res = delta_k(F, bases, dirs[:, :, first:last], epsilon=eps, base_values=base_values)
+            res = delta_k(F, bases, dirs[:, :, first:last], base_values=base_values)
         except Exception as exc:
             _scalars(reads[:lo], cover.read)  # a non-scalar word read before it is reported first
             if not isinstance(exc, StructureViolationError):
                 raise
             w = tuple(cover.letters[first + exc.sample].tolist())
             raise ExtractionError(f"jet structure violated at word {w}: {exc}", word=w) from exc
-        if first == 0:
-            eps = float(res.epsilon[0])
         hi = int(np.searchsorted(cover.jet, last))
         blocks = res.full_upper.reshape(last - first, size1, dim, size1, dim)
         reads[lo:hi] = blocks[cover.jet[lo:hi] - first, cover.start[lo:hi], :, cover.stop[lo:hi], :]

@@ -358,9 +358,7 @@ def _points(F: NCFunctionHandle, draws) -> np.ndarray:
 
 
 def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g = g / max(operator_norm(g), 1e-12)
-    s = np.eye(n, dtype=np.complex128) + 0.1 * g
+    s = np.eye(n, dtype=np.complex128) + 0.1 * _direction(rng, 1, n)[0]
     sinv = inverse(s)
     return s, sinv, operator_norm(s) * operator_norm(sinv)  # S, S^-1 and cond(S)
 

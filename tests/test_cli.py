@@ -402,6 +402,27 @@ class TestDerive:
         assert code == 0
         assert np.array_equal(matrix_from_obj(json.loads(out)), 1.9 * np.eye(2))
 
+    @pytest.mark.parametrize("z, code", [(0.9999999, 0), (1.5, 3)])
+    def test_mobius_near_the_boundary(self, workspace, capsys, tmp_path, z, code):
+        # phi'(z) = (1 - a^2) / (1 - a z)^2 for a = 0.999 at 1e-7 from the
+        # boundary: the jet is halved until it fits, not refused; a point
+        # outside the disk is refused (exit 3).
+        handle = tmp_path / "mobius_0999.json"
+        handle.write_text(dump_json(handle_to_obj(from_realization(mobius_realization(0.999)))))
+        point = tmp_path / "z.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple.from_scalars([z], 1))))
+        got, out, _ = run(
+            capsys,
+            "derive",
+            "--handle", str(handle),
+            "--point", str(point),
+            "--directions", workspace["dirs_one.json"],
+            "--k", "1",
+        )
+        assert got == code
+        if code == 0:
+            assert matrix_from_obj(json.loads(out))[0, 0] == pytest.approx(1998.6006596, rel=1e-10)
+
     def test_k_zero_is_evaluation(self, workspace, capsys):
         code, out, _ = run(
             capsys,

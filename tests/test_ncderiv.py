@@ -21,9 +21,11 @@ from ncfuncalc import (
     from_poly,
     from_realization,
     from_series,
+    mobius_realization,
     operator_norm,
 )
 from ncfuncalc.ncderiv import polarization
+from ncfuncalc.realization import RESCALE_HALVINGS
 
 from _helpers import (
     bidiagonal_block,
@@ -85,13 +87,17 @@ class TestJet1:
     def test_scaling_policy_rejects_boundary_points(self):
         # 0.95 is inside polydisk(1), so the direction is halved until the
         # jet [[0.95, eps], [0, 0.95]] is inside too; within 1e-7 of the
-        # boundary that scale would fall below MIN_EPSILON.
+        # boundary the same halving goes on, and only a point outside the
+        # domain, whose jet no halving brings in, is refused.
         F = from_poly(FreePoly.letter(1, 0), DomainDescriptor.polydisk(1.0))
         res = jet(F, scalar(0.95), scalar(1.0))
         np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
         assert res.epsilon == 0.0625
+        res = jet(F, scalar(1.0 - 5e-8), scalar(1.0))
+        np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
+        assert res.epsilon == 2.0**-24
         with pytest.raises(DomainViolationError, match="jet scale"):
-            jet(F, scalar(1.0 - 5e-8), scalar(1.0))
+            jet(F, scalar(1.0), scalar(1.0))
 
     def test_residual_reports_broken_triangularity(self):
         # The transpose evaluator flips the jet, leaving mass below the
@@ -177,6 +183,25 @@ class TestGaugeScale:
         assert F.domain.contains(bidiagonal_block([x, x], [res.epsilon * components(h)]))
         np.testing.assert_allclose(res.delta, [[1.0]], atol=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8])
+    def test_mobius_derivatives_near_the_boundary(self, gap):
+        # phi(z) = (z - a) / (1 - a z) has phi' = (1 - a^2) / (1 - a z)^2 and
+        # phi'' = 2 a (1 - a^2) / (1 - a z)^3; within 1e-8 of the boundary the
+        # jet is halved until it fits and stays accurate.
+        a, z = 0.999, 1.0 - gap
+        F = from_realization(mobius_realization(a))
+        x, h = scalar(z), scalar(1.0)
+        first = delta_k(F, [x] * 2, [h]).delta
+        second = 2 * delta_k(F, [x] * 3, [h] * 2).delta
+        assert relerr(first, [[(1 - a**2) / (1 - a * z) ** 2]]) <= 1e-12
+        assert relerr(second, [[2 * a * (1 - a**2) / (1 - a * z) ** 3]]) <= 1e-12
+
+    def test_mobius_point_outside_is_refused(self):
+        # 1 - 1e-10 lies within the membership margin of the boundary.
+        F = from_realization(mobius_realization(0.999))
+        with pytest.raises(DomainViolationError, match="jet scale"):
+            jet(F, scalar(1.0 - 1e-10), scalar(1.0))
+
     def test_checked_base_points_are_not_tested_again(self, monkeypatch):
         # With base values given, the only membership test is the jet's.
         dims = []
@@ -248,20 +273,38 @@ class TestDeltaK:
         np.testing.assert_allclose(img[:3, 3:], h[0], atol=1e-14)
 
     def test_epsilon_rescale_is_exact(self, square):
+        # In polydisk(1) the jet's directions are halved; the rescaled blocks
+        # match the unhalved jet of the same polynomial on an unbounded domain.
         rng = rng_for(35)
         xs = [random_tuple(rng, 1, 2, scale=0.3) for _ in range(3)]
-        hs = [random_tuple(rng, 1, 2) for _ in range(2)]
-        base = delta_k(square, xs, hs, epsilon=1.0).delta
-        scaled = delta_k(square, xs, hs, epsilon=0.25).delta
-        assert relerr(scaled, base) <= 1e-12
+        hs = [random_tuple(rng, 1, 2, scale=2.0) for _ in range(2)]
+        bounded = from_poly(FreePoly(1, {(0, 0): 1.0}), DomainDescriptor.polydisk(1.0))
+        base = delta_k(square, xs, hs)
+        scaled = delta_k(bounded, xs, hs)
+        assert base.epsilon == 1.0 and scaled.epsilon < 1.0
+        assert relerr(scaled.delta, base.delta) <= 1e-12
 
-    @pytest.mark.parametrize("epsilon", [0.0, math.inf, math.nan])
-    def test_unusable_starting_scale_is_rejected_before_evaluation(self, epsilon):
-        F, calls = counting_handle(FreePoly(1, {(0, 0): 1.0}))
-        x, h = scalar(0.25), scalar(1.0)
-        with pytest.raises(ValueError, match="finite and positive"):
-            delta_k(F, [x] * 3, [h, h], epsilon=epsilon)
+    @pytest.mark.parametrize("point", [1.0, 1.0 + 1e-12, 1.5])
+    def test_jet_outside_after_every_halving_is_rejected_before_evaluation(
+        self, point, monkeypatch
+    ):
+        # A jet at a base point outside polydisk(1) is halved as often as the
+        # domain's sampler halves a sample, RESCALE_HALVINGS times, then
+        # refused without an evaluation.
+        F, calls = counting_handle(FreePoly(1, {(0, 0): 1.0}), DomainDescriptor.polydisk(1.0))
+        tests = []
+        contains = DomainDescriptor.contains
+
+        def counted(self, x):
+            tests.append(x)
+            return contains(self, x)
+
+        monkeypatch.setattr(DomainDescriptor, "contains", counted)
+        x, h = scalar(point), scalar(1.0)
+        with pytest.raises(DomainViolationError, match="jet scale"):
+            delta_k(F, [x] * 3, [h, h])
         assert calls == []
+        assert len(tests) == 1 + RESCALE_HALVINGS
 
     def test_structure_violation_detected(self):
         # An evaluator that scrambles the jet cannot be intertwining preserving.
@@ -316,7 +359,7 @@ class TestStackedJets:
         hs_per_sample = [[random_tuple(rng, 2, 2, scale=s) for _ in range(2)]
                          for s in (0.05, 0.2, 0.6, 1.0, 2.0, 8.0)]
         values = [F.eval(x) for x in xs]
-        for kw in ({}, {"base_values": values}, {"epsilon": 0.75}):
+        for kw in ({}, {"base_values": values}):
             stacked, lone = self.stacked_and_lone(F, xs, hs_per_sample, **kw)
             assert stacked.delta.shape == (6, 2, 2) and stacked.full_upper.shape == (6, 6, 6)
             for s, res in enumerate(lone):

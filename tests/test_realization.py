@@ -206,6 +206,15 @@ class TestBallAndExhaustion:
         with pytest.raises(ValueError):
             in_ball(delta, x, 1.0)
 
+    @pytest.mark.parametrize("radius", [1e-12, 1e-9, 1.0, 1e9])
+    def test_margin_is_a_fraction_of_the_bound(self, radius):
+        # Membership reads the same at every scale: 0 is inside a polydisk of
+        # any radius, and a point within 1e-9 of the radius, relatively, is not.
+        ball = DomainDescriptor.polydisk(radius)
+        assert ball.contains(MatrixTuple.zeros(1, 2)) is True
+        assert ball.contains(MatrixTuple.from_scalars([0.999 * radius], 2)) is True
+        assert ball.contains(MatrixTuple.from_scalars([(1 - 1e-10) * radius], 2)) is False
+
     def test_norm_cap_comes_before_the_delta_norm(self):
         # Past the cap the point is outside without evaluating delta, which
         # would overflow here.
@@ -634,8 +643,8 @@ def reference_scan(r, n, samples, seed):
         )
         size = bound * rng.uniform() ** ((p or 1) / (2 * d * n * n))
         x = scale(u, size) * u
-        halved += not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN
-        while not delta_norm(x) < bound - DOMAIN_CHECK_MARGIN:
+        halved += not delta_norm(x) < bound * (1.0 - DOMAIN_CHECK_MARGIN)
+        while not delta_norm(x) < bound * (1.0 - DOMAIN_CHECK_MARGIN):
             x = 0.5 * x
         ball = DomainDescriptor.deltaball(r.delta, SCAN_MARGIN)
         assert np.array_equal(ball.rescale(u[:, None], [size])[:, 0], x)

@@ -138,6 +138,12 @@ class TestTaylorExpand:
         assert expansion.parts[1].terms == {(0,): pytest.approx(1e6)}
         assert expansion.parts[2].is_zero
 
+    def test_small_domain_is_expanded(self):
+        # polydisk(1e-7): the jets are halved to 2^-24 and rescaled exactly.
+        x0 = FreePoly(1, {(0,): 1.0})
+        expansion = taylor_expand(from_poly(x0, DomainDescriptor.polydisk(1e-7)), 2)
+        assert expansion.as_poly() == x0
+
     def test_identity_realization_expansion(self):
         expansion = taylor_expand(from_realization(identity_realization()), 4)
         assert expansion.parts[0].is_zero
@@ -252,7 +258,7 @@ def _assert_coefficients(expansion, reference, words):
 class TestOneEvaluationPerWord:
     def test_evaluation_count(self):
         # F(0) once, then one stacked evaluation per block of the 61 covering
-        # jets of length 8: a first block of one jet, then blocks of 4.
+        # jets of length 8: fifteen blocks of 4, then a block of one.
         p = random_poly(rng_for(56), 3, 5, nterms=40)
         calls = []
 
@@ -263,9 +269,8 @@ class TestOneEvaluationPerWord:
         F = NCFunctionHandle(3, DomainDescriptor.polydisk(math.inf), counting)
         taylor_expand(F, 5)
         assert JET_BLOCK_BYTES // (16 * 3 * 9**2) == 4
-        assert len(calls) == 1 + 1 + -(-(61 - 1) // 4) == 17
-        assert calls[0] == () and calls[1] == (1,)
-        assert sum(b for (b,) in calls[1:]) == 61
+        assert len(calls) == 1 + -(-61 // 4) == 17
+        assert calls == [()] + [(4,)] * 15 + [(1,)]
 
     def test_one_variable_takes_one_jet(self):
         # d = 1: the jet of x0^12 holds every shorter word, so F(0) and one jet.
@@ -307,39 +312,39 @@ class TestOneEvaluationPerWord:
         assert err.value.word == (0,)
 
     def test_first_non_scalar_word_beats_a_later_structure_violation(self):
-        # At d = 2, K = 3 the covering jets follow 0001, 0101, 0111 and 1100:
-        # the first block holds jet 0, where rescaling x0 makes (0,) non-scalar,
-        # and the second block jets 1-3, where (x1 x1)^T breaks the structure
-        # first in jet 2.  Every read of the first block is checked before
-        # the second block's error leaves.
+        # At d = 2, K = 4 and dim = 2 the covering jets follow 000010, 010011,
+        # 011010, 010111, 111100 and 111000 in blocks of two: the first block
+        # holds jet 0, where rescaling x0 makes (0,) non-scalar, and the
+        # second block jets 2-3, where (x1 x1 x1)^T breaks the structure first
+        # in jet 3.  Every read of the first block is checked before the
+        # second block's error leaves.
         def transposed(x):
-            return np.swapaxes(x[1] @ x[1], -1, -2)
+            return np.swapaxes(x[1] @ x[1] @ x[1], -1, -2)
 
+        assert JET_BLOCK_BYTES // (16 * 2 * (7 * 2) ** 2) == 2
         domain = DomainDescriptor.polydisk(math.inf)
         broken = NCFunctionHandle(2, domain, transposed)
         with pytest.raises(ExtractionError, match="structure violated") as err:
-            taylor_expand(broken, 3, dim=2)
-        assert err.value.word == (0, 1, 1, 1)
+            taylor_expand(broken, 4, dim=2)
+        assert err.value.word == (0, 1, 0, 1, 1, 1)
         both = NCFunctionHandle(2, domain, lambda x: rescaling(x) + transposed(x))
         with pytest.raises(NonScalarResultError) as err:
-            taylor_expand(both, 3, dim=2)
+            taylor_expand(both, 4, dim=2)
         assert err.value.word == (0,)
 
 
 def per_word_reference(F, maxdeg, dim=1):
     """Coefficient and residual of every word through ``maxdeg``, one lone
-    delta_k call per word, each starting from the scale the last one settled on."""
+    delta_k call per word."""
     d = F.arity
     zero = MatrixTuple.zeros(d, dim)
     units = [unit_direction(d, j, dim) for j in range(d)]
     v0 = F.eval(zero)
     out = {(): scalar_part(v0)}
-    eps = 1.0
     for k in range(1, maxdeg + 1):
         for w in itertools.product(range(d), repeat=k):
             bases, dirs = [zero] * (k + 1), [units[j] for j in w]
-            res = delta_k(F, bases, dirs, epsilon=eps, base_values=[v0] * (k + 1))
-            eps = res.epsilon
+            res = delta_k(F, bases, dirs, base_values=[v0] * (k + 1))
             out[w] = scalar_part(res.delta)
     return out
 

@@ -590,17 +590,19 @@ class TestRunSuite:
         return by_check
 
     @pytest.mark.parametrize(
-        "p, domain",
+        "p, domain, expand_calls",
         [
-            (FreePoly(2, {(0, 1): 1.0, (1,): 0.5}), DomainDescriptor.polydisk(math.inf)),
-            (random_poly(rng_for(11), 3, 5, nterms=40), DomainDescriptor.polydisk(math.inf)),
-            (random_isometric_realization(rng_for(3), 2, 3), DomainDescriptor.polydisk(1.0)),
+            (FreePoly(2, {(0, 1): 1.0, (1,): 0.5}), DomainDescriptor.polydisk(math.inf), 2),
+            (random_poly(rng_for(11), 3, 5, nterms=40), DomainDescriptor.polydisk(math.inf), 3),
+            (random_isometric_realization(rng_for(3), 2, 3), DomainDescriptor.polydisk(1.0), 2),
         ],
         ids=["d=2 polynomial", "d=3 polynomial", "d=2 m=3 realization"],
     )
-    def test_one_evaluator_call_per_dimension_of_each_check(self, p, domain):
+    def test_one_evaluator_call_per_dimension_of_each_check(self, p, domain, expand_calls):
         # Each check draws all its trials first and evaluates them as one
-        # stack per dimension: 31 evaluator calls in all.
+        # stack per dimension.  taylor_expand at K = 3 evaluates F(0), then
+        # one block of the 4 covering jets at d = 2, and blocks of 13 and 1
+        # of the 14 at d = 3.
         calls = self.recorded_suite(p, domain)
         assert {name: len(shapes) for name, shapes in calls.items()} == {
             "gradedness": 4,  # dimensions 1, 2, 3, 5
@@ -612,7 +614,7 @@ class TestRunSuite:
             "delta-structure": 3,  # base points, jets, order-1 sub-chains
             "delta-multilinearity": 2,  # base points, jets
             "derivative-symmetry": 3,  # base points, jets of order 2 and 3
-            "taylor-polynomiality": 7,  # 3 in taylor_expand, F(0), 3 orders
+            "taylor-polynomiality": expand_calls + 4,  # taylor_expand, F(0), 3 orders
         }
 
     def test_scalar_points_and_multilinearity_jets_are_stacked(self):
