@@ -327,14 +327,14 @@ def handle_from_obj(obj, where: str = "handle") -> NCFunctionHandle:
 
 
 def load_json(path: str):
-    """Read a JSON document; malformed input raises ParseError with position."""
+    """Read a JSON document; a failure raises ParseError naming the path (and position)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def dump_json(obj) -> str:

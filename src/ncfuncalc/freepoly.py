@@ -12,6 +12,7 @@ component has an all-zero diagonal.
 
 from __future__ import annotations
 
+import operator
 from numbers import Number
 
 import numpy as np
@@ -43,7 +44,10 @@ class FreePoly:
             # built from shared word tuples share their keys.
             w = word
             if type(word) is not tuple or not all(type(j) is int for j in word):
-                w = tuple(int(j) for j in word)
+                try:
+                    w = tuple(map(operator.index, word))
+                except TypeError:
+                    raise TypeError(f"word {word!r} has a letter that is not an integer") from None
             if any(j < 0 or j >= arity for j in w):
                 raise ValueError(f"word {w} uses letters outside [0, {arity})")
             c = complex(coeff)

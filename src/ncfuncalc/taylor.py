@@ -55,7 +55,6 @@ __all__ = [
 
 WORD_CAP = 5_000
 SCALAR_TOL = 1e-8
-COEFF_PRUNE = 1e-12
 CIRCLE_SAMPLES = 64
 CIRCLE_INFLATE = 1.1
 JET_BLOCK_BYTES = 16 * 2**10
@@ -198,9 +197,9 @@ def taylor_expand(
 
     F(0) is evaluated once, with the domain check, and the covering jets
     (module docstring) in stacked blocks, so F must evaluate stacks.
-    Coefficients c, F(0) included, with ``relative(|c|, max |c|) <= COEFF_PRUNE``
-    (1e-12) are dropped as extraction noise; the algebra itself never prunes.
-    ``dim`` is the base dimension, at least 1.
+    A coefficient, F(0) included, is kept exactly when the jets read it as
+    nonzero, as :class:`FreePoly` keeps terms; on a realization that is not
+    minimal, an exact zero shows its roundoff.  ``dim``, at least 1, is the base dimension.
 
     An :class:`ExtractionError` from a jet that breaks block upper
     triangular form names that jet's word, a chunk of the de Bruijn
@@ -215,9 +214,7 @@ def taylor_expand(
     d = F.arity
     total_words = sum(d**k for k in range(1, maxdeg + 1))
     if total_words > word_cap:
-        raise ValueError(
-            f"expansion needs {total_words} word extractions, above the cap {word_cap}"
-        )
+        raise ValueError(f"expansion needs {total_words} word extractions, above the cap {word_cap}")
 
     zero = np.zeros((d, dim, dim), dtype=np.complex128)  # the lone point 0
     v0 = F.eval(zero)
@@ -226,10 +223,8 @@ def taylor_expand(
         words += _cover(d, maxdeg).words
         cs, rs = _jets(F, maxdeg, zero, v0)
         coeffs, resids = np.concatenate([coeffs, cs]), np.concatenate([resids, rs])
-    # np.hypot, not np.abs: it is the libm hypot Python's abs(complex) calls.
-    sizes = np.hypot(coeffs.real, coeffs.imag)
     terms: list[dict[Word, complex]] = [{} for _ in range(maxdeg + 1)]
-    for i in np.flatnonzero(relative(sizes, sizes.max()) > COEFF_PRUNE).tolist():
+    for i in np.flatnonzero(coeffs).tolist():
         terms[len(words[i])][words[i]] = complex(coeffs[i])
     parts, residuals = [FreePoly(d, t) for t in terms], dict(zip(words, resids.tolist()))
     return TaylorExpansion(parts, residuals, F.domain.kind, F.domain.balanced)

@@ -122,6 +122,28 @@ class TestEval:
         assert code == 2
         assert "column" in err
 
+    @pytest.mark.parametrize("verb", ["eval", "verify", "expand"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000, b"\xff\xfe{}", b"1" * 5000],
+        ids=["deeply nested", "not utf-8", "5000-digit integer"],
+    )
+    def test_unreadable_handle_file_exits_2_naming_it(
+        self, workspace, capsys, tmp_path, content, verb
+    ):
+        # Exit 1 is a failed verdict; a file that json cannot read is exit 2.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rest = {
+            "eval": ["--point", workspace["shift_pair.json"]],
+            "verify": [],
+            "expand": ["--maxdeg", "2"],
+        }
+        code, out, err = run(capsys, verb, "--handle", str(bad), *rest[verb])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+
     def test_missing_file_exits_2(self, workspace, capsys):
         code, _, _ = run(
             capsys, "eval", "--handle", "/nonexistent.json", "--point", workspace["shift_pair.json"]

@@ -356,6 +356,23 @@ class TestFiles:
             load_json(str(bad))
         assert "column" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+            (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+            (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["deeply nested", "not utf-8", "5000-digit integer"],
+    )
+    def test_unreadable_document_names_the_file(self, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_json(str(bad))
+        assert str(err.value).startswith(f"{bad}: ")
+        assert message in str(err.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_json(str(tmp_path / "absent.json"))

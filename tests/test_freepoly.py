@@ -297,6 +297,26 @@ class TestEdgeCases:
             call()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "call, word",
+        [
+            (lambda: FreePoly(2, {(0, 1.5): 1.0}), "(0, 1.5)"),
+            (lambda: FreePoly.letter(2, 0.5), "(0.5,)"),
+            (lambda: FreePoly(2, {"01": 1.0}), "'01'"),
+        ],
+        ids=["fractional letter", "fractional letter polynomial", "string word"],
+    )
+    def test_letter_that_is_not_an_integer_is_rejected(self, call, word):
+        # Letters are integers: none is truncated, and a string is not a word.
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == f"word {word} has a letter that is not an integer"
+
+    def test_numpy_integer_letters_are_accepted(self):
+        p = FreePoly(2, {(np.int64(0), np.intp(1)): 2.0})
+        assert p.terms == {(0, 1): 2.0}
+        assert all(type(j) is int for w in p.terms for j in w)
+
     def test_terms_that_cancel_on_one_word_leave_zero(self):
         # (0,) and range(1) are one word given twice.
         assert FreePoly(1, {(0,): 1.0, range(1): -1.0}).is_zero

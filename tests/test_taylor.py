@@ -16,11 +16,13 @@ from ncfuncalc import (
     NCFunctionHandle,
     NonScalarResultError,
     PolyMatrix,
+    Realization,
     SeriesFunction,
     TaylorExpansion,
     circle_norm_estimate,
     control_handle,
     delta_k,
+    delta_polydisk,
     from_poly,
     from_realization,
     from_series,
@@ -132,11 +134,10 @@ class TestTaylorExpand:
         for part in expansion.parts[1:]:
             assert part.is_zero
 
-    def test_cutoff_is_relative_to_the_largest_coefficient(self):
-        # 5e-8 is far above 1e-12, but below 1e-12 of the largest coefficient.
+    def test_coefficient_far_below_the_largest_is_kept(self):
+        # 5e-8 is below 1e-12 of the largest coefficient: the jets read both exactly.
         expansion = taylor_expand(from_poly(FreePoly(1, {(0,): 1e6, (0, 0): 5e-8})), 2)
-        assert expansion.parts[1].terms == {(0,): pytest.approx(1e6)}
-        assert expansion.parts[2].is_zero
+        assert expansion.as_poly().terms == {(0,): 1e6, (0, 0): 5e-8}
 
     def test_small_domain_is_expanded(self):
         # polydisk(1e-7): the jets are halved to 2^-24 and rescaled exactly.
@@ -235,6 +236,73 @@ class TestTaylorExpand:
         with pytest.raises(ExtractionError) as err:
             taylor_expand(F, 2, dim=2)
         assert err.value.word is not None
+
+
+def _assert_expands_to(F, maxdeg, reference):
+    """The expansion of F holds exactly the words of ``reference``, each
+    coefficient within 1e-12 relative of its value there."""
+    got = taylor_expand(F, maxdeg).as_poly().terms
+    assert got.keys() == reference.keys()
+    for w, c in reference.items():
+        assert abs(got[w] - c) <= 1e-12 * abs(c), w
+
+
+def _constant_colligation(seed):
+    """A structured similarity of a d = 2, m = 2 polydisk colligation whose
+    function is the constant 0.3.  State a*d + j is auxiliary index a of
+    letter j; B reads only a = 0, C feeds only a = 1, and D never maps a = 1
+    to a = 0, so every word's coefficient is 0 in exact arithmetic.  The
+    similarity S, block diagonal by letter, commutes with delta and mixes
+    a = 0 with a = 1."""
+    rng = rng_for(seed)
+    B, C, D = np.zeros((1, 4), complex), np.zeros((4, 1), complex), random_matrix(rng, 4, 0.3)
+    B[0, :2], C[2:, 0], D[:2, 2:] = random_matrix(rng, 2)[0], random_matrix(rng, 2)[:, 0], 0
+    S = sum(np.kron(random_matrix(rng, 2), np.diag(np.eye(2)[j])) for j in range(2))
+    S_inv = np.linalg.inv(S)
+    return Realization(delta_polydisk(2), 2, 0.3, B @ S, S_inv @ C, S_inv @ D @ S)
+
+
+class TestEveryReadCoefficientIsKept:
+    """The expansion keeps every coefficient the jets read as nonzero: no
+    cutoff by size, so small functions, rescaled domains and long tails keep
+    their words."""
+
+    def test_small_polynomial(self):
+        p = FreePoly(2, {(): 5e-13, (0,): 1e-13, (0, 1): 2e-13})
+        _assert_expands_to(from_poly(p), 3, p.terms)
+
+    @pytest.mark.parametrize("R", [1e-9, 1e-7, 1.0, 1e6])
+    def test_polynomial_in_the_units_of_its_domain(self, R):
+        p = FreePoly(2, {(): 0.5, (0,): 1 / R, (0, 1): (0.7 - 0.2j) / R**2, (1, 1, 0): 0.5 / R**3})
+        _assert_expands_to(from_poly(p, DomainDescriptor.polydisk(R)), 3, p.terms)
+
+    def test_mobius_tail(self):
+        # c_11 = 0.9975 * 0.05^10 = 9.7e-14.
+        a = 0.05
+        reference = {(0,) * k: (1 - a**2) * a ** (k - 1) for k in range(1, 13)}
+        _assert_expands_to(from_realization(mobius_realization(a)), 12, {(): -a, **reference})
+
+    def test_exponential_series_tail(self):
+        # 0.5^16 / 16! = 7.3e-19.
+        reference = {(0,) * k: 0.5**k / math.factorial(k) for k in range(17)}
+        series = SeriesFunction([FreePoly(1, {w: c}) for w, c in reference.items()], math.inf)
+        _assert_expands_to(from_series(series, 16, DomainDescriptor.polydisk(1.0)), 16, reference)
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_words_do_not_depend_on_scale(self, t):
+        p = FreePoly(2, {(): 0.3, (0,): 1.0, (0, 1): 0.7 - 0.2j, (1, 1, 0): 0.5})
+        F = from_poly(p)
+        scaled = NCFunctionHandle(2, F.domain, lambda x: t * F.eval(x, unchecked=True))
+        _assert_expands_to(scaled, 3, {w: t * c for w, c in p.terms.items()})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_realization_that_is_not_minimal_shows_roundoff(self, seed):
+        # Every word's coefficient is 0 in exact arithmetic; the expansion
+        # keeps the roundoff the jets read, far below F(0).
+        expansion = taylor_expand(from_realization(_constant_colligation(seed)), 6)
+        terms = expansion.as_poly().terms
+        assert terms.pop(()) == pytest.approx(0.3, abs=1e-15)
+        assert terms and max(map(abs, terms.values())) <= 1e-12 * 0.3
 
 
 def rescaling(x):
