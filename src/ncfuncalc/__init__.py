@@ -66,7 +66,6 @@ from .verify import (
     NonLinearInputError,
     PreconditionViolationError,
     PropertyReport,
-    SuiteConfig,
     check_delta_structure,
     check_direct_sum,
     check_intertwining,

@@ -2,11 +2,11 @@
 
 Data and output paths go to stdout and diagnostics to stderr; with ``--out``
 a one-line note follows the path instead.  Every command is deterministic
-under a fixed seed and configuration.  Exit codes:
+under a fixed seed.  Exit codes:
 
     0  success (and, for verify/scan, every property passed)
     1  a verification or scan verdict failed
-    2  parse, usage, or configuration error
+    2  parse or usage error
     3  evaluation point outside the declared domain
     4  numeric failure (singular matrix, non-convergence, resolvent, sampler,
        non-finite result)
@@ -20,7 +20,6 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,10 +46,10 @@ from .realization import (
     check_isometry,
     contractivity_scan,
 )
-from .taylor import WORD_CAP, ExtractionError, taylor_expand
-from .verify import SuiteConfig, run_suite
+from .taylor import ExtractionError, taylor_expand
+from .verify import run_suite, valid_seed
 
-__all__ = ["main", "entrypoint", "CliConfig"]
+__all__ = ["main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -62,52 +61,9 @@ EXIT_EXTRACTION = 5
 DEFAULT_FD_LAMBDA = 1e-3
 
 
-@dataclass
-class CliConfig:
-    """Optional JSON configuration shared by the subcommands."""
-
-    seed: int = 0
-    fd_lambda: float = DEFAULT_FD_LAMBDA
-    word_cap: int = WORD_CAP
-    out: str | None = None
-    suite: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # type(...) is int or float: a JSON bool or string is not a step.
-        if type(self.fd_lambda) not in (int, float):
-            raise ValueError(f"fd_lambda must be a number, got {self.fd_lambda!r}")
-        if not 0 < self.fd_lambda < math.inf:
-            raise ValueError("fd_lambda must be positive and finite")
-        if self.out is not None and type(self.out) is not str:
-            raise ValueError(f"out must be a path string or null, got {self.out!r}")
-        if type(self.word_cap) is not int or self.word_cap <= 0:
-            raise ValueError(f"word_cap must be a positive integer, got {self.word_cap!r}")
-        SuiteConfig(seed=self.seed)  # validates the seed, which realize-scan reads too
-        self.suite_config()  # validates the suite section
-
-    def suite_config(self) -> SuiteConfig:
-        """The suite settings; the top-level seed is the default suite seed."""
-        return SuiteConfig.from_dict({"seed": self.seed, **self.suite})
-
-    @classmethod
-    def load(cls, path: str | None) -> "CliConfig":
-        if path is None:
-            return cls()
-        data = load_json(path)
-        if not isinstance(data, dict):
-            raise ParseError(f"{path}: config must be a JSON object")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-
-
 def _seed(text: str) -> int:
-    """A ``--seed`` argument, checked as the config's seed is."""
-    return SuiteConfig(seed=int(text)).seed
+    """A ``--seed`` argument, checked as :func:`run_suite` checks its seed."""
+    return valid_seed(int(text))
 
 
 def _emit_json(payload, out: str | None) -> None:
@@ -126,22 +82,22 @@ def _emit_matrix(result: np.ndarray, out: str | None, note: str | None = None) -
         print(note, file=sys.stdout if out else sys.stderr)
 
 
-def _cmd_eval(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_eval(args) -> int:
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
     result = F.eval(x)
-    _emit_matrix(result, out, f"norm {operator_norm(result):.17g}")
+    _emit_matrix(result, args.out, f"norm {operator_norm(result):.17g}")
     return EXIT_OK
 
 
-def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_derive(args) -> int:
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
     k = args.k
     if k < 0:
         raise ParseError("--k must be nonnegative")
     if k == 0:
-        _emit_matrix(F.eval(x), out)
+        _emit_matrix(F.eval(x), args.out)
         return EXIT_OK
     if not args.directions:
         raise ParseError("--directions is required for k >= 1")
@@ -155,7 +111,7 @@ def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
         raise ParseError("the fd method needs all directions equal")
     methods = {
         "block": lambda: math.factorial(k) * delta_k(F, [x] * (k + 1), hs).delta,
-        "fd": lambda: dk_fd(F, x, hs[0], k, cfg.fd_lambda),
+        "fd": lambda: dk_fd(F, x, hs[0], k, DEFAULT_FD_LAMBDA),
         "polarized": lambda: dk_multilinear(F, x, hs),
     }
     result = methods[args.method]()
@@ -165,17 +121,17 @@ def _cmd_derive(args, cfg: CliConfig, out: str | None) -> int:
             raise ParseError("--cross-check needs all directions equal")
         block, fd = (result if m == args.method else methods[m]() for m in ("block", "fd"))
         note = f"cross-check disagreement {float(np.abs(block - fd).max()):.17g}"
-    _emit_matrix(result, out, note)
+    _emit_matrix(result, args.out, note)
     return EXIT_OK
 
 
-def _cmd_expand(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_expand(args) -> int:
     F = handle_from_obj(load_json(args.handle))
-    expansion = taylor_expand(F, args.maxdeg, word_cap=cfg.word_cap)
-    _emit_json(poly_to_obj(expansion.as_poly()), out)
+    expansion = taylor_expand(F, args.maxdeg)
+    _emit_json(poly_to_obj(expansion.as_poly()), args.out)
     diag = expansion.diagnostics()
-    if out:
-        _emit_json(diag, out + ".diagnostics.json")
+    if args.out:
+        _emit_json(diag, args.out + ".diagnostics.json")
     else:
         print(dump_json(diag), file=sys.stderr)
     return EXIT_OK
@@ -192,30 +148,27 @@ def _load_realization(path: str):
     return F.payload
 
 
-def _cmd_realize_check(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_realize_check(args) -> int:
     r = _load_realization(args.handle)
     resid = check_isometry(r)
     passed = resid <= ISOMETRY_BUILD_TOL
     shown = resid if math.isfinite(resid) else None
-    _emit_json({"isometry_residual": shown, "tolerance": ISOMETRY_BUILD_TOL, "passed": passed}, out)
+    report = {"isometry_residual": shown, "tolerance": ISOMETRY_BUILD_TOL, "passed": passed}
+    _emit_json(report, args.out)
     return EXIT_OK if passed else EXIT_VERDICT
 
 
-def _cmd_realize_scan(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_realize_scan(args) -> int:
     r = _load_realization(args.handle)
-    seed = cfg.seed if args.seed is None else args.seed
-    report = contractivity_scan(r, args.n, args.samples, seed)
-    _emit_json(report.as_dict(), out)
+    report = contractivity_scan(r, args.n, args.samples, args.seed)
+    _emit_json(report.as_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
-def _cmd_verify(args, cfg: CliConfig, out: str | None) -> int:
+def _cmd_verify(args) -> int:
     F = handle_from_obj(load_json(args.handle))
-    suite_cfg = cfg.suite_config()
-    if args.seed is not None:
-        suite_cfg = replace(suite_cfg, seed=args.seed)
-    reports = run_suite(F, suite_cfg)
-    _emit_json([rep.as_dict() for rep in reports], out)
+    reports = run_suite(F, args.seed)
+    _emit_json([rep.as_dict() for rep in reports], args.out)
     failing = [rep.name for rep in reports if not rep.passed]
     if failing:
         print("failed: " + ", ".join(failing), file=sys.stderr)
@@ -230,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str, *, point=False, directions=False, scan=False):
+    def add(name: str, help_: str, *, point=False, directions=False, scan=False, seed=None):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--handle", required=True, help="handle or realization file")
         if point:
@@ -252,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         if scan:
             p.add_argument("--n", type=int, required=True, help="matrix dimension")
             p.add_argument("--samples", type=int, required=True, help="sample count")
-            p.add_argument("--seed", type=_seed, help="sampler seed (default: the config seed)")
-        p.add_argument("--config", help="JSON configuration file")
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0, help=f"{seed} seed (default 0)")
         p.add_argument("--out", help="output path (written atomically)")
         return p
 
@@ -262,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     expand = add("expand", "Taylor expansion at the scalar point 0")
     expand.add_argument("--maxdeg", type=int, required=True, help="highest degree extracted")
     add("realize-check", "isometry residual of a colligation")
-    add("realize-scan", "sampled contractivity scan over the delta ball", scan=True)
-    verify = add("verify", "run the structural property suite")
-    verify.add_argument("--seed", type=_seed, default=None, help="override the suite seed")
+    add("realize-scan", "sampled contractivity scan over the delta ball", scan=True, seed="sampler")
+    add("verify", "run the structural property suite", seed="suite")
     return parser
 
 
@@ -285,8 +237,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = CliConfig.load(args.config)
-        return _DISPATCH[args.command](args, cfg, args.out or cfg.out)
+        return _DISPATCH[args.command](args)
     except ExtractionError as exc:
         word = list(exc.word) if exc.word is not None else None
         print(f"extraction failed at word {word}: {exc}", file=sys.stderr)

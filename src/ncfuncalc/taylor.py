@@ -190,16 +190,16 @@ class TaylorExpansion:
         }
 
 
-def taylor_expand(
-    F: NCFunctionHandle, maxdeg: int, *, dim: int = 1, word_cap: int = WORD_CAP
-) -> TaylorExpansion:
+def taylor_expand(F: NCFunctionHandle, maxdeg: int, *, dim: int = 1) -> TaylorExpansion:
     """Extract the homogeneous parts of F at 0 through degree ``maxdeg``.
 
     F(0) is evaluated once, with the domain check, and the covering jets
     (module docstring) in stacked blocks, so F must evaluate stacks.
     A coefficient, F(0) included, is kept exactly when the jets read it as
     nonzero, as :class:`FreePoly` keeps terms; on a realization that is not
-    minimal, an exact zero shows its roundoff.  ``dim``, at least 1, is the base dimension.
+    minimal, an exact zero shows its roundoff.  ``dim``, at least 1, is the
+    base dimension.  More than ``WORD_CAP`` words of degrees 1 to ``maxdeg``
+    raise ``ValueError`` before any evaluation.
 
     An :class:`ExtractionError` from a jet that breaks block upper
     triangular form names that jet's word, a chunk of the de Bruijn
@@ -213,8 +213,8 @@ def taylor_expand(
         raise ValueError("dimension must be at least 1")
     d = F.arity
     total_words = sum(d**k for k in range(1, maxdeg + 1))
-    if total_words > word_cap:
-        raise ValueError(f"expansion needs {total_words} word extractions, above the cap {word_cap}")
+    if total_words > WORD_CAP:
+        raise ValueError(f"expansion needs {total_words} word extractions, above the cap {WORD_CAP}")
 
     zero = np.zeros((d, dim, dim), dtype=np.complex128)  # the lone point 0
     v0 = F.eval(zero)

@@ -6,11 +6,10 @@ failure, its verdict a residual against the threshold that
 stacks of shape (d, B, n, n), a :class:`~ncfuncalc.linalg.MatrixTuple` being
 the lone form, check every sample, and evaluate F once per distinct
 dimension.  :func:`run_suite` draws all the trials of each check first, with
-seeded sampling so that identical configurations produce bitwise-identical
-reports, scales them into the domain as stacks, and hands them to that check
-as stacks.  The negative control handles in :mod:`ncfuncalc.ncfun`
-(deliberately broken evaluators) make the suite's ability to fail itself
-testable."""
+seeded sampling so that one seed produces bitwise-identical reports, scales
+them into the domain as stacks, and hands them to that check as stacks.
+The negative control handles in :mod:`ncfuncalc.ncfun` (deliberately broken
+evaluators) make the suite's ability to fail itself testable."""
 
 from __future__ import annotations
 
@@ -38,7 +37,6 @@ __all__ = [
     "PreconditionViolationError",
     "NonLinearInputError",
     "PropertyReport",
-    "SuiteConfig",
     "THRESHOLDS",
     "check_direct_sum",
     "check_intertwining",
@@ -64,6 +62,14 @@ THRESHOLDS = {
     "derivative-symmetry": 1e-8,
     "taylor-polynomiality": 1e-6,
 }
+# The sample sizes of run_suite: the dimensions of its generic points (the
+# first one for every check but direct sums), of its scalar points and of
+# the gradedness check, the trials per check, and the top derivative order.
+DIMS = (2, 3)
+SCALAR_DIMS = (2, 4)
+GRADED_DIMS = (1, 2, 3, 5)
+TRIALS = 3
+TOP_ORDER = 3
 PRECONDITION_TOL = 1e-10
 LINEARITY_TOL = 1e-8
 
@@ -298,40 +304,12 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes) -> FreePoly:
 # -- the bundled suite -------------------------------------------------------
 
 
-_DIMS_FIELDS = ("dims", "scalar_dims", "graded_dims")
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Seed and sampling sizes for run_suite; the thresholds are THRESHOLDS."""
-
-    seed: int = 7
-    dims: tuple[int, ...] = (2, 3)
-    scalar_dims: tuple[int, ...] = (2, 4)
-    graded_dims: tuple[int, ...] = (1, 2, 3, 5)
-    trials: int = 3
-    max_order: int = 3
-
-    def __post_init__(self):
-        # type(...) is int: a bool is not a count, and a JSON float is not one.
-        for name, least in (("seed", 0), ("trials", 1), ("max_order", 2)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if self.max_order > 3:
-            raise ValueError("max_order must be 2 or 3")
-        for name in _DIMS_FIELDS:
-            dims = tuple(getattr(self, name))
-            if not dims or not all(type(n) is int and n >= 1 for n in dims):
-                raise ValueError(f"{name} must be a non-empty list of dimensions of at least 1")
-            object.__setattr__(self, name, dims)  # tuples keep the frozen config hashable
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown suite config key {sorted(unknown)[0]!r}")
-        return cls(**data)
+def valid_seed(seed) -> int:
+    """``seed`` itself if it is an integer of at least 0, else ``ValueError``."""
+    # type(...) is int: a bool is not a seed, and a float is not one.
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+    return seed
 
 
 def _direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -363,47 +341,51 @@ def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
     return s, sinv, operator_norm(s) * operator_norm(sinv)  # S, S^-1 and cond(S)
 
 
-def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[PropertyReport]:
+def run_suite(F: NCFunctionHandle, seed: int = 7) -> list[PropertyReport]:
     """Run every structural check against a handle; failures are verdicts.
 
-    A check that raises (for instance because the handle breaks grading) is
-    reported as failed with the exception in the detail field, so broken
-    handles produce failing reports rather than crashes.
+    ``seed``, an integer of at least 0 (:func:`valid_seed`), seeds every
+    check's draws; the sample sizes are the constants ``DIMS``,
+    ``SCALAR_DIMS``, ``GRADED_DIMS``, ``TRIALS`` and ``TOP_ORDER``, and the
+    thresholds are :data:`THRESHOLDS`.  A check that raises (for instance
+    because the handle breaks grading) is reported as failed with the
+    exception in the detail field, so broken handles produce failing reports
+    rather than crashes.
     """
-    cfg = config or SuiteConfig()
+    seed = valid_seed(seed)
     reports: list[PropertyReport] = []
     # Jet directions sized to the domain, so that a jet at a sampled point
     # (norm at most 0.45 of the bound) usually passes its first membership test.
     jet_scale = min(1.0, 0.5 * F.domain.bound)
 
-    def run(index: int, name: str, body, trials: int = cfg.trials, detail: str = "") -> None:
-        rng = np.random.default_rng((cfg.seed, index))
+    def run(index: int, name: str, body, trials: int = TRIALS, detail: str = "") -> None:
+        rng = np.random.default_rng((seed, index))
         try:
             worst = body(rng)
         except Exception as exc:  # verdict, not crash
             worst, trials, detail = math.inf, 0, f"{type(exc).__name__}: {exc}"
-        reports.append(_report(name, float(worst), trials, cfg.seed, detail))
+        reports.append(_report(name, float(worst), trials, seed, detail))
 
     # Every check draws all its trials first, in the order of their samples,
     # scales each stack of points into the domain in one call, and evaluates
     # them as one stack per dimension.
-    n, d = cfg.dims[0], F.arity
-    kmax = cfg.max_order  # the Taylor check's top degree
+    n, d = DIMS[0], F.arity
+    kmax = TOP_ORDER  # the Taylor check's top degree
     while d**kmax > 200 and kmax > 1:
         kmax -= 1
 
     def graded(rng):
-        for m in cfg.graded_dims:
+        for m in GRADED_DIMS:
             F.eval(_points(F, [_draw_point(rng, F, m)])[:, 0])  # eval raises if grading breaks
         return 0.0
 
     def dsum(rng):
         # A 1x1 point in every sum: F at dimension 1 must agree with F above it.
-        trials = [[_draw_point(rng, F, m) for m in (1, *cfg.dims)] for _ in range(cfg.trials)]
+        trials = [[_draw_point(rng, F, m) for m in (1, *DIMS)] for _ in range(TRIALS)]
         return check_direct_sum(F, [_points(F, slot) for slot in zip(*trials)]).worst_residual
 
     def similarity(rng):
-        trials = [(_draw_point(rng, F, n), *_sample_similarity(rng, n)) for _ in range(cfg.trials)]
+        trials = [(_draw_point(rng, F, n), *_sample_similarity(rng, n)) for _ in range(TRIALS)]
         draws, sims, sinvs, conds = zip(*trials)
         xs, sims = _points(F, draws), np.array(sims)
         residuals = _intertwining(F, xs, sims, sims @ xs @ np.array(sinvs))
@@ -412,7 +394,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
     def unipotent(rng):
         trials = [
             (_draw_point(rng, F, n), _draw_point(rng, F, n), _direction(rng, 1, n, 0.2)[0])
-            for _ in range(cfg.trials)
+            for _ in range(TRIALS)
         ]
         xs, ys, ls = zip(*trials)
         return check_unipotent_converse(F, _points(F, xs), _points(F, ys), np.array(ls)).worst_residual
@@ -421,13 +403,13 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         # F(a I_n) = F(a) I_n, F(a) at dimension 1 (a I_n is n copies of a summed):
         # the 1x1 points are one stacked evaluation, the n x n points one per n.
         points = [
-            _points(F, [_draw_scalar_point(rng, F, m) for _ in range(cfg.trials)])
-            for m in cfg.scalar_dims
+            _points(F, [_draw_scalar_point(rng, F, m) for _ in range(TRIALS)])
+            for m in SCALAR_DIMS
         ]
         scalars = np.concatenate([xs[:, :, :1, :1] for xs in points], axis=1)
         cs = np.split(F.eval(scalars), len(points))
         values = [F.eval(xs) for xs in points]
-        expected = [c * np.eye(m) for c, m in zip(cs, cfg.scalar_dims)]
+        expected = [c * np.eye(m) for c, m in zip(cs, SCALAR_DIMS)]
         return _residual([v - e for v, e in zip(values, expected)], values + expected)
 
     def scalar_derivative(rng):
@@ -436,7 +418,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         units = np.eye(d)[:, :, None, None] * np.eye(n)  # units[r] is e_r: (d, n, n)
         trials = [
             (_draw_scalar_point(rng, F, n), [_direction(rng, d, n, jet_scale) for _ in range(d)])
-            for _ in range(cfg.trials)
+            for _ in range(TRIALS)
         ]
         points = _points(F, [a for a, _ in trials])
         values = np.repeat(F.eval(points), 2 * d, axis=0)
@@ -453,7 +435,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         trials = [
             ([_draw_point(rng, F, n) for _ in range(3)],
              [_direction(rng, d, n, jet_scale) for _ in range(2)])
-            for _ in range(cfg.trials)
+            for _ in range(TRIALS)
         ]
         draws, dirs = zip(*trials)
         hs = [np.stack(slot, axis=1) for slot in zip(*dirs)]
@@ -463,7 +445,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         # One call makes each trial's four jets in directions (h1, h2),
         # (h1 + h1b, h2), (h1b, h2) and (h1, c h2).
         draws, pairs, cs = [], [], []
-        for _ in range(cfg.trials):
+        for _ in range(TRIALS):
             draws.append([_draw_point(rng, F, n) for _ in range(3)])
             h1, h1b, h2 = (_direction(rng, d, n, jet_scale) for _ in range(3))
             cs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))
@@ -478,7 +460,7 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
 
     def symmetry(rng):
         draws, hs = [], []
-        for k in range(2, cfg.max_order + 1):
+        for k in range(2, TOP_ORDER + 1):
             draws.append(_draw_point(rng, F, n))
             hs.append([_direction(rng, d, n, jet_scale) for _ in range(k)])
         return check_symmetry(F, _points(F, draws), hs).worst_residual
@@ -490,21 +472,21 @@ def run_suite(F: NCFunctionHandle, config: SuiteConfig | None = None) -> list[Pr
         at_zero = [F.eval(zero)]
         for k in range(1, kmax + 1):
             # One stacked call per order; both sides polarize the same subset sums.
-            trials = [[_direction(rng, d, 2, jet_scale) for _ in range(k)] for _ in range(cfg.trials)]
+            trials = [[_direction(rng, d, 2, jet_scale) for _ in range(k)] for _ in range(TRIALS)]
             stacks = [np.stack(slot, axis=1) for slot in zip(*trials)]
             lhs = dk_multilinear(F, zero, stacks, base_values=at_zero * (k + 1))
             sums, polarize = polarization(stacks)
             pairs.append((lhs, polarize(expansion.parts[k].evaluate(sums))))
         return _residual([a - b for a, b in pairs], [v for p in pairs for v in p])
 
-    run(0, "gradedness", graded, len(cfg.graded_dims))
+    run(0, "gradedness", graded, len(GRADED_DIMS))
     run(1, "direct-sum", dsum)
     run(2, "similarity-intertwining", similarity, detail="residual divided by cond(S)")
     run(3, "unipotent-converse", unipotent)
-    run(4, "scalar-point-scalarity", scalarity, len(cfg.scalar_dims) * cfg.trials)
+    run(4, "scalar-point-scalarity", scalarity, len(SCALAR_DIMS) * TRIALS)
     run(5, "scalar-point-derivative", scalar_derivative)
     run(6, "delta-structure", structure)
     run(7, "delta-multilinearity", multilinear)
-    run(8, "derivative-symmetry", symmetry, cfg.max_order - 1)
-    run(9, "taylor-polynomiality", taylor_polynomiality, cfg.trials * kmax)
+    run(8, "derivative-symmetry", symmetry, TOP_ORDER - 1)
+    run(9, "taylor-polynomiality", taylor_polynomiality, TRIALS * kmax)
     return reports

@@ -16,14 +16,17 @@ from ncfuncalc import (
     MatrixTuple,
     delta_polydisk,
     from_poly,
+    contractivity_scan,
     from_realization,
     mobius_realization,
+    run_suite,
 )
 import ncfuncalc.cli
-from ncfuncalc.cli import CliConfig, main
+from ncfuncalc.cli import main
 from ncfuncalc.formats import (
     domain_to_obj,
     dump_json,
+    handle_from_obj,
     handle_to_obj,
     load_json,
     matrix_from_obj,
@@ -31,7 +34,6 @@ from ncfuncalc.formats import (
     realization_to_obj,
     tuple_to_obj,
 )
-from ncfuncalc.taylor import WORD_CAP
 
 from _helpers import ones_orthogonal_matrix, random_poly, random_tuple, rng_for
 
@@ -672,219 +674,116 @@ class TestRealize:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-class TestConfigFile:
-    def test_fd_lambda_from_config(self, workspace, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"fd_lambda": 0.5}))
+class TestSharedFlags:
+    VERBS = {
+        "eval": ("commutator.json", ["--point", "shift_pair.json"]),
+        "derive": ("square.json", ["--point", "x_scalar.json", "--k", "0"]),
+        "expand": ("commutator.json", ["--maxdeg", "1"]),
+        "realize-check": ("mobius.json", []),
+        "realize-scan": ("mobius.json", ["--n", "2", "--samples", "4"]),
+        "verify": ("commutator.json", []),
+    }
+
+    def argv(self, workspace, verb):
+        handle, extra = self.VERBS[verb]
+        return [verb, "--handle", workspace[handle], *(workspace.get(a, a) for a in extra)]
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_config_flag_exits_2(self, workspace, capsys, tmp_path, verb):
+        # The sample sizes, the fd step and the word cap are constants: no
+        # verb reads a configuration file, even a well-formed one.
+        cfg = tmp_path / "x.json"
+        cfg.write_text(dump_json({"seed": 0}))
+        assert run(capsys, *self.argv(workspace, verb))[0] == 0
+        code, out, err = run(capsys, *self.argv(workspace, verb), "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "--config" in err
+
+    @pytest.mark.parametrize("verb", ["realize-scan", "verify"])
+    def test_seed_defaults_to_zero(self, workspace, capsys, verb):
+        argv = self.argv(workspace, verb)
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert default == run(capsys, *argv, "--seed", "0")
+        assert default != run(capsys, *argv, "--seed", "1")
+
+    @pytest.mark.parametrize("verb", ["realize-scan", "verify"])
+    def test_negative_seed_exits_2_naming_it(self, workspace, capsys, verb):
+        code, out, err = run(capsys, *self.argv(workspace, verb), "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_config_flag_reads_no_file(self, workspace, capsys, tmp_path, verb):
+        # A missing file is refused as the flag is, not as an unreadable file.
+        missing = tmp_path / "no_such_config.json"
+        code, out, err = run(capsys, *self.argv(workspace, verb), f"--config={missing}")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --config=" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["realize-scan", "verify"])
+    @pytest.mark.parametrize("text", ["1.5", "abc", "true", ""])
+    def test_seed_that_is_not_an_integer_exits_2_naming_it(self, workspace, capsys, verb, text):
+        code, out, err = run(capsys, *self.argv(workspace, verb), "--seed", text)
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_verify_seed_is_the_suite_seed(self, workspace, capsys, seed):
+        code, out, _ = run(capsys, *self.argv(workspace, "verify"), "--seed", str(seed))
+        assert code == 0
+        F = handle_from_obj(load_json(workspace["commutator.json"]))
+        assert json.loads(out) == json.loads(dump_json([r.as_dict() for r in run_suite(F, seed)]))
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_scan_seed_is_the_sampler_seed(self, workspace, capsys, seed):
+        code, out, _ = run(capsys, *self.argv(workspace, "realize-scan"), "--seed", str(seed))
+        assert code == 0
+        report = contractivity_scan(mobius_realization(0.5), 2, 4, seed)
+        assert json.loads(out) == json.loads(dump_json(report.as_dict()))
+
+    @pytest.mark.parametrize("x", [0.5, -0.25, 0.0])
+    def test_fd_steps_at_one_thousandth(self, workspace, capsys, tmp_path, x):
+        point = tmp_path / "x.json"
+        point.write_text(dump_json(tuple_to_obj(MatrixTuple.from_scalars([x], 1))))
         code, out, _ = run(
             capsys,
             "derive",
             "--handle", workspace["square.json"],
-            "--point", workspace["x_scalar.json"],
+            "--point", str(point),
             "--directions", workspace["dirs_one.json"],
             "--k", "1",
             "--method", "fd",
-            "--config", str(cfg),
         )
         assert code == 0
-        # forward difference of x^2 at 0.5 with step 0.5: (1 - 0.25) / 0.5
-        np.testing.assert_allclose(matrix_from_obj(json.loads(out)), [[1.5]], atol=1e-12)
+        # forward difference of x^2 with step 1e-3: ((x + 1e-3)^2 - x^2) / 1e-3
+        np.testing.assert_allclose(matrix_from_obj(json.loads(out)), [[2 * x + 1e-3]], atol=1e-9)
 
-    @pytest.mark.parametrize("method", ["block", "fd"])
-    def test_nan_fd_lambda_exits_2(self, workspace, capsys, tmp_path, method):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"fd_lambda": NaN}')
-        code, out, err = run(
-            capsys,
-            "derive",
-            "--handle", workspace["square.json"],
-            "--point", workspace["x_scalar.json"],
-            "--directions", workspace["dirs_one.json"],
-            "--k", "1",
-            "--method", method,
-            "--config", str(cfg),
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: {cfg}: fd_lambda must be positive and finite\n"
-
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            ({"out": 5}, "out must be a path string or null, got 5"),
-            ({"out": True}, "out must be a path string or null, got True"),
-            ({"out": ["a"]}, "out must be a path string or null, got ['a']"),
-            ({"fd_lambda": "1e-3"}, "fd_lambda must be a number, got '1e-3'"),
-            ({"fd_lambda": True}, "fd_lambda must be a number, got True"),
-        ],
-    )
-    def test_malformed_out_or_step_exits_2_naming_it(
-        self, workspace, capsys, tmp_path, config, message
-    ):
-        # A non-string out crashed the output write (exit 1, a failed
-        # verdict); a string step failed a comparison, and true was a step of 1.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out, err = run(
-            capsys,
-            "derive",
-            "--handle", workspace["square.json"],
-            "--point", workspace["x_scalar.json"],
-            "--directions", workspace["dirs_one.json"],
-            "--k", "1",
-            "--method", "fd",
-            "--config", str(cfg),
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: {cfg}: {message}\n"
-
-    def test_word_cap_defaults_to_the_library_cap(self):
-        assert CliConfig().word_cap == WORD_CAP
-
-    def test_suite_settings_from_config(self, workspace, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"suite": {"seed": 11, "trials": 2, "dims": [2, 2]}}))
-        code, out, _ = run(
-            capsys, "verify", "--handle", workspace["commutator.json"], "--config", str(cfg)
-        )
+    @pytest.mark.parametrize("verb", ["eval", "derive", "expand"])
+    def test_out_takes_the_result_off_stdout(self, workspace, capsys, tmp_path, verb):
+        # The note or diagnostics that follow the result keep their content:
+        # eval's norm line follows the path, expand's diagnostics go to a file.
+        code, printed, err = run(capsys, *self.argv(workspace, verb))
         assert code == 0
-        assert all(r["seed"] == 11 for r in json.loads(out))
+        out_path = str(tmp_path / "result.json")
+        code, out, out_err = run(capsys, *self.argv(workspace, verb), "--out", out_path)
+        assert (code, out_err) == (0, "")
+        assert load_json(out_path) == json.loads(printed)
+        if verb == "expand":
+            diagnostics = out_path + ".diagnostics.json"
+            assert out.splitlines() == [out_path, diagnostics]
+            assert load_json(diagnostics) == json.loads(err)
+        else:
+            assert out.splitlines() == [out_path, *err.splitlines()]
 
-    @pytest.mark.parametrize(
-        "settings, seed",
-        [
-            ({"seed": 5, "suite": {"trials": 2}}, 5),
-            ({"seed": 5, "suite": {"trials": 2, "seed": 11}}, 11),
-            ({"suite": {"trials": 2}}, 0),
-        ],
-    )
-    def test_suite_seed_defaults_to_config_seed(self, workspace, capsys, tmp_path, settings, seed):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json(settings))
-        args = ("verify", "--handle", workspace["commutator.json"], "--config", str(cfg))
-        code, out, _ = run(capsys, *args)
+    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan", "verify"])
+    def test_out_writes_what_stdout_shows(self, workspace, capsys, tmp_path, verb):
+        code, printed, _ = run(capsys, *self.argv(workspace, verb))
         assert code == 0
-        assert {r["seed"] for r in json.loads(out)} == {seed}
-        code, out, _ = run(capsys, *args, "--seed", "3")
-        assert {r["seed"] for r in json.loads(out)} == {3}
-
-    def test_suite_that_checks_nothing_exits_2(self, capsys, tmp_path):
-        control = tmp_path / "control.json"
-        control.write_text(dump_json({"kind": "control", "payload": {"name": "fixed-corner", "d": 1}}))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"suite": {"trials": 0, "max_order": 0}}))
-        code, out, err = run(capsys, "verify", "--handle", str(control), "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "trials" in err
-
-    @pytest.mark.parametrize(
-        "verb, config, flags, field",
-        [
-            ("verify", {"seed": 1.5}, [], "seed"),
-            ("realize-scan", {"seed": 1.5}, [], "seed"),
-            ("verify", {"seed": "abc"}, [], "seed"),
-            ("verify", {"seed": True}, [], "seed"),
-            ("verify", {"suite": {"seed": -1}}, [], "seed"),
-            ("verify", None, ["--seed", "-1"], "--seed"),
-            ("realize-scan", None, ["--seed", "-1"], "--seed"),
-            ("verify", {"suite": {"trials": True}}, [], "trials"),
-            ("verify", {"suite": {"max_order": True}}, [], "max_order"),
-            ("verify", {"suite": {"dims": [True, 2]}}, [], "dims"),
-            ("expand", {"word_cap": True}, [], "word_cap"),
-        ],
-    )
-    def test_malformed_seed_or_count_exits_2_naming_it(
-        self, workspace, capsys, tmp_path, verb, config, flags, field
-    ):
-        handle = "mobius.json" if verb.startswith("realize") else "commutator.json"
-        extra = {"realize-scan": ["--n", "2", "--samples", "4"], "expand": ["--maxdeg", "1"]}
-        args = [verb, "--handle", workspace[handle], *extra.get(verb, []), *flags]
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            args += ["--config", str(cfg)]
-        code, out, err = run(capsys, *args)
-        assert code == 2
-        assert out == ""
-        assert field in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("verb", ["realize-check", "realize-scan", "verify", "expand"])
-    def test_missing_config_file_exits_2(self, workspace, capsys, verb):
-        handle = "mobius.json" if verb.startswith("realize") else "commutator.json"
-        extra = {
-            "realize-scan": ["--n", "2", "--samples", "4"],
-            "expand": ["--maxdeg", "1"],
-        }.get(verb, [])
-        code, out, _ = run(
-            capsys, verb, "--handle", workspace[handle], *extra, "--config", "/no/such/cfg.json"
-        )
-        assert code == 2
-        assert out == ""
-
-    @pytest.mark.parametrize(
-        "verb, handle, extra",
-        [
-            ("realize-check", "mobius.json", []),
-            ("realize-scan", "mobius.json", ["--n", "2", "--samples", "4"]),
-            ("verify", "commutator.json", ["--seed", "4"]),
-        ],
-    )
-    def test_out_from_flag_or_config(self, workspace, capsys, tmp_path, verb, handle, extra):
-        base = [verb, "--handle", workspace[handle], *extra]
-        code, printed, _ = run(capsys, *base)
-        assert code == 0
-        flag_path = str(tmp_path / "flag.json")
-        code, out, _ = run(capsys, *base, "--out", flag_path)
-        assert (code, out) == (0, flag_path + "\n")
-        assert load_json(flag_path) == json.loads(printed)
-        cfg_path = str(tmp_path / "from_config.json")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"out": cfg_path}))
-        code, out, _ = run(capsys, *base, "--config", str(cfg))
-        assert (code, out) == (0, cfg_path + "\n")
-        assert load_json(cfg_path) == json.loads(printed)
-
-    def test_scan_seed_from_config(self, workspace, capsys, tmp_path):
-        base = ["realize-scan", "--handle", workspace["mobius.json"], "--n", "2", "--samples", "4"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"seed": 9}))
-        _, from_config, _ = run(capsys, *base, "--config", str(cfg))
-        _, from_flag, _ = run(capsys, *base, "--seed", "9")
-        _, default, _ = run(capsys, *base)
-        assert from_config == from_flag
-        assert json.loads(from_config) != json.loads(default)
-
-    def test_suite_tolerance_key_exits_2(self, workspace, capsys, tmp_path):
-        # Thresholds are fixed (verify.THRESHOLDS); a config cannot set one.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"suite": {"tol_direct_sum": 1e-3}}))
-        code, out, err = run(
-            capsys, "verify", "--handle", workspace["commutator.json"], "--config", str(cfg)
-        )
-        assert code == 2
-        assert out == ""
-        assert "tol_direct_sum" in err
-
-    def test_config_that_is_not_an_object_exits_2(self, workspace, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        code, out, err = run(
-            capsys, "realize-check", "--handle", workspace["mobius.json"], "--config", str(cfg)
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: {cfg}: config must be a JSON object\n"
-
-    def test_unknown_config_key_exits_2(self, workspace, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(dump_json({"bogus": 1}))
-        code, _, _ = run(
-            capsys,
-            "expand",
-            "--handle", workspace["commutator.json"],
-            "--maxdeg", "1",
-            "--config", str(cfg),
-        )
-        assert code == 2
+        out_path = str(tmp_path / "flag.json")
+        code, out, _ = run(capsys, *self.argv(workspace, verb), "--out", out_path)
+        assert (code, out) == (0, out_path + "\n")
+        assert load_json(out_path) == json.loads(printed)
 
 
 class TestSeriesHandleFile:

@@ -18,7 +18,7 @@ def test_quick_start_runs(capsys):
 
 def test_command_synopsis_matches_parsers():
     """Each ``ncfun <verb>`` line shows only real flags, and every flag but
-    the shared ``--handle``, ``--config`` and ``--out``."""
+    the shared ``--handle`` and ``--out``."""
     section = README.read_text().split("## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
     actions = build_parser()._actions
@@ -31,4 +31,4 @@ def test_command_synopsis_matches_parsers():
     for verb, parser in subparsers.choices.items():
         flags = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
         assert shown[verb] <= flags, (verb, shown[verb] - flags)
-        assert flags - {"--help", "--handle", "--config", "--out"} <= shown[verb], verb
+        assert flags - {"--help", "--handle", "--out"} <= shown[verb], verb

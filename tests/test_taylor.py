@@ -35,7 +35,7 @@ from ncfuncalc import (
 
 import ncfuncalc.taylor
 from ncfuncalc.linalg import scalar_part
-from ncfuncalc.taylor import CIRCLE_INFLATE, CIRCLE_SAMPLES, JET_BLOCK_BYTES
+from ncfuncalc.taylor import CIRCLE_INFLATE, CIRCLE_SAMPLES, JET_BLOCK_BYTES, WORD_CAP
 
 from _helpers import (
     components,
@@ -202,9 +202,23 @@ class TestTaylorExpand:
         assert TaylorExpansion([FreePoly(2, {(1,): 1.0}), FreePoly(2, {(1,): -1.0})]).as_poly().is_zero
 
     def test_word_cap(self):
-        F = from_poly(FreePoly.letter(3, 0))
-        with pytest.raises(ValueError):
-            taylor_expand(F, 9)
+        # 3 + 9 + ... + 3^8 = 9840 words through degree 8 are over WORD_CAP.
+        F, calls = counting_handle(FreePoly.letter(3, 0))
+        with pytest.raises(ValueError, match=f"9840 word extractions, above the cap {WORD_CAP}"):
+            taylor_expand(F, 8)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "d, maxdeg, words",
+        [(2, 12, 8190), (4, 7, 21844), (5, 6, 19530), (71, 2, 5112), (5001, 1, 5001)],
+    )
+    def test_word_cap_counts_the_words_of_every_degree(self, d, maxdeg, words):
+        # d + d^2 + ... + d^maxdeg words, one over the cap being too many.
+        F, calls = counting_handle(FreePoly.letter(d, 0))
+        message = f"needs {words} word extractions, above the cap {WORD_CAP}"
+        with pytest.raises(ValueError, match=message):
+            taylor_expand(F, maxdeg)
+        assert calls == []
 
     def test_dimension_must_be_positive(self):
         F, calls = counting_handle(FreePoly.letter(2, 0))

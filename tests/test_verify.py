@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from ncfuncalc import (
     PreconditionViolationError,
     PropertyReport,
     SeriesFunction,
-    SuiteConfig,
     check_direct_sum,
     check_delta_structure,
     check_intertwining,
@@ -418,7 +418,7 @@ SCALED = {
 def failing_at_scale(name: str, t: float) -> frozenset:
     F = SCALED[name]()
     scaled = NCFunctionHandle(F.arity, F.domain, lambda x: t * F.eval(x, unchecked=True))
-    return frozenset(r.name for r in run_suite(scaled, SuiteConfig(seed=1)) if not r.passed)
+    return frozenset(r.name for r in run_suite(scaled, seed=1) if not r.passed)
 
 
 class TestRunSuite:
@@ -466,7 +466,7 @@ class TestRunSuite:
         # 1x1 points a and b, and F(a I_n) from F(a) I_n.  Both agree with an
         # nc function at every point the other eight checks evaluate.
         F = NCFunctionHandle(2, DomainDescriptor.polydisk(math.inf), evaluator)
-        failing = {r.name for r in run_suite(F, SuiteConfig(seed=seed)) if not r.passed}
+        failing = {r.name for r in run_suite(F, seed=seed) if not r.passed}
         assert failing == {"direct-sum", "scalar-point-scalarity"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -478,7 +478,7 @@ class TestRunSuite:
             for name, evaluator in MUTANTS.items()
         }
         handles.update((name, control_handle(name, 2)) for name in CONTROL_NAMES)
-        reports = {name: run_suite(F, SuiteConfig(seed=seed)) for name, F in handles.items()}
+        reports = {name: run_suite(F, seed=seed) for name, F in handles.items()}
         failing = {name: {r.name for r in reps if not r.passed} for name, reps in reports.items()}
         assert all(failing[name] for name in MUTANTS), failing
         checks = [r.name for r in reports[CONTROL_NAMES[0]]]
@@ -497,46 +497,49 @@ class TestRunSuite:
     def test_deterministic_bitwise(self):
         rng = rng_for(92)
         F = from_poly(random_poly(rng, 2, 3), DomainDescriptor.polydisk(1.0))
-        cfg = SuiteConfig(seed=123)
-        a = json.dumps([r.as_dict() for r in run_suite(F, cfg)])
-        b = json.dumps([r.as_dict() for r in run_suite(F, cfg)])
+        a = json.dumps([r.as_dict() for r in run_suite(F, seed=123)])
+        b = json.dumps([r.as_dict() for r in run_suite(F, seed=123)])
         assert a == b
 
     def test_seed_changes_reports(self):
         rng = rng_for(93)
         F = from_poly(random_poly(rng, 2, 3), DomainDescriptor.polydisk(1.0))
-        a = [r.worst_residual for r in run_suite(F, SuiteConfig(seed=1))]
-        b = [r.worst_residual for r in run_suite(F, SuiteConfig(seed=2))]
+        a = [r.worst_residual for r in run_suite(F, seed=1)]
+        b = [r.worst_residual for r in run_suite(F, seed=2)]
         assert a != b
 
-    def test_config_dims_are_tuples_however_given(self):
-        cfg = SuiteConfig(dims=[2, 3], scalar_dims=range(2, 4), graded_dims=(1,))
-        assert (cfg.dims, cfg.scalar_dims, cfg.graded_dims) == ((2, 3), (2, 3), (1,))
-        assert cfg == SuiteConfig(dims=(2, 3), scalar_dims=(2, 3), graded_dims=(1,))
-        assert hash(cfg) == hash(SuiteConfig(dims=(2, 3), scalar_dims=(2, 3), graded_dims=(1,)))
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, 7.0, "7", None])
+    def test_seed_that_is_not_a_nonnegative_integer_is_refused(self, seed):
+        F, calls = counting_handle(FreePoly(2, {(0, 1): 1.0}))
+        message = f"seed must be an integer of at least 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suite(F, seed=seed)
+        assert calls == []
 
-    def test_config_from_dict(self):
-        cfg = SuiteConfig.from_dict({"seed": 5, "dims": [2, 2], "trials": 2})
-        assert cfg.seed == 5 and cfg.dims == (2, 2) and cfg.trials == 2
-        with pytest.raises(ValueError):
-            SuiteConfig.from_dict({"unknown_key": 1})
+    def test_default_sample_sizes(self):
+        # Trials per check at d <= 5: dimensions 1, 2, 3, 5 for gradedness,
+        # 3 per check, 3 at each of 2 scalar dimensions, orders 2 and 3 for
+        # symmetry, and 3 per order 1, 2, 3 for the Taylor check.
+        reports = run_suite(from_poly(FreePoly(5, {(0, 4): 1.0, (2,): 0.5})))
+        assert [r.trials for r in reports] == [4, 3, 3, 3, 6, 3, 3, 3, 2, 9]
+        assert all(r.passed and r.seed == 7 for r in reports)
 
     @pytest.mark.parametrize(
-        "bad",
+        "make",
         [
-            {"trials": 0},
-            {"trials": 1.5},
-            {"max_order": 0},
-            {"max_order": 1},
-            {"max_order": 4},
-            {"dims": []},
-            {"scalar_dims": [2, 0]},
-            {"graded_dims": []},
+            lambda: from_poly(FreePoly(1, {(0, 0): 1.0, (0,): 0.5})),
+            lambda: from_poly(FreePoly(2, {(0, 1): 1.0, (1,): 0.5})),
+            lambda: from_poly(FreePoly(3, {(0, 2): 1.0, (1,): 0.5})),
+            lambda: from_poly(FreePoly(4, {(0, 3): 1.0, (2,): 0.5})),
+            lambda: from_realization(mobius_realization(0.5)),
         ],
+        ids=["d=1", "d=2", "d=3", "d=4", "mobius"],
     )
-    def test_config_rejects_settings_that_check_nothing(self, bad):
-        with pytest.raises(ValueError):
-            SuiteConfig.from_dict(bad)
+    def test_default_sample_sizes_below_five_letters(self, make):
+        # The sample sizes do not depend on the arity while d^3 <= 200.
+        reports = run_suite(make(), seed=0)
+        assert [r.trials for r in reports] == [4, 3, 3, 3, 6, 3, 3, 3, 2, 9]
+        assert all(r.passed and r.seed == 0 for r in reports)
 
     @pytest.mark.parametrize("kind", ["realization", "polynomial"])
     def test_suite_jets_fit_the_domain_at_first_try(self, monkeypatch, kind):
@@ -559,7 +562,7 @@ class TestRunSuite:
             return inside
 
         monkeypatch.setattr(DomainDescriptor, "contains", recording)
-        reports = run_suite(F, SuiteConfig(seed=3))
+        reports = run_suite(F, seed=3)
         assert all(r.passed for r in reports)
         assert verdicts.count(False) <= 15
 
@@ -584,7 +587,7 @@ class TestRunSuite:
         F = NCFunctionHandle(p.arity, domain, recording)
         report, verify._report = verify._report, grouping
         try:
-            assert all(r.passed for r in run_suite(F, SuiteConfig(seed=0)))
+            assert all(r.passed for r in run_suite(F, seed=0))
         finally:
             verify._report = report
         return by_check
@@ -651,21 +654,14 @@ class TestRunSuite:
             finally:
                 tracemalloc.stop()
 
-        suite = peak(lambda: run_suite(from_realization(r), SuiteConfig(seed=0)))
+        suite = peak(lambda: run_suite(from_realization(r), seed=0))
         assert suite <= peak(lambda: contractivity_scan(r, 16, 40, 0))
-
-    def test_order_two_runs_one_symmetry_trial(self):
-        F = from_poly(FreePoly(2, {(0, 1): 1.0}))
-        reports = {r.name: r for r in run_suite(F, SuiteConfig(max_order=2, trials=1))}
-        assert reports["derivative-symmetry"].trials == 1
-        assert reports["taylor-polynomiality"].trials == 2
-        assert all(r.passed for r in reports.values())
 
     def test_six_letters_lower_the_taylor_order(self):
         # 6^3 = 216 words of degree 3 are over 200: the Taylor check stops at degree 2.
         p = FreePoly(6, {(0, 5): 1.0, (3,): 0.5, (1, 2, 4): 0.25})
-        reports = {r.name: r for r in run_suite(from_poly(p), SuiteConfig(trials=1))}
-        assert reports["taylor-polynomiality"].trials == 2
+        reports = {r.name: r for r in run_suite(from_poly(p))}
+        assert reports["taylor-polynomiality"].trials == 6
         assert reports["derivative-symmetry"].trials == 2
         assert all(r.passed for r in reports.values())
 
@@ -681,7 +677,7 @@ class TestThresholds:
     @pytest.fixture(scope="class")
     def suite_reports(self):
         F = from_poly(FreePoly(2, {(0, 1): 1.0}))
-        return {r.name: r for r in run_suite(F, SuiteConfig(max_order=2, trials=1))}
+        return {r.name: r for r in run_suite(F)}
 
     @pytest.mark.parametrize(
         "check, suite_name",
