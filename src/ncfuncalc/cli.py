@@ -12,42 +12,56 @@ under a fixed seed.  Exit codes:
        non-finite result)
     5  coefficient extraction failure (offending word reported on stderr) or
        a derivative jet that is not block upper triangular
+
+A process loads only what its verb uses: ``derive`` imports the jets,
+``expand`` the Taylor extraction and ``verify`` the suite, each inside the
+verb, and the other verbs none of the three.  No collector pass runs while
+this module's own imports do, and :func:`entrypoint` freezes the imported objects,
+runs the verb, flushes and leaves through ``os._exit``.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import math
-import sys
 
-import numpy as np
+# Nearly every object these imports make lives until the process exits, so a
+# collector pass while they run traverses them for nothing.  The collector is
+# held off until they finish and then left as it was found.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import math
+    import os
+    import sys
 
-from .formats import (
-    ParseError,
-    directions_from_obj,
-    dump_json,
-    handle_from_obj,
-    load_json,
-    matrix_to_obj,
-    poly_to_obj,
-    realization_from_obj,
-    tuple_from_obj,
-    write_json_atomic,
-)
-from .linalg import NonConvergenceError, SingularMatrixError, operator_norm
-from .ncderiv import StructureViolationError, delta_k, dk_fd, dk_multilinear
-from .ncfun import DomainViolationError, NonFiniteResultError
-from .realization import (
-    ISOMETRY_BUILD_TOL,
-    NotIsometricError,
-    ResolventSingularError,
-    SamplerStarvationError,
-    check_isometry,
-    contractivity_scan,
-)
-from .taylor import ExtractionError, taylor_expand
-from .verify import run_suite, valid_seed
+    import numpy as np
+
+    from .formats import (
+        ParseError,
+        directions_from_obj,
+        dump_json,
+        handle_from_obj,
+        load_json,
+        matrix_to_obj,
+        poly_to_obj,
+        realization_from_obj,
+        tuple_from_obj,
+        write_json_atomic,
+    )
+    from .linalg import NonConvergenceError, SingularMatrixError, operator_norm, valid_seed
+    from .ncfun import DomainViolationError, NonFiniteResultError
+    from .realization import (
+        ISOMETRY_BUILD_TOL,
+        NotIsometricError,
+        ResolventSingularError,
+        SamplerStarvationError,
+        check_isometry,
+        contractivity_scan,
+    )
+finally:
+    if _collecting:
+        gc.enable()
 
 __all__ = ["main", "entrypoint"]
 
@@ -63,7 +77,24 @@ DEFAULT_FD_LAMBDA = 1e-3
 
 def _seed(text: str) -> int:
     """A ``--seed`` argument, checked as :func:`run_suite` checks its seed."""
-    return valid_seed(int(text))
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = text  # refused below, with the check's own message
+    try:
+        return valid_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _raised(module: str, name: str) -> tuple:
+    """The exception class ``name`` of ``module`` if it is loaded, else none.
+
+    Each verb imports the modules it uses, and a class whose module no verb
+    loaded cannot have been raised; ``except ()`` matches nothing.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(loaded, name),) if loaded is not None else ()
 
 
 def _emit_json(payload, out: str | None) -> None:
@@ -91,6 +122,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    from .ncderiv import delta_k, dk_fd, dk_multilinear
+
     F = handle_from_obj(load_json(args.handle))
     x = tuple_from_obj(load_json(args.point))
     k = args.k
@@ -126,6 +159,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .taylor import taylor_expand
+
     F = handle_from_obj(load_json(args.handle))
     expansion = taylor_expand(F, args.maxdeg)
     _emit_json(poly_to_obj(expansion.as_poly()), args.out)
@@ -166,6 +201,8 @@ def _cmd_realize_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     F = handle_from_obj(load_json(args.handle))
     reports = run_suite(F, args.seed)
     _emit_json([rep.as_dict() for rep in reports], args.out)
@@ -238,11 +275,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args)
-    except ExtractionError as exc:
+    except _raised("taylor", "ExtractionError") as exc:
         word = list(exc.word) if exc.word is not None else None
         print(f"extraction failed at word {word}: {exc}", file=sys.stderr)
         return EXIT_EXTRACTION
-    except StructureViolationError as exc:
+    except _raised("ncderiv", "StructureViolationError") as exc:
         print(f"jet structure violated: {exc}", file=sys.stderr)
         return EXIT_EXTRACTION
     except DomainViolationError as exc:
@@ -268,12 +305,20 @@ def main(argv=None) -> int:
 def entrypoint() -> None:
     # The objects the imports made, most of them numpy's, live until exit.
     # Freezing them moves them to the collector's permanent generation, so
-    # neither the verb's collections nor the final collection at shutdown
-    # traverse them again, about a tenth of a short verb's process time.  Only
-    # the process entry does this: a program that imports the library owns
-    # its collector.
+    # the verb's collections do not traverse them again.  The process then
+    # ends without the interpreter's teardown, which finalizes every module
+    # and object to no purpose here: what the verb printed is flushed, and an
+    # --out file is already closed by write_json_atomic.  Only the process
+    # entry does either: a program that imports the library owns its
+    # collector and its exit.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)  # the interpreter reports the failed write, as it always has
+    os._exit(code)
 
 
 if __name__ == "__main__":

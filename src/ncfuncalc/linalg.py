@@ -29,6 +29,7 @@ __all__ = [
     "operator_norm",
     "relative",
     "scalar_part",
+    "valid_seed",
     "MatrixTuple",
     "as_stack",
     "as_stacks",
@@ -127,6 +128,14 @@ def scalar_part(v: np.ndarray):
     c = np.trace(v, axis1=-2, axis2=-1) / n
     resid = np.abs(v - c[..., None, None] * np.eye(n)).max(axis=(-2, -1))
     return (complex(c), float(resid)) if v.ndim == 2 else (c, resid)
+
+
+def valid_seed(seed) -> int:
+    """``seed`` itself if it is an integer of at least 0, else ``ValueError``."""
+    # type(...) is int: a bool is not a seed, and a float is not one.
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
+    return seed
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

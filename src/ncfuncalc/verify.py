@@ -28,6 +28,7 @@ from .linalg import (
     operator_norm,
     relative,
     scalar_part,
+    valid_seed,
 )
 from .ncderiv import delta_k, dk_multilinear, polarization
 from .ncfun import NCFunctionHandle
@@ -304,14 +305,6 @@ def recover_klinear(lam: NCFunctionHandle, k: int, probes) -> FreePoly:
 # -- the bundled suite -------------------------------------------------------
 
 
-def valid_seed(seed) -> int:
-    """``seed`` itself if it is an integer of at least 0, else ``ValueError``."""
-    # type(...) is int: a bool is not a seed, and a float is not one.
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
-    return seed
-
-
 def _direction(rng: np.random.Generator, d: int, n: int, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((d, 2, n, n))  # real, imaginary part of each letter
     g = g[:, 0] + 1j * g[:, 1]
@@ -344,7 +337,7 @@ def _sample_similarity(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
 def run_suite(F: NCFunctionHandle, seed: int = 7) -> list[PropertyReport]:
     """Run every structural check against a handle; failures are verdicts.
 
-    ``seed``, an integer of at least 0 (:func:`valid_seed`), seeds every
+    ``seed``, an integer of at least 0 (:func:`.linalg.valid_seed`), seeds every
     check's draws; the sample sizes are the constants ``DIMS``,
     ``SCALAR_DIMS``, ``GRADED_DIMS``, ``TRIALS`` and ``TOP_ORDER``, and the
     thresholds are :data:`THRESHOLDS`.  A check that raises (for instance

@@ -35,7 +35,13 @@ from ncfuncalc.formats import (
     tuple_to_obj,
 )
 
-from _helpers import ones_orthogonal_matrix, random_poly, random_tuple, rng_for
+from _helpers import (
+    ones_orthogonal_matrix,
+    random_isometric_realization,
+    random_poly,
+    random_tuple,
+    rng_for,
+)
 
 
 @pytest.fixture
@@ -712,6 +718,8 @@ class TestSharedFlags:
         code, out, err = run(capsys, *self.argv(workspace, verb), "--seed", "-1")
         assert (code, out) == (2, "")
         assert "--seed" in err and "Traceback" not in err
+        # The seed check's own message, not argparse's text naming a function.
+        assert "seed must be an integer of at least 0" in err and "_seed" not in err
 
     @pytest.mark.parametrize("verb", list(VERBS))
     def test_config_flag_reads_no_file(self, workspace, capsys, tmp_path, verb):
@@ -727,6 +735,7 @@ class TestSharedFlags:
         code, out, err = run(capsys, *self.argv(workspace, verb), "--seed", text)
         assert (code, out) == (2, "")
         assert "--seed" in err and "Traceback" not in err
+        assert "seed must be an integer of at least 0" in err and "_seed" not in err
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_verify_seed_is_the_suite_seed(self, workspace, capsys, seed):
@@ -908,24 +917,112 @@ class TestEntrypoint:
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(ncfuncalc.cli, "main", lambda: calls.append("main") or 3)
-        with pytest.raises(SystemExit) as exc:
-            ncfuncalc.cli.entrypoint()
-        assert calls == ["freeze", "main"]
-        assert exc.value.code == 3
+        monkeypatch.setattr(os, "_exit", lambda code: calls.append(("exit", code)))
+        ncfuncalc.cli.entrypoint()
+        assert calls == ["freeze", "main", ("exit", 3)]
 
     @pytest.mark.parametrize(
-        "handle, point, expected",
-        [("commutator.json", "shift_pair.json", 0), ("mobius_handle.json", "point_outside.json", 3)],
+        "argv, expected",
+        [
+            (["eval", "--handle", "commutator.json", "--point", "shift_pair.json"], 0),
+            (["verify", "--handle", "adversarial.json", "--seed", "4"], 1),
+            (["verify", "--handle", "commutator.json", "--seed", "-1"], 2),
+            (["eval", "--handle", "commutator.json", "--point", "no_such_point.json"], 2),
+            (["eval", "--handle", "mobius_handle.json", "--point", "point_outside.json"], 3),
+        ],
+        ids=["ok", "verdict", "bad-seed", "missing-file", "domain"],
     )
-    def test_module_process_matches_main(self, workspace, capsys, handle, point, expected):
-        argv = ["eval", "--handle", workspace[handle], "--point", workspace[point]]
+    def test_module_process_matches_main(self, workspace, capsys, argv, expected):
+        argv = [workspace.get(a, a) for a in argv]
         in_process = run(capsys, *argv)
-        env = {**os.environ, "PYTHONPATH": str(Path(ncfuncalc.__file__).parent.parent)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncfuncalc.cli", *argv],
-            env=env,
-            capture_output=True,
-            timeout=60,
-        )
+        proc = _module_process(*argv)
         assert in_process[0] == expected
         assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == in_process
+
+    @pytest.mark.parametrize(
+        "argv, loaded, skipped",
+        [
+            (["eval", "--handle", "commutator.json", "--point", "shift_pair.json"],
+             {"formats"}, {"ncderiv", "taylor", "verify"}),
+            (["derive", "--handle", "square.json", "--point", "x_scalar.json",
+              "--directions", "dirs_one.json", "--k", "1"],
+             {"ncderiv"}, {"taylor", "verify"}),
+            (["expand", "--handle", "commutator.json", "--maxdeg", "1"], {"taylor"}, {"verify"}),
+        ],
+        ids=["eval", "derive", "expand"],
+    )
+    def test_process_loads_only_its_verbs_modules(self, workspace, argv, loaded, skipped):
+        proc = _module_process(*(workspace.get(a, a) for a in argv), importtime=True)
+        assert proc.returncode == 0, proc.stderr
+        # -X importtime writes "import time: self | cumulative | module" lines.
+        modules = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")
+        }
+        assert {f"ncfuncalc.{m}" for m in loaded} <= modules
+        assert not {f"ncfuncalc.{m}" for m in skipped} & modules
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_importing_cli_leaves_the_collector_as_found(self, enabled):
+        # A pass that starts with numpy's or formats' import on the stack runs
+        # while cli's own imports do; there should be none.
+        script = f"""
+import gc, sys
+gc.enable() if {enabled} else gc.disable()
+passes = []
+
+def during_imports(phase, info):
+    frame = sys._getframe(1) if phase == "start" else None
+    while frame is not None:
+        name = frame.f_code.co_filename
+        if "numpy" in name or name.endswith("formats.py"):
+            passes.append(name)
+            break
+        frame = frame.f_back
+
+gc.callbacks.append(during_imports)
+import ncfuncalc
+import ncfuncalc.cli
+gc.callbacks.remove(during_imports)
+print(gc.isenabled(), gc.get_freeze_count(), len(passes))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_ENV, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(enabled), "0", "0"]
+
+    def test_large_output_arrives_whole(self, tmp_path):
+        # 2047 words up to degree 10 in two letters: far more than a pipe holds.
+        r = random_isometric_realization(rng_for(37), 2, 2)
+        handle = tmp_path / "real.json"
+        handle.write_text(dump_json(handle_to_obj(from_realization(r))))
+        argv = ["expand", "--handle", str(handle), "--maxdeg", "10"]
+        piped = _module_process(*argv)
+        assert piped.returncode == 0, piped.stderr
+        assert len(piped.stdout) > 64 * 1024
+        out = tmp_path / "poly.json"
+        to_file = _module_process(*argv, "--out", str(out))
+        assert to_file.returncode == 0, to_file.stderr
+        assert to_file.stdout.decode() == f"{out}\n{out}.diagnostics.json\n"
+        assert out.read_bytes() == piped.stdout
+        assert len(poly_from_obj(json.loads(piped.stdout)).terms) == 2047
+
+
+# Without PYTHONUNBUFFERED a piped stdout is block-buffered, so a lost flush shows.
+_ENV = {
+    **{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "PYTHONPATH": str(Path(ncfuncalc.__file__).parent.parent),
+}
+
+
+def _module_process(*argv, importtime=False):
+    """``python -m ncfuncalc.cli ARGV`` in a fresh process, output captured."""
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "ncfuncalc.cli", *argv],
+        env=_ENV,
+        capture_output=True,
+        timeout=120,
+    )

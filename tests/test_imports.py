@@ -44,6 +44,51 @@ def test_exported_names_resolve(module):
     assert not missing, missing
 
 
+def test_package_import_loads_no_module():
+    # Public names resolve on first access, so a program (or an ncfun
+    # process) loads only the modules whose names it uses.
+    script = (
+        "import sys, ncfuncalc; "
+        "print(sorted(m for m in sys.modules if m.startswith('ncfuncalc')), 'numpy' in sys.modules); "
+        "ncfuncalc.run_suite; "
+        "print('ncfuncalc.verify' in sys.modules, 'run_suite' in vars(ncfuncalc))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['ncfuncalc'] False", "True True"]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ncfuncalc import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(ncfuncalc.__all__)
+    assert all(namespace[name] is getattr(ncfuncalc, name) for name in namespace)
+    assert set(ncfuncalc.__all__) <= set(dir(ncfuncalc))
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ncfuncalc.no_such_name
+
+
+def test_only_cli_touches_the_collector_or_exits_the_process():
+    # A program that imports the library owns its collector and its exit.
+    offences = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+                offences.append(f"{path.name}:{node.lineno} imports gc")
+            elif isinstance(node, ast.Attribute) and node.attr == "_exit":
+                offences.append(f"{path.name}:{node.lineno} calls _exit")
+    assert not offences, offences
+
+
 def _tracer_tables():
     """The (span, module, attribute path) rows the benchmark's tracer wraps."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
